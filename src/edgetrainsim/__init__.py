@@ -5,8 +5,8 @@ from .devices import (DEFAULT_FAULT_MODEL, DeviceProfile, FaultModel, Link,
                       NetworkModel, TrustedDomain, busy_power,
                       effective_throughput, jetson_nano, jetson_nx, jetson_tx2,
                       testbed_preset)
-from .parallelism import (CommEvent, ParallelPlan, PlanError, check_memory,
-                          comm_schedule, make_dp_plan, make_pp_plan,
+from .parallelism import (CommPhase, ParallelPlan, PlanError, check_memory,
+                          comm_template, make_dp_plan, make_pp_plan,
                           make_single_plan, make_sp_plan, make_tp_plan)
 from .scheduler import (InfeasibleError, Objective, OrchestrationStrategy,
                         arrange_topology, choose_parallelism, orchestrate,

@@ -147,8 +147,7 @@ def cmd_plan(args) -> int:
     objective = _build_objective(args)
     fault_model = FaultModel(mtbf_per_device=args.mtbf,
                              checkpoint_write_bandwidth=args.ckpt_bandwidth,
-                             recovery_reload_bandwidth=args.reload_bandwidth,
-                             rng_seed=args.seed)
+                             recovery_reload_bandwidth=args.reload_bandwidth)
     try:
         strategy = orchestrate(domain, spec, job, objective,
                                fault_model=fault_model,
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-device MTBF seconds for checkpoint planning")
     p.add_argument("--ckpt-bandwidth", type=float, default=50e6)
     p.add_argument("--reload-bandwidth", type=float, default=50e6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="plan output file (default stdout)")
     p.set_defaults(func=cmd_plan)
 
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, help="plan YAML file")
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--trace", help="write an event trace table to this file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="result output file (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -356,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: all four)")
     _add_job_flags(p)
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="TSV output file (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

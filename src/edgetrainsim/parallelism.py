@@ -1,8 +1,10 @@
 """The four parallelism strategies as explicit plan structures.
 
-A plan binds a workload partition and a deterministic collective schedule to
-an ordered set of devices.  Plans never mutate the spec or job they reference;
-construction is pure.
+A plan binds a workload partition to an ordered set of devices.  Plans never
+mutate the spec or job they reference; construction is pure.
+
+One per-iteration template, :func:`comm_template`, defines every collective
+a plan runs; the simulator derives timing, byte counts and the trace from it.
 
 Collective payload sizes follow the job's byte constants: gradient
 synchronization moves ``param_bytes`` bytes per parameter, activation tensors
@@ -13,7 +15,7 @@ reproduce the familiar 4-byte payload arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .devices import TrustedDomain, effective_throughput
 from .workload import (TransformerSpec, TrainingJob, activation_bytes_per_block,
@@ -84,20 +86,14 @@ class ParallelPlan:
             raise PlanError(f"unknown plan kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommPhase(NamedTuple):
+    """One template entry: ``count`` runs of ``op`` among ``participants``."""
+    phase: str
     op: str
     payload_bytes: float
     participants: tuple[str, ...]
-    phase: str
-
-    def __post_init__(self):
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must be >= 0")
-        if self.op == OP_P2P and len(self.participants) != 2:
-            raise ValueError("point-to-point events have exactly 2 participants")
-        if self.op in (OP_ALLREDUCE, OP_ALLGATHER) and len(self.participants) < 2:
-            raise ValueError("collectives need at least 2 participants")
+    count: int
+    sync_only: bool = False  # runs only on gradient-sync iterations
 
 
 @dataclass(frozen=True)
@@ -244,104 +240,67 @@ def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     return ParallelPlan(KIND_PP, participants, partition, job, spec)
 
 
-def comm_schedule(plan: ParallelPlan) -> list[CommEvent]:
-    """Ordered collective template for one sync period of iterations.
+def comm_template(plan: ParallelPlan) -> list[CommPhase]:
+    """Every collective of one iteration, in the order it runs.
 
-    Per-block collectives are scheduled once per micro-batch pass: their
-    payloads are micro-batch sized, and one iteration runs B/m passes.
+    Per-block collectives run once per micro-batch pass: their payloads are
+    micro-batch sized, and one iteration runs M = B/m passes over L blocks.
+    The gradient AllReduce runs on sync iterations only.
     """
     spec, job = plan.spec, plan.job
     parts = plan.participants
-    n = len(parts)
-    k = job.dp_sync_period
-    m_count = job.micro_batch_count
+    if plan.kind == KIND_SINGLE or len(parts) == 1:
+        return []
     act = activation_tensor_bytes(spec, job)
-    events: list[CommEvent] = []
-
-    if plan.kind == KIND_SINGLE or n == 1:
-        return events
-
+    m_count = job.micro_batch_count
+    if plan.kind == KIND_TP:
+        # forward attention and MLP, then their backward passes
+        return [CommPhase("block-reduce", OP_ALLREDUCE, act, parts,
+                          4 * m_count * spec.num_blocks)]
+    if plan.kind == KIND_PP:
+        # every micro-batch crosses each boundary forward and backward
+        return [CommPhase("stage-transfer", OP_P2P, act, (a, b), 2 * m_count)
+                for a, b in zip(parts, parts[1:])]
+    grad = CommPhase("gradient-sync", OP_ALLREDUCE, grad_sync_bytes(spec, job),
+                     parts, 1, sync_only=True)
     if plan.kind == KIND_DP:
-        events.append(CommEvent(OP_ALLREDUCE, grad_sync_bytes(spec, job), parts,
-                                "per-sync-period/gradient-sync"))
-    elif plan.kind == KIND_SP:
-        for it in range(k):
-            for mb in range(m_count):
-                for blk in range(spec.num_blocks):
-                    tag = f"iter{it}/mb{mb}/block{blk}"
-                    events.append(CommEvent(OP_ALLGATHER, act, parts,
-                                            f"{tag}/forward-gather"))
-                    events.append(CommEvent(OP_ALLREDUCE, act, parts,
-                                            f"{tag}/output-reduce"))
-        events.append(CommEvent(OP_ALLREDUCE, grad_sync_bytes(spec, job), parts,
-                                "per-sync-period/gradient-sync"))
-    elif plan.kind == KIND_TP:
-        phases = ("forward-attn", "forward-mlp", "backward-mlp", "backward-attn")
-        for it in range(k):
-            for mb in range(m_count):
-                for blk in range(spec.num_blocks):
-                    for phase in phases:
-                        events.append(CommEvent(
-                            OP_ALLREDUCE, act, parts,
-                            f"iter{it}/mb{mb}/block{blk}/{phase}"))
-    elif plan.kind == KIND_PP:
-        for it in range(k):
-            for mb in range(m_count):
-                for i in range(n - 1):
-                    events.append(CommEvent(
-                        OP_P2P, act, (parts[i], parts[i + 1]),
-                        f"iter{it}/mb{mb}/boundary{i}/forward"))
-            for mb in range(m_count):
-                for i in range(n - 1, 0, -1):
-                    events.append(CommEvent(
-                        OP_P2P, act, (parts[i], parts[i - 1]),
-                        f"iter{it}/mb{mb}/boundary{i - 1}/backward"))
-    return events
+        return [grad]
+    per_block = m_count * spec.num_blocks  # KIND_SP
+    return [CommPhase("block-gather", OP_ALLGATHER, act, parts, per_block),
+            CommPhase("block-reduce", OP_ALLREDUCE, act, parts, per_block),
+            grad]
 
 
-def ring_wire_bytes_per_device(op: str, payload_bytes: float, n: int) -> float:
-    """Bytes one participant transmits for a ring collective."""
-    if n < 2:
-        return 0.0
-    if op == OP_ALLREDUCE:
-        return 2.0 * (n - 1) / n * payload_bytes
-    if op == OP_ALLGATHER:
-        return (n - 1) / n * payload_bytes
-    if op == OP_P2P:
-        return payload_bytes
-    raise ValueError(f"unknown op {op!r}")
+def pp_stage_memory(spec: TransformerSpec, job: TrainingJob, blocks,
+                    num_stages: int, micro_batches: int) -> list[tuple[float, float]]:
+    """(state, activation) bytes of each pipeline stage of ``blocks`` blocks.
 
-
-def _pp_inflight_depth(plan: ParallelPlan) -> int:
-    stages = len(plan.partition.stages)
-    return min(plan.partition.micro_batch_count, stages)
+    A stage holds its share of the training state and the activations of
+    every micro-batch in flight, at most one per stage.
+    """
+    state = state_bytes(spec, job)
+    act = activation_bytes_per_block(spec, job.micro_batch, job)
+    depth = min(micro_batches, num_stages)
+    l = max(spec.num_blocks, 1)
+    return [(state * b / l, b * act * depth) for b in blocks]
 
 
 def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryCheck]:
     """Per-device required bytes and whether they fit in usable memory."""
     spec, job = plan.spec, plan.job
-    n = len(plan.participants)
+    if plan.kind == KIND_PP:
+        stages = plan.partition.stages
+        blocks = [end - start for _, (start, end) in stages]
+        need = pp_stage_memory(spec, job, blocks, len(stages),
+                               plan.partition.micro_batch_count)
+        return {p: _check_one(domain, p, *req)
+                for (p, _), req in zip(stages, need)}
     state = state_bytes(spec, job)
-    act = activation_bytes_per_block(spec, job.micro_batch, job)
-    result: dict[str, MemoryCheck] = {}
-
-    if plan.kind in (KIND_SINGLE, KIND_DP, KIND_SP):
-        for p in plan.participants:
-            required_state, required_act = state, spec.num_blocks * act
-            result[p] = _check_one(domain, p, required_state, required_act)
-    elif plan.kind == KIND_TP:
-        for p in plan.participants:
-            result[p] = _check_one(domain, p, state / n, spec.num_blocks * act / n)
-    elif plan.kind == KIND_PP:
-        depth = _pp_inflight_depth(plan)
-        l = max(spec.num_blocks, 1)
-        for p, (start, end) in plan.partition.stages:
-            blocks = end - start
-            result[p] = _check_one(domain, p, state * blocks / l,
-                                   blocks * act * depth)
-    else:
-        raise PlanError(f"unknown plan kind {plan.kind!r}")
-    return result
+    act = spec.num_blocks * activation_bytes_per_block(spec, job.micro_batch, job)
+    if plan.kind == KIND_TP:
+        n = len(plan.participants)
+        state, act = state / n, act / n
+    return {p: _check_one(domain, p, state, act) for p in plan.participants}
 
 
 def _check_one(domain: TrustedDomain, device_id: str, req_state: float,

@@ -17,7 +17,8 @@ from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP,
                           KIND_PREFERENCE, ParallelPlan, PlanError,
                           check_memory, make_dp_plan, make_pp_plan,
-                          make_single_plan, make_sp_plan, make_tp_plan)
+                          make_single_plan, make_sp_plan, make_tp_plan,
+                          pp_stage_memory)
 from .simengine import (CHECKPOINT_INTERVAL_CAP, DEFAULT_ITERATIONS,
                         SimulationResult, iteration_times, simulate)
 from .workload import TrainingJob, TransformerSpec, flops_per_iteration
@@ -88,18 +89,6 @@ def _per_block_time(domain: TrustedDomain, device_id: str,
     return flops_per_iteration(spec, job) / max(spec.num_blocks, 1) / thr
 
 
-def _stage_memory_ok(domain: TrustedDomain, device_id: str,
-                     spec: TransformerSpec, job: TrainingJob,
-                     blocks: int, num_stages: int) -> bool:
-    from .parallelism import _pp_inflight_depth  # shared formula
-    from .workload import activation_bytes_per_block, state_bytes
-    depth = min(job.micro_batch_count, num_stages)
-    act = activation_bytes_per_block(spec, job.micro_batch, job)
-    required = (state_bytes(spec, job) * blocks / max(spec.num_blocks, 1)
-                + blocks * act * depth)
-    return required <= domain.device(device_id).usable_memory
-
-
 def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSpec,
                      job: TrainingJob) -> list[tuple[int, int]]:
     """Contiguous stage split minimizing the bottleneck stage compute time.
@@ -113,10 +102,12 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
     if l < n:
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
     times = [_per_block_time(domain, d, spec, job) for d in devices]
-    feasible = [[False] * (l + 1) for _ in range(n)]
-    for i, d in enumerate(devices):
-        for b in range(1, l + 1):
-            feasible[i][b] = _stage_memory_ok(domain, d, spec, job, b, n)
+    required = [state + act for state, act in pp_stage_memory(
+        spec, job, range(l + 1), n, job.micro_batch_count)]
+    feasible = []
+    for d in devices:
+        usable = domain.device(d).usable_memory
+        feasible.append([b > 0 and required[b] <= usable for b in range(l + 1)])
 
     inf = math.inf
     # best[i][j]: minimal bottleneck using devices [0..i] for the first j blocks
@@ -194,14 +185,14 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
     if len(participants) == 1:
         plans.append(make_single_plan(domain, spec, job, participants[0]))
         return plans, reasons
+    def pp_plan():
+        order = arrange_topology(domain, participants, spec, job)
+        return make_pp_plan(domain, spec, job, order,
+                            partition_stages(domain, order, spec, job))
+
     builders = {
         KIND_DP: lambda: make_dp_plan(domain, spec, job, participants),
-        KIND_PP: lambda: make_pp_plan(
-            domain, spec, job,
-            arrange_topology(domain, participants, spec, job),
-            partition_stages(
-                domain, arrange_topology(domain, participants, spec, job),
-                spec, job)),
+        KIND_PP: pp_plan,
         KIND_TP: lambda: make_tp_plan(domain, spec, job, participants),
         KIND_SP: lambda: make_sp_plan(domain, spec, job, participants),
     }

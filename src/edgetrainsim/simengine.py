@@ -4,10 +4,16 @@ The engine advances one iteration at a time.  Within an iteration the model
 is synchronous: compute segments run in lockstep between collective barriers,
 so a device's timeline always closes as compute + comm + idle = makespan.
 
-Collectives use ring algorithms under an alpha-beta link model.  Pipeline
-iterations follow the fill-drain schedule: (M + S - 1) times the bottleneck
-stage's per-micro-batch cost.  Compute and communication do not overlap
-except through the pipeline schedule itself.
+Every collective comes from the plan's per-iteration template
+(:func:`~edgetrainsim.parallelism.comm_template`).  One pass over it, per
+profile, gives each device's comm seconds, ``comm_bytes_by_op`` and the
+trace records; ``comm_bytes_by_op`` counts payload bytes (count x payload),
+not the bytes a ring puts on the wire.  Collectives use ring algorithms
+under an alpha-beta link model.  Barrier kinds take the slowest device's
+compute plus every collective phase in turn.  Pipeline iterations follow
+the fill-drain schedule: (M + S - 1) times the bottleneck stage's
+per-micro-batch compute plus the slowest boundary transfer.  Compute and
+communication do not overlap except through the pipeline schedule itself.
 
 Energy integrates a three-state power model per device: idle power for the
 whole makespan, the busy-minus-idle delta while computing, and the network
@@ -24,10 +30,9 @@ import numpy as np
 
 from .devices import (FaultModel, NetworkModel, TrustedDomain, busy_power,
                       effective_throughput)
-from .parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP, KIND_TP,
+from .parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_TP,
                           OP_ALLGATHER, OP_ALLREDUCE, OP_P2P, ParallelPlan,
-                          activation_tensor_bytes, check_memory,
-                          grad_sync_bytes)
+                          check_memory, comm_template)
 from .workload import flops_per_iteration
 
 DEFAULT_ITERATIONS = 20
@@ -112,7 +117,7 @@ def collective_time(op: str, payload_bytes: float, participants,
 
 @dataclass
 class _IterationProfile:
-    """Everything needed to replay one iteration without re-deriving costs."""
+    """Per-device constants of one iteration, folded once from the template."""
     compute: dict[str, float]               # per-device compute seconds
     base_comm: dict[str, float]             # per-device comm seconds (every iter)
     base_len: float                         # iteration wall time without sync
@@ -120,15 +125,34 @@ class _IterationProfile:
     sync_comm: dict[str, float]             # extra per-device comm on sync iters
     base_bytes: dict[str, float]            # payload bytes by op, every iteration
     sync_bytes: dict[str, float]            # payload bytes by op on sync iterations
-    has_sync: bool
-    segments: list                          # (phase, op, start_offset, per-device durations, bytes)
+    phases: list                            # (CommPhase, seconds per run)
+
+
+def _fold(phases, parts) -> tuple[dict[str, float], dict[str, float]]:
+    """Per-device seconds and payload bytes by op of some template entries.
+
+    Per-run times are summed within each group of equal count and multiplied
+    by the count once: count * (t_1 + t_2), never count * t_1 + count * t_2.
+    """
+    runs: dict[tuple[str, int], float] = {}
+    counts: dict[tuple[str, float], int] = {}
+    for e, t in phases:
+        for p in e.participants:
+            runs[p, e.count] = runs.get((p, e.count), 0.0) + t
+        counts[e.op, e.payload_bytes] = (counts.get((e.op, e.payload_bytes), 0)
+                                         + e.count)
+    seconds = dict.fromkeys(parts, 0.0)
+    for (p, c), t in runs.items():
+        seconds[p] += c * t
+    by_op: dict[str, float] = {}
+    for (op, payload), c in counts.items():
+        by_op[op] = by_op.get(op, 0.0) + c * payload
+    return seconds, by_op
 
 
 def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationProfile:
     spec, job = plan.spec, plan.job
     parts = plan.participants
-    n = len(parts)
-    net = domain.network
     flops = flops_per_iteration(spec, job)
     thr = {p: effective_throughput(domain.device(p), domain.mode) for p in parts}
     for p, t in thr.items():
@@ -136,119 +160,58 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
             raise SimulationError(f"device {p} has zero throughput in mode "
                                   f"{domain.mode!r}")
     m_count = job.micro_batch_count
-    act = activation_tensor_bytes(spec, job)
-    l = spec.num_blocks
 
-    compute: dict[str, float] = {}
-    base_comm = {p: 0.0 for p in parts}
-    sync_comm = {p: 0.0 for p in parts}
-    base_bytes: dict[str, float] = {}
-    sync_bytes: dict[str, float] = {}
-    sync_len = 0.0
-    has_sync = False
-    segments: list = []
-
-    def grad_sync():
-        t_ar = collective_time(OP_ALLREDUCE, grad_sync_bytes(spec, job), parts, net)
-        for p in parts:
-            sync_comm[p] += t_ar
-        sync_bytes[OP_ALLREDUCE] = sync_bytes.get(OP_ALLREDUCE, 0.0) + \
-            grad_sync_bytes(spec, job)
-        return t_ar
-
-    if plan.kind in (KIND_SINGLE, KIND_DP):
-        if plan.kind == KIND_SINGLE:
-            shares = {parts[0]: 1.0}
-        else:
-            total = sum(plan.partition.shard_sizes)
-            shares = {p: s / total for p, s in zip(parts, plan.partition.shard_sizes)}
-        compute = {p: flops * shares[p] / thr[p] for p in parts}
-        base_len = max(compute.values())
-        segments.append(("compute", None, 0.0, dict(compute), 0.0))
-        if plan.kind == KIND_DP and n > 1:
-            has_sync = True
-            sync_len = grad_sync()
-            segments.append(("gradient-sync", OP_ALLREDUCE, base_len,
-                             {p: sync_len for p in parts},
-                             grad_sync_bytes(spec, job)))
-    elif plan.kind == KIND_SP:
-        total = sum(plan.partition.subseq_lengths)
-        shares = {p: s / total for p, s in
-                  zip(parts, plan.partition.subseq_lengths)}
-        compute = {p: flops * shares[p] / thr[p] for p in parts}
-        coll = 0.0
-        if n > 1:
-            t_ag = collective_time(OP_ALLGATHER, act, parts, net)
-            t_ar = collective_time(OP_ALLREDUCE, act, parts, net)
-            coll = m_count * l * (t_ag + t_ar)
-            base_bytes[OP_ALLGATHER] = m_count * l * act
-            base_bytes[OP_ALLREDUCE] = m_count * l * act
-            for p in parts:
-                base_comm[p] += coll
-            has_sync = True
-            sync_len = grad_sync()
-        base_len = max(compute.values()) + coll
-        segments.append(("compute", None, 0.0, dict(compute), 0.0))
-        if n > 1:
-            mc = max(compute.values())
-            segments.append(("block-gather", OP_ALLGATHER, mc,
-                             {p: m_count * l * t_ag for p in parts},
-                             base_bytes[OP_ALLGATHER]))
-            segments.append(("block-reduce", OP_ALLREDUCE, mc + m_count * l * t_ag,
-                             {p: m_count * l * t_ar for p in parts},
-                             base_bytes[OP_ALLREDUCE]))
-            segments.append(("gradient-sync", OP_ALLREDUCE, base_len,
-                             {p: sync_len for p in parts},
-                             grad_sync_bytes(spec, job)))
-    elif plan.kind == KIND_TP:
-        compute = {p: flops / n / thr[p] for p in parts}
-        coll = 0.0
-        if n > 1:
-            t_ar = collective_time(OP_ALLREDUCE, act, parts, net)
-            coll = m_count * l * 4 * t_ar
-            base_bytes[OP_ALLREDUCE] = m_count * l * 4 * act
-            for p in parts:
-                base_comm[p] += coll
-        base_len = max(compute.values()) + coll
-        segments.append(("compute", None, 0.0, dict(compute), 0.0))
-        if n > 1:
-            segments.append(("block-reduce", OP_ALLREDUCE, max(compute.values()),
-                             {p: coll for p in parts}, base_bytes[OP_ALLREDUCE]))
-    elif plan.kind == KIND_PP:
-        stages = plan.partition.stages
-        s_count = len(stages)
-        per_mb: dict[str, float] = {}
-        for p, (start, end) in stages:
-            per_mb[p] = flops * (end - start) / l / m_count / thr[p]
+    if plan.kind == KIND_PP:
+        l = spec.num_blocks
+        per_mb = {p: flops * (end - start) / l / m_count / thr[p]
+                  for p, (start, end) in plan.partition.stages}
         compute = {p: per_mb[p] * m_count for p in parts}
-        boundary_times = []
-        for i in range(s_count - 1):
-            boundary_times.append(collective_time(OP_P2P, act,
-                                                  (parts[i], parts[i + 1]), net))
-        transfer = max(boundary_times) if boundary_times else 0.0
-        bottleneck = max(per_mb.values()) + transfer
-        base_len = (m_count + s_count - 1) * bottleneck
-        if boundary_times:
-            base_bytes[OP_P2P] = 2 * m_count * (s_count - 1) * act
-            for i, p in enumerate(parts):
-                t = 0.0
-                if i > 0:
-                    t += boundary_times[i - 1]
-                if i < s_count - 1:
-                    t += boundary_times[i]
-                base_comm[p] = 2 * m_count * t
-        segments.append(("compute", None, 0.0, dict(compute), 0.0))
-        if boundary_times:
-            segments.append(("stage-transfer", OP_P2P, max(compute.values()),
-                             dict(base_comm), base_bytes[OP_P2P]))
-    else:
-        raise SimulationError(f"unknown plan kind {plan.kind!r}")
+    elif plan.kind == KIND_TP:
+        compute = {p: flops / len(parts) / thr[p] for p in parts}
+    else:  # single, dp and sp split the batch or the sequence by weight
+        sizes = ((1,) if plan.kind == KIND_SINGLE else
+                 plan.partition.shard_sizes if plan.kind == KIND_DP else
+                 plan.partition.subseq_lengths)
+        total = sum(sizes)
+        compute = {p: flops * (s / total) / thr[p] for p, s in zip(parts, sizes)}
 
+    phases = [(e, collective_time(e.op, e.payload_bytes, e.participants,
+                                  domain.network))
+              for e in comm_template(plan)]
+    base_comm, base_bytes = _fold([x for x in phases if not x[0].sync_only], parts)
+    sync_comm, sync_bytes = _fold([x for x in phases if x[0].sync_only], parts)
+    if plan.kind == KIND_PP:
+        transfer = max((t for _, t in phases), default=0.0)
+        base_len = ((m_count + len(plan.partition.stages) - 1)
+                    * (max(per_mb.values()) + transfer))
+    else:
+        # Every participant joins every collective, one phase after another.
+        base_len = max(compute.values()) + max(base_comm.values())
     return _IterationProfile(compute=compute, base_comm=base_comm,
-                             base_len=base_len, sync_len=sync_len,
+                             base_len=base_len,
+                             sync_len=max(sync_comm.values()),
                              sync_comm=sync_comm, base_bytes=base_bytes,
-                             sync_bytes=sync_bytes, has_sync=has_sync,
-                             segments=segments)
+                             sync_bytes=sync_bytes, phases=phases)
+
+
+def _trace_rows(prof: _IterationProfile, parts) -> list[tuple]:
+    """(offset, device, kind, duration, bytes, sync_only) rows of one iteration.
+
+    Every-iteration phases start, in template order, when the slowest device
+    finishes computing; sync-only phases start at the base iteration length.
+    """
+    rows = [(0.0, p, "compute", prof.compute[p], 0.0, False) for p in parts]
+    offset = {False: max(prof.compute.values()), True: prof.base_len}
+    by_phase: dict[tuple[str, bool], list] = {}
+    for e, t in prof.phases:
+        by_phase.setdefault((e.phase, e.sync_only), []).append((e, t))
+    for (_, sync_only), phases in by_phase.items():
+        seconds, by_op = _fold(phases, parts)
+        (op, payload), = by_op.items()
+        rows.extend((offset[sync_only], p, op, d, payload, sync_only)
+                    for p, d in seconds.items() if d > 0)
+        offset[sync_only] += max(seconds.values())
+    return rows
 
 
 def iteration_times(plan: ParallelPlan, domain: TrustedDomain,
@@ -256,11 +219,8 @@ def iteration_times(plan: ParallelPlan, domain: TrustedDomain,
     """Wall time of each simulated iteration (syncs land on period boundaries)."""
     prof = _profile_iteration(plan, domain)
     k = plan.job.dp_sync_period
-    out = []
-    for g in range(warmup, warmup + iterations):
-        sync = prof.has_sync and (g + 1) % k == 0
-        out.append(prof.base_len + (prof.sync_len if sync else 0.0))
-    return out
+    return [prof.base_len + (prof.sync_len if (g + 1) % k == 0 else 0.0)
+            for g in range(warmup, warmup + iterations)]
 
 
 def simulate(plan: ParallelPlan, domain: TrustedDomain,
@@ -297,13 +257,11 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
     makespan = 0.0
     comm_bytes: dict[str, float] = {}
     trace: Optional[list[TraceRecord]] = [] if record_trace else None
+    rows = _trace_rows(prof, parts) if record_trace else ()
 
-    for g in range(warmup + iterations):
-        measured = g >= warmup
-        sync = prof.has_sync and (g + 1) % k == 0
+    for g in range(warmup, warmup + iterations):
+        sync = (g + 1) % k == 0
         dur = prof.base_len + (prof.sync_len if sync else 0.0)
-        if not measured:
-            continue
         t0 = makespan
         for p in parts:
             u = usage[p]
@@ -317,15 +275,9 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
             for op, b in prof.sync_bytes.items():
                 comm_bytes[op] = comm_bytes.get(op, 0.0) + b
         if record_trace:
-            for phase, op, offset, durations, payload in prof.segments:
-                if phase == "gradient-sync" and not sync:
-                    continue
-                for p in parts:
-                    d = durations.get(p, 0.0)
-                    if d > 0 or op is None:
-                        trace.append(TraceRecord(t0 + offset, p,
-                                                 op or "compute", d,
-                                                 payload if op else 0.0))
+            trace.extend(TraceRecord(t0 + offset, p, kind, d, b)
+                         for offset, p, kind, d, b, sync_only in rows
+                         if sync or not sync_only)
         makespan += dur
 
     for p in parts:

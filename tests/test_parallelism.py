@@ -7,14 +7,13 @@ import pytest
 
 from edgetrainsim.devices import (DeviceProfile, NetworkModel, TrustedDomain,
                                   jetson_nano, testbed_preset as load_testbed)
-from edgetrainsim.parallelism import (CommEvent, OP_ALLGATHER, OP_ALLREDUCE,
-                                      OP_P2P, PlanError, activation_tensor_bytes,
-                                      check_memory, comm_schedule,
+from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
+                                      PlanError, activation_tensor_bytes,
+                                      check_memory, comm_template,
                                       grad_sync_bytes, largest_remainder_split,
                                       make_dp_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
-                                      make_tp_plan, ring_wire_bytes_per_device,
-                                      uniform_stage_ranges)
+                                      make_tp_plan, uniform_stage_ranges)
 from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
                                    state_bytes)
 
@@ -190,34 +189,37 @@ class TestCommSchedule:
         domain = domain_with([1e9] * 4)
         plan = make_dp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
-        events = comm_schedule(plan)
-        assert len(events) == 1
-        assert events[0].op == OP_ALLREDUCE
+        (sync,) = comm_template(plan)
+        assert (sync.op, sync.count, sync.sync_only) == (OP_ALLREDUCE, 1, True)
+        assert sync.participants == domain.device_ids
         # 4 bytes x 123,532,032 params = 494.1 MB
-        assert events[0].payload_bytes == pytest.approx(494_128_128.0)
+        assert sync.payload_bytes == pytest.approx(494_128_128.0)
 
     def test_single_device_empty(self):
         domain = domain_with([1e9])
         plan = make_single_plan(domain, model_preset("gpt2-s"), FP32_JOB, "d0")
-        assert comm_schedule(plan) == []
+        assert comm_template(plan) == []
 
     def test_n1_reduces_to_zero_payload(self):
         domain = domain_with([1e9])
         for maker in (make_dp_plan, make_sp_plan, make_tp_plan, make_pp_plan):
             plan = maker(domain, model_preset("gpt2-s"), FP32_JOB, ("d0",))
-            assert comm_schedule(plan) == []
+            assert comm_template(plan) == []
 
     def test_pp_event_count(self):
-        # S=4 stages, M=16 micro-batches -> 2*16*3 = 96 events per iteration.
+        # S=4 stages, M=16 micro-batches -> 2*16*3 = 96 transfers per iteration.
         job = TrainingJob(128, 32, 8, dp_sync_period=1)
         domain = domain_with([1e9] * 4)
         plan = make_pp_plan(domain, model_preset("gpt2-s"), job,
                             domain.device_ids)
-        events = comm_schedule(plan)
-        assert len(events) == 96
-        assert all(e.op == OP_P2P for e in events)
+        template = comm_template(plan)
+        ids = domain.device_ids
+        assert [e.participants for e in template] == list(zip(ids, ids[1:]))
+        assert all(e.op == OP_P2P and e.count == 2 * 16 and not e.sync_only
+                   for e in template)
+        assert sum(e.count for e in template) == 96
         # boundary payload at fp32, m=8: 4*8*32*768 bytes
-        assert events[0].payload_bytes == pytest.approx(786_432.0)
+        assert template[0].payload_bytes == pytest.approx(786_432.0)
 
     def test_sp_per_block_payload(self):
         # GPT2-S, m=128 at fp32: 4*128*32*768 = 12.58 MB per collective.
@@ -225,11 +227,13 @@ class TestCommSchedule:
         domain = domain_with([1e9] * 4)
         spec = model_preset("gpt2-s")
         plan = make_sp_plan(domain, spec, job, domain.device_ids)
-        events = comm_schedule(plan)
-        block_events = [e for e in events if "block" in e.phase]
-        assert len(block_events) == 2 * spec.num_blocks  # AG + AR per block
-        assert block_events[0].payload_bytes == pytest.approx(12_582_912.0)
-        assert events[-1].phase == "per-sync-period/gradient-sync"
+        gather, reduce, sync = comm_template(plan)
+        assert (gather.op, reduce.op) == (OP_ALLGATHER, OP_ALLREDUCE)
+        assert gather.count == reduce.count == spec.num_blocks  # M = 1
+        assert gather.payload_bytes == pytest.approx(12_582_912.0)
+        assert reduce.payload_bytes == gather.payload_bytes
+        assert not gather.sync_only and not reduce.sync_only
+        assert (sync.phase, sync.sync_only) == ("gradient-sync", True)
 
     def test_tp_wire_bytes_per_device(self):
         # 4 ops x 12 blocks x ring cost 2(n-1)/n x 12.58 MB ~ 905 MB/device.
@@ -237,10 +241,9 @@ class TestCommSchedule:
         domain = domain_with([1e9] * 4)
         plan = make_tp_plan(domain, model_preset("gpt2-s"), job,
                             domain.device_ids)
-        events = comm_schedule(plan)
-        assert len(events) == 4 * 12
-        wire = sum(ring_wire_bytes_per_device(e.op, e.payload_bytes, 4)
-                   for e in events)
+        (reduce,) = comm_template(plan)
+        assert (reduce.op, reduce.count) == (OP_ALLREDUCE, 4 * 12)
+        wire = reduce.count * 2.0 * 3 / 4 * reduce.payload_bytes
         assert wire == pytest.approx(905_969_664.0)
         assert wire / 1e6 == pytest.approx(905, rel=0.01)
 
@@ -248,17 +251,16 @@ class TestCommSchedule:
         domain = domain_with([1e9] * 4)
         plan = make_sp_plan(domain, model_preset("distilbert"), FP32_JOB,
                             domain.device_ids)
-        assert comm_schedule(plan) == comm_schedule(plan)
+        assert comm_template(plan) == comm_template(plan)
 
     def test_dp_event_count_independent_of_depth(self):
         domain = domain_with([1e9] * 4)
         shallow = TransformerSpec("s", 2, 768, 12, 50257)
         deep = TransformerSpec("d", 24, 768, 12, 50257)
-        n_shallow = len(comm_schedule(make_dp_plan(domain, shallow, FP32_JOB,
-                                                   domain.device_ids)))
-        n_deep = len(comm_schedule(make_dp_plan(domain, deep, FP32_JOB,
-                                                domain.device_ids)))
-        assert n_shallow == n_deep == 1
+        counts = [[e.count for e in comm_template(
+            make_dp_plan(domain, spec, FP32_JOB, domain.device_ids))]
+            for spec in (shallow, deep)]
+        assert counts == [[1], [1]]
 
     def test_sp_tp_events_linear_in_depth(self):
         domain = domain_with([1e9] * 4)
@@ -266,21 +268,12 @@ class TestCommSchedule:
         shallow = TransformerSpec("s", 6, 768, 12, 50257)
         deep = TransformerSpec("d", 12, 768, 12, 50257)
         for maker in (make_sp_plan, make_tp_plan):
-            ev_s = [e for e in comm_schedule(maker(domain, shallow, job,
-                                                   domain.device_ids))
-                    if "block" in e.phase]
-            ev_d = [e for e in comm_schedule(maker(domain, deep, job,
-                                                   domain.device_ids))
-                    if "block" in e.phase]
-            assert len(ev_d) == 2 * len(ev_s)
-
-    def test_event_invariants(self):
-        with pytest.raises(ValueError):
-            CommEvent(OP_P2P, 10.0, ("a", "b", "c"), "x")
-        with pytest.raises(ValueError):
-            CommEvent(OP_ALLREDUCE, 10.0, ("a",), "x")
-        with pytest.raises(ValueError):
-            CommEvent(OP_ALLREDUCE, -1.0, ("a", "b"), "x")
+            ev_s, ev_d = (
+                sum(e.count for e in comm_template(
+                    maker(domain, spec, job, domain.device_ids))
+                    if e.phase.startswith("block"))
+                for spec in (shallow, deep))
+            assert ev_d == 2 * ev_s
 
 
 class TestMemoryChecks:
@@ -357,9 +350,3 @@ def test_activation_and_grad_payload_formulas():
         4 * 128 * 32 * 768)
     assert grad_sync_bytes(spec, FP32_JOB) == pytest.approx(4 * 123_532_032)
 
-
-def test_ring_wire_bytes():
-    assert ring_wire_bytes_per_device(OP_ALLREDUCE, 100.0, 4) == pytest.approx(150.0)
-    assert ring_wire_bytes_per_device(OP_ALLGATHER, 100.0, 4) == pytest.approx(75.0)
-    assert ring_wire_bytes_per_device(OP_P2P, 100.0, 2) == 100.0
-    assert ring_wire_bytes_per_device(OP_ALLREDUCE, 100.0, 1) == 0.0

@@ -7,8 +7,9 @@ import pytest
 from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
                                   TrustedDomain, testbed_preset as load_testbed)
 from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
-                                      activation_tensor_bytes, grad_sync_bytes,
-                                      make_dp_plan, make_pp_plan,
+                                      activation_tensor_bytes, comm_template,
+                                      grad_sync_bytes, make_dp_plan,
+                                      make_pp_plan,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan)
 from edgetrainsim.simengine import (SimulationError, collective_time,
@@ -285,6 +286,39 @@ class TestAccounting:
         result = simulate(plan, domain, iterations=20, warmup=2)
         assert result.makespan == pytest.approx(sum(times), rel=1e-12)
         assert result.samples_processed == 20 * 128
+
+
+class TestTemplateConsumers:
+    """Per-device comm time, bytes by op and the trace all follow the template."""
+
+    KINDS = {"single": lambda d, s, j, ids: make_single_plan(d, s, j, ids[2]),
+             "dp": make_dp_plan, "sp": make_sp_plan, "tp": make_tp_plan,
+             "pp": make_pp_plan}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_trace_and_bytes_match_template(self, kind):
+        ids = ("d0", "d1", "d2", "d3")
+        bandwidths = iter((10e6, 1e9, 37e6, 250e6, 80e6, 555e6))
+        links = tuple((ids[i], ids[j], Link(next(bandwidths), 3e-4))
+                      for i in range(4) for j in range(i + 1, 4))
+        domain = make_domain([240e9, 665e9, 1.2e12, 240e9], links=links)
+        job = default_edge_job(global_batch=96)
+        plan = self.KINDS[kind](domain, model_preset("distilbert"), job, ids)
+        iters, warmup = 12, 2
+        result = simulate(plan, domain, iterations=iters, warmup=warmup,
+                          record_trace=True)
+        assert not result.oom
+        for p, usage in result.per_device.items():
+            comm = sum(r.duration for r in result.trace
+                       if r.device == p and r.kind != "compute")
+            assert comm == pytest.approx(usage.comm_time, rel=1e-12, abs=0.0)
+        syncs = sum(1 for g in range(warmup, warmup + iters)
+                    if (g + 1) % job.dp_sync_period == 0)
+        expected = {}
+        for e in comm_template(plan):
+            runs = e.count * (syncs if e.sync_only else iters)
+            expected[e.op] = expected.get(e.op, 0.0) + runs * e.payload_bytes
+        assert result.comm_bytes_by_op == pytest.approx(expected, rel=1e-12)
 
 
 class TestTrace:
