@@ -185,6 +185,7 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
     if len(participants) == 1:
         plans.append(make_single_plan(domain, spec, job, participants[0]))
         return plans, reasons
+
     def pp_plan():
         order = arrange_topology(domain, participants, spec, job)
         return make_pp_plan(domain, spec, job, order,
