@@ -182,11 +182,11 @@ def _partition_to_dict(plan: ParallelPlan) -> dict:
     if isinstance(p, PipelineParallelPartition):
         return {"stages": [{"device": d, "start": s, "end": e}
                            for d, (s, e) in p.stages],
-                "micro_batch_count": p.micro_batch_count}
+                "micro_batch_count": plan.job.micro_batch_count}
     raise ConfigError(f"unknown partition type {type(p).__name__}")
 
 
-def _partition_from_dict(kind: str, data: dict):
+def _partition_from_dict(kind: str, data: dict, job: TrainingJob):
     if kind == KIND_DP:
         return DataParallelPartition(tuple(_require(data, "shard_sizes", "plan")),
                                      int(_require(data, "sync_period", "plan")))
@@ -200,8 +200,11 @@ def _partition_from_dict(kind: str, data: dict):
     if kind == KIND_PP:
         stages = tuple((str(s["device"]), (int(s["start"]), int(s["end"])))
                        for s in _require(data, "stages", "plan"))
-        return PipelineParallelPartition(
-            stages, int(_require(data, "micro_batch_count", "plan")))
+        count = int(_require(data, "micro_batch_count", "plan"))
+        if count != job.micro_batch_count:
+            raise ConfigError(f"partition micro_batch_count {count} differs "
+                              f"from the job's {job.micro_batch_count}")
+        return PipelineParallelPartition(stages)
     return None
 
 
@@ -243,7 +246,7 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
     try:
         plan = ParallelPlan(kind=kind, participants=participants,
                             partition=_partition_from_dict(
-                                kind, data.get("partition", {})),
+                                kind, data.get("partition", {}), job),
                             job=job, spec=spec)
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc

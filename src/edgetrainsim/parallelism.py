@@ -60,7 +60,6 @@ class TensorParallelPartition:
 @dataclass(frozen=True)
 class PipelineParallelPartition:
     stages: tuple[tuple[str, tuple[int, int]], ...]  # (device, [start, end))
-    micro_batch_count: int
 
 
 Partition = Union[None, DataParallelPartition, SequenceParallelPartition,
@@ -236,7 +235,7 @@ def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     if expected_start != spec.num_blocks:
         raise PlanError("stage ranges must cover every block")
     stages = tuple((p, r) for p, r in zip(participants, stage_ranges))
-    partition = PipelineParallelPartition(stages, job.micro_batch_count)
+    partition = PipelineParallelPartition(stages)
     return ParallelPlan(KIND_PP, participants, partition, job, spec)
 
 
@@ -292,7 +291,7 @@ def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryC
         stages = plan.partition.stages
         blocks = [end - start for _, (start, end) in stages]
         need = pp_stage_memory(spec, job, blocks, len(stages),
-                               plan.partition.micro_batch_count)
+                               job.micro_batch_count)
         return {p: _check_one(domain, p, *req)
                 for (p, _), req in zip(stages, need)}
     state = state_bytes(spec, job)

@@ -1,8 +1,10 @@
 """Orchestration decisions: participants, parallelism, topology, checkpoints.
 
-Search is exhaustive within documented bounds (device subsets up to 12,
-pipeline permutations up to 8) with greedy fallbacks beyond; all tie-breaks
-are deterministic so repeated runs reproduce bit-identical strategies.
+Device subsets are searched exhaustively up to 12 devices.  The stage split's
+bottleneck does not depend on device order, so a pipeline's order minimises
+its slowest boundary hop, over every order up to 8 devices.  Both searches
+fall back to greedy throughput order beyond their bounds; all tie-breaks are
+deterministic so repeated runs reproduce bit-identical strategies.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from typing import Optional
 from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
                       effective_throughput)
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP,
-                          KIND_PREFERENCE, ParallelPlan, PlanError,
-                          check_memory, make_dp_plan, make_pp_plan,
-                          make_single_plan, make_sp_plan, make_tp_plan,
-                          pp_stage_memory)
+                          KIND_PREFERENCE, OP_P2P, ParallelPlan, PlanError,
+                          activation_tensor_bytes, check_memory, make_dp_plan,
+                          make_pp_plan, make_single_plan, make_sp_plan,
+                          make_tp_plan, pp_stage_memory)
 from .simengine import (CHECKPOINT_INTERVAL_CAP, DEFAULT_ITERATIONS,
-                        SimulationResult, iteration_times, simulate)
+                        SimulationResult, collective_time, iteration_times,
+                        simulate)
 from .workload import TrainingJob, TransformerSpec, flops_per_iteration
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -144,36 +147,28 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
 
 
 def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
-                     job: TrainingJob, kind: str = KIND_PP) -> tuple[str, ...]:
-    """Device ordering for a plan; only pipeline order matters.
+                     job: TrainingJob) -> tuple[str, ...]:
+    """Pipeline device order whose slowest boundary transfer is fastest.
 
-    For pipelines, every permutation (up to the exhaustive bound) is
-    partitioned and simulated; the lowest iteration time wins and ties go to
-    the lexicographically smallest ordering.  Other kinds use order-
-    insensitive collectives and keep the input order.
+    A device's per-block time and feasible block counts are its own, so the
+    stage split's compute bottleneck is the same in every order and an order
+    changes the fill-drain makespan only through its slowest boundary hop.
+    Up to the exhaustive bound every order is scored by that hop, ties going
+    to the lexicographically smallest; larger sets go fastest device first.
     """
     participants = tuple(participants)
-    if kind != KIND_PP or len(participants) == 1:
+    if len(participants) == 1:
         return participants
     if len(participants) > EXHAUSTIVE_PERMUTATION_LIMIT:
         # Greedy fallback: fastest devices first, ties by id.
         return tuple(sorted(
             participants,
             key=lambda p: (-effective_throughput(domain.device(p), domain.mode), p)))
-    best_order: Optional[tuple[str, ...]] = None
-    best_time = math.inf
-    for perm in sorted(itertools.permutations(participants)):
-        try:
-            ranges = partition_stages(domain, perm, spec, job)
-            plan = make_pp_plan(domain, spec, job, perm, ranges)
-        except (PlanError, InfeasibleError):
-            continue
-        t = simulate(plan, domain, iterations=1, warmup=0).makespan
-        if t < best_time - 1e-15:
-            best_time, best_order = t, perm
-    if best_order is None:
-        raise InfeasibleError({KIND_PP: "no memory-feasible ordering"})
-    return best_order
+    act = activation_tensor_bytes(spec, job)
+    hop = {pair: collective_time(OP_P2P, act, pair, domain.network)
+           for pair in itertools.permutations(participants, 2)}
+    return min(itertools.permutations(sorted(participants)),
+               key=lambda order: max(hop[pair] for pair in zip(order, order[1:])))
 
 
 def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,

@@ -224,17 +224,15 @@ def iteration_times(plan: ParallelPlan, domain: TrustedDomain,
 
 
 def simulate(plan: ParallelPlan, domain: TrustedDomain,
-             iterations: int = DEFAULT_ITERATIONS, fault_model=None,
+             iterations: int = DEFAULT_ITERATIONS,
              warmup: int = DEFAULT_WARMUP,
              record_trace: bool = False) -> SimulationResult:
     """Run a fault-free simulation and report per-sample and per-device metrics.
 
-    ``fault_model`` is accepted for interface symmetry and ignored: the
-    fault-free result never depends on it.  Use :func:`inject_faults` for
-    failure/recovery accounting.  ``warmup`` iterations run before metering
-    starts and are excluded from every reported metric.
+    Use :func:`inject_faults` for failure/recovery accounting.  ``warmup``
+    iterations run before metering starts and are excluded from every
+    reported metric.
     """
-    del fault_model
     if iterations < 1:
         raise SimulationError("iterations must be >= 1")
     for p in plan.participants:

@@ -6,7 +6,7 @@ import yaml
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
 from edgetrainsim.devices import testbed_preset as load_testbed
-from edgetrainsim.parallelism import make_dp_plan
+from edgetrainsim.parallelism import make_dp_plan, make_pp_plan
 from edgetrainsim.workload import default_edge_job, model_preset
 
 
@@ -104,6 +104,22 @@ class TestSimulate:
         data["participants"][0] = "ghost"
         plan.write_text(yaml.safe_dump(data))
         assert run("simulate", "--plan", str(plan)) == 1
+
+    def test_micro_batch_count_must_match_job_exits_1(self, tmp_path, capsys):
+        domain = load_testbed("homogeneous-nano4")
+        job = default_edge_job()
+        plan = make_pp_plan(domain, model_preset("gpt2-s"), job,
+                            domain.device_ids)
+        data = config_io.plan_to_dict(plan, domain)
+        assert data["partition"]["micro_batch_count"] == job.micro_batch_count
+        path = tmp_path / "plan.yaml"
+        path.write_text(config_io.dump_yaml(data))
+        assert run("simulate", "--plan", str(path)) == 0
+        data["partition"]["micro_batch_count"] = job.micro_batch_count + 1
+        path.write_text(config_io.dump_yaml(data))
+        capsys.readouterr()
+        assert run("simulate", "--plan", str(path)) == 1
+        assert "micro_batch_count" in capsys.readouterr().err
 
     def test_missing_plan_file_exits_1(self):
         assert run("simulate", "--plan", "/nonexistent/plan.yaml") == 1

@@ -114,7 +114,6 @@ class TestPlanConstruction:
                             domain.device_ids)
         assert [r for _, r in plan.partition.stages] == \
             [(0, 3), (3, 6), (6, 9), (9, 12)]
-        assert plan.partition.micro_batch_count == 1
 
     def test_pp_range_validation(self):
         domain = domain_with([1e9] * 2)

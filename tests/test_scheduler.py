@@ -7,17 +7,19 @@ import random
 import pytest
 from scipy.optimize import minimize_scalar
 
+from edgetrainsim import scheduler
 from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
-                                  TrustedDomain, ValidationError,
+                                  TrustedDomain, ValidationError, jetson_nano,
+                                  jetson_nx, jetson_tx2,
                                   testbed_preset as load_testbed)
 from edgetrainsim.parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP,
                                       KIND_TP, PlanError, make_dp_plan,
                                       make_pp_plan, make_sp_plan, make_tp_plan)
 from edgetrainsim.scheduler import (InfeasibleError, Objective,
-                                    arrange_topology, choose_parallelism,
-                                    orchestrate, partition_stages,
-                                    plan_checkpointing, select_devices,
-                                    young_checkpoint_interval)
+                                    arrange_topology, candidate_plans,
+                                    choose_parallelism, orchestrate,
+                                    partition_stages, plan_checkpointing,
+                                    select_devices, young_checkpoint_interval)
 from edgetrainsim.simengine import CHECKPOINT_INTERVAL_CAP, iteration_times, simulate
 from edgetrainsim.workload import (TrainingJob, TransformerSpec,
                                    activation_bytes_per_block, default_edge_job,
@@ -145,34 +147,54 @@ class TestArrangeTopology:
         domain = domain_of(device("a", 1e9))
         assert arrange_topology(domain, ("a",), SMALL_SPEC, SMALL_JOB) == ("a",)
 
-    def test_non_pp_keeps_input_order(self):
-        domain = domain_of(device("b", 1e9), device("a", 1e9))
-        got = arrange_topology(domain, ("b", "a"), SMALL_SPEC, SMALL_JOB,
-                               kind=KIND_DP)
-        assert got == ("b", "a")
-
     def test_homogeneous_lexicographic_tie_break(self):
         domain = domain_of(device("c", 1e9), device("a", 1e9), device("b", 1e9))
         got = arrange_topology(domain, ("c", "a", "b"), SMALL_SPEC, SMALL_JOB)
         assert got == ("a", "b", "c")
 
-    def test_slow_link_pushed_off_the_pipeline(self):
-        slow = Link(1e8, 1e-4)  # 10x slower than the 1 Gbps default
-        domain = domain_of(device("a", 1e9), device("b", 1e9),
-                           device("c", 1e9), links=(("a", "b", slow),))
-        got = arrange_topology(domain, ("a", "b", "c"), SMALL_SPEC, SMALL_JOB)
-        # oracle: simulate every permutation's pipeline
+    @staticmethod
+    def fastest_orders(domain, participants, spec, job):
+        """Oracle: partition and simulate every order; keep the fastest."""
         best_time, best_perms = math.inf, []
-        for perm in itertools.permutations(("a", "b", "c")):
-            ranges = partition_stages(domain, perm, SMALL_SPEC, SMALL_JOB)
-            plan = make_pp_plan(domain, SMALL_SPEC, SMALL_JOB, perm, ranges)
+        for perm in itertools.permutations(participants):
+            ranges = partition_stages(domain, perm, spec, job)
+            plan = make_pp_plan(domain, spec, job, perm, ranges)
             t = simulate(plan, domain, iterations=1, warmup=0).makespan
             if t < best_time - 1e-15:
                 best_time, best_perms = t, [perm]
             elif t < best_time + 1e-15:
                 best_perms.append(perm)
-        assert got == min(best_perms)
+        return best_perms
+
+    def test_slow_link_pushed_off_the_pipeline(self):
+        slow = Link(1e8, 1e-4)  # 10x slower than the 1 Gbps default
+        domain = domain_of(device("a", 1e9), device("b", 1e9),
+                           device("c", 1e9), links=(("a", "b", slow),))
+        cases = [(domain, SMALL_SPEC, SMALL_JOB)]
+        # Seeded random pools: bandwidths from three values so that hops
+        # tie, and jobs with fewer (M < S) and more (M >= S) micro-batches
+        # than stages.
+        rng = random.Random(11)
+        jobs = [TrainingJob(16, 8, 16), TrainingJob(16, 8, 8),
+                TrainingJob(16, 8, 1)]  # M = 1, 2, 16
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            ids = [f"d{i}" for i in range(n)]
+            links = tuple((a, b, Link(rng.choice((1e7, 1e8, 1e9)),
+                                      rng.choice((0.0, 1e-4))))
+                          for a, b in itertools.combinations(ids, 2))
+            pool = domain_of(*(device(d, rng.choice((1e9, 2e9, 4e9)))
+                               for d in ids), links=links)
+            spec = TransformerSpec("r", rng.randint(n, 10), 64, 4, 100)
+            cases.append((pool.with_mode(rng.choice(("cpu", "gpu"))), spec,
+                          rng.choice(jobs)))
+        for pool, spec, job in cases:
+            participants = tuple(reversed(pool.device_ids))
+            got = arrange_topology(pool, participants, spec, job)
+            assert got == min(self.fastest_orders(pool, participants, spec,
+                                                  job))
         # the slow pair must not be adjacent in the chosen ordering
+        got = arrange_topology(domain, ("a", "b", "c"), SMALL_SPEC, SMALL_JOB)
         idx = {d: i for i, d in enumerate(got)}
         assert abs(idx["a"] - idx["b"]) > 1
 
@@ -244,6 +266,44 @@ class TestChooseParallelism:
             choose_parallelism(domain, domain.device_ids,
                                model_preset("gpt2-l"), JOB, Objective())
         assert excinfo.value.reasons  # per-kind diagnosis present
+        assert "no memory-feasible contiguous stage partition" in \
+            excinfo.value.reasons[KIND_PP]
+
+    def test_one_stage_split_per_pipeline_plan(self, monkeypatch):
+        devices = [jetson_nano(f"nano-{i}") for i in range(6)]
+        devices += [jetson_tx2("tx2-0"), jetson_nx("nx-0")]
+        rng = random.Random(3)
+        links = tuple((a.id, b.id, Link(rng.choice((1e7, 1e8, 1e9)), 1e-4))
+                      for a, b in itertools.combinations(devices, 2))
+        domain = domain_of(*devices, links=links)
+        calls = {"partition_stages": 0, "simulate": 0, "plans": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counted_candidates(*args, **kwargs):
+            plans, reasons = candidate_plans(*args, **kwargs)
+            calls["plans"] += len(plans)
+            return plans, reasons
+
+        for name in ("partition_stages", "simulate"):
+            monkeypatch.setattr(scheduler, name,
+                                counted(name, getattr(scheduler, name)))
+        monkeypatch.setattr(scheduler, "candidate_plans", counted_candidates)
+        choose_parallelism(domain, domain.device_ids, model_preset("gpt2-l"),
+                           JOB, Objective(target="energy"))
+        assert calls["partition_stages"] == 1
+        assert calls["plans"] >= 1
+        assert calls["simulate"] <= calls["plans"]
+
+    def test_too_few_blocks_is_diagnosed(self):
+        domain = domain_of(*(jetson_nano(f"nano-{i}") for i in range(7)))
+        _, reasons = candidate_plans(domain, domain.device_ids,
+                                     model_preset("distilbert"), JOB)
+        assert reasons[KIND_PP] == "6 blocks cannot fill 7 pipeline stages"
 
 
 class TestSelectDevices:

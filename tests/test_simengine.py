@@ -341,20 +341,6 @@ class TestTrace:
         assert simulate(plan, domain).trace is None
 
 
-class TestFaultModelInvariance:
-    def test_simulate_ignores_fault_model(self):
-        domain = load_testbed("homogeneous-nano4")
-        plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
-                            domain.device_ids)
-        plain = simulate(plan, domain)
-        with_model = simulate(plan, domain,
-                              fault_model=FaultModel(1.0, 1.0, 1.0, rng_seed=7))
-        assert plain.makespan == with_model.makespan
-        assert plain.latency_per_sample == with_model.latency_per_sample
-        assert plain.energy_per_sample == with_model.energy_per_sample
-        assert plain.comm_bytes_by_op == with_model.comm_bytes_by_op
-
-
 class TestFaultInjection:
     def setup_plan(self):
         domain = load_testbed("homogeneous-nano4")
