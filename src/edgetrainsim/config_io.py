@@ -2,7 +2,9 @@
 
 Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
-outputs are byte-stable.
+outputs are byte-stable.  Reads and writes go through PyYAML's libyaml
+bindings when they are installed and through its pure-Python loader and
+emitter otherwise; both write the same bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .workload import TrainingJob, TransformerSpec
 
 SCHEMA_VERSION = 1
 
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
@@ -42,7 +47,7 @@ def _check_version(data: dict, context: str):
 
 def parse_yaml(text: str, context: str) -> dict:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{context}: YAML parse error: {exc}") from exc
     if not isinstance(data, dict):
@@ -51,7 +56,8 @@ def parse_yaml(text: str, context: str) -> dict:
 
 
 def dump_yaml(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=True,
+                     default_flow_style=False)
 
 
 # ---------------------------------------------------------------- domains
@@ -173,7 +179,8 @@ def _partition_to_dict(plan: ParallelPlan) -> dict:
     if p is None:
         return {}
     if isinstance(p, DataParallelPartition):
-        return {"shard_sizes": list(p.shard_sizes), "sync_period": p.sync_period}
+        return {"shard_sizes": list(p.shard_sizes),
+                "sync_period": plan.job.dp_sync_period}
     if isinstance(p, SequenceParallelPartition):
         return {"subseq_lengths": list(p.subseq_lengths)}
     if isinstance(p, TensorParallelPartition):
@@ -186,10 +193,18 @@ def _partition_to_dict(plan: ParallelPlan) -> dict:
     raise ConfigError(f"unknown partition type {type(p).__name__}")
 
 
+def _check_job_field(data: dict, key: str, expected: int) -> None:
+    value = int(_require(data, key, "plan"))
+    if value != expected:
+        raise ConfigError(f"plan: partition {key} {value} differs from the "
+                          f"job's {expected}")
+
+
 def _partition_from_dict(kind: str, data: dict, job: TrainingJob):
     if kind == KIND_DP:
-        return DataParallelPartition(tuple(_require(data, "shard_sizes", "plan")),
-                                     int(_require(data, "sync_period", "plan")))
+        shards = tuple(_require(data, "shard_sizes", "plan"))
+        _check_job_field(data, "sync_period", job.dp_sync_period)
+        return DataParallelPartition(shards)
     if kind == KIND_SP:
         return SequenceParallelPartition(
             tuple(_require(data, "subseq_lengths", "plan")))
@@ -200,10 +215,7 @@ def _partition_from_dict(kind: str, data: dict, job: TrainingJob):
     if kind == KIND_PP:
         stages = tuple((str(s["device"]), (int(s["start"]), int(s["end"])))
                        for s in _require(data, "stages", "plan"))
-        count = int(_require(data, "micro_batch_count", "plan"))
-        if count != job.micro_batch_count:
-            raise ConfigError(f"partition micro_batch_count {count} differs "
-                              f"from the job's {job.micro_batch_count}")
+        _check_job_field(data, "micro_batch_count", job.micro_batch_count)
         return PipelineParallelPartition(stages)
     return None
 
@@ -248,6 +260,8 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
                             partition=_partition_from_dict(
                                 kind, data.get("partition", {}), job),
                             job=job, spec=spec)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     interval = data.get("checkpoint_interval_s")

@@ -43,7 +43,6 @@ class PlanError(ValueError):
 @dataclass(frozen=True)
 class DataParallelPartition:
     shard_sizes: tuple[int, ...]
-    sync_period: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def make_dp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                         f"participant count {len(participants)}")
     shards = largest_remainder_split(job.global_batch,
                                      _throughputs(domain, participants))
-    partition = DataParallelPartition(tuple(shards), job.dp_sync_period)
+    partition = DataParallelPartition(tuple(shards))
     return ParallelPlan(KIND_DP, participants, partition, job, spec)
 
 

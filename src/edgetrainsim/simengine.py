@@ -23,6 +23,7 @@ power adder while transmitting or receiving.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -288,7 +289,7 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
 
     samples = iterations * plan.job.global_batch
     if record_trace:
-        trace.sort(key=lambda r: (r.time, r.device))
+        trace.sort(key=operator.attrgetter("time", "device"))
     return SimulationResult(
         plan_kind=plan.kind, iterations_simulated=iterations,
         samples_processed=samples, makespan=makespan,
@@ -414,9 +415,18 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 
 
 def write_trace(trace: list[TraceRecord], path) -> None:
-    """Flat tab-delimited trace table: time, device, kind, duration, bytes."""
+    """Flat tab-delimited trace table: time, device, kind, duration, bytes.
+
+    Every iteration repeats the same rows at a later time, so each distinct
+    (device, kind, duration, bytes) tail is formatted once.
+    """
+    tails: dict[tuple, str] = {}
     with open(path, "w") as fh:
         fh.write("time\tdevice\tkind\tduration\tbytes\n")
         for r in trace:
-            fh.write(f"{r.time:.9f}\t{r.device}\t{r.kind}\t"
-                     f"{r.duration:.9f}\t{r.bytes:.1f}\n")
+            key = (r.device, r.kind, r.duration, r.bytes)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = (f"\t{r.device}\t{r.kind}\t"
+                                     f"{r.duration:.9f}\t{r.bytes:.1f}\n")
+            fh.write(f"{r.time:.9f}{tail}")

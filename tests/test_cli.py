@@ -121,6 +121,23 @@ class TestSimulate:
         assert run("simulate", "--plan", str(path)) == 1
         assert "micro_batch_count" in capsys.readouterr().err
 
+    def test_sync_period_must_match_job_exits_1(self, tmp_path, capsys):
+        domain = load_testbed("homogeneous-nano4")
+        job = default_edge_job()
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), job,
+                            domain.device_ids)
+        data = config_io.plan_to_dict(plan, domain)
+        assert data["partition"]["sync_period"] == job.dp_sync_period
+        path = tmp_path / "plan.yaml"
+        path.write_text(config_io.dump_yaml(data))
+        assert run("simulate", "--plan", str(path)) == 0
+        data["partition"]["sync_period"] = job.dp_sync_period + 1
+        path.write_text(config_io.dump_yaml(data))
+        capsys.readouterr()
+        assert run("simulate", "--plan", str(path)) == 1
+        assert ("plan: partition sync_period 6 differs from the job's 5"
+                in capsys.readouterr().err)
+
     def test_missing_plan_file_exits_1(self):
         assert run("simulate", "--plan", "/nonexistent/plan.yaml") == 1
 

@@ -1,0 +1,133 @@
+"""YAML I/O tests: agreement with PyYAML's pure-Python reference, and errors."""
+
+import pytest
+import yaml
+
+from edgetrainsim import config_io
+from edgetrainsim.cli import main
+from edgetrainsim.config_io import ConfigError
+from edgetrainsim.devices import testbed_preset as load_testbed
+from edgetrainsim.parallelism import make_dp_plan
+from edgetrainsim.simengine import simulate
+from edgetrainsim.workload import default_edge_job, model_preset
+
+from test_golden import _per_link_plans
+
+EDGE_SCALARS = {
+    "small_float": 1e-4,
+    "large_float": 1e8,
+    "tenth": 0.1,
+    "big_int": 2 ** 40,
+    "flag": True,
+    "nothing": None,
+    "ids": ["nano-0", "tx2-1", "gpu-nx-12"],
+    "number_like": ["1e3", "1e-4", "0.5", "007", "1_000", "0x1F", "12:30",
+                    "-1", ".inf", "yes", "null", "True", "~", ""],
+    "long_text": " ".join(f"word{i}" for i in range(40)),
+    "nested": {"b": [1, 2.5, -0.0, 3e-12], "a": {"z": 1, "y": "2"}},
+}
+
+# Hand-written scalars whose YAML 1.1 types differ from what they look like.
+HAND_TEXT = """\
+a: 1e8
+b: 1.0e+8
+c: 0.1
+d: 1_000
+e: 0x1F
+f: 12:30
+g: yes
+h: ~
+i: nano-0
+j: '007'
+k: [1, -2.5e-3, .inf, .nan]
+"""
+
+
+def _reference_dump(data):
+    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+
+
+def _documents():
+    domain, plans = _per_link_plans()
+    docs = {f"plan/{kind}": config_io.plan_to_dict(plan, domain, 12.5)
+            for kind, plan in plans.items()}
+    docs["result"] = config_io.result_to_dict(simulate(plans["pp"], domain))
+    nano = load_testbed("homogeneous-nano4")
+    oom_plan = make_dp_plan(nano, model_preset("gpt2-l"), default_edge_job(),
+                            nano.device_ids)
+    oom = simulate(oom_plan, nano)
+    assert oom.oom
+    docs["result/oom"] = config_io.result_to_dict(oom)
+    docs["scalars"] = EDGE_SCALARS
+    return docs
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    docs = _documents()
+    tmp = tmp_path_factory.mktemp("faults")
+    plan, report = tmp / "plan.yaml", tmp / "report.yaml"
+    assert main(["plan", "--testbed", "heterogeneous-mix4", "--model",
+                 "distilbert", "--out", str(plan)]) == 0
+    assert main(["faults", "--plan", str(plan), "--mtbf", "40", "--seed", "3",
+                 "--out", str(report)]) == 0
+    docs["faults"] = yaml.safe_load(report.read_text())
+    return docs
+
+
+class TestAgreesWithPureYaml:
+    def test_dump_matches_reference(self, documents):
+        for name, data in documents.items():
+            assert config_io.dump_yaml(data) == _reference_dump(data), name
+
+    def test_parse_matches_reference(self, documents):
+        for name, data in documents.items():
+            text = _reference_dump(data)
+            assert config_io.parse_yaml(text, name) == yaml.safe_load(text), name
+
+    def test_hand_written_scalars(self):
+        got = config_io.parse_yaml(HAND_TEXT, "scalars")
+        want = yaml.safe_load(HAND_TEXT)
+        nan_got, nan_want = got["k"].pop(), want["k"].pop()
+        assert nan_got != nan_got and nan_want != nan_want
+        assert got == want
+        assert config_io.dump_yaml(got) == _reference_dump(got)
+
+
+class TestParseErrors:
+    def test_top_level_list_is_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^plan: expected a mapping at the top level$"):
+            config_io.parse_yaml("- a\n- b\n", "plan")
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--domain"), ("simulate", "--plan"),
+        ("faults", "--mtbf", "40", "--plan")])
+    def test_malformed_yaml_exits_1_with_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.yaml"
+        path.write_text("schema_version: 1\nname: [a, b\nmode: gpu\n")
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "YAML parse error" in err
+        assert "line 3" in err
+
+
+class TestPlanErrors:
+    def dp_plan_dict(self):
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), default_edge_job(),
+                            domain.device_ids)
+        return config_io.plan_to_dict(plan, domain)
+
+    def test_missing_partition_field_is_prefixed_once(self):
+        data = self.dp_plan_dict()
+        data["partition"] = {}
+        with pytest.raises(ConfigError,
+                           match=r"^plan: missing required field 'shard_sizes'$"):
+            config_io.plan_from_dict(data)
+
+    def test_partition_value_error_is_prefixed_once(self):
+        data = self.dp_plan_dict()
+        data["partition"]["sync_period"] = "five"
+        with pytest.raises(ConfigError, match=r"^plan: invalid literal"):
+            config_io.plan_from_dict(data)

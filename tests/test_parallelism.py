@@ -86,7 +86,6 @@ class TestPlanConstruction:
         plan = make_dp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
         assert plan.partition.shard_sizes == (16, 16, 32, 64)
-        assert plan.partition.sync_period == 5
 
     def test_sp_lengths(self):
         domain = domain_with([1e9] * 4)

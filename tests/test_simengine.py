@@ -12,8 +12,9 @@ from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                                       make_pp_plan,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan)
-from edgetrainsim.simengine import (SimulationError, collective_time,
-                                    inject_faults, iteration_times, simulate)
+from edgetrainsim.simengine import (SimulationError, TraceRecord,
+                                    collective_time, inject_faults,
+                                    iteration_times, simulate, write_trace)
 from edgetrainsim.workload import (TrainingJob, flops_per_iteration,
                                    model_preset, default_edge_job)
 
@@ -334,6 +335,33 @@ class TestTrace:
         assert len(sync_records) == len(domain.device_ids)  # one sync in 5 iters
         assert len({r.time for r in sync_records}) == 1
         assert {r.device for r in sync_records} == set(domain.device_ids)
+
+    def test_write_trace_formats_every_record_exactly(self, tmp_path):
+        # Repeated tails, and tails that differ only in duration or only in
+        # bytes (including values equal to 9 and 1 decimals), so a memo keyed
+        # on too few fields would write a stale tail.
+        records = []
+        for i in range(3):
+            t = 0.25 * i
+            records += [
+                TraceRecord(t, "d0", "compute", 0.1, 0.0),
+                TraceRecord(t, "d1", "compute", 0.1, 0.0),
+                TraceRecord(t + 0.1, "d0", OP_ALLREDUCE, 0.05, 1024.0),
+                TraceRecord(t + 0.1, "d0", OP_ALLREDUCE, 0.05, 2048.0),
+                TraceRecord(t + 0.1, "d0", OP_ALLREDUCE, 0.0500000004, 1024.0),
+                TraceRecord(t + 0.1, "d0", OP_ALLREDUCE, 0.0500000006, 1024.0),
+                TraceRecord(t + 0.1, "d0", OP_ALLREDUCE, 0.05, 1024.04),
+                TraceRecord(t + 0.1, "d0", OP_ALLREDUCE, 0.05, 1024.06),
+                TraceRecord(t + 0.1, "d1", OP_ALLREDUCE, 0.05, 1024.0),
+                TraceRecord(t + 0.1, "d1", OP_P2P, 0.05, 1024.0),
+            ]
+        path = tmp_path / "trace.tsv"
+        write_trace(records, path)
+        lines = path.read_text().split("\n")
+        assert lines[0] == "time\tdevice\tkind\tduration\tbytes"
+        assert lines[1:] == [f"{r.time:.9f}\t{r.device}\t{r.kind}\t"
+                             f"{r.duration:.9f}\t{r.bytes:.1f}"
+                             for r in records] + [""]
 
     def test_no_trace_by_default(self):
         domain = load_testbed("homogeneous-nano4")
