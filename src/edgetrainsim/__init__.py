@@ -6,7 +6,7 @@ from .devices import (DEFAULT_FAULT_MODEL, DeviceProfile, FaultModel, Link,
                       effective_throughput, jetson_nano, jetson_nx, jetson_tx2,
                       testbed_preset)
 from .parallelism import (CommPhase, ParallelPlan, PlanError, check_memory,
-                          comm_template, make_dp_plan, make_pp_plan,
+                          comm_template, make_dp_plan, make_plan, make_pp_plan,
                           make_single_plan, make_sp_plan, make_tp_plan)
 from .scheduler import (InfeasibleError, Objective, OrchestrationStrategy,
                         arrange_topology, choose_parallelism, orchestrate,

@@ -17,14 +17,14 @@ from pathlib import Path
 from . import config_io
 from .config_io import ConfigError
 from .devices import (DEVICE_PROFILE_FACTORIES, FaultModel, TESTBED_PRESETS,
-                      TrustedDomain, ValidationError, testbed_preset)
-from .parallelism import (ALL_KINDS, KIND_SINGLE, PlanError, check_memory,
-                          make_dp_plan, make_pp_plan, make_single_plan,
-                          make_sp_plan, make_tp_plan)
+                      TrustedDomain, ValidationError, effective_throughput,
+                      testbed_preset)
+from .parallelism import (ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError,
+                          make_plan)
 from .scheduler import (InfeasibleError, Objective, orchestrate,
                         partition_stages)
-from .simengine import (DEFAULT_ITERATIONS, inject_faults, simulate,
-                        write_trace)
+from .simengine import (DEFAULT_ITERATIONS, OutOfMemoryError, SimulationError,
+                        inject_faults, simulate, write_trace)
 from .workload import MODEL_PRESETS, default_edge_job, model_preset
 
 EXIT_OK = 0
@@ -109,10 +109,12 @@ def _build_job(args):
 
 
 def _build_objective(args) -> Objective:
-    target = getattr(args, "objective", "energy")
-    return Objective(target=target,
-                     weight_energy=getattr(args, "weight_energy", 1.0),
-                     weight_latency=getattr(args, "weight_latency", 0.0))
+    try:
+        return Objective(target=getattr(args, "objective", "energy"),
+                         weight_energy=getattr(args, "weight_energy", 1.0),
+                         weight_latency=getattr(args, "weight_latency", 0.0))
+    except ValueError as exc:
+        raise ConfigError(f"objective: {exc}") from exc
 
 
 def _add_domain_flags(p):
@@ -188,23 +190,14 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
-    ids = domain.device_ids
+    ids, ranges = domain.device_ids, None
     if kind == KIND_SINGLE:
         # Paper-style baseline: the least capable device (a Nano on the presets).
-        from .devices import effective_throughput
-        baseline = min(ids, key=lambda p: (
-            effective_throughput(domain.device(p), domain.mode), p))
-        return make_single_plan(domain, spec, job, baseline)
-    if kind == "dp":
-        return make_dp_plan(domain, spec, job, ids)
-    if kind == "sp":
-        return make_sp_plan(domain, spec, job, ids)
-    if kind == "tp":
-        return make_tp_plan(domain, spec, job, ids)
-    if kind == "pp":
+        ids = (min(ids, key=lambda p: (
+            effective_throughput(domain.device(p), domain.mode), p)),)
+    elif kind == KIND_PP:
         ranges = partition_stages(domain, ids, spec, job)
-        return make_pp_plan(domain, spec, job, ids, ranges)
-    raise ConfigError(f"unknown kind {kind!r}")
+    return make_plan(kind, domain, spec, job, ids, ranges)
 
 
 def sweep_rows(domain: TrustedDomain, job, models=SWEEP_MODELS,
@@ -276,9 +269,13 @@ def cmd_faults(args) -> int:
                              checkpoint_write_bandwidth=args.ckpt_bandwidth,
                              recovery_reload_bandwidth=args.reload_bandwidth,
                              rng_seed=args.seed)
-    report = inject_faults(plan, domain, fault_model,
-                           iterations=args.iterations,
-                           checkpoint_interval=interval)
+    try:
+        report = inject_faults(plan, domain, fault_model,
+                               iterations=args.iterations,
+                               checkpoint_interval=interval)
+    except OutOfMemoryError as exc:
+        print(f"faults aborted: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     ff = report.fault_free
     out = config_io.dump_yaml({
         "schema_version": config_io.SCHEMA_VERSION,
@@ -377,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, PlanError) as exc:
+    except (ConfigError, ValidationError, PlanError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

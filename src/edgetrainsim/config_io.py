@@ -2,9 +2,12 @@
 
 Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
-outputs are byte-stable.  Reads and writes go through PyYAML's libyaml
-bindings when they are installed and through its pure-Python loader and
-emitter otherwise; both write the same bytes.
+outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
+builders from its kind, participants and, for PP, stage ranges; a file whose
+partition differs from the rebuilt one is rejected (CLI exit 1).  Reads and
+writes go through PyYAML's libyaml bindings when they are installed and
+through its pure-Python loader and emitter otherwise; both write the same
+bytes.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ import yaml
 from .devices import (DeviceProfile, Link, NetworkModel, TrustedDomain,
                       ValidationError)
 from .parallelism import (DataParallelPartition, ParallelPlan,
-                          PipelineParallelPartition, SequenceParallelPartition,
-                          TensorParallelPartition, KIND_DP, KIND_PP, KIND_SP,
-                          KIND_TP)
+                          SequenceParallelPartition, TensorParallelPartition,
+                          KIND_PP, make_plan)
 from .simengine import SimulationResult
 from .workload import TrainingJob, TransformerSpec
 
@@ -186,38 +188,9 @@ def _partition_to_dict(plan: ParallelPlan) -> dict:
     if isinstance(p, TensorParallelPartition):
         return {"heads_per_device": list(p.heads_per_device),
                 "hidden_slice_per_device": list(p.hidden_slice_per_device)}
-    if isinstance(p, PipelineParallelPartition):
-        return {"stages": [{"device": d, "start": s, "end": e}
-                           for d, (s, e) in p.stages],
-                "micro_batch_count": plan.job.micro_batch_count}
-    raise ConfigError(f"unknown partition type {type(p).__name__}")
-
-
-def _check_job_field(data: dict, key: str, expected: int) -> None:
-    value = int(_require(data, key, "plan"))
-    if value != expected:
-        raise ConfigError(f"plan: partition {key} {value} differs from the "
-                          f"job's {expected}")
-
-
-def _partition_from_dict(kind: str, data: dict, job: TrainingJob):
-    if kind == KIND_DP:
-        shards = tuple(_require(data, "shard_sizes", "plan"))
-        _check_job_field(data, "sync_period", job.dp_sync_period)
-        return DataParallelPartition(shards)
-    if kind == KIND_SP:
-        return SequenceParallelPartition(
-            tuple(_require(data, "subseq_lengths", "plan")))
-    if kind == KIND_TP:
-        return TensorParallelPartition(
-            tuple(_require(data, "heads_per_device", "plan")),
-            tuple(_require(data, "hidden_slice_per_device", "plan")))
-    if kind == KIND_PP:
-        stages = tuple((str(s["device"]), (int(s["start"]), int(s["end"])))
-                       for s in _require(data, "stages", "plan"))
-        _check_job_field(data, "micro_batch_count", job.micro_batch_count)
-        return PipelineParallelPartition(stages)
-    return None
+    return {"stages": [{"device": d, "start": s, "end": e}
+                       for d, (s, e) in p.stages],
+            "micro_batch_count": plan.job.micro_batch_count}
 
 
 def plan_to_dict(plan: ParallelPlan, domain: TrustedDomain,
@@ -255,16 +228,30 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
         except KeyError as exc:
             raise ConfigError(f"plan: participant {p!r} is not in the domain") \
                 from exc
+    partition = data.get("partition", {})
     try:
-        plan = ParallelPlan(kind=kind, participants=participants,
-                            partition=_partition_from_dict(
-                                kind, data.get("partition", {}), job),
-                            job=job, spec=spec)
+        ranges = None
+        if kind == KIND_PP:
+            ranges = [(int(_require(s, "start", "plan")),
+                       int(_require(s, "end", "plan")))
+                      for s in _require(partition, "stages", "plan")]
+        plan = make_plan(kind, domain, spec, job, participants, ranges)
+        for key, want in _partition_to_dict(plan).items():
+            got = _require(partition, key, "plan")
+            if isinstance(want, int):
+                got = int(got)
+            if got != want:
+                raise ConfigError(f"plan: partition {key} {got} differs from "
+                                  f"the job's {want}")
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"plan: {exc}") from exc
     interval = data.get("checkpoint_interval_s")
+    if interval is not None and not (type(interval) in (int, float)
+                                     and interval > 0):
+        raise ConfigError(f"plan: checkpoint_interval_s must be a positive "
+                          f"number, not {interval!r}")
     return plan, domain, interval
 
 

@@ -78,10 +78,6 @@ class ParallelPlan:
             raise PlanError("a plan needs at least one participant")
         if len(set(self.participants)) != len(self.participants):
             raise PlanError("participants must be distinct")
-        if self.kind == KIND_SINGLE and len(self.participants) != 1:
-            raise PlanError("a single-device plan has exactly one participant")
-        if self.kind not in ALL_KINDS:
-            raise PlanError(f"unknown plan kind {self.kind!r}")
 
 
 class CommPhase(NamedTuple):
@@ -236,6 +232,26 @@ def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     stages = tuple((p, r) for p, r in zip(participants, stage_ranges))
     partition = PipelineParallelPartition(stages)
     return ParallelPlan(KIND_PP, participants, partition, job, spec)
+
+
+def make_plan(kind: str, domain: TrustedDomain, spec: TransformerSpec,
+              job: TrainingJob, participants,
+              stage_ranges: Optional[list[tuple[int, int]]] = None) -> ParallelPlan:
+    """Build a ``kind`` plan; ``stage_ranges`` (PP only) default to uniform."""
+    participants = tuple(participants)
+    if kind == KIND_SINGLE:
+        if len(participants) != 1:
+            raise PlanError("a single-device plan has exactly one participant")
+        return make_single_plan(domain, spec, job, participants[0])
+    if kind == KIND_DP:
+        return make_dp_plan(domain, spec, job, participants)
+    if kind == KIND_SP:
+        return make_sp_plan(domain, spec, job, participants)
+    if kind == KIND_TP:
+        return make_tp_plan(domain, spec, job, participants)
+    if kind == KIND_PP:
+        return make_pp_plan(domain, spec, job, participants, stage_ranges)
+    raise PlanError(f"unknown plan kind {kind!r}")
 
 
 def comm_template(plan: ParallelPlan) -> list[CommPhase]:

@@ -16,11 +16,9 @@ from typing import Optional
 
 from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
                       effective_throughput)
-from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP,
-                          KIND_PREFERENCE, OP_P2P, ParallelPlan, PlanError,
-                          activation_tensor_bytes, check_memory, make_dp_plan,
-                          make_pp_plan, make_single_plan, make_sp_plan,
-                          make_tp_plan, pp_stage_memory)
+from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, OP_P2P,
+                          ParallelPlan, PlanError, activation_tensor_bytes,
+                          check_memory, make_plan, pp_stage_memory)
 from .simengine import (CHECKPOINT_INTERVAL_CAP, DEFAULT_ITERATIONS,
                         SimulationResult, collective_time, iteration_times,
                         simulate)
@@ -175,26 +173,17 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
                     job: TrainingJob) -> tuple[list[ParallelPlan], dict[str, str]]:
     """All constructible plans for a participant set, plus per-kind skip reasons."""
     participants = tuple(participants)
+    if len(participants) == 1:
+        return [make_plan(KIND_SINGLE, domain, spec, job, participants)], {}
     plans: list[ParallelPlan] = []
     reasons: dict[str, str] = {}
-    if len(participants) == 1:
-        plans.append(make_single_plan(domain, spec, job, participants[0]))
-        return plans, reasons
-
-    def pp_plan():
-        order = arrange_topology(domain, participants, spec, job)
-        return make_pp_plan(domain, spec, job, order,
-                            partition_stages(domain, order, spec, job))
-
-    builders = {
-        KIND_DP: lambda: make_dp_plan(domain, spec, job, participants),
-        KIND_PP: pp_plan,
-        KIND_TP: lambda: make_tp_plan(domain, spec, job, participants),
-        KIND_SP: lambda: make_sp_plan(domain, spec, job, participants),
-    }
     for kind in KIND_PREFERENCE:
         try:
-            plans.append(builders[kind]())
+            order, ranges = participants, None
+            if kind == KIND_PP:
+                order = arrange_topology(domain, participants, spec, job)
+                ranges = partition_stages(domain, order, spec, job)
+            plans.append(make_plan(kind, domain, spec, job, order, ranges))
         except (PlanError, InfeasibleError) as exc:
             reasons[kind] = str(exc)
     return plans, reasons

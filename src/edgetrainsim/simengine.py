@@ -45,6 +45,10 @@ class SimulationError(ValueError):
     pass
 
 
+class OutOfMemoryError(SimulationError):
+    """The plan does not fit in memory on the devices its message names."""
+
+
 @dataclass
 class DeviceUsage:
     peak_mem: float = 0.0
@@ -346,7 +350,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     """
     base = simulate(plan, domain, iterations, warmup=0)
     if base.oom:
-        raise SimulationError("cannot inject faults into an infeasible plan")
+        raise OutOfMemoryError("out of memory on " + ", ".join(base.oom_devices))
     if checkpoint_interval is None:
         from .scheduler import plan_checkpointing
         checkpoint_interval = plan_checkpointing(plan, domain, fault_model)

@@ -6,12 +6,38 @@ import yaml
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
 from edgetrainsim.devices import testbed_preset as load_testbed
-from edgetrainsim.parallelism import make_dp_plan, make_pp_plan
+from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
 from edgetrainsim.workload import default_edge_job, model_preset
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def _stages(*ranges, devices=("nano-0", "nano-1", "nano-2", "nano-3")):
+    return [{"device": d, "start": s, "end": e}
+            for d, (s, e) in zip(devices, ranges)]
+
+
+# (kind, partition field, edited value) for gpt2-s on homogeneous-nano4;
+# "participants" edits the plan's participant list instead.
+EDITED_PLANS = {
+    "dp-five-shards": ("dp", "shard_sizes", [32, 32, 32, 32, 128]),
+    "dp-two-shards": ("dp", "shard_sizes", [64, 64]),
+    "dp-skewed-shards": ("dp", "shard_sizes", [0, 0, 0, 128]),
+    "sp-five-lengths": ("sp", "subseq_lengths", [8, 8, 8, 8, 64]),
+    "tp-heads": ("tp", "heads_per_device", [6, 2, 2, 2]),
+    "pp-three-stages": ("pp", "stages", _stages((0, 4), (4, 8), (8, 12))),
+    "pp-other-devices": ("pp", "stages", _stages(
+        (0, 3), (3, 6), (6, 9), (9, 12),
+        devices=("nano-3", "nano-2", "nano-1", "nano-0"))),
+    "pp-dropped-blocks": ("pp", "stages", _stages((0, 3), (3, 6), (6, 9),
+                                                  (9, 11))),
+    "pp-empty-stage": ("pp", "stages", _stages((0, 0), (0, 4), (4, 8),
+                                               (8, 12))),
+    "single-two-participants": ("single", "participants",
+                                ["nano-0", "nano-1"]),
+}
 
 
 class TestPresets:
@@ -138,6 +164,23 @@ class TestSimulate:
         assert ("plan: partition sync_period 6 differs from the job's 5"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("case", sorted(EDITED_PLANS))
+    def test_edited_partition_exits_1(self, tmp_path, capsys, case):
+        kind, key, value = EDITED_PLANS[case]
+        domain = load_testbed("homogeneous-nano4")
+        ids = domain.device_ids[:1] if kind == "single" else domain.device_ids
+        plan = make_plan(kind, domain, model_preset("gpt2-s"),
+                         default_edge_job(), ids)
+        data = config_io.plan_to_dict(plan, domain)
+        if key == "participants":
+            data["participants"] = value
+        else:
+            data["partition"][key] = value
+        path = tmp_path / "plan.yaml"
+        path.write_text(config_io.dump_yaml(data))
+        assert run("simulate", "--plan", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: plan: ")
+
     def test_missing_plan_file_exits_1(self):
         assert run("simulate", "--plan", "/nonexistent/plan.yaml") == 1
 
@@ -152,6 +195,17 @@ class TestSimulate:
         assert run("simulate", "--plan", str(path), "--out", str(out)) == 2
         result = yaml.safe_load(out.read_text())
         assert result["oom"] and result["oom_devices"]
+
+    def test_oom_plan_faults_exits_2(self, tmp_path, capsys):
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-l"), default_edge_job(),
+                            domain.device_ids)
+        path = tmp_path / "oom.yaml"
+        path.write_text(config_io.dump_yaml(config_io.plan_to_dict(plan,
+                                                                   domain)))
+        assert run("faults", "--plan", str(path), "--mtbf", "600") == 2
+        assert capsys.readouterr().err == (
+            "faults aborted: out of memory on nano-0, nano-1, nano-2, nano-3\n")
 
 
 class TestSweep:
@@ -239,3 +293,36 @@ class TestFaults:
     def test_invalid_mtbf_exits_1(self, tmp_path):
         plan = self.plan_file(tmp_path)
         assert run("faults", "--plan", str(plan), "--mtbf", "-5") == 1
+
+
+# argv ("{plan}" marks a DP plan file) and the plan's checkpoint_interval_s
+BAD_VALUES = {
+    "plan-iterations": (("plan", "--model", "distilbert", "--iterations", "0"),
+                        None),
+    "simulate-iterations": (("simulate", "--plan", "{plan}", "--iterations",
+                             "0"), None),
+    "sweep-iterations": (("sweep", "--models", "distilbert", "--iterations",
+                          "0"), None),
+    "faults-iterations": (("faults", "--plan", "{plan}", "--mtbf", "600",
+                           "--iterations", "0"), None),
+    "negative-weight": (("plan", "--objective", "weighted", "--weight-energy",
+                         "-1"), None),
+    "zero-weights": (("plan", "--objective", "weighted", "--weight-energy",
+                      "0", "--weight-latency", "0"), None),
+    "negative-interval": (("faults", "--plan", "{plan}", "--mtbf", "600"), -5),
+    "text-interval": (("faults", "--plan", "{plan}", "--mtbf", "600"), "abc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_1_with_one_error_line(tmp_path, capsys, case):
+    argv, interval = BAD_VALUES[case]
+    domain = load_testbed("homogeneous-nano4")
+    plan = make_dp_plan(domain, model_preset("distilbert"), default_edge_job(),
+                        domain.device_ids)
+    path = tmp_path / "plan.yaml"
+    path.write_text(config_io.dump_yaml(
+        config_io.plan_to_dict(plan, domain, interval)))
+    assert run(*(arg.replace("{plan}", str(path)) for arg in argv)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,15 +1,21 @@
 """YAML I/O tests: agreement with PyYAML's pure-Python reference, and errors."""
 
+import itertools
+
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
 from edgetrainsim.config_io import ConfigError
+from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, Link, NetworkModel,
+                                  TrustedDomain)
 from edgetrainsim.devices import testbed_preset as load_testbed
 from edgetrainsim.parallelism import make_dp_plan
+from edgetrainsim.scheduler import candidate_plans
 from edgetrainsim.simengine import simulate
-from edgetrainsim.workload import default_edge_job, model_preset
+from edgetrainsim.workload import MODEL_PRESETS, default_edge_job, model_preset
 
 from test_golden import _per_link_plans
 
@@ -131,3 +137,29 @@ class TestPlanErrors:
         data["partition"]["sync_period"] = "five"
         with pytest.raises(ConfigError, match=r"^plan: invalid literal"):
             config_io.plan_from_dict(data)
+
+
+@st.composite
+def _domains(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(DEVICE_PROFILE_FACTORIES)),
+                          min_size=2, max_size=6))
+    devices = tuple(DEVICE_PROFILE_FACTORIES[k](f"{k}-{i}")
+                    for i, k in enumerate(kinds))
+    pairs = list(itertools.combinations([d.id for d in devices], 2))
+    links = tuple((a, b, Link(draw(st.floats(1e7, 1e9)), 1e-4))
+                  for a, b in pairs)
+    return TrustedDomain(devices, NetworkModel(links=links),
+                         mode=draw(st.sampled_from(("cpu", "gpu"))),
+                         name="random")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_domains(), st.sampled_from(sorted(MODEL_PRESETS)))
+def test_every_built_plan_loads_back(domain, model):
+    plans, _ = candidate_plans(domain, domain.device_ids, model_preset(model),
+                               default_edge_job())
+    for plan in plans:
+        text = config_io.dump_yaml(config_io.plan_to_dict(plan, domain, 12.5))
+        loaded, loaded_domain, interval = config_io.plan_from_dict(
+            config_io.parse_yaml(text, "plan"))
+        assert (loaded, loaded_domain, interval) == (plan, domain, 12.5)
