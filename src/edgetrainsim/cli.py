@@ -1,6 +1,7 @@
 """Operator entry point: plan, simulate, sweep, faults, presets.
 
-Exit codes: 0 success, 1 usage/config error, 2 valid-but-infeasible (OOM).
+Exit codes: 0 success, 1 usage/config error or unwritable output file,
+2 valid-but-infeasible (OOM).
 
 The default job matches the reference experiment grid (global batch 128,
 sequence length 32, micro-batch 8, gradient sync every 5 iterations) and a
@@ -177,10 +178,9 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     data = config_io.parse_yaml(_read_file(args.plan, "plan"), "plan")
     plan, domain, _ = config_io.plan_from_dict(data)
-    result = simulate(plan, domain, iterations=args.iterations,
-                      record_trace=args.trace is not None)
+    result = simulate(plan, domain, iterations=args.iterations)
     if args.trace is not None:
-        write_trace(result.trace, args.trace)
+        write_trace(plan, domain, result.iterations_simulated, args.trace)
     _write_out(config_io.dump_yaml(config_io.result_to_dict(result)), args.out)
     if result.oom:
         print("simulation aborted: out of memory on "
@@ -261,8 +261,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    if args.mtbf <= 0:
-        raise ConfigError("--mtbf must be > 0")
     data = config_io.parse_yaml(_read_file(args.plan, "plan"), "plan")
     plan, domain, interval = config_io.plan_from_dict(data)
     fault_model = FaultModel(mtbf_per_device=args.mtbf,
@@ -374,7 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, PlanError, SimulationError) as exc:
+    except (ConfigError, ValidationError, PlanError, SimulationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

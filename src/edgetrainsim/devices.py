@@ -142,10 +142,16 @@ class FaultModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.mtbf_per_device <= 0:
-            raise ValidationError("mtbf_per_device must be > 0")
-        if self.checkpoint_write_bandwidth <= 0 or self.recovery_reload_bandwidth <= 0:
-            raise ValidationError("fault-model bandwidths must be > 0")
+        # `not x > 0` also rejects NaN; an infinite MTBF or bandwidth is valid.
+        if not self.mtbf_per_device > 0:
+            raise ValidationError(
+                f"mtbf_per_device must be > 0, got {self.mtbf_per_device}")
+        for name in ("checkpoint_write_bandwidth", "recovery_reload_bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 DEFAULT_FAULT_MODEL = FaultModel(

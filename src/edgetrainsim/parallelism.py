@@ -198,14 +198,19 @@ def make_tp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     return ParallelPlan(KIND_TP, participants, partition, job, spec)
 
 
-def uniform_stage_ranges(num_blocks: int, num_stages: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal split of [0, num_blocks); earlier stages larger."""
-    counts = largest_remainder_split(num_blocks, [1.0] * num_stages)
+def ranges_from_counts(counts) -> list[tuple[int, int]]:
+    """Contiguous [start, end) block ranges holding ``counts`` blocks each."""
     ranges, start = [], 0
     for c in counts:
         ranges.append((start, start + c))
         start += c
     return ranges
+
+
+def uniform_stage_ranges(num_blocks: int, num_stages: int) -> list[tuple[int, int]]:
+    """Contiguous near-equal split of [0, num_blocks); earlier stages larger."""
+    return ranges_from_counts(
+        largest_remainder_split(num_blocks, [1.0] * num_stages))
 
 
 def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,

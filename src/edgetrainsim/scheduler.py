@@ -18,10 +18,10 @@ from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
                       effective_throughput)
 from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, OP_P2P,
                           ParallelPlan, PlanError, activation_tensor_bytes,
-                          check_memory, make_plan, pp_stage_memory)
+                          make_plan, pp_stage_memory, ranges_from_counts)
 from .simengine import (CHECKPOINT_INTERVAL_CAP, DEFAULT_ITERATIONS,
-                        SimulationResult, collective_time, iteration_times,
-                        simulate)
+                        SimulationResult, checkpoint_cost, collective_time,
+                        iteration_times, simulate)
 from .workload import TrainingJob, TransformerSpec, flops_per_iteration
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -137,11 +137,7 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
         j -= choice[i][j]
     counts.append(j)
     counts.reverse()
-    ranges, start = [], 0
-    for c in counts:
-        ranges.append((start, start + c))
-        start += c
-    return ranges
+    return ranges_from_counts(counts)
 
 
 def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
@@ -289,9 +285,7 @@ def plan_checkpointing(plan: ParallelPlan, domain: TrustedDomain,
     failures per participant), floored at one average iteration time and
     capped so an effectively failure-free system stops checkpointing.
     """
-    mem = check_memory(plan, domain)
-    shard = max(c.state_bytes for c in mem.values())
-    write_time = shard / fault_model.checkpoint_write_bandwidth
+    _, write_time = checkpoint_cost(plan, domain, fault_model)
     system_mtbf = fault_model.mtbf_per_device / len(plan.participants)
     tau = young_checkpoint_interval(write_time, system_mtbf)
     k = plan.job.dp_sync_period

@@ -7,7 +7,7 @@ so a device's timeline always closes as compute + comm + idle = makespan.
 Every collective comes from the plan's per-iteration template
 (:func:`~edgetrainsim.parallelism.comm_template`).  One pass over it, per
 profile, gives each device's comm seconds, ``comm_bytes_by_op`` and the
-trace records; ``comm_bytes_by_op`` counts payload bytes (count x payload),
+trace rows; ``comm_bytes_by_op`` counts payload bytes (count x payload),
 not the bytes a ring puts on the wire.  Collectives use ring algorithms
 under an alpha-beta link model.  Barrier kinds take the slowest device's
 compute plus every collective phase in turn.  Pipeline iterations follow
@@ -18,13 +18,19 @@ communication do not overlap except through the pipeline schedule itself.
 Energy integrates a three-state power model per device: idle power for the
 whole makespan, the busy-minus-idle delta while computing, and the network
 power adder while transmitting or receiving.
+
+Every iteration has one of two shapes, with or without the gradient sync.
+The trace is never stored: :func:`write_trace` sorts the rows of each shape
+once by start offset and then device, and streams them iteration by
+iteration at the iteration's start time.  Every row starts inside its own
+iteration, so the file is ordered by start time and then device.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -59,15 +65,6 @@ class DeviceUsage:
 
 
 @dataclass
-class TraceRecord:
-    time: float
-    device: str
-    kind: str
-    duration: float
-    bytes: float
-
-
-@dataclass
 class SimulationResult:
     plan_kind: str
     iterations_simulated: int
@@ -79,7 +76,6 @@ class SimulationResult:
     comm_bytes_by_op: dict[str, float]
     oom: bool = False
     oom_devices: tuple[str, ...] = ()
-    trace: Optional[list[TraceRecord]] = None
 
     @property
     def total_energy(self) -> float:
@@ -219,19 +215,29 @@ def _trace_rows(prof: _IterationProfile, parts) -> list[tuple]:
     return rows
 
 
+def _iterations(plan: ParallelPlan, prof: _IterationProfile, iterations: int,
+                warmup: int):
+    """(sync, wall time) of each metered iteration.
+
+    Iteration g (counting warmup from 0) syncs gradients when g + 1 is a
+    multiple of the job's sync period.
+    """
+    k = plan.job.dp_sync_period
+    for g in range(warmup, warmup + iterations):
+        sync = (g + 1) % k == 0
+        yield sync, prof.base_len + (prof.sync_len if sync else 0.0)
+
+
 def iteration_times(plan: ParallelPlan, domain: TrustedDomain,
                     iterations: int, warmup: int = 0) -> list[float]:
     """Wall time of each simulated iteration (syncs land on period boundaries)."""
     prof = _profile_iteration(plan, domain)
-    k = plan.job.dp_sync_period
-    return [prof.base_len + (prof.sync_len if (g + 1) % k == 0 else 0.0)
-            for g in range(warmup, warmup + iterations)]
+    return [dur for _, dur in _iterations(plan, prof, iterations, warmup)]
 
 
 def simulate(plan: ParallelPlan, domain: TrustedDomain,
              iterations: int = DEFAULT_ITERATIONS,
-             warmup: int = DEFAULT_WARMUP,
-             record_trace: bool = False) -> SimulationResult:
+             warmup: int = DEFAULT_WARMUP) -> SimulationResult:
     """Run a fault-free simulation and report per-sample and per-device metrics.
 
     Use :func:`inject_faults` for failure/recovery accounting.  ``warmup``
@@ -252,20 +258,14 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
             plan_kind=plan.kind, iterations_simulated=0, samples_processed=0,
             makespan=0.0, latency_per_sample=None, energy_per_sample=None,
             per_device=usage, comm_bytes_by_op={}, oom=True,
-            oom_devices=oom_devices, trace=[] if record_trace else None)
+            oom_devices=oom_devices)
 
     prof = _profile_iteration(plan, domain)
-    k = plan.job.dp_sync_period
     parts = plan.participants
     makespan = 0.0
     comm_bytes: dict[str, float] = {}
-    trace: Optional[list[TraceRecord]] = [] if record_trace else None
-    rows = _trace_rows(prof, parts) if record_trace else ()
 
-    for g in range(warmup, warmup + iterations):
-        sync = (g + 1) % k == 0
-        dur = prof.base_len + (prof.sync_len if sync else 0.0)
-        t0 = makespan
+    for sync, dur in _iterations(plan, prof, iterations, warmup):
         for p in parts:
             u = usage[p]
             u.compute_time += prof.compute[p]
@@ -277,10 +277,6 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
         if sync:
             for op, b in prof.sync_bytes.items():
                 comm_bytes[op] = comm_bytes.get(op, 0.0) + b
-        if record_trace:
-            trace.extend(TraceRecord(t0 + offset, p, kind, d, b)
-                         for offset, p, kind, d, b, sync_only in rows
-                         if sync or not sync_only)
         makespan += dur
 
     for p in parts:
@@ -292,14 +288,19 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
                     + device.power_net * u.comm_time)
 
     samples = iterations * plan.job.global_batch
-    if record_trace:
-        trace.sort(key=operator.attrgetter("time", "device"))
     return SimulationResult(
         plan_kind=plan.kind, iterations_simulated=iterations,
         samples_processed=samples, makespan=makespan,
         latency_per_sample=makespan / samples,
         energy_per_sample=sum(u.energy for u in usage.values()) / samples,
-        per_device=usage, comm_bytes_by_op=comm_bytes, trace=trace)
+        per_device=usage, comm_bytes_by_op=comm_bytes)
+
+
+def checkpoint_cost(plan: ParallelPlan, domain: TrustedDomain,
+                    fault_model: FaultModel) -> tuple[float, float]:
+    """Largest per-device state shard in bytes, and seconds to write it."""
+    shard = max(c.state_bytes for c in check_memory(plan, domain).values())
+    return shard, shard / fault_model.checkpoint_write_bandwidth
 
 
 @dataclass
@@ -357,9 +358,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     if checkpoint_interval <= 0:
         raise SimulationError("checkpoint_interval must be > 0")
 
-    mem = check_memory(plan, domain)
-    shard = max(c.state_bytes for c in mem.values())
-    write_time = shard / fault_model.checkpoint_write_bandwidth
+    shard, write_time = checkpoint_cost(plan, domain, fault_model)
     reload_time_each = shard / fault_model.recovery_reload_bandwidth
     times = iteration_times(plan, domain, iterations)
 
@@ -418,19 +417,52 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
         seed=fault_model.rng_seed)
 
 
-def write_trace(trace: list[TraceRecord], path) -> None:
-    """Flat tab-delimited trace table: time, device, kind, duration, bytes.
+TRACE_HEADER = "time\tdevice\tkind\tduration\tbytes\n"
 
-    Every iteration repeats the same rows at a later time, so each distinct
-    (device, kind, duration, bytes) tail is formatted once.
+
+def _trace_stream(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
+                  warmup: int = DEFAULT_WARMUP):
+    """(time, device, kind, duration, bytes) rows ordered by time, then device.
+
+    The rows of the two iteration shapes are sorted once by (offset, device);
+    the sort is stable, so rows that tie keep their template order.
+    """
+    prof = _profile_iteration(plan, domain)
+    rows = sorted(_trace_rows(prof, plan.participants), key=itemgetter(0, 1))
+    shapes = {True: [r[:5] for r in rows],
+              False: [r[:5] for r in rows if not r[5]]}
+    t0 = 0.0
+    for sync, dur in _iterations(plan, prof, iterations, warmup):
+        for offset, p, kind, d, b in shapes[sync]:
+            yield t0 + offset, p, kind, d, b
+        t0 += dur
+
+
+def _trace_lines(rows):
+    """Tab-delimited lines of trace rows; each distinct tail is formatted once.
+
+    Every iteration repeats the same (device, kind, duration, bytes) tails at
+    a later time.
     """
     tails: dict[tuple, str] = {}
+    for time, device, kind, duration, nbytes in rows:
+        key = (device, kind, duration, nbytes)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (f"\t{device}\t{kind}\t"
+                                 f"{duration:.9f}\t{nbytes:.1f}\n")
+        yield f"{time:.9f}{tail}"
+
+
+def write_trace(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
+                path) -> None:
+    """Flat tab-delimited trace table: time, device, kind, duration, bytes.
+
+    It covers the ``iterations`` metered iterations that :func:`simulate`
+    runs after its default warmup.  An out-of-memory run simulates none, so
+    its table is the header alone.
+    """
     with open(path, "w") as fh:
-        fh.write("time\tdevice\tkind\tduration\tbytes\n")
-        for r in trace:
-            key = (r.device, r.kind, r.duration, r.bytes)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = (f"\t{r.device}\t{r.kind}\t"
-                                     f"{r.duration:.9f}\t{r.bytes:.1f}\n")
-            fh.write(f"{r.time:.9f}{tail}")
+        fh.write(TRACE_HEADER)
+        if iterations > 0:
+            fh.writelines(_trace_lines(_trace_stream(plan, domain, iterations)))

@@ -191,10 +191,12 @@ class TestSimulate:
         path = tmp_path / "oom.yaml"
         path.write_text(config_io.dump_yaml(config_io.plan_to_dict(plan,
                                                                    domain)))
-        out = tmp_path / "result.yaml"
-        assert run("simulate", "--plan", str(path), "--out", str(out)) == 2
+        out, trace = tmp_path / "result.yaml", tmp_path / "trace.tsv"
+        assert run("simulate", "--plan", str(path), "--trace", str(trace),
+                   "--out", str(out)) == 2
         result = yaml.safe_load(out.read_text())
         assert result["oom"] and result["oom_devices"]
+        assert trace.read_text() == "time\tdevice\tkind\tduration\tbytes\n"
 
     def test_oom_plan_faults_exits_2(self, tmp_path, capsys):
         domain = load_testbed("homogeneous-nano4")
@@ -311,6 +313,17 @@ BAD_VALUES = {
                       "0", "--weight-latency", "0"), None),
     "negative-interval": (("faults", "--plan", "{plan}", "--mtbf", "600"), -5),
     "text-interval": (("faults", "--plan", "{plan}", "--mtbf", "600"), "abc"),
+    "negative-seed": (("faults", "--plan", "{plan}", "--mtbf", "600",
+                       "--seed", "-1"), None),
+    "nan-mtbf": (("faults", "--plan", "{plan}", "--mtbf", "nan"), None),
+    "nan-ckpt-bandwidth": (("faults", "--plan", "{plan}", "--mtbf", "600",
+                            "--ckpt-bandwidth", "nan"), None),
+    "plan-nan-mtbf": (("plan", "--model", "distilbert", "--mtbf", "nan"),
+                      None),
+    "trace-missing-dir": (("simulate", "--plan", "{plan}", "--trace",
+                           "{missing}/trace.tsv"), None),
+    "out-missing-dir": (("simulate", "--plan", "{plan}", "--out",
+                         "{missing}/result.yaml"), None),
 }
 
 
@@ -323,6 +336,8 @@ def test_bad_value_exits_1_with_one_error_line(tmp_path, capsys, case):
     path = tmp_path / "plan.yaml"
     path.write_text(config_io.dump_yaml(
         config_io.plan_to_dict(plan, domain, interval)))
-    assert run(*(arg.replace("{plan}", str(path)) for arg in argv)) == 1
+    assert run(*(arg.replace("{plan}", str(path))
+                 .replace("{missing}", str(tmp_path / "missing"))
+                 for arg in argv)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
