@@ -15,10 +15,9 @@ from .scheduler import (InfeasibleError, Objective, OrchestrationStrategy,
 from .simengine import (FaultReport, SimulationResult, collective_time,
                         inject_faults, simulate)
 from .workload import (MODEL_PRESETS, TrainingJob, TransformerSpec,
-                       WorkloadCosts, activation_bytes_per_block,
-                       default_edge_job, flops_per_iteration,
-                       full_replication_memory, model_preset, param_count,
-                       state_bytes, workload_costs)
+                       activation_bytes_per_block, default_edge_job,
+                       flops_per_iteration, full_replication_memory,
+                       model_preset, param_count, state_bytes)
 
 __version__ = "0.1.0"
 

@@ -20,8 +20,7 @@ from .config_io import ConfigError
 from .devices import (DEVICE_PROFILE_FACTORIES, FaultModel, TESTBED_PRESETS,
                       TrustedDomain, ValidationError, effective_throughput,
                       testbed_preset)
-from .parallelism import (ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError,
-                          make_plan)
+from .parallelism import ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError, make_plan
 from .scheduler import (InfeasibleError, Objective, orchestrate,
                         partition_stages)
 from .simengine import (DEFAULT_ITERATIONS, OutOfMemoryError, SimulationError,
@@ -31,9 +30,6 @@ from .workload import MODEL_PRESETS, default_edge_job, model_preset
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
-
-SWEEP_KINDS = ALL_KINDS  # single, dp, sp, tp, pp
-SWEEP_MODELS = ("distilbert", "gpt2-s", "opt-350m", "gpt2-l")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,15 +196,15 @@ def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
     return make_plan(kind, domain, spec, job, ids, ranges)
 
 
-def sweep_rows(domain: TrustedDomain, job, models=SWEEP_MODELS,
+def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
                modes=("cpu", "gpu"), iterations: int = DEFAULT_ITERATIONS):
     """One row per (model, kind, mode): the experiment grid of the sweeps."""
     rows = []
+    moded_domains = {mode: domain.with_mode(mode) for mode in modes}
     for model_name in models:
         spec = model_preset(model_name)
-        for kind in SWEEP_KINDS:
-            for mode in modes:
-                moded = domain.with_mode(mode)
+        for kind in ALL_KINDS:
+            for mode, moded in moded_domains.items():
                 try:
                     plan = _sweep_plan(kind, moded, spec, job)
                 except (PlanError, InfeasibleError):
@@ -250,7 +246,7 @@ def cmd_sweep(args) -> int:
     domain = _build_domain(args)
     job = _build_job(args)
     modes = ("cpu", "gpu") if args.mode is None else (args.mode,)
-    models = args.models.split(",") if args.models else SWEEP_MODELS
+    models = args.models.split(",") if args.models else tuple(MODEL_PRESETS)
     for m in models:
         if m not in MODEL_PRESETS:
             raise ConfigError(f"unknown model preset {m!r}")

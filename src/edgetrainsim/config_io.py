@@ -12,16 +12,15 @@ bytes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any
 
 import yaml
 
-from .devices import (DeviceProfile, Link, NetworkModel, TrustedDomain,
-                      ValidationError)
-from .parallelism import (DataParallelPartition, ParallelPlan,
-                          SequenceParallelPartition, TensorParallelPartition,
-                          KIND_PP, make_plan)
+from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
+from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP, ParallelPlan,
+                          make_plan, ranges_from_counts)
 from .simengine import SimulationResult
 from .workload import TrainingJob, TransformerSpec
 
@@ -35,14 +34,35 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 
+def _expect(value, kind: type, context: str):
+    """``value`` if it is a ``kind`` (dict or list), else a ConfigError."""
+    if not isinstance(value, kind):
+        name = "mapping" if kind is dict else "list"
+        raise ConfigError(f"{context}: expected a {name}, not "
+                          f"{type(value).__name__}")
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+    if key not in _expect(mapping, dict, context):
         raise ConfigError(f"{context}: missing required field {key!r}")
     return mapping[key]
 
 
+@contextmanager
+def _context(context: str):
+    """Report a conversion or validation error as one ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _check_version(data: dict, context: str):
-    version = data.get("schema_version", SCHEMA_VERSION)
+    version = _expect(data, dict, context).get("schema_version",
+                                               SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{context}: unsupported schema_version {version!r}")
 
@@ -98,9 +118,12 @@ def domain_to_dict(domain: TrustedDomain) -> dict:
 def domain_from_dict(data: dict) -> TrustedDomain:
     _check_version(data, "domain")
     devices = []
-    for i, entry in enumerate(_require(data, "devices", "domain")):
+    entries = _expect(_require(data, "devices", "domain"), list,
+                      "domain.devices")
+    for i, entry in enumerate(entries):
         ctx = f"domain.devices[{i}]"
-        try:
+        _expect(entry, dict, ctx)
+        with _context(ctx):
             devices.append(DeviceProfile(
                 id=str(_require(entry, "id", ctx)),
                 cpu_throughput=float(_require(entry, "cpu_throughput_flops", ctx)),
@@ -112,15 +135,14 @@ def domain_from_dict(data: dict) -> TrustedDomain:
                 power_gpu_busy=float(_require(entry, "power_gpu_busy_w", ctx)),
                 power_net=float(entry.get("power_net_w", 0.0)),
             ))
-        except ValidationError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    net_data = data.get("network", {})
-    try:
+    net_data = _expect(data.get("network", {}), dict, "domain.network")
+    entries = _expect(net_data.get("links", []), list, "domain.network.links")
+    with _context("domain"):
         links = tuple(
             (str(_require(e, "a", "link")), str(_require(e, "b", "link")),
              Link(float(_require(e, "bandwidth_bps", "link")),
                   float(e.get("latency_s", 0.0))))
-            for e in net_data.get("links", []))
+            for e in entries)
         network = NetworkModel(
             default_bandwidth=float(net_data.get("default_bandwidth_bps", 1e9)),
             default_latency=float(net_data.get("default_latency_s", 1e-4)),
@@ -128,8 +150,6 @@ def domain_from_dict(data: dict) -> TrustedDomain:
         return TrustedDomain(devices=tuple(devices), network=network,
                              mode=str(data.get("mode", "gpu")),
                              name=str(data.get("name", "custom")))
-    except ValidationError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
 
 
 # ---------------------------------------------------------------- model/job
@@ -142,7 +162,7 @@ def model_to_dict(spec: TransformerSpec) -> dict:
 
 def model_from_dict(data: dict) -> TransformerSpec:
     _check_version(data, "model")
-    try:
+    with _context("model"):
         return TransformerSpec(
             name=str(_require(data, "name", "model")),
             num_blocks=int(_require(data, "num_blocks", "model")),
@@ -150,8 +170,6 @@ def model_from_dict(data: dict) -> TransformerSpec:
             num_heads=int(_require(data, "num_heads", "model")),
             vocab_size=int(_require(data, "vocab_size", "model")),
             mlp_ratio=int(data.get("mlp_ratio", 4)))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
 
 
 def job_to_dict(job: TrainingJob) -> dict:
@@ -159,7 +177,8 @@ def job_to_dict(job: TrainingJob) -> dict:
 
 
 def job_from_dict(data: dict) -> TrainingJob:
-    try:
+    _expect(data, dict, "job")
+    with _context("job"):
         return TrainingJob(
             global_batch=int(_require(data, "global_batch", "job")),
             seq_len=int(_require(data, "seq_len", "job")),
@@ -170,27 +189,28 @@ def job_from_dict(data: dict) -> TrainingJob:
                 data.get("optimizer_state_multiplier", 4.0)),
             activation_bytes_factor=float(
                 data.get("activation_bytes_factor", 2.0)))
-    except ValueError as exc:
-        raise ConfigError(f"job: {exc}") from exc
 
 
 # ---------------------------------------------------------------- plans
 
 def _partition_to_dict(plan: ParallelPlan) -> dict:
-    p = plan.partition
-    if p is None:
-        return {}
-    if isinstance(p, DataParallelPartition):
-        return {"shard_sizes": list(p.shard_sizes),
-                "sync_period": plan.job.dp_sync_period}
-    if isinstance(p, SequenceParallelPartition):
-        return {"subseq_lengths": list(p.subseq_lengths)}
-    if isinstance(p, TensorParallelPartition):
-        return {"heads_per_device": list(p.heads_per_device),
-                "hidden_slice_per_device": list(p.hidden_slice_per_device)}
-    return {"stages": [{"device": d, "start": s, "end": e}
-                       for d, (s, e) in p.stages],
-            "micro_batch_count": plan.job.micro_batch_count}
+    """The file's ``partition`` block, written by kind from the shares."""
+    shares = list(plan.shares)
+    if plan.kind == KIND_DP:
+        return {"shard_sizes": shares, "sync_period": plan.job.dp_sync_period}
+    if plan.kind == KIND_SP:
+        return {"subseq_lengths": shares}
+    if plan.kind == KIND_TP:
+        n = len(shares)
+        mlp_hidden = plan.spec.mlp_ratio * plan.spec.hidden_size
+        return {"heads_per_device": shares,
+                "hidden_slice_per_device": [mlp_hidden // n] * n}
+    if plan.kind == KIND_PP:
+        ranges = ranges_from_counts(shares)
+        return {"stages": [{"device": d, "start": s, "end": e}
+                           for d, (s, e) in zip(plan.participants, ranges)],
+                "micro_batch_count": plan.job.micro_batch_count}
+    return {}
 
 
 def plan_to_dict(plan: ParallelPlan, domain: TrustedDomain,
@@ -221,7 +241,8 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
     spec = model_from_dict(_require(data, "model", "plan"))
     job = job_from_dict(_require(data, "job", "plan"))
     kind = str(_require(data, "kind", "plan"))
-    participants = tuple(str(p) for p in _require(data, "participants", "plan"))
+    participants = tuple(str(p) for p in _expect(
+        _require(data, "participants", "plan"), list, "plan.participants"))
     for p in participants:
         try:
             domain.device(p)
@@ -229,7 +250,7 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
             raise ConfigError(f"plan: participant {p!r} is not in the domain") \
                 from exc
     partition = data.get("partition", {})
-    try:
+    with _context("plan"):
         ranges = None
         if kind == KIND_PP:
             ranges = [(int(_require(s, "start", "plan")),
@@ -243,10 +264,6 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
             if got != want:
                 raise ConfigError(f"plan: partition {key} {got} differs from "
                                   f"the job's {want}")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plan: {exc}") from exc
     interval = data.get("checkpoint_interval_s")
     if interval is not None and not (type(interval) in (int, float)
                                      and interval > 0):

@@ -8,6 +8,7 @@ ratios and orderings that are robust to these defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 MODE_CPU = "cpu"
@@ -17,6 +18,19 @@ MODES = (MODE_CPU, MODE_GPU)
 
 class ValidationError(ValueError):
     """A profile or domain violates a structural invariant."""
+
+
+def _check_finite_nonnegative(what: str, value: float):
+    # NaN fails both `value < 0` and `value >= 0`: test the bound positively.
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{what} must be finite and >= 0, got {value}")
+
+
+def _check_link(prefix: str, bandwidth: float, latency: float):
+    # `not x > 0` also rejects NaN; an infinite bandwidth is valid.
+    if not bandwidth > 0:
+        raise ValidationError(f"{prefix}bandwidth must be > 0, got {bandwidth}")
+    _check_finite_nonnegative(f"{prefix}latency", latency)
 
 
 @dataclass(frozen=True)
@@ -34,14 +48,15 @@ class DeviceProfile:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("device id must be non-empty")
-        if self.cpu_throughput < 0 or self.gpu_throughput < 0:
-            raise ValidationError(f"{self.id}: throughputs must be >= 0")
-        if self.mem_capacity <= 0:
-            raise ValidationError(f"{self.id}: mem_capacity must be > 0")
+        for name in ("cpu_throughput", "gpu_throughput", "power_idle",
+                     "power_cpu_busy", "power_gpu_busy", "power_net"):
+            _check_finite_nonnegative(f"{self.id}: {name}",
+                                      getattr(self, name))
+        if not (math.isfinite(self.mem_capacity) and self.mem_capacity > 0):
+            raise ValidationError(f"{self.id}: mem_capacity must be finite "
+                                  f"and > 0, got {self.mem_capacity}")
         if not 0 < self.usable_mem_fraction <= 1:
             raise ValidationError(f"{self.id}: usable_mem_fraction must be in (0, 1]")
-        if self.power_idle < 0 or self.power_net < 0:
-            raise ValidationError(f"{self.id}: power values must be >= 0")
         if self.power_idle > self.power_cpu_busy or self.power_idle > self.power_gpu_busy:
             raise ValidationError(f"{self.id}: power_idle must not exceed busy power")
 
@@ -74,10 +89,7 @@ class Link:
     latency: float     # seconds
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValidationError("link bandwidth must be > 0")
-        if self.latency < 0:
-            raise ValidationError("link latency must be >= 0")
+        _check_link("link ", self.bandwidth, self.latency)
 
     @property
     def bytes_per_second(self) -> float:
@@ -91,10 +103,7 @@ class NetworkModel:
     links: tuple = ()                # ((dev_a, dev_b, Link), ...)
 
     def __post_init__(self):
-        if self.default_bandwidth <= 0:
-            raise ValidationError("default_bandwidth must be > 0")
-        if self.default_latency < 0:
-            raise ValidationError("default_latency must be >= 0")
+        _check_link("default_", self.default_bandwidth, self.default_latency)
 
     def link_between(self, a: str, b: str) -> Link:
         key = frozenset((a, b))
@@ -114,9 +123,20 @@ class TrustedDomain:
     def __post_init__(self):
         if not self.devices:
             raise ValidationError("a trusted domain needs at least one device")
-        ids = [d.id for d in self.devices]
-        if len(set(ids)) != len(ids):
+        ids = {d.id for d in self.devices}
+        if len(ids) != len(self.devices):
             raise ValidationError("device ids must be unique")
+        pairs = set()
+        for a, b, _ in self.network.links:
+            pair = frozenset((a, b))
+            if not pair <= ids:
+                raise ValidationError(f"link {a}-{b}: unknown device "
+                                      f"{min(pair - ids)!r}")
+            if len(pair) == 1:
+                raise ValidationError(f"link {a}-{b} joins a device to itself")
+            if pair in pairs:
+                raise ValidationError(f"link {a}-{b} is listed twice")
+            pairs.add(pair)
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
 
@@ -189,7 +209,7 @@ DEVICE_PROFILE_FACTORIES = {
 TESTBED_PRESETS = ("homogeneous-nano4", "heterogeneous-mix4")
 
 
-def testbed_preset(name: str, mode: str = MODE_GPU) -> TrustedDomain:
+def testbed_preset(name: str) -> TrustedDomain:
     """Built-in testbeds: four Nanos, or two Nanos + TX2 + NX, 1000 Mbps links."""
     network = NetworkModel(default_bandwidth=1e9, default_latency=1e-4)
     if name == "homogeneous-nano4":
@@ -200,4 +220,4 @@ def testbed_preset(name: str, mode: str = MODE_GPU) -> TrustedDomain:
     else:
         known = ", ".join(TESTBED_PRESETS)
         raise KeyError(f"unknown testbed preset {name!r} (known: {known})")
-    return TrustedDomain(devices=devices, network=network, mode=mode, name=name)
+    return TrustedDomain(devices=devices, network=network, name=name)

@@ -1,7 +1,14 @@
 """The four parallelism strategies as explicit plan structures.
 
-A plan binds a workload partition to an ordered set of devices.  Plans never
-mutate the spec or job they reference; construction is pure.
+A plan is its kind, its ordered participants and one share each: the whole
+units of work that participant holds.  Data parallelism shares the global
+batch's samples and sequence parallelism the sequence's positions, each in
+proportion to throughput; tensor parallelism shares the attention heads
+equally; pipeline parallelism shares the blocks, in pipeline order, as
+contiguous stages.  A single-device plan holds one share, ``(1,)``.  Only
+the builders make plans, so every plan is what its builder makes from its
+kind, participants and, for PP, stage ranges.  Plans never mutate the spec
+or job they reference; construction is pure.
 
 One per-iteration template, :func:`comm_template`, defines every collective
 a plan runs; the simulator derives timing, byte counts and the trace from it.
@@ -15,7 +22,7 @@ reproduce the familiar 4-byte payload arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .devices import TrustedDomain, effective_throughput
 from .workload import (TransformerSpec, TrainingJob, activation_bytes_per_block,
@@ -41,35 +48,16 @@ class PlanError(ValueError):
 
 
 @dataclass(frozen=True)
-class DataParallelPartition:
-    shard_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SequenceParallelPartition:
-    subseq_lengths: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TensorParallelPartition:
-    heads_per_device: tuple[int, ...]
-    hidden_slice_per_device: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PipelineParallelPartition:
-    stages: tuple[tuple[str, tuple[int, int]], ...]  # (device, [start, end))
-
-
-Partition = Union[None, DataParallelPartition, SequenceParallelPartition,
-                  TensorParallelPartition, PipelineParallelPartition]
-
-
-@dataclass(frozen=True)
 class ParallelPlan:
+    """A plan kind, its ordered participants and one share each.
+
+    ``shares[i]`` is participant i's whole units of work: batch samples (dp),
+    sequence positions (sp), attention heads (tp) or blocks, in pipeline
+    order (pp).  A single-device plan has ``(1,)``.
+    """
     kind: str
     participants: tuple[str, ...]
-    partition: Partition
+    shares: tuple[int, ...]
     job: TrainingJob
     spec: TransformerSpec
 
@@ -98,18 +86,17 @@ class MemoryCheck:
     activation_bytes: float
 
 
-def largest_remainder_split(total: int, weights: list[float],
-                            minimum: int = 1) -> list[int]:
+def largest_remainder_split(total: int, weights: list[float]) -> list[int]:
     """Split ``total`` integer units proportionally to ``weights``.
 
     Largest-remainder rounding; ties go to the lower index.  Every share is
-    at least ``minimum`` (shortfall is taken from the largest shares).
+    at least 1 (shortfall is taken from the largest shares).
     """
     n = len(weights)
     if n == 0:
         raise PlanError("cannot split across zero participants")
-    if total < n * minimum:
-        raise PlanError(f"cannot give each of {n} participants at least {minimum} "
+    if total < n:
+        raise PlanError(f"cannot give each of {n} participants at least 1 "
                         f"out of {total}")
     wsum = sum(weights)
     if wsum <= 0:
@@ -122,12 +109,11 @@ def largest_remainder_split(total: int, weights: list[float],
     leftover = total - sum(shares)
     for i in range(leftover):
         shares[order[i % n]] += 1
-    # Enforce the minimum by stealing from the currently largest share.
+    # Give every share at least 1 by stealing from the currently largest;
+    # total >= n, so while a share is 0 another holds at least 2.
     for i in range(n):
-        while shares[i] < minimum:
+        while shares[i] < 1:
             donor = max(range(n), key=lambda j: (shares[j], -j))
-            if shares[donor] <= minimum:
-                raise PlanError("cannot satisfy the per-participant minimum")
             shares[donor] -= 1
             shares[i] += 1
     return shares
@@ -150,7 +136,18 @@ def grad_sync_bytes(spec: TransformerSpec, job: TrainingJob) -> float:
 def make_single_plan(domain: TrustedDomain, spec: TransformerSpec,
                      job: TrainingJob, participant: str) -> ParallelPlan:
     domain.device(participant)  # raises for unknown ids
-    return ParallelPlan(KIND_SINGLE, (participant,), None, job, spec)
+    return ParallelPlan(KIND_SINGLE, (participant,), (1,), job, spec)
+
+
+def _split_plan(kind: str, what: str, total: int, domain: TrustedDomain,
+                spec: TransformerSpec, job: TrainingJob,
+                participants: tuple[str, ...]) -> ParallelPlan:
+    """A ``kind`` plan sharing ``total`` units of ``what`` by throughput."""
+    if total < len(participants):
+        raise PlanError(f"{what} {total} is smaller than the participant "
+                        f"count {len(participants)}")
+    shares = largest_remainder_split(total, _throughputs(domain, participants))
+    return ParallelPlan(kind, participants, tuple(shares), job, spec)
 
 
 def make_dp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
@@ -158,25 +155,14 @@ def make_dp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     participants = tuple(participants)
     if not participants:
         raise PlanError("data parallelism needs at least one participant")
-    if job.global_batch < len(participants):
-        raise PlanError(f"global batch {job.global_batch} is smaller than the "
-                        f"participant count {len(participants)}")
-    shards = largest_remainder_split(job.global_batch,
-                                     _throughputs(domain, participants))
-    partition = DataParallelPartition(tuple(shards))
-    return ParallelPlan(KIND_DP, participants, partition, job, spec)
+    return _split_plan(KIND_DP, "global batch", job.global_batch, domain, spec,
+                       job, participants)
 
 
 def make_sp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                  participants) -> ParallelPlan:
-    participants = tuple(participants)
-    if job.seq_len < len(participants):
-        raise PlanError(f"sequence length {job.seq_len} is smaller than the "
-                        f"participant count {len(participants)}")
-    lengths = largest_remainder_split(job.seq_len,
-                                      _throughputs(domain, participants))
-    return ParallelPlan(KIND_SP, participants,
-                        SequenceParallelPartition(tuple(lengths)), job, spec)
+    return _split_plan(KIND_SP, "sequence length", job.seq_len, domain, spec,
+                       job, tuple(participants))
 
 
 def make_tp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
@@ -193,9 +179,8 @@ def make_tp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
             f"({mlp_hidden})")
     for p in participants:
         domain.device(p)
-    partition = TensorParallelPartition((spec.num_heads // n,) * n,
-                                        (mlp_hidden // n,) * n)
-    return ParallelPlan(KIND_TP, participants, partition, job, spec)
+    return ParallelPlan(KIND_TP, participants, (spec.num_heads // n,) * n,
+                        job, spec)
 
 
 def ranges_from_counts(counts) -> list[tuple[int, int]]:
@@ -205,12 +190,6 @@ def ranges_from_counts(counts) -> list[tuple[int, int]]:
         ranges.append((start, start + c))
         start += c
     return ranges
-
-
-def uniform_stage_ranges(num_blocks: int, num_stages: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal split of [0, num_blocks); earlier stages larger."""
-    return ranges_from_counts(
-        largest_remainder_split(num_blocks, [1.0] * num_stages))
 
 
 def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
@@ -223,7 +202,9 @@ def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     for p in participants:
         domain.device(p)
     if stage_ranges is None:
-        stage_ranges = uniform_stage_ranges(spec.num_blocks, n)
+        # near-equal contiguous stages, earlier stages larger
+        stage_ranges = ranges_from_counts(
+            largest_remainder_split(spec.num_blocks, [1.0] * n))
     stage_ranges = [tuple(r) for r in stage_ranges]
     if len(stage_ranges) != n:
         raise PlanError("stage_ranges must match the participant count")
@@ -234,9 +215,9 @@ def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
         expected_start = end
     if expected_start != spec.num_blocks:
         raise PlanError("stage ranges must cover every block")
-    stages = tuple((p, r) for p, r in zip(participants, stage_ranges))
-    partition = PipelineParallelPartition(stages)
-    return ParallelPlan(KIND_PP, participants, partition, job, spec)
+    return ParallelPlan(KIND_PP, participants,
+                        tuple(end - start for start, end in stage_ranges),
+                        job, spec)
 
 
 def make_plan(kind: str, domain: TrustedDomain, spec: TransformerSpec,
@@ -308,12 +289,10 @@ def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryC
     """Per-device required bytes and whether they fit in usable memory."""
     spec, job = plan.spec, plan.job
     if plan.kind == KIND_PP:
-        stages = plan.partition.stages
-        blocks = [end - start for _, (start, end) in stages]
-        need = pp_stage_memory(spec, job, blocks, len(stages),
+        need = pp_stage_memory(spec, job, plan.shares, len(plan.shares),
                                job.micro_batch_count)
         return {p: _check_one(domain, p, *req)
-                for (p, _), req in zip(stages, need)}
+                for p, req in zip(plan.participants, need)}
     state = state_bytes(spec, job)
     act = spec.num_blocks * activation_bytes_per_block(spec, job.micro_batch, job)
     if plan.kind == KIND_TP:

@@ -69,14 +69,11 @@ class Objective:
 
 @dataclass
 class OrchestrationStrategy:
-    selected_devices: tuple[str, ...]
     plan: ParallelPlan
     checkpoint_interval: float
     predicted: SimulationResult
 
     def __post_init__(self):
-        if not set(self.plan.participants) <= set(self.selected_devices):
-            raise ValueError("plan participants must be selected devices")
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be > 0")
 
@@ -214,7 +211,6 @@ def choose_parallelism(domain: TrustedDomain, participants, spec: TransformerSpe
 
 @dataclass
 class SelectionOutcome:
-    best_by_size: dict[int, tuple[tuple[str, ...], ParallelPlan, SimulationResult]]
     best_subset: tuple[str, ...]
     best_plan: ParallelPlan
     best_result: SimulationResult
@@ -224,7 +220,7 @@ class SelectionOutcome:
 def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                    objective: Objective,
                    iterations: int = DEFAULT_ITERATIONS) -> SelectionOutcome:
-    """Objective-optimal participant subset, with the best subset per size.
+    """Objective-optimal participant subset.
 
     Pools up to 12 devices are searched exhaustively; larger pools fall back
     to greedy throughput-sorted prefixes.  Subsets where every kind is
@@ -242,7 +238,6 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
             -effective_throughput(domain.device(p), domain.mode), p))
         subsets = [tuple(sorted(ranked[:size])) for size in range(1, len(ids) + 1)]
 
-    best_by_size: dict[int, tuple] = {}
     best = None
     best_value = math.inf
     all_reasons: dict[str, str] = {}
@@ -255,9 +250,6 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
                 all_reasons.update(exc.reasons)
             continue
         value = objective.value(result)
-        size = len(subset)
-        if size not in best_by_size or value < objective.value(best_by_size[size][2]) - 1e-15:
-            best_by_size[size] = (subset, plan, result)
         if value < best_value - 1e-15:
             best_value = value
             best = (subset, plan, result)
@@ -265,9 +257,8 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
         raise InfeasibleError(all_reasons or
                               {"all": "every subset is memory-infeasible"})
     subset, plan, result = best
-    return SelectionOutcome(best_by_size=best_by_size, best_subset=subset,
-                            best_plan=plan, best_result=result,
-                            objective_value=best_value)
+    return SelectionOutcome(best_subset=subset, best_plan=plan,
+                            best_result=result, objective_value=best_value)
 
 
 def young_checkpoint_interval(write_time: float, system_mtbf: float) -> float:
@@ -306,13 +297,10 @@ def orchestrate(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     """
     if select:
         outcome = select_devices(domain, spec, job, objective, iterations)
-        subset, plan, result = (outcome.best_subset, outcome.best_plan,
-                                outcome.best_result)
+        plan, result = outcome.best_plan, outcome.best_result
     else:
-        subset = domain.device_ids
-        plan, result = choose_parallelism(domain, subset, spec, job, objective,
-                                          iterations)
+        plan, result = choose_parallelism(domain, domain.device_ids, spec, job,
+                                          objective, iterations)
     interval = plan_checkpointing(plan, domain, fault_model)
-    return OrchestrationStrategy(selected_devices=tuple(subset), plan=plan,
-                                 checkpoint_interval=interval,
+    return OrchestrationStrategy(plan=plan, checkpoint_interval=interval,
                                  predicted=result)

@@ -37,9 +37,8 @@ import numpy as np
 
 from .devices import (FaultModel, NetworkModel, TrustedDomain, busy_power,
                       effective_throughput)
-from .parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_TP,
-                          OP_ALLGATHER, OP_ALLREDUCE, OP_P2P, ParallelPlan,
-                          check_memory, comm_template)
+from .parallelism import (KIND_PP, KIND_TP, OP_ALLGATHER, OP_ALLREDUCE,
+                          OP_P2P, ParallelPlan, check_memory, comm_template)
 from .workload import flops_per_iteration
 
 DEFAULT_ITERATIONS = 20
@@ -164,17 +163,15 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
 
     if plan.kind == KIND_PP:
         l = spec.num_blocks
-        per_mb = {p: flops * (end - start) / l / m_count / thr[p]
-                  for p, (start, end) in plan.partition.stages}
+        per_mb = {p: flops * b / l / m_count / thr[p]
+                  for p, b in zip(parts, plan.shares)}
         compute = {p: per_mb[p] * m_count for p in parts}
     elif plan.kind == KIND_TP:
         compute = {p: flops / len(parts) / thr[p] for p in parts}
     else:  # single, dp and sp split the batch or the sequence by weight
-        sizes = ((1,) if plan.kind == KIND_SINGLE else
-                 plan.partition.shard_sizes if plan.kind == KIND_DP else
-                 plan.partition.subseq_lengths)
-        total = sum(sizes)
-        compute = {p: flops * (s / total) / thr[p] for p, s in zip(parts, sizes)}
+        total = sum(plan.shares)
+        compute = {p: flops * (s / total) / thr[p]
+                   for p, s in zip(parts, plan.shares)}
 
     phases = [(e, collective_time(e.op, e.payload_bytes, e.participants,
                                   domain.network))
@@ -183,7 +180,7 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
     sync_comm, sync_bytes = _fold([x for x in phases if x[0].sync_only], parts)
     if plan.kind == KIND_PP:
         transfer = max((t for _, t in phases), default=0.0)
-        base_len = ((m_count + len(plan.partition.stages) - 1)
+        base_len = ((m_count + len(parts) - 1)
                     * (max(per_mb.values()) + transfer))
     else:
         # Every participant joins every collective, one phase after another.

@@ -78,16 +78,6 @@ class TrainingJob:
         return 2.0 * self.activation_bytes_factor
 
 
-@dataclass(frozen=True)
-class WorkloadCosts:
-    """Aggregated derived costs for one (spec, job) pair."""
-
-    params: int
-    flops_per_iter: float
-    state_bytes: float
-    activation_bytes_per_block_per_microbatch: float
-
-
 def param_count(spec: TransformerSpec) -> int:
     """Total parameters: 12*L*h^2 block weights plus a tied V*h embedding."""
     h = spec.hidden_size
@@ -131,16 +121,6 @@ def full_replication_memory(spec: TransformerSpec, job: TrainingJob) -> float:
     """
     act = activation_bytes_per_block(spec, job.micro_batch, job)
     return state_bytes(spec, job) + spec.num_blocks * act
-
-
-def workload_costs(spec: TransformerSpec, job: TrainingJob) -> WorkloadCosts:
-    return WorkloadCosts(
-        params=param_count(spec),
-        flops_per_iter=flops_per_iteration(spec, job),
-        state_bytes=state_bytes(spec, job),
-        activation_bytes_per_block_per_microbatch=activation_bytes_per_block(
-            spec, job.micro_batch, job),
-    )
 
 
 # The four built-in model presets.  Vocabulary sizes are the canonical values

@@ -1,5 +1,7 @@
 """End-to-end command-line tests: exit codes, file formats, determinism."""
 
+import math
+
 import pytest
 import yaml
 
@@ -341,3 +343,58 @@ def test_bad_value_exits_1_with_one_error_line(tmp_path, capsys, case):
                  for arg in argv)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def assert_edited_input_exits_1(tmp_path, capsys, kind, path, value):
+    """Replace the value at ``path`` (keys and list indices) in one input
+    file for homogeneous-nano4 and expect exit 1 with one `error:` line.
+
+    ``kind`` "domain" runs `plan --domain` on the domain file; "plan" runs
+    `simulate --plan` on a gpt2-s DP plan file.
+    """
+    domain = load_testbed("homogeneous-nano4")
+    if kind == "domain":
+        data, argv = config_io.domain_to_dict(domain), ("plan", "--domain")
+    else:
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), default_edge_job(),
+                            domain.device_ids)
+        data = config_io.plan_to_dict(plan, domain)
+        argv = ("simulate", "--plan")
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "input.yaml"
+    file.write_text(yaml.safe_dump(data))
+    assert run(*argv, str(file)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _link(a, b, bandwidth):
+    return {"a": a, "b": b, "bandwidth_bps": bandwidth, "latency_s": 1e-4}
+
+
+# (path into the homogeneous-nano4 domain, new value) for `plan --domain`
+BAD_DOMAINS = {
+    "nan-memory": (("devices", 0, "mem_capacity_bytes"), math.nan),
+    "nan-idle-power": (("devices", 0, "power_idle_w"), math.nan),
+    "nan-gpu": (("devices", 0, "gpu_throughput_flops"), math.nan),
+    "inf-gpu": (("devices", 0, "gpu_throughput_flops"), math.inf),
+    "nan-link-bandwidth": (("network", "links"),
+                           [_link("nano-0", "nano-1", math.nan)]),
+    "nan-link-latency": (("network", "links"),
+                         [dict(_link("nano-0", "nano-1", 1e9),
+                               latency_s=math.nan)]),
+    "nan-default-bandwidth": (("network", "default_bandwidth_bps"), math.nan),
+    "link-to-unknown-device": (("network", "links"),
+                               [_link("nano-0", "nano-9", 1e9)]),
+    "self-link": (("network", "links"), [_link("nano-0", "nano-0", 1e9)]),
+    "repeated-link": (("network", "links"), [_link("nano-0", "nano-1", 1e6),
+                                             _link("nano-1", "nano-0", 1e9)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOMAINS))
+def test_bad_domain_exits_1_with_one_error_line(tmp_path, capsys, case):
+    assert_edited_input_exits_1(tmp_path, capsys, "domain", *BAD_DOMAINS[case])

@@ -17,6 +17,7 @@ from edgetrainsim.scheduler import candidate_plans
 from edgetrainsim.simengine import simulate
 from edgetrainsim.workload import MODEL_PRESETS, default_edge_job, model_preset
 
+from test_cli import assert_edited_input_exits_1
 from test_golden import _per_link_plans
 
 EDGE_SCALARS = {
@@ -137,6 +138,31 @@ class TestPlanErrors:
         data["partition"]["sync_period"] = "five"
         with pytest.raises(ConfigError, match=r"^plan: invalid literal"):
             config_io.plan_from_dict(data)
+
+
+# (input file, path into it, new value); see assert_edited_input_exits_1
+MALFORMED = {
+    "device-list": ("domain", ("devices", 0), ["nano-0"]),
+    "devices-null": ("domain", ("devices",), None),
+    "network-list": ("domain", ("network",), [1, 2]),
+    "links-mapping": ("domain", ("network", "links"), {"a": "nano-0"}),
+    "link-string": ("domain", ("network", "links"), ["nano-0 nano-1"]),
+    "throughput-text": ("domain", ("devices", 0, "cpu_throughput_flops"),
+                        "fast"),
+    "throughput-null": ("domain", ("devices", 0, "cpu_throughput_flops"),
+                        None),
+    "default-bandwidth-text": ("domain", ("network", "default_bandwidth_bps"),
+                               "fast"),
+    "domain-list": ("plan", ("domain",), [1]),
+    "model-blocks-null": ("plan", ("model", "num_blocks"), None),
+    "job-batch-null": ("plan", ("job", "global_batch"), None),
+    "participants-text": ("plan", ("participants",), "nano-0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_value_exits_1_with_one_error_line(tmp_path, capsys, case):
+    assert_edited_input_exits_1(tmp_path, capsys, *MALFORMED[case])
 
 
 @st.composite

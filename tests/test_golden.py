@@ -11,6 +11,7 @@ communication accounting shows up in the result YAML.
 import hashlib
 
 import pytest
+import yaml
 
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
@@ -230,3 +231,27 @@ def test_sweep_tsv(tmp_path):
 
 def test_hand_built_plans_on_per_link_domain(tmp_path):
     assert _per_link_digests(tmp_path) == GOLDEN_PER_LINK
+
+
+def test_pure_python_yaml_writes_the_same_bytes(tmp_path, monkeypatch):
+    """Every command above again, through PyYAML's pure-Python loader and
+    emitter, the path installs without libyaml take."""
+    calls = {"load": 0, "dump": 0}
+
+    class Loader(yaml.SafeLoader):
+        def __init__(self, stream):
+            calls["load"] += 1
+            super().__init__(stream)
+
+    class Dumper(yaml.SafeDumper):
+        def __init__(self, *args, **kwargs):
+            calls["dump"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(config_io, "_Loader", Loader)
+    monkeypatch.setattr(config_io, "_Dumper", Dumper)
+    assert _testbed_digests(tmp_path) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
+                                          GOLDEN_FAULTS)
+    assert _sweep_digests(tmp_path) == GOLDEN_SWEEP
+    assert _per_link_digests(tmp_path) == GOLDEN_PER_LINK
+    assert calls["load"] > 0 and calls["dump"] > 0

@@ -1,4 +1,4 @@
-"""Partition and schedule tests, including the conservation property suite."""
+"""Plan share and schedule tests, including the conservation property suite."""
 
 import itertools
 import random
@@ -13,7 +13,7 @@ from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                                       grad_sync_bytes, largest_remainder_split,
                                       make_dp_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
-                                      make_tp_plan, uniform_stage_ranges)
+                                      make_tp_plan, ranges_from_counts)
 from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
                                    state_bytes)
 
@@ -85,20 +85,19 @@ class TestPlanConstruction:
         domain = domain_with([1e9, 1e9, 2e9, 4e9])
         plan = make_dp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
-        assert plan.partition.shard_sizes == (16, 16, 32, 64)
+        assert plan.shares == (16, 16, 32, 64)
 
     def test_sp_lengths(self):
         domain = domain_with([1e9] * 4)
         plan = make_sp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
-        assert plan.partition.subseq_lengths == (8, 8, 8, 8)
+        assert plan.shares == (8, 8, 8, 8)
 
     def test_tp_equal_split(self):
         domain = domain_with([1e9] * 4)
         plan = make_tp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
-        assert plan.partition.heads_per_device == (3, 3, 3, 3)
-        assert sum(plan.partition.hidden_slice_per_device) == 4 * 768
+        assert plan.shares == (3, 3, 3, 3)
 
     def test_tp_divisibility_error(self):
         domain = domain_with([1e9] * 3)
@@ -107,12 +106,20 @@ class TestPlanConstruction:
                          domain.device_ids)
 
     def test_pp_uniform_ranges(self):
-        assert uniform_stage_ranges(12, 4) == [(0, 3), (3, 6), (6, 9), (9, 12)]
         domain = domain_with([1e9] * 4)
         plan = make_pp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
-        assert [r for _, r in plan.partition.stages] == \
+        assert plan.shares == (3, 3, 3, 3)
+        assert ranges_from_counts(plan.shares) == \
             [(0, 3), (3, 6), (6, 9), (9, 12)]
+        plan = make_pp_plan(domain, model_preset("distilbert"), FP32_JOB,
+                            domain.device_ids)
+        assert plan.shares == (2, 2, 1, 1)  # earlier stages larger
+
+    def test_single_holds_one_share(self):
+        domain = domain_with([1e9] * 2)
+        plan = make_single_plan(domain, model_preset("gpt2-s"), FP32_JOB, "d1")
+        assert (plan.participants, plan.shares) == (("d1",), (1,))
 
     def test_pp_range_validation(self):
         domain = domain_with([1e9] * 2)
@@ -161,24 +168,14 @@ class TestConservation:
             domain = domain_with([rng.uniform(1e9, 1e12) for _ in range(n)])
             ids = domain.device_ids
 
-            dp = make_dp_plan(domain, spec, job, ids)
-            assert sum(dp.partition.shard_sizes) == job.global_batch
-            assert min(dp.partition.shard_sizes) >= 1
-
-            sp = make_sp_plan(domain, spec, job, ids)
-            assert sum(sp.partition.subseq_lengths) == job.seq_len
-            assert min(sp.partition.subseq_lengths) >= 1
-
-            tp = make_tp_plan(domain, spec, job, ids)
-            assert sum(tp.partition.heads_per_device) == spec.num_heads
-            assert (sum(tp.partition.hidden_slice_per_device)
-                    == spec.mlp_ratio * spec.hidden_size)
-
-            pp = make_pp_plan(domain, spec, job, ids)
-            ranges = [r for _, r in pp.partition.stages]
-            assert ranges[0][0] == 0 and ranges[-1][1] == spec.num_blocks
-            for (_, e0), (s1, _) in zip(ranges, ranges[1:]):
-                assert e0 == s1
+            totals = {"dp": job.global_batch, "sp": job.seq_len,
+                      "tp": spec.num_heads, "pp": spec.num_blocks}
+            for make in (make_dp_plan, make_sp_plan, make_tp_plan,
+                         make_pp_plan):
+                plan = make(domain, spec, job, ids)
+                assert len(plan.shares) == n
+                assert sum(plan.shares) == totals[plan.kind]
+                assert min(plan.shares) >= 1
             checked += 4
 
 

@@ -341,7 +341,6 @@ class TestSelectDevices:
                     continue
                 best = min(best, objective.value(result))
         assert outcome.objective_value == pytest.approx(best, rel=1e-12)
-        assert set(outcome.best_by_size) == {1, 2, 3, 4}
 
     def test_adding_a_device_never_hurts(self):
         spec = model_preset("gpt2-s")
@@ -432,7 +431,6 @@ class TestOrchestrate:
         domain = load_testbed("heterogeneous-mix4")
         strategy = orchestrate(domain, model_preset("gpt2-s"), JOB,
                                Objective(target="energy"))
-        assert strategy.selected_devices == domain.device_ids
         assert set(strategy.plan.participants) == set(domain.device_ids)
         assert strategy.checkpoint_interval > 0
         assert not strategy.predicted.oom
@@ -443,7 +441,7 @@ class TestOrchestrate:
                                Objective(target="energy"), select=True)
         outcome = select_devices(domain, model_preset("distilbert"), JOB,
                                  Objective(target="energy"))
-        assert strategy.selected_devices == outcome.best_subset
+        assert set(strategy.plan.participants) == set(outcome.best_subset)
 
     def test_infeasible_domain_raises(self):
         domain = domain_of(device("a", 1e9, mem=1e6))

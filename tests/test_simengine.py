@@ -161,13 +161,11 @@ class TestClosedForms:
                              plan.participants, net)
         if plan.kind == "dp":
             base = max(flops * s / job.global_batch / thr[p]
-                       for p, s in zip(plan.participants,
-                                       plan.partition.shard_sizes))
+                       for p, s in zip(plan.participants, plan.shares))
             return base + (t_grad if sync else 0.0)
         if plan.kind == "sp":
             base = max(flops * ln / job.seq_len / thr[p]
-                       for p, ln in zip(plan.participants,
-                                        plan.partition.subseq_lengths))
+                       for p, ln in zip(plan.participants, plan.shares))
             coll = m_count * spec.num_blocks * (
                 ring_oracle(OP_ALLGATHER, act, plan.participants, net)
                 + ring_oracle(OP_ALLREDUCE, act, plan.participants, net))
@@ -179,8 +177,8 @@ class TestClosedForms:
             return base + coll
         if plan.kind == "pp":
             per_mb = max(
-                flops * (e - s) / spec.num_blocks / m_count / thr[p]
-                for p, (s, e) in plan.partition.stages)
+                flops * b / spec.num_blocks / m_count / thr[p]
+                for p, b in zip(plan.participants, plan.shares))
             transfer = max(
                 ring_oracle(OP_P2P, act,
                             (plan.participants[i], plan.participants[i + 1]),

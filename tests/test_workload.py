@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from edgetrainsim.workload import (MODEL_PRESETS, TrainingJob, TransformerSpec,
                                    activation_bytes_per_block, default_edge_job,
                                    flops_per_iteration, full_replication_memory,
-                                   model_preset, param_count, state_bytes,
-                                   workload_costs)
+                                   model_preset, param_count, state_bytes)
 
 FP32_JOB = TrainingJob(global_batch=128, seq_len=32, micro_batch=128)
 
@@ -108,14 +107,6 @@ class TestMemory:
                                num_heads=1, vocab_size=16)
         assert full_replication_memory(spec, FP32_JOB) == state_bytes(spec, FP32_JOB)
 
-    def test_costs_record_is_consistent(self):
-        spec = model_preset("distilbert")
-        costs = workload_costs(spec, FP32_JOB)
-        assert costs.params == param_count(spec)
-        assert costs.flops_per_iter == flops_per_iteration(spec, FP32_JOB)
-        assert costs.state_bytes == costs.params * 16
-        assert costs.activation_bytes_per_block_per_microbatch > 0
-
 
 class TestMonotonicity:
     def test_monotone_in_architecture_and_batch(self):
@@ -140,9 +131,13 @@ class TestMonotonicity:
 
     def test_determinism(self):
         spec = model_preset("opt-350m")
-        a = workload_costs(spec, FP32_JOB)
-        b = workload_costs(spec, FP32_JOB)
-        assert a == b
+
+        def costs():
+            return (param_count(spec), flops_per_iteration(spec, FP32_JOB),
+                    state_bytes(spec, FP32_JOB),
+                    activation_bytes_per_block(spec, FP32_JOB.micro_batch,
+                                               FP32_JOB))
+        assert costs() == costs()
 
 
 class TestValidation:
