@@ -270,25 +270,8 @@ def cmd_faults(args) -> int:
     except OutOfMemoryError as exc:
         print(f"faults aborted: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    ff = report.fault_free
-    out = config_io.dump_yaml({
-        "schema_version": config_io.SCHEMA_VERSION,
-        "wall_time_s": report.wall_time,
-        "goodput_samples_per_s": report.goodput_samples_per_s,
-        "fault_free_throughput_samples_per_s":
-            ff.samples_processed / ff.makespan,
-        "failures": report.failures,
-        "executed_iterations": report.executed_iterations,
-        "completed_iterations": report.completed_iterations,
-        "checkpoint_writes": report.checkpoint_writes,
-        "checkpoint_interval_s": report.checkpoint_interval,
-        "rework_time_s": report.rework_time,
-        "reload_time_s": report.reload_time,
-        "checkpoint_time_s": report.checkpoint_time,
-        "energy_estimate_j": report.energy_estimate,
-        "seed": report.seed,
-    })
-    _write_out(out, args.out)
+    _write_out(config_io.dump_yaml(config_io.fault_report_to_dict(report)),
+               args.out)
     return EXIT_OK
 
 

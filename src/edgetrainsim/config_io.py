@@ -1,4 +1,14 @@
-"""YAML schemas for domains, models, jobs, plans and results.
+"""YAML schemas for domains, models, jobs, plans, results and fault reports.
+
+The dataclasses are the schema.  Each scalar field of ``DeviceProfile``,
+``Link``, ``NetworkModel``, ``TrustedDomain``, ``TransformerSpec``,
+``TrainingJob`` and ``FaultReport`` is written and read under its own name,
+or its unit-suffixed key in ``_FILE_KEYS``, with its declared type and
+default; ``_FILE_DEFAULTS`` holds the only defaults a dataclass lacks.  One
+type rule holds for every such field: a ``str`` field takes a string, an
+``int`` field an integer, and a ``float`` field an integer, a float or text
+that ``float()`` parses (YAML 1.1 reads ``1e9`` as text).  A bool or null
+is never a number.
 
 Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
@@ -12,22 +22,38 @@ bytes.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import asdict
-from typing import Any
+from dataclasses import MISSING, fields
+from functools import cache
+from typing import Any, get_type_hints
 
 import yaml
 
 from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP, ParallelPlan,
                           make_plan, ranges_from_counts)
-from .simengine import SimulationResult
+from .simengine import FaultReport, SimulationResult
 from .workload import TrainingJob, TransformerSpec
 
 SCHEMA_VERSION = 1
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# Fields whose file key carries a unit; every other field keeps its name.
+_UNITS = {
+    "flops": ("cpu_throughput", "gpu_throughput"),
+    "bytes": ("mem_capacity",),
+    "w": ("power_idle", "power_cpu_busy", "power_gpu_busy", "power_net"),
+    "bps": ("bandwidth", "default_bandwidth"),
+    "s": ("latency", "default_latency", "wall_time", "rework_time",
+          "reload_time", "checkpoint_time", "checkpoint_interval"),
+    "j": ("energy_estimate",),
+}
+_FILE_KEYS = {name: f"{name}_{unit}" for unit, names in _UNITS.items()
+              for name in names}
+# A file may leave these out although the dataclass requires them.
+_FILE_DEFAULTS = {"gpu_throughput": 0.0, "power_net": 0.0, "latency": 0.0}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
 class ConfigError(ValueError):
@@ -49,14 +75,50 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-@contextmanager
-def _context(context: str):
-    """Report a conversion or validation error as one ConfigError."""
+def _typed(value, kind: type, context: str, key: str):
+    """``value`` as a ``kind`` field under the type rule, else a ConfigError."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) in (int, str):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{context}: {key} must be {_TYPE_NAMES[kind]}, "
+                      f"not {value!r}")
+
+
+def _read(mapping: dict, key: str, kind: type, context: str):
+    return _typed(_require(mapping, key, context), kind, context, key)
+
+
+@cache
+def _schema(cls: type) -> tuple:
+    """(field, file key, type, default) of each scalar field of ``cls``; a
+    file must give the fields whose default is MISSING."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _FILE_KEYS.get(f.name, f.name), hints[f.name],
+                  _FILE_DEFAULTS.get(f.name, f.default))
+                 for f in fields(cls) if hints[f.name] in _TYPE_NAMES)
+
+
+def _to_dict(obj, **extra) -> dict:
+    """``obj``'s scalar fields under their file keys, and ``extra``."""
+    return {key: getattr(obj, name)
+            for name, key, _, _ in _schema(type(obj))} | extra
+
+
+def _from_dict(cls: type, data, context: str, **given):
+    """A ``cls`` from its file mapping; ``given`` holds its other fields."""
+    _expect(data, dict, context)
+    for name, key, kind, default in _schema(cls):
+        value = data.get(key, default)
+        if value is MISSING:
+            raise ConfigError(f"{context}: missing required field {key!r}")
+        given[name] = _typed(value, kind, context, key)
     try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return cls(**given)
+    except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -85,110 +147,49 @@ def dump_yaml(data: dict) -> str:
 # ---------------------------------------------------------------- domains
 
 def domain_to_dict(domain: TrustedDomain) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": domain.name,
-        "mode": domain.mode,
-        "network": {
-            "default_bandwidth_bps": domain.network.default_bandwidth,
-            "default_latency_s": domain.network.default_latency,
-            "links": [
-                {"a": a, "b": b, "bandwidth_bps": link.bandwidth,
-                 "latency_s": link.latency}
-                for a, b, link in domain.network.links
-            ],
-        },
-        "devices": [
-            {
-                "id": d.id,
-                "cpu_throughput_flops": d.cpu_throughput,
-                "gpu_throughput_flops": d.gpu_throughput,
-                "mem_capacity_bytes": d.mem_capacity,
-                "usable_mem_fraction": d.usable_mem_fraction,
-                "power_idle_w": d.power_idle,
-                "power_cpu_busy_w": d.power_cpu_busy,
-                "power_gpu_busy_w": d.power_gpu_busy,
-                "power_net_w": d.power_net,
-            }
-            for d in domain.devices
-        ],
-    }
+    network = domain.network
+    links = [_to_dict(link, a=a, b=b) for a, b, link in network.links]
+    return _to_dict(domain, schema_version=SCHEMA_VERSION,
+                    network=_to_dict(network, links=links),
+                    devices=[_to_dict(d) for d in domain.devices])
 
 
 def domain_from_dict(data: dict) -> TrustedDomain:
     _check_version(data, "domain")
-    devices = []
     entries = _expect(_require(data, "devices", "domain"), list,
                       "domain.devices")
-    for i, entry in enumerate(entries):
-        ctx = f"domain.devices[{i}]"
-        _expect(entry, dict, ctx)
-        with _context(ctx):
-            devices.append(DeviceProfile(
-                id=str(_require(entry, "id", ctx)),
-                cpu_throughput=float(_require(entry, "cpu_throughput_flops", ctx)),
-                gpu_throughput=float(entry.get("gpu_throughput_flops", 0.0)),
-                mem_capacity=float(_require(entry, "mem_capacity_bytes", ctx)),
-                usable_mem_fraction=float(entry.get("usable_mem_fraction", 0.9)),
-                power_idle=float(_require(entry, "power_idle_w", ctx)),
-                power_cpu_busy=float(_require(entry, "power_cpu_busy_w", ctx)),
-                power_gpu_busy=float(_require(entry, "power_gpu_busy_w", ctx)),
-                power_net=float(entry.get("power_net_w", 0.0)),
-            ))
+    devices = tuple(_from_dict(DeviceProfile, entry, f"domain.devices[{i}]")
+                    for i, entry in enumerate(entries))
     net_data = _expect(data.get("network", {}), dict, "domain.network")
-    entries = _expect(net_data.get("links", []), list, "domain.network.links")
-    with _context("domain"):
-        links = tuple(
-            (str(_require(e, "a", "link")), str(_require(e, "b", "link")),
-             Link(float(_require(e, "bandwidth_bps", "link")),
-                  float(e.get("latency_s", 0.0))))
-            for e in entries)
-        network = NetworkModel(
-            default_bandwidth=float(net_data.get("default_bandwidth_bps", 1e9)),
-            default_latency=float(net_data.get("default_latency_s", 1e-4)),
-            links=links)
-        return TrustedDomain(devices=tuple(devices), network=network,
-                             mode=str(data.get("mode", "gpu")),
-                             name=str(data.get("name", "custom")))
+    links = []
+    for i, entry in enumerate(_expect(net_data.get("links", []), list,
+                                      "domain.network.links")):
+        ctx = f"domain.network.links[{i}]"
+        links.append((_read(entry, "a", str, ctx), _read(entry, "b", str, ctx),
+                      _from_dict(Link, entry, ctx)))
+    network = _from_dict(NetworkModel, net_data, "domain.network",
+                         links=tuple(links))
+    return _from_dict(TrustedDomain, data, "domain", devices=devices,
+                      network=network)
 
 
 # ---------------------------------------------------------------- model/job
 
 def model_to_dict(spec: TransformerSpec) -> dict:
-    d = asdict(spec)
-    d["schema_version"] = SCHEMA_VERSION
-    return d
+    return _to_dict(spec, schema_version=SCHEMA_VERSION)
 
 
 def model_from_dict(data: dict) -> TransformerSpec:
     _check_version(data, "model")
-    with _context("model"):
-        return TransformerSpec(
-            name=str(_require(data, "name", "model")),
-            num_blocks=int(_require(data, "num_blocks", "model")),
-            hidden_size=int(_require(data, "hidden_size", "model")),
-            num_heads=int(_require(data, "num_heads", "model")),
-            vocab_size=int(_require(data, "vocab_size", "model")),
-            mlp_ratio=int(data.get("mlp_ratio", 4)))
+    return _from_dict(TransformerSpec, data, "model")
 
 
 def job_to_dict(job: TrainingJob) -> dict:
-    return asdict(job)
+    return _to_dict(job)
 
 
 def job_from_dict(data: dict) -> TrainingJob:
-    _expect(data, dict, "job")
-    with _context("job"):
-        return TrainingJob(
-            global_batch=int(_require(data, "global_batch", "job")),
-            seq_len=int(_require(data, "seq_len", "job")),
-            micro_batch=int(_require(data, "micro_batch", "job")),
-            dp_sync_period=int(data.get("dp_sync_period", 5)),
-            param_bytes=float(data.get("param_bytes", 4.0)),
-            optimizer_state_multiplier=float(
-                data.get("optimizer_state_multiplier", 4.0)),
-            activation_bytes_factor=float(
-                data.get("activation_bytes_factor", 2.0)))
+    return _from_dict(TrainingJob, data, "job")
 
 
 # ---------------------------------------------------------------- plans
@@ -240,9 +241,11 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
     domain = domain_from_dict(_require(data, "domain", "plan"))
     spec = model_from_dict(_require(data, "model", "plan"))
     job = job_from_dict(_require(data, "job", "plan"))
-    kind = str(_require(data, "kind", "plan"))
-    participants = tuple(str(p) for p in _expect(
-        _require(data, "participants", "plan"), list, "plan.participants"))
+    kind = _read(data, "kind", str, "plan")
+    participants = tuple(
+        _typed(p, str, "plan", f"participants[{i}]")
+        for i, p in enumerate(_expect(_require(data, "participants", "plan"),
+                                      list, "plan.participants")))
     for p in participants:
         try:
             domain.device(p)
@@ -250,20 +253,21 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
             raise ConfigError(f"plan: participant {p!r} is not in the domain") \
                 from exc
     partition = data.get("partition", {})
-    with _context("plan"):
-        ranges = None
-        if kind == KIND_PP:
-            ranges = [(int(_require(s, "start", "plan")),
-                       int(_require(s, "end", "plan")))
-                      for s in _require(partition, "stages", "plan")]
+    ranges = None
+    if kind == KIND_PP:
+        stages = _expect(_require(partition, "stages", "plan"), list,
+                         "plan.partition.stages")
+        ranges = [(_read(s, "start", int, "plan"), _read(s, "end", int, "plan"))
+                  for s in stages]
+    try:
         plan = make_plan(kind, domain, spec, job, participants, ranges)
-        for key, want in _partition_to_dict(plan).items():
-            got = _require(partition, key, "plan")
-            if isinstance(want, int):
-                got = int(got)
-            if got != want:
-                raise ConfigError(f"plan: partition {key} {got} differs from "
-                                  f"the job's {want}")
+    except ValueError as exc:
+        raise ConfigError(f"plan: {exc}") from exc
+    for key, want in _partition_to_dict(plan).items():
+        got = _require(partition, key, "plan")
+        if got != want:
+            raise ConfigError(f"plan: partition {key} {got!r} differs from "
+                              f"the job's {want}")
     interval = data.get("checkpoint_interval_s")
     if interval is not None and not (type(interval) in (int, float)
                                      and interval > 0):
@@ -298,3 +302,10 @@ def result_to_dict(result: SimulationResult) -> dict:
         data["latency_per_sample_s"] = result.latency_per_sample
         data["energy_per_sample_j"] = result.energy_per_sample
     return data
+
+
+def fault_report_to_dict(report: FaultReport) -> dict:
+    ff = report.fault_free
+    return _to_dict(report, schema_version=SCHEMA_VERSION,
+                    fault_free_throughput_samples_per_s=(
+                        ff.samples_processed / ff.makespan))

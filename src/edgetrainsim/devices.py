@@ -139,6 +139,10 @@ class TrustedDomain:
             pairs.add(pair)
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
+        for d in self.devices:
+            if not effective_throughput(d, self.mode) > 0:
+                raise ValidationError(f"device {d.id} has zero throughput in "
+                                      f"mode {self.mode!r}")
 
     def device(self, device_id: str) -> DeviceProfile:
         for d in self.devices:

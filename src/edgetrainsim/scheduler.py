@@ -82,8 +82,6 @@ def _per_block_time(domain: TrustedDomain, device_id: str,
                     spec: TransformerSpec, job: TrainingJob) -> float:
     """Per-iteration compute seconds for one block on one device."""
     thr = effective_throughput(domain.device(device_id), domain.mode)
-    if thr <= 0:
-        return math.inf
     return flops_per_iteration(spec, job) / max(spec.num_blocks, 1) / thr
 
 
@@ -91,8 +89,9 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
                      job: TrainingJob) -> list[tuple[int, int]]:
     """Contiguous stage split minimizing the bottleneck stage compute time.
 
-    Exact dynamic program over (device index, blocks assigned); assignments
-    whose stage would not fit in a device's usable memory are excluded.
+    Exact dynamic program over (device index, blocks assigned).  A stage's
+    memory grows with its block count, so each device takes 1 to ``cap``
+    blocks, ``cap`` being the most that fit in its usable memory.
     Raises InfeasibleError when no memory-feasible split exists.
     """
     devices = list(ordered_devices)
@@ -101,24 +100,19 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
     times = [_per_block_time(domain, d, spec, job) for d in devices]
     required = [state + act for state, act in pp_stage_memory(
-        spec, job, range(l + 1), n, job.micro_batch_count)]
-    feasible = []
-    for d in devices:
-        usable = domain.device(d).usable_memory
-        feasible.append([b > 0 and required[b] <= usable for b in range(l + 1)])
+        spec, job, range(1, l + 1), n, job.micro_batch_count)]
+    caps = [sum(r <= domain.device(d).usable_memory for r in required)
+            for d in devices]
 
     inf = math.inf
     # best[i][j]: minimal bottleneck using devices [0..i] for the first j blocks
     best = [[inf] * (l + 1) for _ in range(n)]
     choice = [[0] * (l + 1) for _ in range(n)]
-    for j in range(1, l + 1):
-        if feasible[0][j]:
-            best[0][j] = j * times[0]
+    for j in range(1, caps[0] + 1):
+        best[0][j] = j * times[0]
     for i in range(1, n):
         for j in range(i + 1, l + 1):
-            for b in range(1, j - i + 1):
-                if not feasible[i][b]:
-                    continue
+            for b in range(1, min(j - i, caps[i]) + 1):
                 prev = best[i - 1][j - b]
                 cand = max(prev, b * times[i])
                 if cand < best[i][j]:

@@ -1,6 +1,9 @@
 """YAML I/O tests: agreement with PyYAML's pure-Python reference, and errors."""
 
 import itertools
+import math
+import string
+from dataclasses import MISSING, fields, replace
 
 import pytest
 import yaml
@@ -9,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
 from edgetrainsim.config_io import ConfigError
-from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, Link, NetworkModel,
-                                  TrustedDomain)
+from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile, Link,
+                                  NetworkModel, TrustedDomain)
 from edgetrainsim.devices import testbed_preset as load_testbed
 from edgetrainsim.parallelism import make_dp_plan
 from edgetrainsim.scheduler import candidate_plans
 from edgetrainsim.simengine import simulate
-from edgetrainsim.workload import MODEL_PRESETS, default_edge_job, model_preset
+from edgetrainsim.workload import (MODEL_PRESETS, TrainingJob, TransformerSpec,
+                                   default_edge_job, model_preset)
 
 from test_cli import assert_edited_input_exits_1
 from test_golden import _per_link_plans
@@ -136,7 +140,8 @@ class TestPlanErrors:
     def test_partition_value_error_is_prefixed_once(self):
         data = self.dp_plan_dict()
         data["partition"]["sync_period"] = "five"
-        with pytest.raises(ConfigError, match=r"^plan: invalid literal"):
+        with pytest.raises(ConfigError, match=r"^plan: partition sync_period "
+                                              r"'five' differs from the job's 5$"):
             config_io.plan_from_dict(data)
 
 
@@ -157,12 +162,152 @@ MALFORMED = {
     "model-blocks-null": ("plan", ("model", "num_blocks"), None),
     "job-batch-null": ("plan", ("job", "global_batch"), None),
     "participants-text": ("plan", ("participants",), "nano-0"),
+    "model-blocks-float": ("plan", ("model", "num_blocks"), 12.9),
+    "job-micro-batch-float": ("plan", ("job", "micro_batch"), 8.5),
+    "job-seq-len-bool": ("plan", ("job", "seq_len"), True),
+    "job-param-bytes-bool": ("plan", ("job", "param_bytes"), True),
+    "device-id-null": ("domain", ("devices", 0, "id"), None),
+    "domain-name-null": ("domain", ("name",), None),
+    "sync-period-float": ("plan", ("partition", "sync_period"), 5.9),
+    "sync-period-text": ("plan", ("partition", "sync_period"), "5"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_value_exits_1_with_one_error_line(tmp_path, capsys, case):
     assert_edited_input_exits_1(tmp_path, capsys, *MALFORMED[case])
+
+
+def test_float_fields_take_numeric_text():
+    """PyYAML reads ``1e9`` (no dot) as text; a float field still loads it."""
+    domain = load_testbed("homogeneous-nano4")
+    text = config_io.dump_yaml(config_io.domain_to_dict(domain))
+    text = text.replace("default_bandwidth_bps: 1000000000.0",
+                        "default_bandwidth_bps: 1e9")
+    text = text.replace("cpu_throughput_flops: 15000000000.0",
+                        "cpu_throughput_flops: 15e9")
+    data = config_io.parse_yaml(text, "domain")
+    assert data["network"]["default_bandwidth_bps"] == "1e9"
+    assert {d["cpu_throughput_flops"] for d in data["devices"]} == {"15e9"}
+    assert config_io.domain_from_dict(data) == domain
+
+
+def _finite(low, high, **kwargs):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False,
+                     **kwargs)
+
+
+_TEXT = st.text(string.ascii_letters + string.digits + " -_.:#'\"",
+                max_size=8)
+
+
+@st.composite
+def _schema_domains(draw):
+    """Domains whose every device, link and network field is drawn."""
+    ids = draw(st.lists(_TEXT.filter(bool), min_size=1, max_size=4,
+                        unique=True))
+    devices = []
+    for device_id in ids:
+        idle = draw(_finite(0, 50))
+        devices.append(DeviceProfile(
+            device_id, cpu_throughput=draw(_finite(1e6, 1e13)),
+            gpu_throughput=draw(_finite(0, 1e13)),
+            mem_capacity=draw(_finite(1, 1e12)), power_idle=idle,
+            power_cpu_busy=idle + draw(_finite(0, 50)),
+            power_gpu_busy=idle + draw(_finite(0, 50)),
+            power_net=draw(_finite(0, 10)),
+            usable_mem_fraction=draw(_finite(0, 1, exclude_min=True))))
+    pairs = list(itertools.combinations(ids, 2))
+    links = tuple(
+        (a, b, Link(draw(_finite(1e-3, 1e12) | st.just(math.inf)),
+                    draw(_finite(0, 1))))
+        for a, b in (draw(st.lists(st.sampled_from(pairs), unique=True))
+                     if pairs else ()))
+    network = NetworkModel(draw(_finite(1e-3, 1e12)), draw(_finite(0, 1)),
+                           links)
+    return TrustedDomain(tuple(devices), network, name=draw(_TEXT),
+                         mode=draw(st.sampled_from(("cpu", "gpu"))))
+
+
+@st.composite
+def _specs(draw):
+    heads = draw(st.integers(1, 64))
+    return TransformerSpec(draw(_TEXT), draw(st.integers(0, 96)),
+                           heads * draw(st.integers(1, 128)), heads,
+                           draw(st.integers(1, 10 ** 6)),
+                           draw(st.integers(1, 8)))
+
+
+@st.composite
+def _jobs(draw):
+    micro = draw(st.integers(1, 64))
+    return TrainingJob(micro * draw(st.integers(1, 64)),
+                       draw(st.integers(1, 4096)), micro,
+                       draw(st.integers(1, 20)), draw(_finite(1e-3, 16)),
+                       draw(_finite(1e-3, 16)), draw(_finite(1e-3, 16)))
+
+
+def _through_yaml(data):
+    return config_io.parse_yaml(config_io.dump_yaml(data), "schema")
+
+
+def _left_out_domain_keys(domain):
+    """(path of an optional domain-file key, the domain a file without it
+    loads to): the dataclass default, or 0.0 where the dataclass has none."""
+    dev, net = domain.devices[0], domain.network
+
+    def device(**changes):
+        return replace(domain, devices=(replace(dev, **changes),)
+                       + domain.devices[1:])
+
+    def network(**changes):
+        return replace(domain, network=replace(net, **changes))
+
+    cases = [
+        (("mode",), replace(domain, mode=TrustedDomain.mode)),
+        (("name",), replace(domain, name=TrustedDomain.name)),
+        (("network",), replace(domain, network=NetworkModel())),
+        (("network", "default_bandwidth_bps"),
+         network(default_bandwidth=NetworkModel.default_bandwidth)),
+        (("network", "default_latency_s"),
+         network(default_latency=NetworkModel.default_latency)),
+        (("network", "links"), network(links=NetworkModel.links)),
+        (("devices", 0, "usable_mem_fraction"),
+         device(usable_mem_fraction=DeviceProfile.usable_mem_fraction)),
+        (("devices", 0, "gpu_throughput_flops"), device(gpu_throughput=0.0)),
+        (("devices", 0, "power_net_w"), device(power_net=0.0)),
+    ]
+    if net.links:
+        a, b, link = net.links[0]
+        cases.append((("network", "links", 0, "latency_s"), network(
+            links=((a, b, replace(link, latency=0.0)),) + net.links[1:])))
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schema_domains(), _specs(), _jobs())
+def test_schema_round_trips_and_defaults(domain, spec, job):
+    """Each object loads back equal from its YAML text, and a file that
+    leaves out an optional key loads that field's default."""
+    assert config_io.domain_from_dict(
+        _through_yaml(config_io.domain_to_dict(domain))) == domain
+    for path, want in _left_out_domain_keys(domain):
+        data = config_io.domain_to_dict(domain)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        assert config_io.domain_from_dict(_through_yaml(data)) == want, path
+    for obj, to_dict, from_dict in (
+            (spec, config_io.model_to_dict, config_io.model_from_dict),
+            (job, config_io.job_to_dict, config_io.job_from_dict)):
+        assert from_dict(_through_yaml(to_dict(obj))) == obj
+        for f in fields(obj):
+            if f.default is not MISSING:
+                data = to_dict(obj)
+                del data[f.name]
+                assert from_dict(_through_yaml(data)) == \
+                    replace(obj, **{f.name: f.default}), f.name
 
 
 @st.composite

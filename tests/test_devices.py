@@ -102,6 +102,15 @@ class TestDomain:
         assert cpu.mode == "cpu" and domain.mode == "gpu"
         assert cpu.device_ids == domain.device_ids
 
+    def test_every_device_must_compute_in_the_mode(self):
+        idle = DeviceProfile("idle", 0.0, 0.0, 1e9, 1.0, 3.0, 3.0, 0.5)
+        with pytest.raises(ValidationError, match="idle has zero throughput"):
+            TrustedDomain(devices=(jetson_nano("a"), idle))
+        gpu_only = DeviceProfile("g", 0.0, 1e9, 1e9, 1.0, 3.0, 3.0, 0.5)
+        domain = TrustedDomain(devices=(gpu_only,))
+        with pytest.raises(ValidationError, match="in mode 'cpu'"):
+            domain.with_mode("cpu")
+
     def test_unknown_device_lookup(self):
         domain = load_testbed("homogeneous-nano4")
         with pytest.raises(KeyError):

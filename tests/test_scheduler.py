@@ -104,8 +104,22 @@ class TestPartitionStages:
             n = rng.randint(1, 4)
             l = rng.randint(n, 12)
             spec = TransformerSpec("g", l, 64, 4, 100)
-            domain = domain_of(*(device(f"d{i}", rng.uniform(1e9, 1e12))
-                                 for i in range(n)))
+            # Each device holds a stage of 1 to l blocks, so its cap binds.
+            block_mem = (state_bytes(spec, SMALL_JOB) / l
+                         + activation_bytes_per_block(
+                             spec, SMALL_JOB.micro_batch, SMALL_JOB)
+                         * min(SMALL_JOB.micro_batch_count, n))
+            domain = domain_of(*(
+                device(f"d{i}", rng.uniform(1e9, 1e12),
+                       mem=rng.uniform(1, l) * block_mem / 0.9)
+                for i in range(n)))
+            want = brute_force_stage_split(domain, domain.device_ids, spec,
+                                           SMALL_JOB)
+            if want == math.inf:
+                with pytest.raises(InfeasibleError):
+                    partition_stages(domain, domain.device_ids, spec,
+                                     SMALL_JOB)
+                continue
             ranges = partition_stages(domain, domain.device_ids, spec,
                                       SMALL_JOB)
             counts = [e - s for s, e in ranges]
@@ -113,8 +127,6 @@ class TestPartitionStages:
             flops = flops_per_iteration(spec, SMALL_JOB)
             got = max(c * flops / l / domain.device(d).gpu_throughput
                       for d, c in zip(domain.device_ids, counts))
-            want = brute_force_stage_split(domain, domain.device_ids, spec,
-                                           SMALL_JOB)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_memory_excludes_big_stages(self):
