@@ -22,7 +22,7 @@ from .devices import (DEVICE_PROFILE_FACTORIES, FaultModel, TESTBED_PRESETS,
                       testbed_preset)
 from .parallelism import ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError, make_plan
 from .scheduler import (InfeasibleError, Objective, orchestrate,
-                        partition_stages)
+                        partition_stages, plan_checkpointing)
 from .simengine import (DEFAULT_ITERATIONS, OutOfMemoryError, SimulationError,
                         inject_faults, simulate, write_trace)
 from .workload import MODEL_PRESETS, default_edge_job, model_preset
@@ -106,10 +106,11 @@ def _build_job(args):
 
 
 def _build_objective(args) -> Objective:
+    """``--objective energy`` and ``latency`` ignore the weight flags."""
+    weights = {"energy": (1.0, 0.0), "latency": (0.0, 1.0)}.get(
+        args.objective, (args.weight_energy, args.weight_latency))
     try:
-        return Objective(target=getattr(args, "objective", "energy"),
-                         weight_energy=getattr(args, "weight_energy", 1.0),
-                         weight_latency=getattr(args, "weight_latency", 0.0))
+        return Objective(*weights)
     except ValueError as exc:
         raise ConfigError(f"objective: {exc}") from exc
 
@@ -263,10 +264,11 @@ def cmd_faults(args) -> int:
                              checkpoint_write_bandwidth=args.ckpt_bandwidth,
                              recovery_reload_bandwidth=args.reload_bandwidth,
                              rng_seed=args.seed)
+    if interval is None:
+        interval = plan_checkpointing(plan, domain, fault_model)
     try:
-        report = inject_faults(plan, domain, fault_model,
-                               iterations=args.iterations,
-                               checkpoint_interval=interval)
+        report = inject_faults(plan, domain, fault_model, interval,
+                               iterations=args.iterations)
     except OutOfMemoryError as exc:
         print(f"faults aborted: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -101,16 +101,25 @@ class NetworkModel:
     default_bandwidth: float = 1e9   # bits/s (1000 Mbps wireless)
     default_latency: float = 1e-4    # seconds per hop
     links: tuple = ()                # ((dev_a, dev_b, Link), ...)
+    # (a, b) and (b, a) -> Link of each explicit link, and the default link.
+    _by_pair: dict = field(init=False, repr=False, compare=False)
+    _default: Link = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_link("default_", self.default_bandwidth, self.default_latency)
+        by_pair = {}
+        for a, b, link in self.links:
+            if a == b:
+                raise ValidationError(f"link {a}-{b} joins a device to itself")
+            if (a, b) in by_pair:
+                raise ValidationError(f"link {a}-{b} is listed twice")
+            by_pair[a, b] = by_pair[b, a] = link
+        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_default", Link(self.default_bandwidth,
+                                                  self.default_latency))
 
     def link_between(self, a: str, b: str) -> Link:
-        key = frozenset((a, b))
-        for da, db, link in self.links:
-            if frozenset((da, db)) == key:
-                return link
-        return Link(self.default_bandwidth, self.default_latency)
+        return self._by_pair.get((a, b), self._default)
 
 
 @dataclass(frozen=True)
@@ -119,36 +128,32 @@ class TrustedDomain:
     network: NetworkModel = field(default_factory=NetworkModel)
     mode: str = MODE_GPU
     name: str = "custom"
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.devices:
             raise ValidationError("a trusted domain needs at least one device")
-        ids = {d.id for d in self.devices}
-        if len(ids) != len(self.devices):
+        by_id = {d.id: d for d in self.devices}
+        if len(by_id) != len(self.devices):
             raise ValidationError("device ids must be unique")
-        pairs = set()
         for a, b, _ in self.network.links:
-            pair = frozenset((a, b))
-            if not pair <= ids:
+            unknown = {a, b} - by_id.keys()
+            if unknown:
                 raise ValidationError(f"link {a}-{b}: unknown device "
-                                      f"{min(pair - ids)!r}")
-            if len(pair) == 1:
-                raise ValidationError(f"link {a}-{b} joins a device to itself")
-            if pair in pairs:
-                raise ValidationError(f"link {a}-{b} is listed twice")
-            pairs.add(pair)
+                                      f"{min(unknown)!r}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         for d in self.devices:
             if not effective_throughput(d, self.mode) > 0:
                 raise ValidationError(f"device {d.id} has zero throughput in "
                                       f"mode {self.mode!r}")
+        object.__setattr__(self, "_by_id", by_id)
 
     def device(self, device_id: str) -> DeviceProfile:
-        for d in self.devices:
-            if d.id == device_id:
-                return d
-        raise KeyError(f"unknown device id {device_id!r}")
+        try:
+            return self._by_id[device_id]
+        except KeyError:
+            raise KeyError(f"unknown device id {device_id!r}") from None
 
     @property
     def device_ids(self) -> tuple[str, ...]:

@@ -21,6 +21,8 @@ reproduce the familiar 4-byte payload arithmetic.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -86,6 +88,16 @@ class MemoryCheck:
     activation_bytes: float
 
 
+def sum_in_order(values) -> float:
+    """Sum floats strictly left to right, starting from 0.0.
+
+    Since Python 3.12, ``sum()`` of floats uses compensated summation, so its
+    totals can differ in the last bit from 3.10 and 3.11.  Summing in order
+    keeps every output byte the same on each supported Python.
+    """
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def largest_remainder_split(total: int, weights: list[float]) -> list[int]:
     """Split ``total`` integer units proportionally to ``weights``.
 
@@ -98,7 +110,7 @@ def largest_remainder_split(total: int, weights: list[float]) -> list[int]:
     if total < n:
         raise PlanError(f"cannot give each of {n} participants at least 1 "
                         f"out of {total}")
-    wsum = sum(weights)
+    wsum = sum_in_order(weights)
     if wsum <= 0:
         raise PlanError("weights must sum to a positive value")
     raw = [total * w / wsum for w in weights]

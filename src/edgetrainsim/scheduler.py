@@ -18,18 +18,15 @@ from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
                       effective_throughput)
 from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, OP_P2P,
                           ParallelPlan, PlanError, activation_tensor_bytes,
-                          make_plan, pp_stage_memory, ranges_from_counts)
-from .simengine import (CHECKPOINT_INTERVAL_CAP, DEFAULT_ITERATIONS,
-                        SimulationResult, checkpoint_cost, collective_time,
-                        iteration_times, simulate)
+                          make_plan, pp_stage_memory, ranges_from_counts,
+                          sum_in_order)
+from .simengine import (DEFAULT_ITERATIONS, SimulationResult, checkpoint_cost,
+                        collective_time, iteration_times, simulate)
 from .workload import TrainingJob, TransformerSpec, flops_per_iteration
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
 EXHAUSTIVE_PERMUTATION_LIMIT = 8
-
-OBJECTIVE_ENERGY = "energy"
-OBJECTIVE_LATENCY = "latency"
-OBJECTIVE_WEIGHTED = "weighted"
+CHECKPOINT_INTERVAL_CAP = 1e8  # seconds; effectively disables checkpointing
 
 
 class InfeasibleError(RuntimeError):
@@ -43,26 +40,20 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Objective:
-    target: str = OBJECTIVE_ENERGY
+    """Minimise ``weight_energy`` J/sample + ``weight_latency`` s/sample;
+    (1, 0) is the energy objective and (0, 1) the latency objective."""
     weight_energy: float = 1.0
     weight_latency: float = 0.0
 
     def __post_init__(self):
-        if self.target not in (OBJECTIVE_ENERGY, OBJECTIVE_LATENCY,
-                               OBJECTIVE_WEIGHTED):
-            raise ValueError(f"unknown objective target {self.target!r}")
-        if self.weight_energy < 0 or self.weight_latency < 0:
-            raise ValueError("objective weights must be >= 0")
-        if self.weight_energy == 0 and self.weight_latency == 0:
-            raise ValueError("at least one objective weight must be positive")
+        # `not 0 <= w < inf` also rejects NaN.
+        if not (0 <= self.weight_energy < math.inf
+                and 0 <= self.weight_latency < math.inf
+                and self.weight_energy + self.weight_latency > 0):
+            raise ValueError("objective weights must be finite and >= 0, "
+                             "and not both 0")
 
     def value(self, result: SimulationResult) -> float:
-        if result.oom:
-            return math.inf
-        if self.target == OBJECTIVE_ENERGY:
-            return result.energy_per_sample
-        if self.target == OBJECTIVE_LATENCY:
-            return result.latency_per_sample
         return (self.weight_energy * result.energy_per_sample
                 + self.weight_latency * result.latency_per_sample)
 
@@ -221,8 +212,6 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
     memory-infeasible are excluded.  Raises InfeasibleError when nothing fits.
     """
     ids = list(domain.device_ids)
-    if not ids:
-        raise InfeasibleError({"pool": "empty device pool"})
     if len(ids) <= EXHAUSTIVE_SUBSET_LIMIT:
         subsets = []
         for size in range(1, len(ids) + 1):
@@ -248,8 +237,7 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
             best_value = value
             best = (subset, plan, result)
     if best is None:
-        raise InfeasibleError(all_reasons or
-                              {"all": "every subset is memory-infeasible"})
+        raise InfeasibleError(all_reasons)
     subset, plan, result = best
     return SelectionOutcome(best_subset=subset, best_plan=plan,
                             best_result=result, objective_value=best_value)
@@ -274,7 +262,7 @@ def plan_checkpointing(plan: ParallelPlan, domain: TrustedDomain,
     system_mtbf = fault_model.mtbf_per_device / len(plan.participants)
     tau = young_checkpoint_interval(write_time, system_mtbf)
     k = plan.job.dp_sync_period
-    floor = sum(iteration_times(plan, domain, k)) / k
+    floor = sum_in_order(iteration_times(plan, domain, k)) / k
     return min(max(tau, floor), CHECKPOINT_INTERVAL_CAP)
 
 

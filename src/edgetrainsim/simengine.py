@@ -38,12 +38,12 @@ import numpy as np
 from .devices import (FaultModel, NetworkModel, TrustedDomain, busy_power,
                       effective_throughput)
 from .parallelism import (KIND_PP, KIND_TP, OP_ALLGATHER, OP_ALLREDUCE,
-                          OP_P2P, ParallelPlan, check_memory, comm_template)
+                          OP_P2P, ParallelPlan, check_memory, comm_template,
+                          sum_in_order)
 from .workload import flops_per_iteration
 
 DEFAULT_ITERATIONS = 20
 DEFAULT_WARMUP = 2
-CHECKPOINT_INTERVAL_CAP = 1e8  # seconds; effectively disables checkpointing
 
 
 class SimulationError(ValueError):
@@ -78,11 +78,11 @@ class SimulationResult:
 
     @property
     def total_energy(self) -> float:
-        return sum(u.energy for u in self.per_device.values())
+        return sum_in_order(u.energy for u in self.per_device.values())
 
     @property
     def total_comm_bytes(self) -> float:
-        return sum(self.comm_bytes_by_op.values())
+        return sum_in_order(self.comm_bytes_by_op.values())
 
 
 def collective_time(op: str, payload_bytes: float, participants,
@@ -239,8 +239,6 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
     """
     if iterations < 1:
         raise SimulationError("iterations must be >= 1")
-    for p in plan.participants:
-        domain.device(p)  # raises KeyError for unknown ids
 
     mem = check_memory(plan, domain)
     oom_devices = tuple(p for p, c in mem.items() if not c.fits)
@@ -285,7 +283,8 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
         plan_kind=plan.kind, iterations_simulated=iterations,
         samples_processed=samples, makespan=makespan,
         latency_per_sample=makespan / samples,
-        energy_per_sample=sum(u.energy for u in usage.values()) / samples,
+        energy_per_sample=(sum_in_order(u.energy for u in usage.values())
+                           / samples),
         per_device=usage, comm_bytes_by_op=comm_bytes)
 
 
@@ -332,22 +331,19 @@ def _failure_stream(fault_model: FaultModel, num_devices: int):
 
 
 def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
-                  fault_model: FaultModel, iterations: int = DEFAULT_ITERATIONS,
-                  checkpoint_interval: Optional[float] = None,
+                  fault_model: FaultModel, checkpoint_interval: float,
+                  iterations: int = DEFAULT_ITERATIONS,
                   failure_times: Optional[list[float]] = None) -> FaultReport:
     """Replay the run against seeded failures with checkpoint/restart recovery.
 
     A failure rolls progress back to the last checkpoint and charges a state
-    reload; checkpoints are written at iteration boundaries once
-    ``checkpoint_interval`` seconds have elapsed since the previous one.
+    reload; checkpoints are written at iteration boundaries once the caller's
+    ``checkpoint_interval`` (> 0 seconds) has elapsed since the previous one.
     ``failure_times`` overrides the random stream (used for hand-built traces).
     """
     base = simulate(plan, domain, iterations, warmup=0)
     if base.oom:
         raise OutOfMemoryError("out of memory on " + ", ".join(base.oom_devices))
-    if checkpoint_interval is None:
-        from .scheduler import plan_checkpointing
-        checkpoint_interval = plan_checkpointing(plan, domain, fault_model)
     if checkpoint_interval <= 0:
         raise SimulationError("checkpoint_interval must be > 0")
 
@@ -397,8 +393,9 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 
     samples = iterations * plan.job.global_batch
     per_iter_energy = base.total_energy / base.iterations_simulated
-    overhead_power = sum(domain.device(p).power_idle + domain.device(p).power_net
-                         for p in plan.participants)
+    overhead_power = sum_in_order(
+        domain.device(p).power_idle + domain.device(p).power_net
+        for p in plan.participants)
     energy = per_iter_energy * executed + overhead_power * (reload_total + ckpt_total)
     return FaultReport(
         fault_free=base, wall_time=wall,

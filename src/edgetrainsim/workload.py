@@ -14,7 +14,18 @@ Byte-size conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+# Floats count whole numbers exactly up to 2**53, and the cost model and the
+# share split compute in floats, so no count may exceed it.
+MAX_COUNT = 2**53
+
+
+def _check_counts(obj, names):
+    for name in names:
+        if getattr(obj, name) > MAX_COUNT:
+            raise ValueError(f"{name} must be at most 2**53")
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,8 @@ class TransformerSpec:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        _check_counts(self, ("num_blocks", "hidden_size", "num_heads",
+                             "vocab_size", "mlp_ratio"))
         if self.num_blocks < 0:
             raise ValueError("num_blocks must be >= 0")
         if self.hidden_size < 1 or self.num_heads < 1 or self.vocab_size < 1:
@@ -55,6 +68,8 @@ class TrainingJob:
     activation_bytes_factor: float = 2.0
 
     def __post_init__(self):
+        _check_counts(self, ("global_batch", "seq_len", "micro_batch",
+                             "dp_sync_period"))
         if self.global_batch < 1 or self.seq_len < 1:
             raise ValueError("global_batch and seq_len must be >= 1")
         if not 1 <= self.micro_batch <= self.global_batch:
@@ -63,10 +78,12 @@ class TrainingJob:
             raise ValueError("micro_batch must divide global_batch")
         if self.dp_sync_period < 1:
             raise ValueError("dp_sync_period must be >= 1")
-        if self.param_bytes <= 0 or self.optimizer_state_multiplier <= 0:
-            raise ValueError("byte constants must be positive")
-        if self.activation_bytes_factor <= 0:
-            raise ValueError("activation_bytes_factor must be positive")
+        for name in ("param_bytes", "optimizer_state_multiplier",
+                     "activation_bytes_factor"):
+            # `not 0 < x < inf` also rejects NaN.
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def micro_batch_count(self) -> int:

@@ -158,8 +158,7 @@ def test_08_collaborative_speedup():
                 baseline = simulate(make_single_plan(domain, spec, JOB, nano),
                                     domain)
                 assert not baseline.oom
-                strategy = orchestrate(domain, spec, JOB,
-                                       Objective(target="energy"))
+                strategy = orchestrate(domain, spec, JOB, Objective(1.0, 0.0))
                 assert (strategy.predicted.latency_per_sample
                         < baseline.latency_per_sample), (testbed, model)
 
@@ -240,7 +239,7 @@ def test_09_oracle_equivalence():
             devices=(_toy_device("a", 1e9), _toy_device("b", 2e9),
                      _toy_device("c", 4e9)),
             network=NetworkModel(links=(("a", "b", slow),)))
-        objective = Objective(target="latency")
+        objective = Objective(0.0, 1.0)
 
         def best_for(subset):
             best = math.inf

@@ -92,6 +92,15 @@ class TestPlan:
                        "--model", "distilbert", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("objective", ["energy", "latency"])
+    def test_fixed_objectives_ignore_weight_flags(self, tmp_path, objective):
+        a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        args = ("plan", "--model", "distilbert", "--objective", objective)
+        assert run(*args, "--out", str(a)) == 0
+        assert run(*args, "--weight-energy", "nan", "--weight-latency", "-1",
+                   "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestSimulate:
     def plan_file(self, tmp_path, **kwargs):
@@ -313,6 +322,22 @@ BAD_VALUES = {
                          "-1"), None),
     "zero-weights": (("plan", "--objective", "weighted", "--weight-energy",
                       "0", "--weight-latency", "0"), None),
+    "nan-weight": (("plan", "--objective", "weighted", "--weight-energy",
+                    "nan"), None),
+    "inf-weight": (("plan", "--objective", "weighted", "--weight-latency",
+                    "inf"), None),
+    "nan-param-bytes": (("plan", "--param-bytes", "nan"), None),
+    "inf-param-bytes": (("plan", "--param-bytes", "inf"), None),
+    "nan-activation-factor": (("plan", "--activation-factor", "nan"), None),
+    "inf-optimizer-multiplier": (("plan", "--optimizer-multiplier", "inf"),
+                                 None),
+    # Above 2**53 floats no longer count whole units: the share split of a
+    # 10**25 sequence hands out its rounding leftover one unit at a time.
+    "huge-seq-len": (("plan", "--testbed", "heterogeneous-mix4", "--seq-len",
+                      str(10**25)), None),
+    "huge-batch": (("plan", "--testbed", "heterogeneous-mix4", "--batch-size",
+                    str(10**21), "--micro-batch", "8"), None),
+    "float-overflow-seq-len": (("plan", "--seq-len", "9" * 330), None),
     "negative-interval": (("faults", "--plan", "{plan}", "--mtbf", "600"), -5),
     "text-interval": (("faults", "--plan", "{plan}", "--mtbf", "600"), "abc"),
     "negative-seed": (("faults", "--plan", "{plan}", "--mtbf", "600",

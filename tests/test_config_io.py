@@ -166,6 +166,8 @@ MALFORMED = {
     "job-micro-batch-float": ("plan", ("job", "micro_batch"), 8.5),
     "job-seq-len-bool": ("plan", ("job", "seq_len"), True),
     "job-param-bytes-bool": ("plan", ("job", "param_bytes"), True),
+    "job-param-bytes-nan": ("plan", ("job", "param_bytes"), math.nan),
+    "job-seq-len-huge": ("plan", ("job", "seq_len"), 10**25),
     "device-id-null": ("domain", ("devices", 0, "id"), None),
     "domain-name-null": ("domain", ("name",), None),
     "sync-period-float": ("plan", ("partition", "sync_period"), 5.9),

@@ -1,5 +1,7 @@
 """Device, power, network, and serialization tests."""
 
+import itertools
+
 import pytest
 
 from edgetrainsim import config_io
@@ -69,11 +71,22 @@ class TestNetwork:
         assert link.latency == 1e-4
 
     def test_explicit_link_is_symmetric(self):
-        slow = Link(1e8, 1e-3)
-        net = NetworkModel(links=(("a", "b", slow),))
-        assert net.link_between("a", "b") is slow
-        assert net.link_between("b", "a") is slow
-        assert net.link_between("a", "c").bandwidth == net.default_bandwidth
+        ids = [f"d{i}" for i in range(12)]
+        table = {pair: Link(1e6 * (k + 1), 1e-4)
+                 for k, pair in enumerate(itertools.combinations(ids, 2))}
+        net = NetworkModel(links=tuple((a, b, link)
+                                       for (a, b), link in table.items()))
+        assert len(table) == 66
+        for a, b in itertools.permutations(ids, 2):
+            assert net.link_between(a, b) is table.get((a, b), table.get((b, a)))
+        assert net.link_between("d0", "x").bandwidth == net.default_bandwidth
+
+    @pytest.mark.parametrize("links", [
+        (("a", "a"),), (("a", "b"), ("a", "b")), (("a", "b"), ("b", "a"))],
+        ids=["self-link", "repeated", "repeated-reversed"])
+    def test_network_rejects_bad_link_pairs(self, links):
+        with pytest.raises(ValidationError):
+            NetworkModel(links=tuple((a, b, Link(1e9, 0.0)) for a, b in links))
 
     def test_link_validation(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,8 @@ from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                                       grad_sync_bytes, largest_remainder_split,
                                       make_dp_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
-                                      make_tp_plan, ranges_from_counts)
+                                      make_tp_plan, ranges_from_counts,
+                                      sum_in_order)
 from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
                                    state_bytes)
 
@@ -31,6 +32,11 @@ def device(i, throughput=240e9, mem=4e9):
 def domain_with(throughputs, mem=4e9):
     devs = tuple(device(i, t, mem) for i, t in enumerate(throughputs))
     return TrustedDomain(devices=devs, network=NetworkModel())
+
+
+def test_sum_in_order_adds_left_to_right():
+    # Python 3.12's compensated sum() gives 1.0 here.
+    assert sum_in_order([0.1] * 10) == 0.9999999999999999
 
 
 class TestLargestRemainderSplit:

@@ -15,12 +15,12 @@ from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
 from edgetrainsim.parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP,
                                       KIND_TP, PlanError, make_dp_plan,
                                       make_pp_plan, make_sp_plan, make_tp_plan)
-from edgetrainsim.scheduler import (InfeasibleError, Objective,
-                                    arrange_topology, candidate_plans,
+from edgetrainsim.scheduler import (CHECKPOINT_INTERVAL_CAP, InfeasibleError,
+                                    Objective, arrange_topology, candidate_plans,
                                     choose_parallelism, orchestrate,
                                     partition_stages, plan_checkpointing,
                                     select_devices, young_checkpoint_interval)
-from edgetrainsim.simengine import CHECKPOINT_INTERVAL_CAP, iteration_times, simulate
+from edgetrainsim.simengine import iteration_times, simulate
 from edgetrainsim.workload import (TrainingJob, TransformerSpec,
                                    activation_bytes_per_block, default_edge_job,
                                    flops_per_iteration, model_preset,
@@ -32,6 +32,8 @@ SMALL_SPEC = TransformerSpec("toy", num_blocks=6, hidden_size=64, num_heads=4,
 SMALL_JOB = TrainingJob(16, 8, 4, dp_sync_period=2, param_bytes=2.0,
                         optimizer_state_multiplier=4.0,
                         activation_bytes_factor=1.0)
+ENERGY = Objective(weight_energy=1.0, weight_latency=0.0)
+LATENCY = Objective(weight_energy=0.0, weight_latency=1.0)
 
 
 def device(name, throughput, mem=4e9):
@@ -238,9 +240,9 @@ class TestChooseParallelism:
                     values[kind] = min(values.get(kind, math.inf), v)
         return min(values.values()) if values else None
 
-    @pytest.mark.parametrize("target", ["energy", "latency"])
-    def test_matches_brute_force(self, target):
-        objective = Objective(target=target)
+    @pytest.mark.parametrize("objective", [ENERGY, LATENCY],
+                             ids=["energy", "latency"])
+    def test_matches_brute_force(self, objective):
         domain = domain_of(device("a", 1e9), device("b", 2e9),
                            device("c", 4e9))
         spec = TransformerSpec("toy8", 8, 64, 4, 100)  # 3 devices: TP skipped
@@ -261,14 +263,14 @@ class TestChooseParallelism:
             domain = load_testbed(name)
             plan, _ = choose_parallelism(domain, domain.device_ids,
                                          model_preset("gpt2-s"), JOB,
-                                         Objective(target="energy"))
+                                         ENERGY)
             assert plan.kind in (KIND_DP, KIND_PP)
 
     def test_gpt2l_only_tp_or_pp(self):
         domain = load_testbed("homogeneous-nano4")
         plan, result = choose_parallelism(domain, domain.device_ids,
                                           model_preset("gpt2-l"), JOB,
-                                          Objective(target="energy"))
+                                          ENERGY)
         assert plan.kind in (KIND_TP, KIND_PP)
         assert not result.oom
 
@@ -306,7 +308,7 @@ class TestChooseParallelism:
                                 counted(name, getattr(scheduler, name)))
         monkeypatch.setattr(scheduler, "candidate_plans", counted_candidates)
         choose_parallelism(domain, domain.device_ids, model_preset("gpt2-l"),
-                           JOB, Objective(target="energy"))
+                           JOB, ENERGY)
         assert calls["partition_stages"] == 1
         assert calls["plans"] >= 1
         assert calls["simulate"] <= calls["plans"]
@@ -331,15 +333,15 @@ class TestSelectDevices:
     def test_collaborative_energy_not_worse_than_single(self):
         domain = load_testbed("homogeneous-nano4")
         outcome = select_devices(domain, model_preset("gpt2-s"), JOB,
-                                 Objective(target="energy"))
+                                 ENERGY)
         single = simulate(
             make_dp_plan(domain, model_preset("gpt2-s"), JOB, ("nano-0",)),
             domain)
         assert outcome.objective_value <= single.energy_per_sample + 1e-12
 
-    @pytest.mark.parametrize("target", ["energy", "latency"])
-    def test_matches_brute_force_over_subsets(self, target):
-        objective = Objective(target=target)
+    @pytest.mark.parametrize("objective", [ENERGY, LATENCY],
+                             ids=["energy", "latency"])
+    def test_matches_brute_force_over_subsets(self, objective):
         domain = load_testbed("heterogeneous-mix4")
         spec = model_preset("distilbert")
         outcome = select_devices(domain, spec, JOB, objective)
@@ -359,9 +361,9 @@ class TestSelectDevices:
         small = domain_of(device("a", 1e9))
         larger = domain_of(device("a", 1e9), device("b", 4e9))
         v_small = select_devices(small, spec, JOB,
-                                 Objective(target="latency")).objective_value
+                                 LATENCY).objective_value
         v_large = select_devices(larger, spec, JOB,
-                                 Objective(target="latency")).objective_value
+                                 LATENCY).objective_value
         assert v_large <= v_small + 1e-15
 
     def test_empty_pool_is_unconstructible(self):
@@ -375,18 +377,15 @@ class TestObjective:
         plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
                             domain.device_ids)
         result = simulate(plan, domain)
-        obj = Objective(target="weighted", weight_energy=2.0,
-                        weight_latency=3.0)
+        obj = Objective(weight_energy=2.0, weight_latency=3.0)
         assert obj.value(result) == pytest.approx(
             2.0 * result.energy_per_sample + 3.0 * result.latency_per_sample)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Objective(target="speed")
-        with pytest.raises(ValueError):
-            Objective(weight_energy=-1.0)
-        with pytest.raises(ValueError):
-            Objective(weight_energy=0.0, weight_latency=0.0)
+        for weights in ((-1.0, 0.0), (0.0, 0.0), (math.nan, 1.0),
+                        (1.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError):
+                Objective(*weights)
 
 
 class TestCheckpointPlanning:
@@ -442,7 +441,7 @@ class TestOrchestrate:
     def test_default_uses_full_pool(self):
         domain = load_testbed("heterogeneous-mix4")
         strategy = orchestrate(domain, model_preset("gpt2-s"), JOB,
-                               Objective(target="energy"))
+                               ENERGY)
         assert set(strategy.plan.participants) == set(domain.device_ids)
         assert strategy.checkpoint_interval > 0
         assert not strategy.predicted.oom
@@ -450,9 +449,9 @@ class TestOrchestrate:
     def test_select_flag_can_shrink_the_pool(self):
         domain = load_testbed("heterogeneous-mix4")
         strategy = orchestrate(domain, model_preset("distilbert"), JOB,
-                               Objective(target="energy"), select=True)
+                               ENERGY, select=True)
         outcome = select_devices(domain, model_preset("distilbert"), JOB,
-                                 Objective(target="energy"))
+                                 ENERGY)
         assert set(strategy.plan.participants) == set(outcome.best_subset)
 
     def test_infeasible_domain_raises(self):

@@ -507,4 +507,4 @@ class TestFaultInjection:
         domain = load_testbed("homogeneous-nano4")
         plan = make_single_plan(domain, model_preset("gpt2-l"), JOB, "nano-0")
         with pytest.raises(SimulationError):
-            inject_faults(plan, domain, FaultModel(100.0, 50e6, 50e6))
+            inject_faults(plan, domain, FaultModel(100.0, 50e6, 50e6), 60.0)
