@@ -1,14 +1,17 @@
 """Orchestration decisions: participants, parallelism, topology, checkpoints.
 
-Device subsets are searched exhaustively up to 12 devices.  The stage split's
-bottleneck does not depend on device order, so a pipeline's order minimises
-its slowest boundary hop, over every order up to 8 devices.  Both searches
-fall back to greedy throughput order beyond their bounds; all tie-breaks are
-deterministic so repeated runs reproduce bit-identical strategies.
+Device subsets are searched exhaustively up to 12 devices.  The stage split
+is exact at any size: a threshold search over the candidate stage times,
+O(n·L·log(n·L)) for n devices and L blocks.  Its bottleneck does not depend
+on device order, so a pipeline's order minimises its slowest boundary hop,
+over every order up to 8 devices.  Both searches fall back to greedy
+throughput order beyond their bounds; all tie-breaks are deterministic so
+repeated runs reproduce bit-identical strategies.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,43 +83,58 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
                      job: TrainingJob) -> list[tuple[int, int]]:
     """Contiguous stage split minimizing the bottleneck stage compute time.
 
-    Exact dynamic program over (device index, blocks assigned).  A stage's
-    memory grows with its block count, so each device takes 1 to ``cap``
-    blocks, ``cap`` being the most that fit in its usable memory.
+    Exact threshold search.  A stage's memory grows with its block count, so
+    device i takes 1 to ``cap_i`` blocks, the most that fit in its usable
+    memory, and its stage times are ``b * t_i`` for b in 1..cap_i.  Under a
+    bottleneck V the first k devices hold any block count from k up to
+    ``fill(k, V)``, the sum of their largest b with ``b * t_i <= V``; so the
+    optimum over j blocks is the smallest stage time V with
+    ``fill(k, V) >= j``, a binary search over all n·L stage times.  Cost:
+    O(n·L·log(n·L)) to sort them, plus O(n²·log(n·L)·log L) for the searches.
+
+    Ties go to the fewest blocks on the later devices: walking back from the
+    last device, device i takes ``max(1, j - fill(i, V_i))`` of the j blocks
+    still unassigned, V_i being the optimum of devices 0..i over them.
     Raises InfeasibleError when no memory-feasible split exists.
     """
     devices = list(ordered_devices)
     n, l = len(devices), spec.num_blocks
     if l < n:
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
-    times = [_per_block_time(domain, d, spec, job) for d in devices]
+    # Non-decreasing in the block count, so a cap is one bisection.
     required = [state + act for state, act in pp_stage_memory(
         spec, job, range(1, l + 1), n, job.micro_batch_count)]
-    caps = [sum(r <= domain.device(d).usable_memory for r in required)
-            for d in devices]
+    stage_times = []
+    for d in devices:
+        t = _per_block_time(domain, d, spec, job)
+        cap = bisect.bisect_right(required, domain.device(d).usable_memory)
+        stage_times.append([b * t for b in range(1, cap + 1)])
+    candidates = sorted(set(itertools.chain.from_iterable(stage_times)))
 
-    inf = math.inf
-    # best[i][j]: minimal bottleneck using devices [0..i] for the first j blocks
-    best = [[inf] * (l + 1) for _ in range(n)]
-    choice = [[0] * (l + 1) for _ in range(n)]
-    for j in range(1, caps[0] + 1):
-        best[0][j] = j * times[0]
-    for i in range(1, n):
-        for j in range(i + 1, l + 1):
-            for b in range(1, min(j - i, caps[i]) + 1):
-                prev = best[i - 1][j - b]
-                cand = max(prev, b * times[i])
-                if cand < best[i][j]:
-                    best[i][j] = cand
-                    choice[i][j] = b
-    if not math.isfinite(best[n - 1][l]):
+    def fill(k: int, bound: float) -> int:
+        """Most blocks devices 0..k-1 hold under ``bound``; -1 if one holds none."""
+        total = 0
+        for times in stage_times[:k]:
+            most = bisect.bisect_right(times, bound)
+            if most == 0:
+                return -1
+            total += most
+        return total
+
+    def optimum(k: int, j: int) -> float:
+        """Least bottleneck of devices 0..k-1 over j blocks (inf if none)."""
+        at = bisect.bisect_left(candidates, True,
+                                key=lambda v: fill(k, v) >= j)
+        return candidates[at] if at < len(candidates) else math.inf
+
+    if not math.isfinite(optimum(n, l)):
         raise InfeasibleError({KIND_PP: "no memory-feasible contiguous "
                                         "stage partition"})
     counts = []
     j = l
     for i in range(n - 1, 0, -1):
-        counts.append(choice[i][j])
-        j -= choice[i][j]
+        counts.append(max(1, j - fill(i, optimum(i + 1, j))))
+        j -= counts[-1]
     counts.append(j)
     counts.reverse()
     return ranges_from_counts(counts)

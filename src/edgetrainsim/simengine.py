@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -222,10 +222,11 @@ def _iterations(plan: ParallelPlan, prof: _IterationProfile, iterations: int,
 
 
 def iteration_times(plan: ParallelPlan, domain: TrustedDomain,
-                    iterations: int, warmup: int = 0) -> list[float]:
-    """Wall time of each simulated iteration (syncs land on period boundaries)."""
+                    iterations: int, warmup: int = 0) -> Iterator[float]:
+    """Wall time of each simulated iteration (syncs land on period boundaries),
+    yielded one at a time."""
     prof = _profile_iteration(plan, domain)
-    return [dur for _, dur in _iterations(plan, prof, iterations, warmup)]
+    return (dur for _, dur in _iterations(plan, prof, iterations, warmup))
 
 
 def simulate(plan: ParallelPlan, domain: TrustedDomain,
@@ -349,7 +350,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 
     shard, write_time = checkpoint_cost(plan, domain, fault_model)
     reload_time_each = shard / fault_model.recovery_reload_bandwidth
-    times = iteration_times(plan, domain, iterations)
+    times = list(iteration_times(plan, domain, iterations))
 
     if failure_times is not None:
         stream = iter(list(failure_times) + [float("inf")])

@@ -5,9 +5,11 @@ recorded once and are never edited: a refactor that changes any output byte,
 even in the last digit of a float, fails here.  The hand-built plans run on a
 domain whose links all differ (10 Mbps to 1 Gbps) with a batch of 96 (twelve
 micro-batches), so a change in the order of floating-point additions in the
-communication accounting shows up in the result YAML.
+communication accounting shows up in the result YAML.  A twelve-device sweep
+pins pipeline stage splits where memory caps bind.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -20,6 +22,7 @@ from edgetrainsim.devices import (Link, NetworkModel, TrustedDomain,
 from edgetrainsim.parallelism import (make_dp_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan)
+from edgetrainsim.scheduler import partition_stages
 from edgetrainsim.workload import default_edge_job, model_preset
 
 TESTBEDS = ("homogeneous-nano4", "heterogeneous-mix4")
@@ -117,6 +120,9 @@ GOLDEN_PER_LINK = {
          "580a64a137707a04ed77494af3b0e7dd1d156df3e4f58df171262e0111c00f20"),
 }
 
+GOLDEN_SWEEP_12 = (
+    "272d1acb93b4b944a8a1bdc9208693faa5f509aa529d385d6cc152c787645da5")
+
 
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -168,6 +174,25 @@ def _per_link_domain() -> TrustedDomain:
                   for i in range(len(ids)) for j in range(i + 1, len(ids)))
     return TrustedDomain(devices=devices, network=NetworkModel(links=links),
                          name="per-link")
+
+
+def _twelve_device_domain(mem_capacity=None) -> TrustedDomain:
+    """Twelve boards of the three profiles in mixed order, with memories
+    (or ``mem_capacity`` for all) and 66 links of 100 to 990 Mbps."""
+    boards = ((jetson_nx, 0.9e9), (jetson_nano, 4e9), (jetson_tx2, 2e9),
+              (jetson_nano, 4e9), (jetson_nx, 1.2e9), (jetson_tx2, 8e9),
+              (jetson_nano, 2.5e9), (jetson_nx, 8e9), (jetson_tx2, 1.5e9),
+              (jetson_nano, 4e9), (jetson_nx, 2e9), (jetson_tx2, 3e9))
+    devices = tuple(
+        dataclasses.replace(make(f"dev-{i:02d}"),
+                            mem_capacity=mem_capacity or mem)
+        for i, (make, mem) in enumerate(boards))
+    ids = [d.id for d in devices]
+    links = tuple((ids[i], ids[j], Link((10 + (7 * i + 13 * j) % 90) * 1e7,
+                                        (1 + (i + j) % 5) * 1e-4))
+                  for i in range(len(ids)) for j in range(i + 1, len(ids)))
+    return TrustedDomain(devices=devices, network=NetworkModel(links=links),
+                         name="per-link-12")
 
 
 def _per_link_plans():
@@ -227,6 +252,24 @@ def _per_link_digests(tmp):
 
 def test_sweep_tsv(tmp_path):
     assert _sweep_digests(tmp_path) == GOLDEN_SWEEP
+
+
+def test_twelve_device_sweep_tsv(tmp_path):
+    domain = _twelve_device_domain()
+    # The memory caps change the stage split of both large models.
+    roomy = _twelve_device_domain(mem_capacity=1e12)
+    job = default_edge_job()
+    for mode in ("cpu", "gpu"):
+        for model in ("opt-350m", "gpt2-l"):
+            spec = model_preset(model)
+            assert partition_stages(domain.with_mode(mode), domain.device_ids,
+                                    spec, job) != partition_stages(
+                roomy.with_mode(mode), roomy.device_ids, spec, job)
+    path = tmp_path / "per-link-12.domain.yaml"
+    path.write_text(config_io.dump_yaml(config_io.domain_to_dict(domain)))
+    out = tmp_path / "per-link-12.tsv"
+    assert _run("sweep", "--domain", path, "--out", out) == 0
+    assert _sha(out) == GOLDEN_SWEEP_12
 
 
 def test_hand_built_plans_on_per_link_domain(tmp_path):

@@ -1,10 +1,13 @@
 """Scheduler tests: stage partitioning, topology, plan choice, checkpoints."""
 
+import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from edgetrainsim import scheduler
@@ -14,7 +17,8 @@ from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
                                   testbed_preset as load_testbed)
 from edgetrainsim.parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP,
                                       KIND_TP, PlanError, make_dp_plan,
-                                      make_pp_plan, make_sp_plan, make_tp_plan)
+                                      make_pp_plan, make_sp_plan, make_tp_plan,
+                                      pp_stage_memory, ranges_from_counts)
 from edgetrainsim.scheduler import (CHECKPOINT_INTERVAL_CAP, InfeasibleError,
                                     Objective, arrange_topology, candidate_plans,
                                     choose_parallelism, orchestrate,
@@ -75,7 +79,91 @@ def brute_force_stage_split(domain, ordered, spec, job):
     return best
 
 
+def dp_stage_split(domain, ordered_devices, spec, job):
+    """Oracle: the O(n·L²) dynamic program over (device index, blocks
+    assigned) that the threshold search replaced, kept verbatim."""
+    devices = list(ordered_devices)
+    n, l = len(devices), spec.num_blocks
+    if l < n:
+        raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
+    times = [scheduler._per_block_time(domain, d, spec, job) for d in devices]
+    required = [state + act for state, act in pp_stage_memory(
+        spec, job, range(1, l + 1), n, job.micro_batch_count)]
+    caps = [sum(r <= domain.device(d).usable_memory for r in required)
+            for d in devices]
+
+    inf = math.inf
+    # best[i][j]: minimal bottleneck using devices [0..i] for the first j blocks
+    best = [[inf] * (l + 1) for _ in range(n)]
+    choice = [[0] * (l + 1) for _ in range(n)]
+    for j in range(1, caps[0] + 1):
+        best[0][j] = j * times[0]
+    for i in range(1, n):
+        for j in range(i + 1, l + 1):
+            for b in range(1, min(j - i, caps[i]) + 1):
+                prev = best[i - 1][j - b]
+                cand = max(prev, b * times[i])
+                if cand < best[i][j]:
+                    best[i][j] = cand
+                    choice[i][j] = b
+    if not math.isfinite(best[n - 1][l]):
+        raise InfeasibleError({KIND_PP: "no memory-feasible contiguous "
+                                        "stage partition"})
+    counts = []
+    j = l
+    for i in range(n - 1, 0, -1):
+        counts.append(choice[i][j])
+        j -= choice[i][j]
+    counts.append(j)
+    counts.reverse()
+    return ranges_from_counts(counts)
+
+
+def split_outcome(split, *args):
+    """A split's ranges, or the type and message of the error it raised."""
+    try:
+        return split(*args)
+    except (PlanError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def stage_split_inputs(draw):
+    """1 to 12 boards of the three profiles in any order, with scaled
+    throughput and room for 0 to 3·L/n + 1 blocks each (so caps bind),
+    1 to 80 blocks, either mode and several micro-batch counts."""
+    n = draw(st.integers(1, 12))
+    l = draw(st.integers(1, 80))
+    spec = TransformerSpec("g", l, 64, 4, 100)
+    job = default_edge_job(
+        global_batch=8 * draw(st.sampled_from((1, 2, 3, 5, 16))))
+    block = sum(pp_stage_memory(spec, job, (1,), n, job.micro_batch_count)[0])
+    boards = []
+    for i in range(n):
+        board = draw(st.sampled_from((jetson_nano, jetson_tx2, jetson_nx)))(
+            f"d{i}")
+        # Simple ratios keep stage times tied; any float breaks the ties.
+        speed = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))
+                     | st.floats(0.1, 10.0))
+        # Room for `cap` blocks; the caps sum to about 1.5 models.
+        cap = draw(st.integers(0, 3 * l // n + 1))
+        boards.append(dataclasses.replace(
+            board, cpu_throughput=board.cpu_throughput * speed,
+            gpu_throughput=board.gpu_throughput * speed,
+            mem_capacity=(cap + 0.5) * block / board.usable_mem_fraction))
+    domain = domain_of(*boards).with_mode(draw(st.sampled_from(("cpu", "gpu"))))
+    order = draw(st.permutations(domain.device_ids))
+    return domain, order, spec, job
+
+
 class TestPartitionStages:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stage_split_inputs())
+    def test_matches_dynamic_program_exactly(self, inputs):
+        """Same ranges, ties included, or the same error and message."""
+        assert (split_outcome(partition_stages, *inputs)
+                == split_outcome(dp_stage_split, *inputs))
+
     def test_homogeneous_uniform(self):
         domain = domain_of(*(device(f"d{i}", 1e9) for i in range(4)))
         spec = model_preset("gpt2-s")
@@ -418,6 +506,24 @@ class TestCheckpointPlanning:
         k = JOB.dp_sync_period
         floor = sum(iteration_times(plan, domain, k)) / k
         assert interval == pytest.approx(floor, rel=1e-12)
+
+    def test_floor_streams_the_iteration_times(self):
+        """The floor averages dp_sync_period iteration times without a list
+        of them (about 32 MB at a period of 10**6)."""
+        domain = load_testbed("homogeneous-nano4")
+        job = default_edge_job(dp_sync_period=10**6)
+        plan = make_dp_plan(domain, model_preset("distilbert"), job,
+                            domain.device_ids)
+        fm = FaultModel(1e-3, 1e12, 1e12)  # tau below one iteration
+        tracemalloc.start()
+        try:
+            interval = plan_checkpointing(plan, domain, fm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert interval == pytest.approx(
+            sum(iteration_times(plan, domain, 10**6)) / 10**6, rel=1e-12)
 
     def test_interval_capped_for_reliable_systems(self):
         domain = load_testbed("homogeneous-nano4")
