@@ -31,7 +31,7 @@ for target, objective in OBJECTIVES.items():
 # Fault injection: sweep the per-device MTBF and watch goodput fall.
 strategy = orchestrate(domain, spec, job, OBJECTIVES["energy"])
 plan = strategy.plan
-fault_free = simulate(plan, domain, iterations=50, warmup=0)
+fault_free = simulate(plan, domain, iterations=50)
 print(f"\nfault-free throughput: "
       f"{fault_free.samples_processed / fault_free.makespan:.1f} samples/s")
 

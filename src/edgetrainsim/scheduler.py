@@ -21,8 +21,7 @@ from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
                       effective_throughput)
 from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, OP_P2P,
                           ParallelPlan, PlanError, activation_tensor_bytes,
-                          make_plan, pp_stage_memory, ranges_from_counts,
-                          sum_in_order)
+                          make_plan, pp_stage_memory, ranges_from_counts)
 from .simengine import (DEFAULT_ITERATIONS, SimulationResult, checkpoint_cost,
                         collective_time, iteration_times, simulate)
 from .workload import TrainingJob, TransformerSpec, flops_per_iteration
@@ -273,14 +272,15 @@ def plan_checkpointing(plan: ParallelPlan, domain: TrustedDomain,
     """Checkpoint interval in seconds for a plan under a fault model.
 
     Young's approximation on the system MTBF (independent exponential
-    failures per participant), floored at one average iteration time and
-    capped so an effectively failure-free system stops checkpointing.
+    failures per participant), floored at the mean iteration of a sync
+    period, ``base_len + sync_len / k``, and capped so an effectively
+    failure-free system stops checkpointing.
     """
     _, write_time = checkpoint_cost(plan, domain, fault_model)
     system_mtbf = fault_model.mtbf_per_device / len(plan.participants)
     tau = young_checkpoint_interval(write_time, system_mtbf)
-    k = plan.job.dp_sync_period
-    floor = sum_in_order(iteration_times(plan, domain, k)) / k
+    base_len, sync_len = iteration_times(plan, domain)
+    floor = base_len + sync_len / plan.job.dp_sync_period
     return min(max(tau, floor), CHECKPOINT_INTERVAL_CAP)
 
 

@@ -1,8 +1,8 @@
 """Deterministic simulation of a training run under a parallel plan.
 
-The engine advances one iteration at a time.  Within an iteration the model
-is synchronous: compute segments run in lockstep between collective barriers,
-so a device's timeline always closes as compute + comm + idle = makespan.
+Within an iteration the model is synchronous: compute segments run in
+lockstep between collective barriers, so a device's timeline always closes as
+compute + comm + idle = makespan.
 
 Every collective comes from the plan's per-iteration template
 (:func:`~edgetrainsim.parallelism.comm_template`).  One pass over it, per
@@ -19,11 +19,16 @@ Energy integrates a three-state power model per device: idle power for the
 whole makespan, the busy-minus-idle delta while computing, and the network
 power adder while transmitting or receiving.
 
-Every iteration has one of two shapes, with or without the gradient sync.
-The trace is never stored: :func:`write_trace` sorts the rows of each shape
-once by start offset and then device, and streams them iteration by
-iteration at the iteration's start time.  Every row starts inside its own
-iteration, so the file is ordered by start time and then device.
+Every iteration has one of two shapes, with or without the gradient sync;
+iteration g (counting from 0) syncs when g + 1 is a multiple of the job's
+sync period k.  So a run of I iterations has n = floor(I/k) syncs, and every
+total is closed-form: the makespan is I * base_len + n * sync_len, and each
+device's compute, comm and idle time and ``comm_bytes_by_op`` are the same
+two products.  The trace is never stored: :func:`write_trace` sorts the rows
+of each shape once by start offset and then device, and streams them
+iteration by iteration at the iteration's start time.  Every row starts
+inside its own iteration, so the file is ordered by start time and then
+device.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,10 +45,9 @@ from .devices import (FaultModel, NetworkModel, TrustedDomain, busy_power,
 from .parallelism import (KIND_PP, KIND_TP, OP_ALLGATHER, OP_ALLREDUCE,
                           OP_P2P, ParallelPlan, check_memory, comm_template,
                           sum_in_order)
-from .workload import flops_per_iteration
+from .workload import MAX_COUNT, flops_per_iteration
 
 DEFAULT_ITERATIONS = 20
-DEFAULT_WARMUP = 2
 
 
 class SimulationError(ValueError):
@@ -129,24 +133,13 @@ class _IterationProfile:
 
 
 def _fold(phases, parts) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-device seconds and payload bytes by op of some template entries.
-
-    Per-run times are summed within each group of equal count and multiplied
-    by the count once: count * (t_1 + t_2), never count * t_1 + count * t_2.
-    """
-    runs: dict[tuple[str, int], float] = {}
-    counts: dict[tuple[str, float], int] = {}
+    """Per-device seconds and payload bytes by op of some template entries."""
+    seconds = dict.fromkeys(parts, 0.0)
+    by_op: dict[str, float] = {}
     for e, t in phases:
         for p in e.participants:
-            runs[p, e.count] = runs.get((p, e.count), 0.0) + t
-        counts[e.op, e.payload_bytes] = (counts.get((e.op, e.payload_bytes), 0)
-                                         + e.count)
-    seconds = dict.fromkeys(parts, 0.0)
-    for (p, c), t in runs.items():
-        seconds[p] += c * t
-    by_op: dict[str, float] = {}
-    for (op, payload), c in counts.items():
-        by_op[op] = by_op.get(op, 0.0) + c * payload
+            seconds[p] += e.count * t
+        by_op[e.op] = by_op.get(e.op, 0.0) + e.count * e.payload_bytes
     return seconds, by_op
 
 
@@ -208,38 +201,22 @@ def _trace_rows(prof: _IterationProfile, parts) -> list[tuple]:
     return rows
 
 
-def _iterations(plan: ParallelPlan, prof: _IterationProfile, iterations: int,
-                warmup: int):
-    """(sync, wall time) of each metered iteration.
-
-    Iteration g (counting warmup from 0) syncs gradients when g + 1 is a
-    multiple of the job's sync period.
-    """
-    k = plan.job.dp_sync_period
-    for g in range(warmup, warmup + iterations):
-        sync = (g + 1) % k == 0
-        yield sync, prof.base_len + (prof.sync_len if sync else 0.0)
-
-
-def iteration_times(plan: ParallelPlan, domain: TrustedDomain,
-                    iterations: int, warmup: int = 0) -> Iterator[float]:
-    """Wall time of each simulated iteration (syncs land on period boundaries),
-    yielded one at a time."""
+def iteration_times(plan: ParallelPlan,
+                    domain: TrustedDomain) -> tuple[float, float]:
+    """Wall time of an iteration without the gradient sync, and the extra
+    wall time of an iteration with it: (base_len, sync_len)."""
     prof = _profile_iteration(plan, domain)
-    return (dur for _, dur in _iterations(plan, prof, iterations, warmup))
+    return prof.base_len, prof.sync_len
 
 
 def simulate(plan: ParallelPlan, domain: TrustedDomain,
-             iterations: int = DEFAULT_ITERATIONS,
-             warmup: int = DEFAULT_WARMUP) -> SimulationResult:
+             iterations: int = DEFAULT_ITERATIONS) -> SimulationResult:
     """Run a fault-free simulation and report per-sample and per-device metrics.
 
-    Use :func:`inject_faults` for failure/recovery accounting.  ``warmup``
-    iterations run before metering starts and are excluded from every
-    reported metric.
+    Use :func:`inject_faults` for failure/recovery accounting.
     """
-    if iterations < 1:
-        raise SimulationError("iterations must be >= 1")
+    if not 1 <= iterations <= MAX_COUNT:
+        raise SimulationError("iterations must be in 1..2**53")
 
     mem = check_memory(plan, domain)
     oom_devices = tuple(p for p, c in mem.items() if not c.fits)
@@ -253,27 +230,21 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
             oom_devices=oom_devices)
 
     prof = _profile_iteration(plan, domain)
-    parts = plan.participants
-    makespan = 0.0
-    comm_bytes: dict[str, float] = {}
+    n_sync = iterations // plan.job.dp_sync_period
+    makespan = iterations * prof.base_len + n_sync * prof.sync_len
+    comm_bytes = {op: iterations * b for op, b in prof.base_bytes.items()}
+    if n_sync:  # a run without a sync reports no sync-only op
+        for op, b in prof.sync_bytes.items():
+            comm_bytes[op] = comm_bytes.get(op, 0.0) + n_sync * b
 
-    for sync, dur in _iterations(plan, prof, iterations, warmup):
-        for p in parts:
-            u = usage[p]
-            u.compute_time += prof.compute[p]
-            comm = prof.base_comm[p] + (prof.sync_comm[p] if sync else 0.0)
-            u.comm_time += comm
-            u.idle_time += dur - prof.compute[p] - comm
-        for op, b in prof.base_bytes.items():
-            comm_bytes[op] = comm_bytes.get(op, 0.0) + b
-        if sync:
-            for op, b in prof.sync_bytes.items():
-                comm_bytes[op] = comm_bytes.get(op, 0.0) + b
-        makespan += dur
-
-    for p in parts:
+    for p, u in usage.items():
         device = domain.device(p)
-        u = usage[p]
+        compute, base_comm, sync_comm = (prof.compute[p], prof.base_comm[p],
+                                         prof.sync_comm[p])
+        u.compute_time = iterations * compute
+        u.comm_time = iterations * base_comm + n_sync * sync_comm
+        u.idle_time = (iterations * (prof.base_len - compute - base_comm)
+                       + n_sync * (prof.sync_len - sync_comm))
         u.energy = (device.power_idle * makespan
                     + (busy_power(device, domain.mode) - device.power_idle)
                     * u.compute_time
@@ -342,7 +313,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     ``checkpoint_interval`` (> 0 seconds) has elapsed since the previous one.
     ``failure_times`` overrides the random stream (used for hand-built traces).
     """
-    base = simulate(plan, domain, iterations, warmup=0)
+    base = simulate(plan, domain, iterations)
     if base.oom:
         raise OutOfMemoryError("out of memory on " + ", ".join(base.oom_devices))
     if checkpoint_interval <= 0:
@@ -350,7 +321,8 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 
     shard, write_time = checkpoint_cost(plan, domain, fault_model)
     reload_time_each = shard / fault_model.recovery_reload_bandwidth
-    times = list(iteration_times(plan, domain, iterations))
+    base_len, sync_len = iteration_times(plan, domain)
+    k = plan.job.dp_sync_period
 
     if failure_times is not None:
         stream = iter(list(failure_times) + [float("inf")])
@@ -370,7 +342,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     ckpt_writes = 0
 
     while it < iterations:
-        dt = times[it]
+        dt = base_len + (sync_len if (it + 1) % k == 0 else 0.0)
         if wall + dt > next_fail:
             # Work since the last checkpoint is lost.
             lost = next_fail - last_ckpt_wall
@@ -411,8 +383,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 TRACE_HEADER = "time\tdevice\tkind\tduration\tbytes\n"
 
 
-def _trace_stream(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
-                  warmup: int = DEFAULT_WARMUP):
+def _trace_stream(plan: ParallelPlan, domain: TrustedDomain, iterations: int):
     """(time, device, kind, duration, bytes) rows ordered by time, then device.
 
     The rows of the two iteration shapes are sorted once by (offset, device);
@@ -422,11 +393,13 @@ def _trace_stream(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
     rows = sorted(_trace_rows(prof, plan.participants), key=itemgetter(0, 1))
     shapes = {True: [r[:5] for r in rows],
               False: [r[:5] for r in rows if not r[5]]}
+    k = plan.job.dp_sync_period
     t0 = 0.0
-    for sync, dur in _iterations(plan, prof, iterations, warmup):
+    for g in range(iterations):
+        sync = (g + 1) % k == 0
         for offset, p, kind, d, b in shapes[sync]:
             yield t0 + offset, p, kind, d, b
-        t0 += dur
+        t0 += prof.base_len + (prof.sync_len if sync else 0.0)
 
 
 def _trace_lines(rows):
@@ -449,9 +422,10 @@ def write_trace(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
                 path) -> None:
     """Flat tab-delimited trace table: time, device, kind, duration, bytes.
 
-    It covers the ``iterations`` metered iterations that :func:`simulate`
-    runs after its default warmup.  An out-of-memory run simulates none, so
-    its table is the header alone.
+    It covers the ``iterations`` iterations that :func:`simulate` totals,
+    one row per device and phase of each, with the syncs on the same
+    iterations.  An out-of-memory run simulates none, so its table is the
+    header alone.
     """
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER)

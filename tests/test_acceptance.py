@@ -285,7 +285,7 @@ def test_09_oracle_equivalence():
         for perm in itertools.permutations(domain.device_ids):
             ranges = partition_stages(domain, perm, spec, toy_job)
             plan = make_pp_plan(domain, spec, toy_job, perm, ranges)
-            t = simulate(plan, domain, iterations=1, warmup=0).makespan
+            t = simulate(plan, domain, iterations=1).makespan
             if t < perm_best - 1e-15:
                 perm_best, perm_orders = t, [perm]
             elif t < perm_best + 1e-15:

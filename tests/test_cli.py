@@ -262,6 +262,18 @@ class TestSweep:
     def test_unknown_model_exits_1(self):
         assert run("sweep", "--models", "bogus") == 1
 
+    def test_largest_iteration_count_matches_whole_sync_periods(self,
+                                                               tmp_path):
+        """2**53 iterations cost no more than 20, and their per-sample
+        numbers print as those of 20 (four sync periods of 5) do."""
+        tables = []
+        for iterations in (20, 2**53):
+            out = tmp_path / f"{iterations}.tsv"
+            assert run("sweep", "--iterations", str(iterations),
+                       "--out", str(out)) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
 
 class TestFaults:
     def plan_file(self, tmp_path):
@@ -318,6 +330,15 @@ BAD_VALUES = {
                           "0"), None),
     "faults-iterations": (("faults", "--plan", "{plan}", "--mtbf", "600",
                            "--iterations", "0"), None),
+    # Run totals are products of the iteration count: above 2**53 it is no
+    # longer a whole float, and 10**400 does not convert to one at all.
+    **{f"{argv[0]}-iterations-{name}": (argv + ("--iterations", value), None)
+       for argv in (("plan", "--model", "distilbert"),
+                    ("simulate", "--plan", "{plan}"),
+                    ("sweep", "--models", "distilbert"),
+                    ("faults", "--plan", "{plan}", "--mtbf", "600"))
+       for name, value in (("above-2**53", str(2**53 + 1)),
+                           ("10**400", str(10**400)))},
     "negative-weight": (("plan", "--objective", "weighted", "--weight-energy",
                          "-1"), None),
     "zero-weights": (("plan", "--objective", "weighted", "--weight-energy",

@@ -1,12 +1,14 @@
 """Byte-stability of the command-line outputs.
 
-Each digest below is the sha256 of one output file.  The digests were
-recorded once and are never edited: a refactor that changes any output byte,
-even in the last digit of a float, fails here.  The hand-built plans run on a
-domain whose links all differ (10 Mbps to 1 Gbps) with a batch of 96 (twelve
-micro-batches), so a change in the order of floating-point additions in the
-communication accounting shows up in the result YAML.  A twelve-device sweep
-pins pipeline stage splits where memory caps bind.
+Each digest below is the sha256 of one output file.  A refactor that changes
+any output byte, even in the last digit of a float, fails here.  A digest is
+never edited to make a test pass: a change that moves outputs on purpose
+re-pins the moved digests from the fixed code, and CHANGES.md lists each
+re-pin with its cause.  The hand-built plans run on a domain whose links all
+differ (10 Mbps to 1 Gbps) with a batch of 96 (twelve micro-batches), so a
+change in the order of floating-point additions in the communication
+accounting shows up in the result YAML.  A twelve-device sweep pins pipeline
+stage splits where memory caps bind.
 """
 
 import dataclasses
@@ -32,91 +34,91 @@ GOLDEN_PLAN = {
     "homogeneous-nano4/distilbert":
         "e23fb8805e93ffcc2c4e23a6bca57df8a90389ecd14f0835968e587b0454ab8e",
     "homogeneous-nano4/gpt2-s":
-        "a8db2bac6bd2d1fb969f871c2dba27b7afcd95c24671b091970778849162a208",
+        "408184a5ad6286e34ab87b86f01894cfa9031389bd86bfd561a9a66b9d23d796",
     "homogeneous-nano4/opt-350m":
-        "9958594376734ad7dfdc533ba90ebf734e0ac048c647e3186fa8f57fc5f7ee77",
+        "be09c5c84f53be819f1456dec66679fbae1ce8816ed94a41fe11aecc7c6ba2d1",
     "homogeneous-nano4/gpt2-l":
-        "e461fb9257ad22de5bb9b54fd7a65ec5f4a3a39b3c517056b7812a317c476446",
+        "d9ced219204e0e67ce48e004cfa2f7018015bbc11feb3bb8e83c47aed2389d1c",
     "heterogeneous-mix4/distilbert":
-        "71eb7bab78fa593a06b36a7857175a4543275c40dcc1bf128266ae2800ac26be",
+        "64e5cd272e4a19f96c13b5dcdf3b7c54bee5cf4ba4a0060cb039d86743e9e377",
     "heterogeneous-mix4/gpt2-s":
-        "d0a57aa3d4b28570c137b2172a754d14bb3697eb5b4bca11b5ec4199a9de61ec",
+        "d735c96e1ae4bec612bc60e215ed7eecdfb589b473f1364ceddce77414024bf6",
     "heterogeneous-mix4/opt-350m":
-        "93aae6fb09036e7580e078a4d3d8014ca4ce10aa9c9c3790e3fcf1749af083ee",
+        "6efb0b9dd8f530ede19810cf06dce9837d472a23f38dfd011d887f71c21d3369",
     "heterogeneous-mix4/gpt2-l":
-        "029a42606019ad09f7883e42e611709193792df0fa4247e38dffa78ee739cb51",
+        "93a8ee675aad16d8e5701798c8425dc42ab22fe1e5d4d47f827b01f720fc3390",
 }
 
 GOLDEN_SIMULATE = {
     "homogeneous-nano4/distilbert":
-        ("70ef6b69c43b444e6113477ff5e2558b11e7f3f091cf89866b2378446cf34df5",
-         "8ee275fbabf81108c09ae69fb69040df16099b9324c7b62ecb44b1be48c01553"),
+        ("b3cce20928d702474ad6b2ba98520a51c84db5410ff7198e2b4ea70b80571409",
+         "a8668501f4fad3b50b16e6001a32622879ac3a4b4a163393a7e1cac3e1eb754e"),
     "homogeneous-nano4/gpt2-s":
-        ("1b3770108c5550288b7f61bda3430a241b3a56671411ac858d215bcbd1c2cdc9",
+        ("47f941c879712db1b373efe4cfeecdf3a7463ba585c183c1cc5d65e3c93c2e6e",
          "a95d9c6ad265f21bc63bac3d85bfdfd52013792d6cf065d1aa03fb6aa33a09f4"),
     "homogeneous-nano4/opt-350m":
-        ("424b5546a7d4443c4857caad23b7176f20173bd07a9a24853a32b778e397ce6d",
+        ("cb0adeabc2f7de4e38fc4ad5d25f421d32c484b1068732d46e501fb5ee9d42e4",
          "35e8e9599a84289a04455c80726dd08f35ea47be6004cf54f85a3055c880d56a"),
     "homogeneous-nano4/gpt2-l":
-        ("26fce3725c5a4901543c37a8437468640158233d42d148192d1ff5b93af44962",
+        ("38ca86bf866dd2731f796330ac0b9617f824c6ca8fc87ce97b607239c97089e9",
          "8dc0316eaf657e82f2784dc589f44cc61a596d65a9d3aada285ccd102c56f2c5"),
     "heterogeneous-mix4/distilbert":
-        ("46ff3a9424f26d6425e0ed4d6577d182a7450c952a8a921254b09e2cc40641a9",
-         "3e932f8f6a31afcaca53111839e3cebbb3a21122410f56345daa1eec1cb22c39"),
+        ("3b6da439e0e42036cdc55eda6dd207fda7087400679312e015a7145b77a964d4",
+         "1a3f38d99a2106c946c186ee5a18c07801524d6cf9e3aa0304c023636958567f"),
     "heterogeneous-mix4/gpt2-s":
-        ("dba3823b0ea3cc3e5d8cb0d0105d06a6cee27ae72a2449983ccf3e179c2e07d2",
+        ("a8135b0ee1d373a7bd1465aa2785e86bffbf1e063d3555b49735ec2a156ea62d",
          "f6e6b310b1d763d5b048927e10a9a299565fd45cc5d238a179f4c8df5268316f"),
     "heterogeneous-mix4/opt-350m":
-        ("9c3e491e1e1aff419a75aa5e6706c33f7b422c57f5b0d5986be8a608570c0cd4",
+        ("9096faf9754e2c6cebf896235afbdabedc13fc9a9ec75a36bc0808559198ed22",
          "49b9eb59f844cf2e046df1fe613ca4e1fa7f86db4ef33b814634653d29eaa720"),
     "heterogeneous-mix4/gpt2-l":
-        ("52d51434f9f9494aff4cd8978847ca1f6434bb90c6608c71dc6e878d4c467cdb",
+        ("8f9265b1ce6e6d20715641519bf6652bdf0d395a11d53b17d4b7fcb8595bb204",
          "ab8563f02340f78bea9bfb7f0595f67054812625ad2e673b554ded3da5a03a7b"),
 }
 
 GOLDEN_FAULTS = {
     "homogeneous-nano4/distilbert":
-        "e0a87ce98f43aeb9d8b5112927d5d5ad8682d5b32f6c491f83def93242e0310c",
+        "ea2dfcc0f1d94cdad78769a349a492e73647d5003ab408ad452ec5e09ed8b6bc",
     "homogeneous-nano4/gpt2-s":
-        "90868ca56f6a6edb59b84289dcca64b42f81cbac008e57cce3e8094a67b54ddf",
+        "a27cf90b6c25c7c75adb41056864e39a78112b1f880505d77b09c816a0a790bc",
     "homogeneous-nano4/opt-350m":
-        "284f0487e0fc9bacbbbcb074a5ac056c49c6bcd4b6d7ada6c802590a5e971b6b",
+        "b28ba9d7dde0f24b1afe7a2868293961be5de79f2ea8124c221b87fbbe7474ec",
     "homogeneous-nano4/gpt2-l":
-        "e153502f13a1ec3699a2ccbdd2d883d07076a64657b960567566f22a0fb66a0e",
+        "6b3375bde003cb666879c54c60f3cc4e6494402553335338929646b1f02c5231",
     "heterogeneous-mix4/distilbert":
-        "8eca58a3ff8b1c35660716845291a46140d6c04926c864483cdd9e7696e857c4",
+        "b2b65493913263db2655ed61961e9963bdf5f69095552e636e0324b8ff3916f0",
     "heterogeneous-mix4/gpt2-s":
-        "e72d6270455281b43483f4ab6f381048f2b915cb8ebd79955be0d2b89202593e",
+        "2c0b57fded82592140343958c0760f0bcdd3847787efcb6da3895e04e91fd25d",
     "heterogeneous-mix4/opt-350m":
-        "fe050ef7ada99067bf73e69291a9f75a5db86787ffc38f876a9a5b9822702312",
+        "4f3b7d3b3e5c8d7e1157045fa96a41291865ec3e85de66b7b5c17a5d23ffd9a9",
     "heterogeneous-mix4/gpt2-l":
-        "4a0077dc6202272c3bee71b3f56030c31b40f81fb9355517e5bf9d604afb646e",
+        "2a3e6aabd124140c90e35bb4b6301eb799ab038a78cc8450b35bee95499af148",
 }
 
 GOLDEN_SWEEP = {
     "homogeneous-nano4":
-        "64f25a637857e5137b12c6a87f35a1b4609ff879120346aaf997e9ae728f8a19",
+        "45d54ae18bf20e3bb9c5f64c8add309ebcc0aef6fe85e6b653ed066d35d91e28",
     "heterogeneous-mix4":
         "5da852569ea6dcb9d3156ccd2212c5f077154adcde61742232045ef7743d0fdb",
 }
 
 GOLDEN_PER_LINK = {
     "plan":
-        "7d312b536321a4801058c9460cc574bab8684de14b9c2af509aa244c31e31de0",
+        "9d9eca382191e8267968c434edbf7cb22a508e87607562fd4ef1c4ad34f75c27",
     "single":
-        ("6e21bfd8dd567a068ee1260489232f04f4979e728e8eb86a9b70c73bc5ccf92c",
+        ("f401dd669ad6c715806daad95f92efd825b450f838a76ac2c85185ec87c8bcdd",
          "ccc684da119abc7efe33c24428df8957a020d164291a8767eb60f9db00763b58"),
     "dp":
-        ("ac5a60d26fc3442f13cf4e858eb47cdea0ce424731e8f0c0a56aab9cebe58ce7",
-         "78fd50673b95f44220b1bd2893535f8d972342b1ec26f1904d697d58af5af8d3"),
+        ("689fa497b3e39f438b4294f2c3812bdda6665f5cc33f3f30b9f6a0ade947260c",
+         "ed2add6eee46d0c23bfda05b4dc5f87fc88f319894f8c683dc787c5eacdee293"),
     "sp":
-        ("9fe9f93ecaff8a67f0e38b43f601b73f445ad6d045e6936724d2c64a51f5a2d0",
-         "c5ff3b2d1e67acd3a3bb8fe5799b3f93309356db27dd5037a9b525d38497071a"),
+        ("d3f19db9917073d8780153d91d21ee0b2dd6f4d17779dab377a575ca816c63a9",
+         "5f5a2b9e1db135eea106316091daa2de50c882d796d3490bc407fefd4b4d89d8"),
     "tp":
-        ("665541e1ba4a1c571adfd7ce80b5217db07fb88af0e97e5718a17b5f5dd60eeb",
+        ("7961a33475288e740444ba68cce0a398adcc60d89f45092b9df95826b6b1c00a",
          "d1c3ace0f81ed82422da8e16da97862a5ce3d6f130de72b7b0a9c523434875af"),
     "pp":
-        ("23a18db6da08df063d38f30a94215c1fec03d9efd159ac34569135cf31d1da11",
+        ("8c1de49676f8e77dca63004f657705de27873a12c0a9080410246b56bdc76b66",
          "580a64a137707a04ed77494af3b0e7dd1d156df3e4f58df171262e0111c00f20"),
 }
 

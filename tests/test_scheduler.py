@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,7 +263,7 @@ class TestArrangeTopology:
         for perm in itertools.permutations(participants):
             ranges = partition_stages(domain, perm, spec, job)
             plan = make_pp_plan(domain, spec, job, perm, ranges)
-            t = simulate(plan, domain, iterations=1, warmup=0).makespan
+            t = simulate(plan, domain, iterations=1).makespan
             if t < best_time - 1e-15:
                 best_time, best_perms = t, [perm]
             elif t < best_time + 1e-15:
@@ -496,6 +498,16 @@ class TestCheckpointPlanning:
         with pytest.raises(ValueError):
             young_checkpoint_interval(1.0, 0.0)
 
+    @staticmethod
+    def period_mean(plan, domain):
+        """Mean wall time of the k iterations of one sync period, the last of
+        which syncs, from their exactly rounded sum (math.fsum)."""
+        base_len, sync_len = iteration_times(plan, domain)
+        k = plan.job.dp_sync_period
+        times = itertools.chain(itertools.repeat(base_len, k - 1),
+                                [base_len + sync_len])
+        return math.fsum(times) / k
+
     def test_interval_floored_at_iteration_time(self):
         domain = load_testbed("homogeneous-nano4")
         plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
@@ -503,13 +515,12 @@ class TestCheckpointPlanning:
         # nearly-always-failing model drives tau below one iteration
         fm = FaultModel(1e-3, 1e12, 1e12)
         interval = plan_checkpointing(plan, domain, fm)
-        k = JOB.dp_sync_period
-        floor = sum(iteration_times(plan, domain, k)) / k
-        assert interval == pytest.approx(floor, rel=1e-12)
+        assert interval == pytest.approx(self.period_mean(plan, domain),
+                                         rel=1e-12)
 
     def test_floor_streams_the_iteration_times(self):
-        """The floor averages dp_sync_period iteration times without a list
-        of them (about 32 MB at a period of 10**6)."""
+        """The floor is the mean iteration of a sync period without a list
+        of the period's iteration times (about 32 MB at a period of 10**6)."""
         domain = load_testbed("homogeneous-nano4")
         job = default_edge_job(dp_sync_period=10**6)
         plan = make_dp_plan(domain, model_preset("distilbert"), job,
@@ -522,8 +533,22 @@ class TestCheckpointPlanning:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        assert interval == pytest.approx(
-            sum(iteration_times(plan, domain, 10**6)) / 10**6, rel=1e-12)
+        assert interval == pytest.approx(self.period_mean(plan, domain),
+                                         rel=1e-12)
+
+    def test_floor_at_the_largest_sync_period(self):
+        """A sync period of 2**53 iterations costs no more than one of 5."""
+        domain = load_testbed("homogeneous-nano4")
+        job = default_edge_job(dp_sync_period=2**53)
+        plan = make_dp_plan(domain, model_preset("distilbert"), job,
+                            domain.device_ids)
+        fm = FaultModel(1e-3, 1e12, 1e12)  # tau below one iteration
+        start = time.perf_counter()
+        interval = plan_checkpointing(plan, domain, fm)
+        assert time.perf_counter() - start < 0.5
+        base_len, sync_len = iteration_times(plan, domain)
+        exact = Fraction(base_len) + Fraction(sync_len) / 2**53
+        assert interval == pytest.approx(float(exact), rel=1e-12)
 
     def test_interval_capped_for_reliable_systems(self):
         domain = load_testbed("homogeneous-nano4")

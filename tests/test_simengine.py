@@ -16,11 +16,11 @@ from edgetrainsim.parallelism import (ALL_KINDS, KIND_SINGLE, OP_ALLGATHER,
                                       make_pp_plan,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan)
-from edgetrainsim.simengine import (TRACE_HEADER, SimulationError,
-                                    _profile_iteration, _trace_lines,
-                                    _trace_rows, _trace_stream, collective_time,
-                                    inject_faults, iteration_times, simulate,
-                                    write_trace)
+from edgetrainsim.simengine import (TRACE_HEADER, DeviceUsage,
+                                    SimulationError, _profile_iteration,
+                                    _trace_lines, _trace_rows, _trace_stream,
+                                    collective_time, inject_faults,
+                                    iteration_times, simulate, write_trace)
 from edgetrainsim.workload import (TrainingJob, flops_per_iteration,
                                    model_preset, default_edge_job)
 
@@ -283,14 +283,23 @@ class TestAccounting:
         assert sp_d.comm_bytes_by_op[OP_ALLGATHER] == pytest.approx(
             2 * sp_s.comm_bytes_by_op[OP_ALLGATHER], rel=1e-12)
 
-    def test_warmup_excluded_from_metrics(self):
+    def test_sync_count_is_floor_of_iterations_over_period(self):
+        """Iteration g syncs when k divides g + 1: floor(I/k) syncs."""
         domain = load_testbed("homogeneous-nano4")
-        plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
-                            domain.device_ids)
-        times = iteration_times(plan, domain, 20, warmup=2)
-        result = simulate(plan, domain, iterations=20, warmup=2)
-        assert result.makespan == pytest.approx(sum(times), rel=1e-12)
-        assert result.samples_processed == 20 * 128
+        spec = model_preset("gpt2-s")
+        for k in (1, 3, 5, 7):
+            job = default_edge_job(dp_sync_period=k)
+            plan = make_dp_plan(domain, spec, job, domain.device_ids)
+            base_len, sync_len = iteration_times(plan, domain)
+            for iters in range(1, 3 * k + 2):
+                n_sync = iters // k
+                result = simulate(plan, domain, iterations=iters)
+                assert result.makespan == pytest.approx(
+                    iters * base_len + n_sync * sync_len, rel=1e-12)
+                assert result.comm_bytes_by_op == pytest.approx(
+                    {OP_ALLREDUCE: n_sync * grad_sync_bytes(spec, job)}
+                    if n_sync else {})
+                assert result.samples_processed == iters * 128
 
 
 class TestTemplateConsumers:
@@ -309,15 +318,15 @@ class TestTemplateConsumers:
         domain = make_domain([240e9, 665e9, 1.2e12, 240e9], links=links)
         job = default_edge_job(global_batch=96)
         plan = self.KINDS[kind](domain, model_preset("distilbert"), job, ids)
-        iters, warmup = 12, 2
-        result = simulate(plan, domain, iterations=iters, warmup=warmup)
+        iters = 12
+        result = simulate(plan, domain, iterations=iters)
         assert not result.oom
-        rows = list(_trace_stream(plan, domain, iters, warmup))
+        rows = list(_trace_stream(plan, domain, iters))
         for p, usage in result.per_device.items():
             comm = sum(d for _, device, kind, d, _ in rows
                        if device == p and kind != "compute")
             assert comm == pytest.approx(usage.comm_time, rel=1e-12, abs=0.0)
-        syncs = sum(1 for g in range(warmup, warmup + iters)
+        syncs = sum(1 for g in range(iters)
                     if (g + 1) % job.dp_sync_period == 0)
         expected = {}
         for e in comm_template(plan):
@@ -334,7 +343,7 @@ def read_trace(path):
             for t, p, kind, d, b in (line.split("\t") for line in lines[1:])]
 
 
-def materialised_trace(plan, domain, iterations, warmup):
+def materialised_trace(plan, domain, iterations):
     """Reference trace table: one record per row per iteration, one stable
     sort of them all by (time, device), and each record formatted on its own.
     """
@@ -342,7 +351,7 @@ def materialised_trace(plan, domain, iterations, warmup):
     rows = _trace_rows(prof, plan.participants)
     k = plan.job.dp_sync_period
     records, t0 = [], 0.0
-    for g in range(warmup, warmup + iterations):
+    for g in range(iterations):
         sync = (g + 1) % k == 0
         records += [(t0 + offset, p, kind, d, b)
                     for offset, p, kind, d, b, sync_only in rows
@@ -354,7 +363,7 @@ def materialised_trace(plan, domain, iterations, warmup):
 
 
 @st.composite
-def traced_plans(draw):
+def random_plans(draw, sync_periods=st.integers(1, 7)):
     """Any kind on 2-7 nano/tx2/nx devices over random per-link networks."""
     kinds = draw(st.lists(st.sampled_from(sorted(DEVICE_PROFILE_FACTORIES)),
                           min_size=2, max_size=7))
@@ -369,7 +378,7 @@ def traced_plans(draw):
     micro = draw(st.integers(1, 4))
     job = default_edge_job(global_batch=micro * draw(st.integers(1, 128)),
                            micro_batch=micro,
-                           dp_sync_period=draw(st.integers(1, 7)))
+                           dp_sync_period=draw(sync_periods))
     kind = draw(st.sampled_from(ALL_KINDS))
     ids = domain.device_ids[:1] if kind == KIND_SINGLE else domain.device_ids
     try:
@@ -422,14 +431,76 @@ class TestTrace:
     # counterexample is reported instead.
     @settings(max_examples=60, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(traced_plans(), st.integers(1, 1000), st.integers(0, 3))
-    def test_streamed_trace_matches_materialised_sort(self, case, iterations,
-                                                      warmup):
+    @given(random_plans(), st.integers(1, 1000))
+    def test_streamed_trace_matches_materialised_sort(self, case, iterations):
         plan, domain = case
-        streamed = "".join(_trace_lines(_trace_stream(plan, domain, iterations,
-                                                      warmup)))
+        streamed = "".join(_trace_lines(_trace_stream(plan, domain,
+                                                      iterations)))
         assert TRACE_HEADER + streamed == materialised_trace(
-            plan, domain, iterations, warmup)
+            plan, domain, iterations)
+
+
+def looped_totals(plan, domain, iterations):
+    """Reference run totals, added up one iteration at a time: the makespan,
+    per-device compute, comm and idle time, and payload bytes by op."""
+    prof = _profile_iteration(plan, domain)
+    parts = plan.participants
+    k = plan.job.dp_sync_period
+    usage = {p: DeviceUsage() for p in parts}
+    makespan = 0.0
+    comm_bytes = {}
+    for g in range(iterations):
+        sync = (g + 1) % k == 0
+        dur = prof.base_len + (prof.sync_len if sync else 0.0)
+        for p in parts:
+            u = usage[p]
+            u.compute_time += prof.compute[p]
+            comm = prof.base_comm[p] + (prof.sync_comm[p] if sync else 0.0)
+            u.comm_time += comm
+            u.idle_time += dur - prof.compute[p] - comm
+        for op, b in prof.base_bytes.items():
+            comm_bytes[op] = comm_bytes.get(op, 0.0) + b
+        if sync:
+            for op, b in prof.sync_bytes.items():
+                comm_bytes[op] = comm_bytes.get(op, 0.0) + b
+        makespan += dur
+    return makespan, usage, comm_bytes
+
+
+class TestClosedFormTotals:
+    # Shrinking a failure over 21 link floats takes minutes; a raw
+    # counterexample is reported instead.
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(random_plans(sync_periods=st.integers(1, 50)),
+           st.integers(1, 2000))
+    def test_totals_match_the_iteration_loop(self, case, iterations):
+        """Each total is within the loop's own rounding bound of the loop's:
+        adding I terms in order errs by at most (I - 1) * 2**-53 * sum|terms|,
+        and the two products and one addition of the closed form by about
+        2 * 2**-53 * sum|terms| more.  Every term is >= 0, so sum|terms| is
+        the total itself; an idle term is a difference, so its bound counts
+        the iteration's wall, compute and comm times it is made from."""
+        plan, domain = case
+        result = simulate(plan, domain, iterations)
+        assume(not result.oom)
+        makespan, usage, comm_bytes = looped_totals(plan, domain, iterations)
+        eps = (iterations + 1) * 2.0**-53
+
+        def close(got, want, magnitude):
+            return abs(got - want) <= eps * magnitude
+
+        assert close(result.makespan, makespan, makespan)
+        for p, want in usage.items():
+            got = result.per_device[p]
+            assert close(got.compute_time, want.compute_time,
+                         want.compute_time)
+            assert close(got.comm_time, want.comm_time, want.comm_time)
+            assert close(got.idle_time, want.idle_time,
+                         makespan + want.compute_time + want.comm_time)
+        assert result.comm_bytes_by_op.keys() == comm_bytes.keys()
+        for op, want in comm_bytes.items():
+            assert close(result.comm_bytes_by_op[op], want, want)
 
 
 class TestFaultInjection:
