@@ -1,12 +1,13 @@
 """Orchestration decisions: participants, parallelism, topology, checkpoints.
 
-Device subsets are searched exhaustively up to 12 devices.  The stage split
-is exact at any size: a threshold search over the candidate stage times,
-O(n·L·log(n·L)) for n devices and L blocks.  Its bottleneck does not depend
-on device order, so a pipeline's order minimises its slowest boundary hop,
-over every order up to 8 devices.  Both searches fall back to greedy
-throughput order beyond their bounds; all tie-breaks are deterministic so
-repeated runs reproduce bit-identical strategies.
+`candidate_plans` streams the plan kinds for a participant set, simulated or
+rejected with one reason; `choose_parallelism` keeps the first best kind and
+`select_devices` the first best subset, under one tie rule.  Subsets are
+searched exhaustively up to 12 devices, pipeline orders up to 8, with a
+fastest-first fallback beyond.  The stage split is exact at any size, a
+threshold search in O(n·L·log(n·L)) for n devices and L blocks; its
+bottleneck does not depend on device order, so a pipeline's order minimises
+its slowest boundary hop.  All ties break deterministically.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator
 
 from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
                       effective_throughput)
@@ -69,6 +70,23 @@ class OrchestrationStrategy:
     def __post_init__(self):
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be > 0")
+
+
+def _fastest_first(domain: TrustedDomain, ids) -> list[str]:
+    """Device ids by descending effective throughput, ties by id."""
+    return sorted(ids, key=lambda p: (
+        -effective_throughput(domain.device(p), domain.mode), p))
+
+
+def _first_best(candidates, objective: Objective):
+    """The first ``(plan, result)`` of least objective value, or None.  A
+    later one wins only when lower by an absolute margin, so near-ties go to
+    the earlier one."""
+    best, best_value = None, math.inf
+    for plan, result in candidates:
+        if (value := objective.value(result)) < best_value - 1e-15:
+            best, best_value = (plan, result), value
+    return best
 
 
 def _per_block_time(domain: TrustedDomain, device_id: str,
@@ -153,10 +171,7 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
     if len(participants) == 1:
         return participants
     if len(participants) > EXHAUSTIVE_PERMUTATION_LIMIT:
-        # Greedy fallback: fastest devices first, ties by id.
-        return tuple(sorted(
-            participants,
-            key=lambda p: (-effective_throughput(domain.device(p), domain.mode), p)))
+        return tuple(_fastest_first(domain, participants))
     act = activation_tensor_bytes(spec, job)
     hop = {pair: collective_time(OP_P2P, act, pair, domain.network)
            for pair in itertools.permutations(participants, 2)}
@@ -165,99 +180,83 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
 
 
 def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
-                    job: TrainingJob) -> tuple[list[ParallelPlan], dict[str, str]]:
-    """All constructible plans for a participant set, plus per-kind skip reasons."""
+                    job: TrainingJob,
+                    iterations: int = DEFAULT_ITERATIONS) -> Iterator[tuple]:
+    """Each plan kind for a participant set, as ``(kind, plan, result,
+    reason)`` in preference order: single for one participant, else DP, PP,
+    TP, SP.  ``reason`` is None for a plan that can win, else its one
+    rejection: no build, no memory-feasible stage split, out of memory, or a
+    non-finite cost.  ``plan`` and ``result`` are None where it got no further.
+    """
     participants = tuple(participants)
-    if len(participants) == 1:
-        return [make_plan(KIND_SINGLE, domain, spec, job, participants)], {}
-    plans: list[ParallelPlan] = []
-    reasons: dict[str, str] = {}
-    for kind in KIND_PREFERENCE:
+    for kind in (KIND_SINGLE,) if len(participants) == 1 else KIND_PREFERENCE:
         try:
             order, ranges = participants, None
             if kind == KIND_PP:
                 order = arrange_topology(domain, participants, spec, job)
                 ranges = partition_stages(domain, order, spec, job)
-            plans.append(make_plan(kind, domain, spec, job, order, ranges))
-        except (PlanError, InfeasibleError) as exc:
-            reasons[kind] = str(exc)
-    return plans, reasons
+            plan = make_plan(kind, domain, spec, job, order, ranges)
+        except PlanError as exc:
+            yield kind, None, None, str(exc)
+            continue
+        except InfeasibleError as exc:
+            yield kind, None, None, exc.reasons[kind]
+            continue
+        result = simulate(plan, domain, iterations=iterations)
+        reason = None
+        if result.oom:
+            reason = "out of memory on " + ", ".join(result.oom_devices)
+        elif not (math.isfinite(result.latency_per_sample)
+                  and math.isfinite(result.energy_per_sample)):
+            reason = "latency or energy per sample is not finite"
+        yield kind, plan, result, reason
 
 
 def choose_parallelism(domain: TrustedDomain, participants, spec: TransformerSpec,
                        job: TrainingJob, objective: Objective,
                        iterations: int = DEFAULT_ITERATIONS
                        ) -> tuple[ParallelPlan, SimulationResult]:
-    """Best plan kind for a fixed participant set under the objective.
-
-    Evaluates every constructible kind through the simulator; ties resolve in
-    the documented preference order DP < PP < TP < SP.
-    """
-    plans, reasons = candidate_plans(domain, participants, spec, job)
-    best: Optional[tuple[ParallelPlan, SimulationResult]] = None
-    best_value = math.inf
-    for plan in plans:
-        result = simulate(plan, domain, iterations=iterations)
-        if result.oom:
-            reasons[plan.kind] = ("out of memory on " +
-                                  ", ".join(result.oom_devices))
-            continue
-        value = objective.value(result)
-        if value < best_value - 1e-15:
-            best_value = value
-            best = (plan, result)
+    """Best plan kind for a fixed participant set under the objective: the
+    first best of `candidate_plans`, so ties go DP < PP < TP < SP.  Raises
+    InfeasibleError with each kind's rejection when none can win."""
+    candidates = list(candidate_plans(domain, participants, spec, job,
+                                      iterations))
+    best = _first_best([(plan, result) for _, plan, result, reason
+                        in candidates if reason is None], objective)
     if best is None:
-        raise InfeasibleError(reasons or {"all": "no plan could be built"})
+        raise InfeasibleError({kind: reason for kind, _, _, reason
+                               in candidates if reason is not None})
     return best
 
 
-@dataclass
-class SelectionOutcome:
-    best_subset: tuple[str, ...]
-    best_plan: ParallelPlan
-    best_result: SimulationResult
-    objective_value: float
-
-
 def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
-                   objective: Objective,
-                   iterations: int = DEFAULT_ITERATIONS) -> SelectionOutcome:
-    """Objective-optimal participant subset.
-
-    Pools up to 12 devices are searched exhaustively; larger pools fall back
-    to greedy throughput-sorted prefixes.  Subsets where every kind is
-    memory-infeasible are excluded.  Raises InfeasibleError when nothing fits.
-    """
-    ids = list(domain.device_ids)
+                   objective: Objective, iterations: int = DEFAULT_ITERATIONS
+                   ) -> tuple[ParallelPlan, SimulationResult]:
+    """Objective-optimal participant subset, as its best plan and result:
+    the first best of `choose_parallelism` over subsets by size, then pool
+    order; every subset up to 12 devices, else the fastest-first prefixes.
+    When none fits, re-raises the full pool's (last subset's) error."""
+    ids, sizes = domain.device_ids, range(1, len(domain.device_ids) + 1)
     if len(ids) <= EXHAUSTIVE_SUBSET_LIMIT:
-        subsets = []
-        for size in range(1, len(ids) + 1):
-            subsets.extend(itertools.combinations(ids, size))
+        subsets = (s for size in sizes for s in itertools.combinations(ids, size))
     else:
-        ranked = sorted(ids, key=lambda p: (
-            -effective_throughput(domain.device(p), domain.mode), p))
-        subsets = [tuple(sorted(ranked[:size])) for size in range(1, len(ids) + 1)]
+        ranked = _fastest_first(domain, ids)
+        subsets = (tuple(sorted(ranked[:size])) for size in sizes)
+    error = None
 
-    best = None
-    best_value = math.inf
-    all_reasons: dict[str, str] = {}
-    for subset in subsets:
-        try:
-            plan, result = choose_parallelism(domain, subset, spec, job,
-                                              objective, iterations)
-        except InfeasibleError as exc:
-            if len(subset) == len(ids):
-                all_reasons.update(exc.reasons)
-            continue
-        value = objective.value(result)
-        if value < best_value - 1e-15:
-            best_value = value
-            best = (subset, plan, result)
+    def winners():
+        nonlocal error
+        for subset in subsets:
+            try:
+                yield choose_parallelism(domain, subset, spec, job, objective,
+                                         iterations)
+            except InfeasibleError as exc:
+                error = exc
+
+    best = _first_best(winners(), objective)
     if best is None:
-        raise InfeasibleError(all_reasons)
-    subset, plan, result = best
-    return SelectionOutcome(best_subset=subset, best_plan=plan,
-                            best_result=result, objective_value=best_value)
+        raise error
+    return best
 
 
 def young_checkpoint_interval(write_time: float, system_mtbf: float) -> float:
@@ -296,8 +295,7 @@ def orchestrate(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     participant subsets.
     """
     if select:
-        outcome = select_devices(domain, spec, job, objective, iterations)
-        plan, result = outcome.best_plan, outcome.best_result
+        plan, result = select_devices(domain, spec, job, objective, iterations)
     else:
         plan, result = choose_parallelism(domain, domain.device_ids, spec, job,
                                           objective, iterations)

@@ -7,7 +7,8 @@ import yaml
 
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
-from edgetrainsim.devices import testbed_preset as load_testbed
+from edgetrainsim.devices import (DeviceProfile, TrustedDomain,
+                                  testbed_preset as load_testbed)
 from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
 from edgetrainsim.workload import default_edge_job, model_preset
 
@@ -70,6 +71,35 @@ class TestPlan:
         code = run("plan", "--model", "gpt2-l", "--devices", "nano")
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("select", [(), ("--select-devices",)],
+                             ids=["pool", "select"])
+    def test_infeasible_diagnosis_gives_one_reason_per_kind(self, capsys,
+                                                            select):
+        code = run("plan", "--testbed", "homogeneous-nano4", "--model",
+                   "gpt2-l", "--param-bytes", "4", "--optimizer-multiplier",
+                   "8", *select)
+        assert code == 2
+        nanos = "nano-0, nano-1, nano-2, nano-3"
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: gpt2-l does not fit this domain",
+            f"  dp: out of memory on {nanos}",
+            "  pp: no memory-feasible contiguous stage partition",
+            f"  sp: out of memory on {nanos}",
+            f"  tp: out of memory on {nanos}"]
+
+    def test_non_finite_cost_is_a_rejection(self, tmp_path, capsys):
+        slow = DeviceProfile("slow", cpu_throughput=1e-300, gpu_throughput=0.0,
+                             mem_capacity=64e9, power_idle=2.0,
+                             power_cpu_busy=7.0, power_gpu_busy=10.0,
+                             power_net=1.0)
+        path = tmp_path / "domain.yaml"
+        path.write_text(config_io.dump_yaml(config_io.domain_to_dict(
+            TrustedDomain(devices=(slow,), mode="cpu"))))
+        assert run("plan", "--domain", str(path), "--model", "gpt2-s") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: gpt2-s does not fit this domain",
+            "  single: latency or energy per sample is not finite"]
 
     def test_unknown_testbed_exits_1(self, capsys):
         assert run("plan", "--testbed", "bogus") == 1

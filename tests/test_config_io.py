@@ -329,8 +329,9 @@ def _domains(draw):
 @settings(max_examples=25, deadline=None)
 @given(_domains(), st.sampled_from(sorted(MODEL_PRESETS)))
 def test_every_built_plan_loads_back(domain, model):
-    plans, _ = candidate_plans(domain, domain.device_ids, model_preset(model),
-                               default_edge_job())
+    plans = [plan for _, plan, _, _ in candidate_plans(
+        domain, domain.device_ids, model_preset(model), default_edge_job())
+        if plan is not None]
     for plan in plans:
         text = config_io.dump_yaml(config_io.plan_to_dict(plan, domain, 12.5))
         loaded, loaded_domain, interval = config_io.plan_from_dict(

@@ -1,11 +1,13 @@
 """Scheduler tests: stage partitioning, topology, plan choice, checkpoints."""
 
+import collections
 import dataclasses
 import itertools
 import math
 import random
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -374,13 +376,18 @@ class TestChooseParallelism:
             excinfo.value.reasons[KIND_PP]
 
     def test_one_stage_split_per_pipeline_plan(self, monkeypatch):
-        devices = [jetson_nano(f"nano-{i}") for i in range(6)]
-        devices += [jetson_tx2("tx2-0"), jetson_nx("nx-0")]
-        rng = random.Random(3)
-        links = tuple((a.id, b.id, Link(rng.choice((1e7, 1e8, 1e9)), 1e-4))
-                      for a, b in itertools.combinations(devices, 2))
-        domain = domain_of(*devices, links=links)
-        calls = {"partition_stages": 0, "simulate": 0, "plans": 0}
+        """One order search and stage split per participant set, and at most
+        one simulation per built plan: for one set, and for each subset of
+        a 6-device pool."""
+        def per_link_pool(n_nanos):
+            devices = [jetson_nano(f"nano-{i}") for i in range(n_nanos)]
+            devices += [jetson_tx2("tx2-0"), jetson_nx("nx-0")]
+            rng = random.Random(3)
+            links = tuple((a.id, b.id, Link(rng.choice((1e7, 1e8, 1e9)), 1e-4))
+                          for a, b in itertools.combinations(devices, 2))
+            return domain_of(*devices, links=links)
+
+        calls = collections.Counter()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -389,24 +396,36 @@ class TestChooseParallelism:
             return wrapper
 
         def counted_candidates(*args, **kwargs):
-            plans, reasons = candidate_plans(*args, **kwargs)
-            calls["plans"] += len(plans)
-            return plans, reasons
+            for candidate in candidate_plans(*args, **kwargs):
+                calls["plans"] += candidate[1] is not None
+                yield candidate
 
-        for name in ("partition_stages", "simulate"):
+        for name in ("arrange_topology", "partition_stages", "simulate",
+                     "choose_parallelism"):
             monkeypatch.setattr(scheduler, name,
                                 counted(name, getattr(scheduler, name)))
         monkeypatch.setattr(scheduler, "candidate_plans", counted_candidates)
+        domain = per_link_pool(6)
         choose_parallelism(domain, domain.device_ids, model_preset("gpt2-l"),
                            JOB, ENERGY)
         assert calls["partition_stages"] == 1
         assert calls["plans"] >= 1
         assert calls["simulate"] <= calls["plans"]
 
+        calls.clear()
+        domain = per_link_pool(4)
+        select_devices(domain, model_preset("gpt2-l"), JOB, ENERGY)
+        subsets = 2 ** 6 - 1
+        assert calls["choose_parallelism"] == subsets
+        assert calls["arrange_topology"] <= subsets - 6
+        assert calls["partition_stages"] <= subsets - 6
+        assert calls["plans"] >= 1
+        assert calls["simulate"] <= calls["plans"]
+
     def test_too_few_blocks_is_diagnosed(self):
         domain = domain_of(*(jetson_nano(f"nano-{i}") for i in range(7)))
-        _, reasons = candidate_plans(domain, domain.device_ids,
-                                     model_preset("distilbert"), JOB)
+        reasons = {kind: reason for kind, _, _, reason in candidate_plans(
+            domain, domain.device_ids, model_preset("distilbert"), JOB)}
         assert reasons[KIND_PP] == "6 blocks cannot fill 7 pipeline stages"
 
 
@@ -416,25 +435,25 @@ class TestSelectDevices:
         spec = model_preset("gpt2-s")
         a = device("a", 8e9, mem=1e6)
         b = device("b", 1e9, mem=64e9)
-        outcome = select_devices(domain_of(a, b), spec, JOB, Objective())
-        assert outcome.best_subset == ("b",)
-        assert outcome.best_plan.kind == KIND_SINGLE
+        plan, _ = select_devices(domain_of(a, b), spec, JOB, Objective())
+        assert set(plan.participants) == {"b"}
+        assert plan.kind == KIND_SINGLE
 
     def test_collaborative_energy_not_worse_than_single(self):
         domain = load_testbed("homogeneous-nano4")
-        outcome = select_devices(domain, model_preset("gpt2-s"), JOB,
-                                 ENERGY)
+        _, result = select_devices(domain, model_preset("gpt2-s"), JOB,
+                                   ENERGY)
         single = simulate(
             make_dp_plan(domain, model_preset("gpt2-s"), JOB, ("nano-0",)),
             domain)
-        assert outcome.objective_value <= single.energy_per_sample + 1e-12
+        assert ENERGY.value(result) <= single.energy_per_sample + 1e-12
 
     @pytest.mark.parametrize("objective", [ENERGY, LATENCY],
                              ids=["energy", "latency"])
     def test_matches_brute_force_over_subsets(self, objective):
         domain = load_testbed("heterogeneous-mix4")
         spec = model_preset("distilbert")
-        outcome = select_devices(domain, spec, JOB, objective)
+        _, chosen = select_devices(domain, spec, JOB, objective)
         best = math.inf
         for size in range(1, 5):
             for subset in itertools.combinations(domain.device_ids, size):
@@ -444,21 +463,69 @@ class TestSelectDevices:
                 except InfeasibleError:
                     continue
                 best = min(best, objective.value(result))
-        assert outcome.objective_value == pytest.approx(best, rel=1e-12)
+        assert objective.value(chosen) == pytest.approx(best, rel=1e-12)
 
     def test_adding_a_device_never_hurts(self):
         spec = model_preset("gpt2-s")
         small = domain_of(device("a", 1e9))
         larger = domain_of(device("a", 1e9), device("b", 4e9))
-        v_small = select_devices(small, spec, JOB,
-                                 LATENCY).objective_value
-        v_large = select_devices(larger, spec, JOB,
-                                 LATENCY).objective_value
+        v_small = LATENCY.value(select_devices(small, spec, JOB, LATENCY)[1])
+        v_large = LATENCY.value(select_devices(larger, spec, JOB, LATENCY)[1])
         assert v_large <= v_small + 1e-15
 
     def test_empty_pool_is_unconstructible(self):
         with pytest.raises(ValidationError):
             TrustedDomain(devices=())
+
+
+class TestTieRule:
+    """At both levels a later candidate wins only when its objective value
+    is lower by more than an absolute 1e-15: kinds go DP, PP, TP, SP and
+    subsets by size, then pool order.  `simulate` returns chosen energies."""
+
+    @staticmethod
+    def fake_energies(monkeypatch, energies):
+        """``energies`` maps (participant set, kind) to energy per sample."""
+        def fake(plan, domain, iterations):
+            key = ("".join(sorted(plan.participants)), plan.kind)
+            return types.SimpleNamespace(oom=False, oom_devices=(),
+                                         latency_per_sample=1.0,
+                                         energy_per_sample=energies[key])
+        monkeypatch.setattr(scheduler, "simulate", fake)
+
+    @pytest.mark.parametrize("dp, pp, tp, sp, want", [
+        (1.0, 1.0, 1.0, 1.0, KIND_DP),
+        (1.0, 1.0 - 1e-15, 1.0 - 0.5e-15, 1.0, KIND_DP),
+        (1.0, 1.0 - 2e-15, 1.0, 1.0, KIND_PP),
+        (1.0, 1.0, 1.0 - 2e-15, 1.0 - 2e-15, KIND_TP),
+        (2.0, 2.0, 2.0, 1.0, KIND_SP),
+    ])
+    def test_kinds(self, monkeypatch, dp, pp, tp, sp, want):
+        domain = domain_of(*(device(d, 1e9) for d in "abcd"))
+        values = {KIND_DP: dp, KIND_PP: pp, KIND_TP: tp, KIND_SP: sp}
+        self.fake_energies(monkeypatch, {("abcd", k): v
+                                         for k, v in values.items()})
+        plan, _ = choose_parallelism(domain, domain.device_ids, SMALL_SPEC,
+                                     SMALL_JOB, ENERGY)
+        assert plan.kind == want
+
+    @pytest.mark.parametrize("a, b, ab_dp, ab_pp, want", [
+        (1.0, 1.0, 2.0, 2.0, {"a"}),                  # tied subsets
+        (1.0, 1.0 - 1e-15, 2.0, 2.0, {"a"}),
+        (1.0, 1.0 - 2e-15, 2.0, 2.0, {"b"}),
+        (1.0, 1.0, 1.0 - 2e-15, 2.0, {"a", "b"}),
+        # Two levels: (a, b) keeps DP, which does not beat (a).  One flat
+        # minimum over every (subset, kind) would pick (a, b) PP.
+        (1.0, 2.0, 1.0 - 0.6e-15, 1.0 - 1.2e-15, {"a"}),
+    ])
+    def test_subsets(self, monkeypatch, a, b, ab_dp, ab_pp, want):
+        domain = domain_of(device("a", 1e9), device("b", 1e9))
+        self.fake_energies(monkeypatch, {
+            ("a", KIND_SINGLE): a, ("b", KIND_SINGLE): b,
+            ("ab", KIND_DP): ab_dp, ("ab", KIND_PP): ab_pp,
+            ("ab", KIND_TP): 2.0, ("ab", KIND_SP): 2.0})
+        plan, _ = select_devices(domain, SMALL_SPEC, SMALL_JOB, ENERGY)
+        assert set(plan.participants) == want
 
 
 class TestObjective:
@@ -581,9 +648,9 @@ class TestOrchestrate:
         domain = load_testbed("heterogeneous-mix4")
         strategy = orchestrate(domain, model_preset("distilbert"), JOB,
                                ENERGY, select=True)
-        outcome = select_devices(domain, model_preset("distilbert"), JOB,
+        plan, _ = select_devices(domain, model_preset("distilbert"), JOB,
                                  ENERGY)
-        assert set(strategy.plan.participants) == set(outcome.best_subset)
+        assert set(strategy.plan.participants) == set(plan.participants)
 
     def test_infeasible_domain_raises(self):
         domain = domain_of(device("a", 1e9, mem=1e6))
