@@ -175,9 +175,10 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     data = config_io.parse_yaml(_read_file(args.plan, "plan"), "plan")
     plan, domain, _ = config_io.plan_from_dict(data)
-    result = simulate(plan, domain, iterations=args.iterations)
-    if args.trace is not None:
-        write_trace(plan, domain, result.iterations_simulated, args.trace)
+    if args.trace is None:
+        result = simulate(plan, domain, iterations=args.iterations)
+    else:
+        result = write_trace(plan, domain, args.iterations, args.trace)
     _write_out(config_io.dump_yaml(config_io.result_to_dict(result)), args.out)
     if result.oom:
         print("simulation aborted: out of memory on "

@@ -180,13 +180,14 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
 
 
 def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
-                    job: TrainingJob,
+                    job: TrainingJob, objective: Objective,
                     iterations: int = DEFAULT_ITERATIONS) -> Iterator[tuple]:
     """Each plan kind for a participant set, as ``(kind, plan, result,
     reason)`` in preference order: single for one participant, else DP, PP,
     TP, SP.  ``reason`` is None for a plan that can win, else its one
-    rejection: no build, no memory-feasible stage split, out of memory, or a
-    non-finite cost.  ``plan`` and ``result`` are None where it got no further.
+    rejection: no build, no memory-feasible stage split, out of memory, a
+    non-finite cost or a non-finite objective value.  ``plan`` and
+    ``result`` are None where it got no further.
     """
     participants = tuple(participants)
     for kind in (KIND_SINGLE,) if len(participants) == 1 else KIND_PREFERENCE:
@@ -209,6 +210,8 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
         elif not (math.isfinite(result.latency_per_sample)
                   and math.isfinite(result.energy_per_sample)):
             reason = "latency or energy per sample is not finite"
+        elif not math.isfinite(objective.value(result)):
+            reason = "objective value is not finite"
         yield kind, plan, result, reason
 
 
@@ -220,7 +223,7 @@ def choose_parallelism(domain: TrustedDomain, participants, spec: TransformerSpe
     first best of `candidate_plans`, so ties go DP < PP < TP < SP.  Raises
     InfeasibleError with each kind's rejection when none can win."""
     candidates = list(candidate_plans(domain, participants, spec, job,
-                                      iterations))
+                                      objective, iterations))
     best = _first_best([(plan, result) for _, plan, result, reason
                         in candidates if reason is None], objective)
     if best is None:

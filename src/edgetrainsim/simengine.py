@@ -25,16 +25,18 @@ sync period k.  So a run of I iterations has n = floor(I/k) syncs, and every
 total is closed-form: the makespan is I * base_len + n * sync_len, and each
 device's compute, comm and idle time and ``comm_bytes_by_op`` are the same
 two products.  The trace is never stored: :func:`write_trace` sorts the rows
-of each shape once by start offset and then device, and streams them
-iteration by iteration at the iteration's start time.  Every row starts
-inside its own iteration, so the file is ordered by start time and then
-device.
+of each shape once by start offset and then device, formats each row's tail
+once and groups the rows by start offset, then streams them iteration by
+iteration, formatting each group's start time once per iteration.  Every row
+starts inside its own iteration, so the file is ordered by start time and
+then device.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
@@ -215,6 +217,13 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
 
     Use :func:`inject_faults` for failure/recovery accounting.
     """
+    return _simulate(plan, domain, iterations)[0]
+
+
+def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
+              ) -> tuple[SimulationResult, Optional[_IterationProfile]]:
+    """:func:`simulate`'s result and the profile it was totalled from (None
+    for an out-of-memory plan, which is never profiled)."""
     if not 1 <= iterations <= MAX_COUNT:
         raise SimulationError("iterations must be in 1..2**53")
 
@@ -227,7 +236,7 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
             plan_kind=plan.kind, iterations_simulated=0, samples_processed=0,
             makespan=0.0, latency_per_sample=None, energy_per_sample=None,
             per_device=usage, comm_bytes_by_op={}, oom=True,
-            oom_devices=oom_devices)
+            oom_devices=oom_devices), None
 
     prof = _profile_iteration(plan, domain)
     n_sync = iterations // plan.job.dp_sync_period
@@ -257,7 +266,7 @@ def simulate(plan: ParallelPlan, domain: TrustedDomain,
         latency_per_sample=makespan / samples,
         energy_per_sample=(sum_in_order(u.energy for u in usage.values())
                            / samples),
-        per_device=usage, comm_bytes_by_op=comm_bytes)
+        per_device=usage, comm_bytes_by_op=comm_bytes), prof
 
 
 def checkpoint_cost(plan: ParallelPlan, domain: TrustedDomain,
@@ -313,7 +322,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     ``checkpoint_interval`` (> 0 seconds) has elapsed since the previous one.
     ``failure_times`` overrides the random stream (used for hand-built traces).
     """
-    base = simulate(plan, domain, iterations)
+    base, prof = _simulate(plan, domain, iterations)
     if base.oom:
         raise OutOfMemoryError("out of memory on " + ", ".join(base.oom_devices))
     if checkpoint_interval <= 0:
@@ -321,7 +330,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 
     shard, write_time = checkpoint_cost(plan, domain, fault_model)
     reload_time_each = shard / fault_model.recovery_reload_bandwidth
-    base_len, sync_len = iteration_times(plan, domain)
+    base_len, sync_len = prof.base_len, prof.sync_len
     k = plan.job.dp_sync_period
 
     if failure_times is not None:
@@ -383,51 +392,50 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 TRACE_HEADER = "time\tdevice\tkind\tduration\tbytes\n"
 
 
-def _trace_stream(plan: ParallelPlan, domain: TrustedDomain, iterations: int):
-    """(time, device, kind, duration, bytes) rows ordered by time, then device.
+def _trace_shapes(plan: ParallelPlan, prof: _IterationProfile):
+    """The (offset, device, kind, duration, bytes) rows of each iteration
+    shape, keyed by whether it syncs, ordered by (offset, device).
 
-    The rows of the two iteration shapes are sorted once by (offset, device);
-    the sort is stable, so rows that tie keep their template order.
+    The rows are sorted once; the sort is stable, so rows that tie keep
+    their template order.
     """
-    prof = _profile_iteration(plan, domain)
     rows = sorted(_trace_rows(prof, plan.participants), key=itemgetter(0, 1))
-    shapes = {True: [r[:5] for r in rows],
-              False: [r[:5] for r in rows if not r[5]]}
-    k = plan.job.dp_sync_period
-    t0 = 0.0
-    for g in range(iterations):
-        sync = (g + 1) % k == 0
-        for offset, p, kind, d, b in shapes[sync]:
-            yield t0 + offset, p, kind, d, b
-        t0 += prof.base_len + (prof.sync_len if sync else 0.0)
-
-
-def _trace_lines(rows):
-    """Tab-delimited lines of trace rows; each distinct tail is formatted once.
-
-    Every iteration repeats the same (device, kind, duration, bytes) tails at
-    a later time.
-    """
-    tails: dict[tuple, str] = {}
-    for time, device, kind, duration, nbytes in rows:
-        key = (device, kind, duration, nbytes)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (f"\t{device}\t{kind}\t"
-                                 f"{duration:.9f}\t{nbytes:.1f}\n")
-        yield f"{time:.9f}{tail}"
+    return {True: [r[:5] for r in rows],
+            False: [r[:5] for r in rows if not r[5]]}
 
 
 def write_trace(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
-                path) -> None:
-    """Flat tab-delimited trace table: time, device, kind, duration, bytes.
+                path) -> SimulationResult:
+    """Simulate the run and write its flat tab-delimited trace table: time,
+    device, kind, duration, bytes.  Returns :func:`simulate`'s result.
 
-    It covers the ``iterations`` iterations that :func:`simulate` totals,
-    one row per device and phase of each, with the syncs on the same
-    iterations.  An out-of-memory run simulates none, so its table is the
-    header alone.
+    One row per device and phase of each of the ``iterations`` iterations,
+    with the syncs on the iterations that :func:`simulate` totals.  An
+    out-of-memory run simulates none, so its table is the header alone.
+    The rows of a shape are grouped by start offset: each row's tail after
+    the time is formatted once per run, each group's start time once per
+    iteration, and each iteration is one ``writelines`` call.
     """
+    result, prof = _simulate(plan, domain, iterations)
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER)
-        if iterations > 0:
-            fh.writelines(_trace_lines(_trace_stream(plan, domain, iterations)))
+        if result.oom:
+            return result
+        shapes = {}
+        for sync, rows in _trace_shapes(plan, prof).items():
+            groups = [(offset, [f"\t{p}\t{kind}\t{d:.9f}\t{b:.1f}\n"
+                                for _, p, kind, d, b in group])
+                      for offset, group in groupby(rows, key=itemgetter(0))]
+            length = prof.base_len + (prof.sync_len if sync else 0.0)
+            shapes[sync] = groups, length
+        k = plan.job.dp_sync_period
+        t0 = 0.0
+        for g in range(iterations):
+            groups, length = shapes[(g + 1) % k == 0]
+            lines = []
+            for offset, tails in groups:
+                start = f"{t0 + offset:.9f}"
+                lines.append(start + start.join(tails))
+            fh.writelines(lines)
+            t0 += length
+    return result

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, file formats, determinism."""
 
 import math
+import os
 
 import pytest
 import yaml
@@ -87,6 +88,23 @@ class TestPlan:
             "  pp: no memory-feasible contiguous stage partition",
             f"  sp: out of memory on {nanos}",
             f"  tp: out of memory on {nanos}"]
+
+    @pytest.mark.parametrize("select", [(), ("--select-devices",)],
+                             ids=["pool", "select"])
+    def test_non_finite_objective_value_is_a_rejection(self, capsys, select):
+        # PP and TP fit, but 1e308 J times their energy overflows to inf.
+        args = ("plan", "--testbed", "homogeneous-nano4", "--model", "gpt2-l",
+                "--objective", "weighted", *select, "--weight-energy")
+        assert run(*args, "1e308") == 2
+        nanos = "nano-0, nano-1, nano-2, nano-3"
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: gpt2-l does not fit this domain",
+            f"  dp: out of memory on {nanos}",
+            "  pp: objective value is not finite",
+            f"  sp: out of memory on {nanos}",
+            "  tp: objective value is not finite"]
+        assert run(*args, "1e307", "--out", os.devnull) == 0
+        assert capsys.readouterr().err.startswith("plan: pp on ")
 
     def test_non_finite_cost_is_a_rejection(self, tmp_path, capsys):
         slow = DeviceProfile("slow", cpu_throughput=1e-300, gpu_throughput=0.0,

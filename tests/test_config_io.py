@@ -16,7 +16,7 @@ from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile, Link,
                                   NetworkModel, TrustedDomain)
 from edgetrainsim.devices import testbed_preset as load_testbed
 from edgetrainsim.parallelism import make_dp_plan
-from edgetrainsim.scheduler import candidate_plans
+from edgetrainsim.scheduler import Objective, candidate_plans
 from edgetrainsim.simengine import simulate
 from edgetrainsim.workload import (MODEL_PRESETS, TrainingJob, TransformerSpec,
                                    default_edge_job, model_preset)
@@ -330,7 +330,8 @@ def _domains(draw):
 @given(_domains(), st.sampled_from(sorted(MODEL_PRESETS)))
 def test_every_built_plan_loads_back(domain, model):
     plans = [plan for _, plan, _, _ in candidate_plans(
-        domain, domain.device_ids, model_preset(model), default_edge_job())
+        domain, domain.device_ids, model_preset(model), default_edge_job(),
+        Objective())
         if plan is not None]
     for plan in plans:
         text = config_io.dump_yaml(config_io.plan_to_dict(plan, domain, 12.5))

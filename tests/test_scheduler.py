@@ -425,7 +425,8 @@ class TestChooseParallelism:
     def test_too_few_blocks_is_diagnosed(self):
         domain = domain_of(*(jetson_nano(f"nano-{i}") for i in range(7)))
         reasons = {kind: reason for kind, _, _, reason in candidate_plans(
-            domain, domain.device_ids, model_preset("distilbert"), JOB)}
+            domain, domain.device_ids, model_preset("distilbert"), JOB,
+            ENERGY)}
         assert reasons[KIND_PP] == "6 blocks cannot fill 7 pipeline stages"
 
 

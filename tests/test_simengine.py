@@ -1,11 +1,15 @@
 """Simulation engine tests: timing oracles, accounting, energy, faults."""
 
 import itertools
+import os
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import (Phase, assume, example, given, settings,
+                        strategies as st)
 
+from edgetrainsim import simengine
 from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile,
                                   FaultModel, Link, NetworkModel,
                                   TrustedDomain, testbed_preset as load_testbed)
@@ -18,7 +22,7 @@ from edgetrainsim.parallelism import (ALL_KINDS, KIND_SINGLE, OP_ALLGATHER,
                                       make_tp_plan)
 from edgetrainsim.simengine import (TRACE_HEADER, DeviceUsage,
                                     SimulationError, _profile_iteration,
-                                    _trace_lines, _trace_rows, _trace_stream,
+                                    _trace_rows, _trace_shapes,
                                     collective_time, inject_faults,
                                     iteration_times, simulate, write_trace)
 from edgetrainsim.workload import (TrainingJob, flops_per_iteration,
@@ -321,7 +325,9 @@ class TestTemplateConsumers:
         iters = 12
         result = simulate(plan, domain, iterations=iters)
         assert not result.oom
-        rows = list(_trace_stream(plan, domain, iters))
+        shapes = _trace_shapes(plan, _profile_iteration(plan, domain))
+        rows = [row for g in range(iters)
+                for row in shapes[(g + 1) % job.dp_sync_period == 0]]
         for p, usage in result.per_device.items():
             comm = sum(d for _, device, kind, d, _ in rows
                        if device == p and kind != "compute")
@@ -389,6 +395,14 @@ def random_plans(draw, sync_periods=st.integers(1, 7)):
     return plan, domain
 
 
+def plan_on_testbed(kind, model="gpt2-s", testbed="heterogeneous-mix4", k=5):
+    """A plan of the kind on the testbed (single on its first device)."""
+    domain = load_testbed(testbed)
+    ids = domain.device_ids[:1] if kind == KIND_SINGLE else domain.device_ids
+    return make_plan(kind, domain, model_preset(model),
+                     default_edge_job(dp_sync_period=k), ids), domain
+
+
 class TestTrace:
     def test_trace_invariants(self, tmp_path):
         domain = load_testbed("homogeneous-nano4")
@@ -404,40 +418,76 @@ class TestTrace:
         assert len({r[0] for r in sync_records}) == 1
         assert {r[1] for r in sync_records} == set(domain.device_ids)
 
-    def test_write_trace_formats_every_record_exactly(self):
+    def test_write_trace_formats_every_record_exactly(self, tmp_path,
+                                                       monkeypatch):
         # Repeated tails, and tails that differ only in duration or only in
-        # bytes (including values equal to 9 and 1 decimals), so a memo keyed
-        # on too few fields would write a stale tail.
-        rows = []
-        for i in range(3):
-            t = 0.25 * i
-            rows += [
-                (t, "d0", "compute", 0.1, 0.0),
-                (t, "d1", "compute", 0.1, 0.0),
-                (t + 0.1, "d0", OP_ALLREDUCE, 0.05, 1024.0),
-                (t + 0.1, "d0", OP_ALLREDUCE, 0.05, 2048.0),
-                (t + 0.1, "d0", OP_ALLREDUCE, 0.0500000004, 1024.0),
-                (t + 0.1, "d0", OP_ALLREDUCE, 0.0500000006, 1024.0),
-                (t + 0.1, "d0", OP_ALLREDUCE, 0.05, 1024.04),
-                (t + 0.1, "d0", OP_ALLREDUCE, 0.05, 1024.06),
-                (t + 0.1, "d1", OP_ALLREDUCE, 0.05, 1024.0),
-                (t + 0.1, "d1", OP_P2P, 0.05, 1024.0),
-            ]
-        assert list(_trace_lines(rows)) == [
-            f"{t:.9f}\t{p}\t{kind}\t{d:.9f}\t{b:.1f}\n"
-            for t, p, kind, d, b in rows]
+        # bytes (including values equal to 9 and 1 decimals), in both shapes,
+        # so a tail formatted from too few fields, or a start time formatted
+        # for the wrong group, is written wrong.
+        domain = make_domain([240e9, 480e9])
+        job = default_edge_job(dp_sync_period=2)
+        plan = make_dp_plan(domain, model_preset("distilbert"), job,
+                            domain.device_ids)
+        base = [(0.0, "d0", "compute", 0.1, 0.0),
+                (0.0, "d1", "compute", 0.1, 0.0),
+                (0.1, "d0", OP_ALLREDUCE, 0.05, 1024.0),
+                (0.1, "d0", OP_ALLREDUCE, 0.05, 2048.0),
+                (0.1, "d0", OP_ALLREDUCE, 0.0500000004, 1024.0),
+                (0.1, "d0", OP_ALLREDUCE, 0.0500000006, 1024.0),
+                (0.1, "d0", OP_ALLREDUCE, 0.05, 1024.04),
+                (0.1, "d0", OP_ALLREDUCE, 0.05, 1024.06),
+                (0.1, "d1", OP_ALLREDUCE, 0.05, 1024.0),
+                (0.1, "d1", OP_P2P, 0.05, 1024.0)]
+        shapes = {False: base,
+                  True: base + [(0.2500000004, "d0", OP_ALLREDUCE, 0.05, 8.0),
+                                (0.2500000006, "d1", OP_ALLREDUCE, 0.05, 8.0)]}
+        monkeypatch.setattr(simengine, "_trace_shapes",
+                            lambda plan, prof: shapes)
+        path = tmp_path / "trace.tsv"
+        write_trace(plan, domain, 5, path)
+        prof = _profile_iteration(plan, domain)
+        expected, t0 = [TRACE_HEADER], 0.0
+        for g in range(5):
+            sync = (g + 1) % 2 == 0
+            expected += [f"{t0 + offset:.9f}\t{p}\t{kind}\t{d:.9f}\t{b:.1f}\n"
+                         for offset, p, kind, d, b in shapes[sync]]
+            t0 += prof.base_len + (prof.sync_len if sync else 0.0)
+        assert path.read_text() == "".join(expected)
 
     # Shrinking a failure over 21 link floats takes minutes; a raw
     # counterexample is reported instead.
     @settings(max_examples=60, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(random_plans(), st.integers(1, 1000))
-    def test_streamed_trace_matches_materialised_sort(self, case, iterations):
+    @given(random_plans(sync_periods=st.integers(1, 9)), st.integers(1, 1000))
+    @example(plan_on_testbed("dp", k=1), 7)
+    @example(plan_on_testbed("dp", k=10), 7)
+    @example(plan_on_testbed(KIND_SINGLE), 7)
+    # Out of memory (`test_oom_short_circuit`), so the table is the header.
+    @example(plan_on_testbed(KIND_SINGLE, "gpt2-l", "homogeneous-nano4"), 7)
+    def test_streamed_trace_matches_materialised_sort(self, tmp_path_factory,
+                                                      case, iterations):
         plan, domain = case
-        streamed = "".join(_trace_lines(_trace_stream(plan, domain,
-                                                      iterations)))
-        assert TRACE_HEADER + streamed == materialised_trace(
-            plan, domain, iterations)
+        path = tmp_path_factory.getbasetemp() / "streamed.tsv"
+        result = write_trace(plan, domain, iterations, path)
+        assert path.read_text() == (
+            TRACE_HEADER if result.oom
+            else materialised_trace(plan, domain, iterations))
+
+    def test_write_trace_streams_one_iteration_at_a_time(self, tmp_path):
+        # About 8 MB of rows; the writer must hold no more than an iteration.
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_pp_plan(domain, model_preset("gpt2-s"), JOB,
+                            domain.device_ids)
+        path = tmp_path / "trace.tsv"
+        write_trace(plan, domain, 20_000, path)
+        assert path.stat().st_size > 4e6
+        tracemalloc.start()
+        try:
+            write_trace(plan, domain, 20_000, os.devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def looped_totals(plan, domain, iterations):
