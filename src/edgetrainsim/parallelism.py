@@ -284,7 +284,7 @@ def comm_template(plan: ParallelPlan) -> list[CommPhase]:
 
 
 def pp_stage_memory(spec: TransformerSpec, job: TrainingJob, blocks,
-                    num_stages: int, micro_batches: int) -> list[tuple[float, float]]:
+                    num_stages: int) -> list[tuple[float, float]]:
     """(state, activation) bytes of each pipeline stage of ``blocks`` blocks.
 
     A stage holds its share of the training state and the activations of
@@ -292,17 +292,15 @@ def pp_stage_memory(spec: TransformerSpec, job: TrainingJob, blocks,
     """
     state = state_bytes(spec, job)
     act = activation_bytes_per_block(spec, job.micro_batch, job)
-    depth = min(micro_batches, num_stages)
-    l = max(spec.num_blocks, 1)
-    return [(state * b / l, b * act * depth) for b in blocks]
+    depth = min(job.micro_batch_count, num_stages)
+    return [(state * b / spec.num_blocks, b * act * depth) for b in blocks]
 
 
 def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryCheck]:
     """Per-device required bytes and whether they fit in usable memory."""
     spec, job = plan.spec, plan.job
     if plan.kind == KIND_PP:
-        need = pp_stage_memory(spec, job, plan.shares, len(plan.shares),
-                               job.micro_batch_count)
+        need = pp_stage_memory(spec, job, plan.shares, len(plan.shares))
         return {p: _check_one(domain, p, *req)
                 for p, req in zip(plan.participants, need)}
     state = state_bytes(spec, job)

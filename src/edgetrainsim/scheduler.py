@@ -7,7 +7,8 @@ searched exhaustively up to 12 devices, pipeline orders up to 8, with a
 fastest-first fallback beyond.  The stage split is exact at any size, a
 threshold search in O(n·L·log(n·L)) for n devices and L blocks; its
 bottleneck does not depend on device order, so a pipeline's order minimises
-its slowest boundary hop.  All ties break deterministically.
+its busiest device's boundary time, the largest sum of a device's left and
+right hops.  All ties break deterministically.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _per_block_time(domain: TrustedDomain, device_id: str,
                     spec: TransformerSpec, job: TrainingJob) -> float:
     """Per-iteration compute seconds for one block on one device."""
     thr = effective_throughput(domain.device(device_id), domain.mode)
-    return flops_per_iteration(spec, job) / max(spec.num_blocks, 1) / thr
+    return flops_per_iteration(spec, job) / spec.num_blocks / thr
 
 
 def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSpec,
@@ -120,7 +121,7 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
     # Non-decreasing in the block count, so a cap is one bisection.
     required = [state + act for state, act in pp_stage_memory(
-        spec, job, range(1, l + 1), n, job.micro_batch_count)]
+        spec, job, range(1, l + 1), n)]
     stage_times = []
     for d in devices:
         t = _per_block_time(domain, d, spec, job)
@@ -159,13 +160,18 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
 
 def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
                      job: TrainingJob) -> tuple[str, ...]:
-    """Pipeline device order whose slowest boundary transfer is fastest.
+    """Pipeline device order whose busiest device spends least time on its
+    boundary transfers.
 
     A device's per-block time and feasible block counts are its own, so the
-    stage split's compute bottleneck is the same in every order and an order
-    changes the fill-drain makespan only through its slowest boundary hop.
-    Up to the exhaustive bound every order is scored by that hop, ties going
-    to the lexicographically smallest; larger sets go fastest device first.
+    stage split's compute bottleneck is the same in every order, and an
+    order changes the iteration's wall time only through its busiest
+    device's transfers: its left hop plus its right hop, each run 2M times.
+    An end device's one hop never exceeds its neighbour's two, so an order
+    scores the largest such sum over its interior devices, in the same
+    seconds the simulator charges.  Up to the exhaustive bound every order
+    is scored, ties going to the lexicographically smallest; larger sets go
+    fastest device first.
     """
     participants = tuple(participants)
     if len(participants) == 1:
@@ -173,10 +179,15 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
     if len(participants) > EXHAUSTIVE_PERMUTATION_LIMIT:
         return tuple(_fastest_first(domain, participants))
     act = activation_tensor_bytes(spec, job)
-    hop = {pair: collective_time(OP_P2P, act, pair, domain.network)
+    runs = 2 * job.micro_batch_count
+    hop = {pair: runs * collective_time(OP_P2P, act, pair, domain.network)
            for pair in itertools.permutations(participants, 2)}
+    busy = {(a, b, c): hop[a, b] + hop[b, c]
+            for a, b, c in itertools.permutations(participants, 3)}
     return min(itertools.permutations(sorted(participants)),
-               key=lambda order: max(hop[pair] for pair in zip(order, order[1:])))
+               key=lambda order: max(
+                   map(busy.__getitem__, zip(order, order[1:], order[2:])),
+                   default=0.0))
 
 
 def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,

@@ -9,11 +9,14 @@ Every collective comes from the plan's per-iteration template
 profile, gives each device's comm seconds, ``comm_bytes_by_op`` and the
 trace rows; ``comm_bytes_by_op`` counts payload bytes (count x payload),
 not the bytes a ring puts on the wire.  Collectives use ring algorithms
-under an alpha-beta link model.  Barrier kinds take the slowest device's
-compute plus every collective phase in turn.  Pipeline iterations follow
-the fill-drain schedule: (M + S - 1) times the bottleneck stage's
-per-micro-batch compute plus the slowest boundary transfer.  Compute and
-communication do not overlap except through the pipeline schedule itself.
+under an alpha-beta link model.  Every kind has one wall-time formula: the
+slowest device's compute, then the busiest device's communication (every
+collective phase in turn where all participants join each one).  A
+pipeline of S stages runs its M micro-batches in the fill-drain schedule's
+M + S - 1 slots, each 1/M of that barrier iteration, so its wall time is
+(M + S - 1) / M >= 1 times it.  For every kind, idle time is never
+negative and every trace row ends inside its iteration, up to float
+rounding.  Compute and communication do not overlap.
 
 Energy integrates a three-state power model per device: idle power for the
 whole makespan, the busy-minus-idle delta while computing, and the network
@@ -150,16 +153,9 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
     parts = plan.participants
     flops = flops_per_iteration(spec, job)
     thr = {p: effective_throughput(domain.device(p), domain.mode) for p in parts}
-    m_count = job.micro_batch_count
-
-    if plan.kind == KIND_PP:
-        l = spec.num_blocks
-        per_mb = {p: flops * b / l / m_count / thr[p]
-                  for p, b in zip(parts, plan.shares)}
-        compute = {p: per_mb[p] * m_count for p in parts}
-    elif plan.kind == KIND_TP:
+    if plan.kind == KIND_TP:
         compute = {p: flops / len(parts) / thr[p] for p in parts}
-    else:  # single, dp and sp split the batch or the sequence by weight
+    else:  # the others split the batch, the sequence or the blocks by share
         total = sum(plan.shares)
         compute = {p: flops * (s / total) / thr[p]
                    for p, s in zip(parts, plan.shares)}
@@ -169,13 +165,14 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
               for e in comm_template(plan)]
     base_comm, base_bytes = _fold([x for x in phases if not x[0].sync_only], parts)
     sync_comm, sync_bytes = _fold([x for x in phases if x[0].sync_only], parts)
-    if plan.kind == KIND_PP:
-        transfer = max((t for _, t in phases), default=0.0)
-        base_len = ((m_count + len(parts) - 1)
-                    * (max(per_mb.values()) + transfer))
-    else:
-        # Every participant joins every collective, one phase after another.
-        base_len = max(compute.values()) + max(base_comm.values())
+    # The slowest device's compute, then the busiest device's comm.  A
+    # pipeline's M micro-batches take M + S - 1 slots of one micro-batch's
+    # share of that; the other kinds take one slot (x * (1 / 1) == x).
+    m_count = job.micro_batch_count
+    slots, per_slot = ((m_count + len(parts) - 1, m_count)
+                       if plan.kind == KIND_PP else (1, 1))
+    base_len = ((max(compute.values()) + max(base_comm.values()))
+                * (slots / per_slot))
     return _IterationProfile(compute=compute, base_comm=base_comm,
                              base_len=base_len,
                              sync_len=max(sync_comm.values()),

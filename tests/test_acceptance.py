@@ -4,6 +4,7 @@ Each criterion prints one PASS/FAIL line (run pytest with -s to see them all;
 captured output is shown automatically for failing criteria).
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -295,8 +296,9 @@ def test_09_oracle_equivalence():
 
 
 def test_10_property_suites():
-    with criterion(10, "conservation, accounting closure, halving, "
-                       "scale-freedom, fault determinism"):
+    with criterion(10, "conservation, accounting closure and idle >= 0 on "
+                       "1 Gbps and 10 Mbps links, halving, scale-freedom, "
+                       "fault determinism"):
         # partition conservation over 1000 randomized cases
         rng = random.Random(99)
         for _ in range(1000):
@@ -310,17 +312,23 @@ def test_10_property_suites():
         spec = model_preset("gpt2-s")
         ids = domain.device_ids
 
-        # time accounting closure <= 1e-9 per device, every kind
-        plans = [make_single_plan(domain, spec, JOB, ids[0]),
-                 make_dp_plan(domain, spec, JOB, ids),
-                 make_sp_plan(domain, spec, JOB, ids),
-                 make_tp_plan(domain, spec, JOB, ids),
-                 make_pp_plan(domain, spec, JOB, ids)]
-        for plan in plans:
-            result = simulate(plan, domain)
-            for usage in result.per_device.values():
-                assert abs(usage.compute_time + usage.comm_time
-                           + usage.idle_time - result.makespan) <= 1e-9
+        # time accounting closure <= 1e-9 per device and idle time >= 0
+        # (within the same 1e-9), every kind, on the preset links and on
+        # 10 Mbps ones, where transfers outweigh a pipeline's compute
+        slow = dataclasses.replace(domain, network=dataclasses.replace(
+            domain.network, default_bandwidth=10e6))
+        for net in (domain, slow):
+            plans = [make_single_plan(net, spec, JOB, ids[0]),
+                     make_dp_plan(net, spec, JOB, ids),
+                     make_sp_plan(net, spec, JOB, ids),
+                     make_tp_plan(net, spec, JOB, ids),
+                     make_pp_plan(net, spec, JOB, ids)]
+            for plan in plans:
+                result = simulate(plan, net)
+                for usage in result.per_device.values():
+                    assert abs(usage.compute_time + usage.comm_time
+                               + usage.idle_time - result.makespan) <= 1e-9
+                    assert usage.idle_time >= -1e-9
 
         # DP n=2 zero-comm halving
         job = default_edge_job(dp_sync_period=10 ** 9)

@@ -34,19 +34,19 @@ GOLDEN_PLAN = {
     "homogeneous-nano4/distilbert":
         "e23fb8805e93ffcc2c4e23a6bca57df8a90389ecd14f0835968e587b0454ab8e",
     "homogeneous-nano4/gpt2-s":
-        "408184a5ad6286e34ab87b86f01894cfa9031389bd86bfd561a9a66b9d23d796",
+        "88dba2abc0783ba06f9a9b59477c46f06dbfc857ed9c5fd02be92a7e663232f9",
     "homogeneous-nano4/opt-350m":
-        "be09c5c84f53be819f1456dec66679fbae1ce8816ed94a41fe11aecc7c6ba2d1",
+        "214df95acc661003639183fe52143627cc500c6a660ff5a39c05aba9b500aed8",
     "homogeneous-nano4/gpt2-l":
-        "d9ced219204e0e67ce48e004cfa2f7018015bbc11feb3bb8e83c47aed2389d1c",
+        "ee0c0dd14ccb16b2cb4f900fb1d58582b3b01c3e42677849025f7983db74fb44",
     "heterogeneous-mix4/distilbert":
         "64e5cd272e4a19f96c13b5dcdf3b7c54bee5cf4ba4a0060cb039d86743e9e377",
     "heterogeneous-mix4/gpt2-s":
-        "d735c96e1ae4bec612bc60e215ed7eecdfb589b473f1364ceddce77414024bf6",
+        "e5b81a2596eb4013fa1bbc71bd1c3355a0c032479253e41af5e68ed879d05248",
     "heterogeneous-mix4/opt-350m":
-        "6efb0b9dd8f530ede19810cf06dce9837d472a23f38dfd011d887f71c21d3369",
+        "78bb9622ccffaa05d225fbff0549a7fe339f4a1f59437384cff9e252c32ec857",
     "heterogeneous-mix4/gpt2-l":
-        "93a8ee675aad16d8e5701798c8425dc42ab22fe1e5d4d47f827b01f720fc3390",
+        "7fbaa853ab6e4f531a39f86930b7c333737a9da07daba5df325b160829c7634e",
 }
 
 GOLDEN_SIMULATE = {
@@ -54,57 +54,57 @@ GOLDEN_SIMULATE = {
         ("b3cce20928d702474ad6b2ba98520a51c84db5410ff7198e2b4ea70b80571409",
          "a8668501f4fad3b50b16e6001a32622879ac3a4b4a163393a7e1cac3e1eb754e"),
     "homogeneous-nano4/gpt2-s":
-        ("47f941c879712db1b373efe4cfeecdf3a7463ba585c183c1cc5d65e3c93c2e6e",
-         "a95d9c6ad265f21bc63bac3d85bfdfd52013792d6cf065d1aa03fb6aa33a09f4"),
+        ("71210fc34d3cec9469d68d856e37740745250878252a663beff4af6efd50005c",
+         "0042b307cb54a07665d953f3de98797ca4ac02154a7976e378d3cab6c39de9fb"),
     "homogeneous-nano4/opt-350m":
-        ("cb0adeabc2f7de4e38fc4ad5d25f421d32c484b1068732d46e501fb5ee9d42e4",
-         "35e8e9599a84289a04455c80726dd08f35ea47be6004cf54f85a3055c880d56a"),
+        ("e62a9931c291703560007080035143a136ab9468cb95976bd3284af56127173f",
+         "067b94a93b1c0f00a33176707bae89ac4b9e4da74dcf9a18eb5773c8f4b0fa8a"),
     "homogeneous-nano4/gpt2-l":
-        ("38ca86bf866dd2731f796330ac0b9617f824c6ca8fc87ce97b607239c97089e9",
-         "8dc0316eaf657e82f2784dc589f44cc61a596d65a9d3aada285ccd102c56f2c5"),
+        ("f8cd5f37901c04c845184ac75662bfae464a96c1ac9257ceaf025eda12d6459d",
+         "c7922caafcad8fa955a6741378f48e4288bf8f6cb13926cde3df533c054908b8"),
     "heterogeneous-mix4/distilbert":
         ("3b6da439e0e42036cdc55eda6dd207fda7087400679312e015a7145b77a964d4",
          "1a3f38d99a2106c946c186ee5a18c07801524d6cf9e3aa0304c023636958567f"),
     "heterogeneous-mix4/gpt2-s":
-        ("a8135b0ee1d373a7bd1465aa2785e86bffbf1e063d3555b49735ec2a156ea62d",
-         "f6e6b310b1d763d5b048927e10a9a299565fd45cc5d238a179f4c8df5268316f"),
+        ("5485b9006bfca469a8c65dd4fb4c078cd0feebbf488dd5d9f71055f7770f09a4",
+         "0ee3232392f722728ce033550865d42b1f027e1f268c8217da314273712b1a46"),
     "heterogeneous-mix4/opt-350m":
-        ("9096faf9754e2c6cebf896235afbdabedc13fc9a9ec75a36bc0808559198ed22",
-         "49b9eb59f844cf2e046df1fe613ca4e1fa7f86db4ef33b814634653d29eaa720"),
+        ("54897c871c3958b3707ecb131f51a97b2c203641986092d544fac4c415988ae4",
+         "3e5c433b707667368ffd223f602888c41337cf6f8bead281e27e4e9a42ad94b6"),
     "heterogeneous-mix4/gpt2-l":
-        ("8f9265b1ce6e6d20715641519bf6652bdf0d395a11d53b17d4b7fcb8595bb204",
-         "ab8563f02340f78bea9bfb7f0595f67054812625ad2e673b554ded3da5a03a7b"),
+        ("deadffb8b415fdb1827dab46e44ba3e11b2dae81355fea05e9cdac84e92b06be",
+         "6989238d5b4e18aafd14b1e1285c12358de27636ffac9a65fb5b7d2013562217"),
 }
 
 GOLDEN_FAULTS = {
     "homogeneous-nano4/distilbert":
         "ea2dfcc0f1d94cdad78769a349a492e73647d5003ab408ad452ec5e09ed8b6bc",
     "homogeneous-nano4/gpt2-s":
-        "a27cf90b6c25c7c75adb41056864e39a78112b1f880505d77b09c816a0a790bc",
+        "d9476096568cb03493c8fcb7340e6f0805b2a0d245122f9a510867851e9935b5",
     "homogeneous-nano4/opt-350m":
-        "b28ba9d7dde0f24b1afe7a2868293961be5de79f2ea8124c221b87fbbe7474ec",
+        "3e6cebec887d0693432f4a04f31018e8b9933ff83c4bd00310f8583b59adec64",
     "homogeneous-nano4/gpt2-l":
-        "6b3375bde003cb666879c54c60f3cc4e6494402553335338929646b1f02c5231",
+        "7d2e5c06edf4190ea27ecc3d66abf30ad32eacdbcc974c12a00d599179e522b7",
     "heterogeneous-mix4/distilbert":
         "b2b65493913263db2655ed61961e9963bdf5f69095552e636e0324b8ff3916f0",
     "heterogeneous-mix4/gpt2-s":
-        "2c0b57fded82592140343958c0760f0bcdd3847787efcb6da3895e04e91fd25d",
+        "49ef5148a3f22f18cdc87b6a89c33e29eb25644581662a1a220dc2714a472549",
     "heterogeneous-mix4/opt-350m":
-        "4f3b7d3b3e5c8d7e1157045fa96a41291865ec3e85de66b7b5c17a5d23ffd9a9",
+        "c5fe668b066d6b51542b4a3945535c9e893bec867ab425ba341da49f3ddd7102",
     "heterogeneous-mix4/gpt2-l":
-        "2a3e6aabd124140c90e35bb4b6301eb799ab038a78cc8450b35bee95499af148",
+        "f35a37b14f9e9d0a43a01cf749f99108cfe8ae493ed9a0fb6e1ade75b92d5aca",
 }
 
 GOLDEN_SWEEP = {
     "homogeneous-nano4":
-        "45d54ae18bf20e3bb9c5f64c8add309ebcc0aef6fe85e6b653ed066d35d91e28",
+        "d208fa133432e1c3618abdbf5e0a65538774ffe4dd3c3928a78d857486f6b051",
     "heterogeneous-mix4":
-        "5da852569ea6dcb9d3156ccd2212c5f077154adcde61742232045ef7743d0fdb",
+        "3522d66e3ee9c12ed24ac150aacd3dbcd4ab53e461e918f138b239c8058ca0e6",
 }
 
 GOLDEN_PER_LINK = {
     "plan":
-        "9d9eca382191e8267968c434edbf7cb22a508e87607562fd4ef1c4ad34f75c27",
+        "58fdfa016ff65fe558fe0f1de00f97de92cecd6f1301fe0f3a956a10d4295c35",
     "single":
         ("f401dd669ad6c715806daad95f92efd825b450f838a76ac2c85185ec87c8bcdd",
          "ccc684da119abc7efe33c24428df8957a020d164291a8767eb60f9db00763b58"),
@@ -118,12 +118,12 @@ GOLDEN_PER_LINK = {
         ("7961a33475288e740444ba68cce0a398adcc60d89f45092b9df95826b6b1c00a",
          "d1c3ace0f81ed82422da8e16da97862a5ce3d6f130de72b7b0a9c523434875af"),
     "pp":
-        ("8c1de49676f8e77dca63004f657705de27873a12c0a9080410246b56bdc76b66",
-         "580a64a137707a04ed77494af3b0e7dd1d156df3e4f58df171262e0111c00f20"),
+        ("51754417369aabd9424cffbcc1239c6898160e7a830dbc468aca7707bf564b64",
+         "b10f9d4cd3409f9826c049b6750d11062ef1b150b81b087476d7246fdb31db7f"),
 }
 
 GOLDEN_SWEEP_12 = (
-    "272d1acb93b4b944a8a1bdc9208693faa5f509aa529d385d6cc152c787645da5")
+    "9d7bedf46a4c55b71daf3a17d7f2008bfb9875f02b30a38a983e65a88116fbbf")
 
 
 def _sha(path) -> str:

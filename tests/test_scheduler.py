@@ -92,7 +92,7 @@ def dp_stage_split(domain, ordered_devices, spec, job):
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
     times = [scheduler._per_block_time(domain, d, spec, job) for d in devices]
     required = [state + act for state, act in pp_stage_memory(
-        spec, job, range(1, l + 1), n, job.micro_batch_count)]
+        spec, job, range(1, l + 1), n)]
     caps = [sum(r <= domain.device(d).usable_memory for r in required)
             for d in devices]
 
@@ -141,7 +141,7 @@ def stage_split_inputs(draw):
     spec = TransformerSpec("g", l, 64, 4, 100)
     job = default_edge_job(
         global_batch=8 * draw(st.sampled_from((1, 2, 3, 5, 16))))
-    block = sum(pp_stage_memory(spec, job, (1,), n, job.micro_batch_count)[0])
+    block = sum(pp_stage_memory(spec, job, (1,), n)[0])
     boards = []
     for i in range(n):
         board = draw(st.sampled_from((jetson_nano, jetson_tx2, jetson_nx)))(
@@ -303,6 +303,21 @@ class TestArrangeTopology:
         got = arrange_topology(domain, ("a", "b", "c"), SMALL_SPEC, SMALL_JOB)
         idx = {d: i for i, d in enumerate(got)}
         assert abs(idx["a"] - idx["b"]) > 1
+
+    def test_busiest_device_not_slowest_hop(self):
+        # Slow links join b, c and d, fast ones join a to each, so every
+        # order crosses a slow hop and the slowest-hop rule ties them all,
+        # taking (a, b, c, d), where c sends over two slow links.  The
+        # fastest orders put the one slow hop at an end.
+        slow = Link(1e7, 1e-4)
+        domain = domain_of(*(device(d, 1e9) for d in "abcd"),
+                           links=[(x, y, slow)
+                                  for x, y in itertools.combinations("bcd", 2)])
+        fastest = self.fastest_orders(domain, tuple("abcd"), SMALL_SPEC,
+                                      SMALL_JOB)
+        assert ("a", "b", "c", "d") not in fastest
+        got = arrange_topology(domain, tuple("dcba"), SMALL_SPEC, SMALL_JOB)
+        assert got == min(fastest) == ("b", "a", "c", "d")
 
 
 class TestChooseParallelism:

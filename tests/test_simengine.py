@@ -180,15 +180,17 @@ class TestClosedForms:
                 OP_ALLREDUCE, act, plan.participants, net)
             return base + coll
         if plan.kind == "pp":
-            per_mb = max(
-                flops * b / spec.num_blocks / m_count / thr[p]
-                for p, b in zip(plan.participants, plan.shares))
-            transfer = max(
-                ring_oracle(OP_P2P, act,
-                            (plan.participants[i], plan.participants[i + 1]),
-                            net)
-                for i in range(n - 1))
-            return (m_count + n - 1) * (per_mb + transfer)
+            # M + S - 1 slots, each one micro-batch (1/M) of the slowest
+            # stage's compute and of the busiest device's transfers: every
+            # micro-batch crosses each of its boundaries forward and back.
+            base = max(flops * b / spec.num_blocks / thr[p]
+                       for p, b in zip(plan.participants, plan.shares))
+            transfers = [0.0] * n
+            for i in range(n - 1):
+                t = ring_oracle(OP_P2P, act, plan.participants[i:i + 2], net)
+                transfers[i] += 2 * m_count * t
+                transfers[i + 1] += 2 * m_count * t
+            return (base + max(transfers)) * (m_count + n - 1) / m_count
         raise AssertionError(plan.kind)
 
     @pytest.mark.parametrize("testbed", ["homogeneous-nano4",
@@ -551,6 +553,51 @@ class TestClosedFormTotals:
         assert result.comm_bytes_by_op.keys() == comm_bytes.keys()
         for op, want in comm_bytes.items():
             assert close(result.comm_bytes_by_op[op], want, want)
+
+
+class TestTimelineInvariants:
+    """Idle time is never negative, every trace row lies inside its own
+    iteration, and each device's timeline closes, for every kind on slow
+    and fast links alike.
+
+    Each check compares sums of non-negative terms that are equal or ordered
+    in exact arithmetic, so only rounding separates them.  A float addition,
+    subtraction, product or quotient errs by at most 2**-53 of its result,
+    and no intermediate exceeds the magnitude each check names: the
+    iteration's length for a row, the run's makespan for idle time, and the
+    makespan plus the device's compute and comm time for the closure.  A
+    row's end takes at most three additions: two phases' maxima to the
+    compute time, then its duration.  An iteration's length takes at most
+    six: two additions for the busiest device's comm, one for the compute,
+    a quotient and a product for the pipeline's slots, and one addition for
+    the sync.  Idle time takes three subtractions, two products and an
+    addition; compute, comm and the makespan at most two products and an
+    addition each; the closure two more additions and its difference.  None
+    of the three checks takes more than 16 roundings.
+    """
+
+    ROUNDING = 16 * 2.0**-53
+
+    # Shrinking a failure over 21 link floats takes minutes; a raw
+    # counterexample is reported instead.
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(random_plans(sync_periods=st.integers(1, 9)), st.integers(1, 1000))
+    def test_idle_rows_and_closure(self, case, iterations):
+        plan, domain = case
+        result, prof = simengine._simulate(plan, domain, iterations)
+        assume(not result.oom)
+        eps = self.ROUNDING
+        for sync, rows in _trace_shapes(plan, prof).items():
+            length = prof.base_len + (prof.sync_len if sync else 0.0)
+            for offset, _, _, duration, _ in rows:
+                assert 0.0 <= offset
+                assert offset + duration <= length * (1 + eps)
+        for usage in result.per_device.values():
+            assert usage.idle_time >= -eps * result.makespan
+            closure = usage.compute_time + usage.comm_time + usage.idle_time
+            assert abs(closure - result.makespan) <= eps * (
+                result.makespan + usage.compute_time + usage.comm_time)
 
 
 class TestFaultInjection:
