@@ -46,7 +46,13 @@ def _read_file(path: str, context: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{context}: file not found: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{context}: {path} is not UTF-8 text: byte "
+                          f"{exc.object[exc.start]:#04x} on line {line}") \
+            from exc
 
 
 def _build_domain(args) -> TrustedDomain:

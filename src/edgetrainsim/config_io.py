@@ -14,19 +14,36 @@ Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
 outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
 builders from its kind, participants and, for PP, stage ranges; a file whose
-partition differs from the rebuilt one is rejected (CLI exit 1).  Reads and
-writes go through PyYAML's libyaml bindings when they are installed and
-through its pure-Python loader and emitter otherwise; both write the same
-bytes.
+partition differs from the rebuilt one is rejected (CLI exit 1).
+
+YAML goes through ``_Loader`` and ``_Dumper``: PyYAML's libyaml bindings when
+they are installed, its pure-Python composer and emitter otherwise.  Writing
+walks the dict once into the event stream PyYAML's safe representer and
+serializer would make and hands it to the emitter, which decides quoting,
+folding and indentation.  Reading composes the node graph and builds plain
+scalars, ``map`` and ``seq`` nodes straight into objects; every other node
+(merge keys, timestamps, binary, sets, unknown tags) goes to PyYAML's safe
+constructor.  Bytes and values are what ``yaml.dump`` and ``yaml.load`` give
+with the same classes, without PyYAML's Python representer and serializer;
+its resolver runs once per distinct scalar in a call.  An explicitly tagged
+scalar that its constructor cannot read (``!!float abc``) is a ConfigError
+naming its line.
 """
 
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import MISSING, fields
 from functools import cache
 from typing import Any, get_type_hints
 
 import yaml
+from yaml.events import (AliasEvent, DocumentEndEvent, DocumentStartEvent,
+                         MappingEndEvent, MappingStartEvent, ScalarEvent,
+                         SequenceEndEvent, SequenceStartEvent, StreamEndEvent,
+                         StreamStartEvent)
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP, ParallelPlan,
@@ -38,6 +55,14 @@ SCHEMA_VERSION = 1
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+_TAG = "tag:yaml.org,2002:"
+_MAP, _SEQ, _STR, _INT, _FLOAT, _BOOL, _NULL = (
+    _TAG + name for name in ("map", "seq", "str", "int", "float", "bool",
+                             "null"))
+_SCALAR_TAGS = (_STR, _NULL, _BOOL, _INT, _FLOAT)
+# Keys a mapping's constructor rewrites before it builds the mapping.
+_SPECIAL_KEYS = (_TAG + "merge", _TAG + "value")
 
 # Fields whose file key carries a unit; every other field keeps its name.
 _UNITS = {
@@ -129,9 +154,89 @@ def _check_version(data: dict, context: str):
         raise ConfigError(f"{context}: unsupported schema_version {version!r}")
 
 
+def _construct(loader, root, context: str):
+    """The object ``root`` stands for, as ``loader`` would construct it.
+
+    The five plain scalar tags go through the loader's own constructors,
+    memoized on (tag, text); ``map`` nodes with scalar keys (no merge or
+    value key) become dicts in node order and ``seq`` nodes lists.  An alias
+    is the same node, so it returns the same object.  Every other node is
+    the loader's to construct.  A scalar its constructor cannot read is a
+    ConfigError that names its line.
+    """
+    built = loader.constructed_objects
+    ctors = {tag: loader.yaml_constructors[tag] for tag in _SCALAR_TAGS}
+    scalars: dict[tuple[str, str], Any] = {}
+    missing = object()
+
+    def fail(node):
+        mark, tag = node.start_mark, node.tag.replace(_TAG, "!!", 1)
+        what = (f"{node.value!r} as {tag}" if node.__class__ is ScalarNode
+                else tag)
+        return ConfigError(f"{context}: YAML parse error: line "
+                           f"{mark.line + 1}, column {mark.column + 1}: "
+                           f"cannot read {what}")
+
+    def build(node):
+        cls, tag = node.__class__, node.tag
+        if cls is ScalarNode:
+            key = (tag, node.value)
+            obj = scalars.get(key, missing)
+            if obj is not missing:
+                return obj
+            ctor = ctors.get(tag)
+            if ctor is not None:
+                try:
+                    obj = scalars[key] = ctor(loader, node)
+                except (ValueError, LookupError, AttributeError) as exc:
+                    raise fail(node) from exc
+                return obj
+        elif node in built:
+            return built[node]
+        elif cls is SequenceNode and tag == _SEQ:
+            obj = built[node] = []
+            obj.extend([build(item) for item in node.value])
+            return obj
+        elif cls is MappingNode and tag == _MAP and all(
+                k.__class__ is ScalarNode and k.tag not in _SPECIAL_KEYS
+                for k, _ in node.value):
+            obj = built[node] = {}
+            for key_node, value_node in node.value:
+                obj[build(key_node)] = build(value_node)
+            return obj
+        try:
+            return loader.construct_object(node, deep=True)
+        except (ValueError, LookupError, AttributeError) as exc:
+            raise fail(node) from exc
+
+    return build(root)
+
+
+def _load(text: str, context: str):
+    """``yaml.load(text, _Loader)``: ``_Loader`` composes the node graph
+    (libyaml's composer when it is installed), resolving each distinct
+    implicit scalar once, and ``_construct`` builds the objects."""
+    loader = _Loader(text)
+    resolve, tags = loader.resolve, {}
+
+    def memo_resolve(kind, value, implicit):
+        key = (kind, value, implicit)
+        tag = tags.get(key)
+        if tag is None:
+            tag = tags[key] = resolve(kind, value, implicit)
+        return tag
+
+    loader.resolve = memo_resolve
+    try:
+        node = loader.get_single_node()
+        return None if node is None else _construct(loader, node, context)
+    finally:
+        loader.dispose()
+
+
 def parse_yaml(text: str, context: str) -> dict:
     try:
-        data = yaml.load(text, Loader=_Loader)
+        data = _load(text, context)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{context}: YAML parse error: {exc}") from exc
     if not isinstance(data, dict):
@@ -139,9 +244,101 @@ def parse_yaml(text: str, context: str) -> dict:
     return data
 
 
+def _events(data, resolve) -> list:
+    """The event stream PyYAML's safe representer and serializer make from
+    ``data``: keys sorted (keys that do not sort are a TypeError), block
+    collections, and each scalar's tag, text and implicit pair as
+    ``SafeRepresenter`` and ``Serializer`` give them.  A string is
+    plain-implicit when it resolves to ``str``; every other scalar's text
+    resolves to its own tag.  A dict or list met again is an alias of its
+    first, anchored occurrence.
+    """
+    events: list = [StreamStartEvent(), DocumentStartEvent()]
+    append = events.append
+    strs: dict[str, ScalarEvent] = {}
+    others: dict[tuple[str, str], ScalarEvent] = {}
+    starts: dict[int, Any] = {}
+    anchors = 0
+
+    def walk(obj):
+        nonlocal anchors
+        kind = type(obj)
+        if kind is str:
+            event = strs.get(obj)
+            if event is None:
+                plain = resolve(ScalarNode, obj, (True, False)) == _STR
+                event = strs[obj] = ScalarEvent(None, _STR, (plain, True), obj)
+            append(event)
+            return
+        if kind is dict or kind is list:
+            start = starts.get(id(obj))
+            if start is not None:
+                if start.anchor is None:
+                    anchors += 1
+                    start.anchor = f"id{anchors:03d}"
+                append(AliasEvent(start.anchor))
+                return
+            if kind is dict:
+                start = MappingStartEvent(None, _MAP, True, flow_style=False)
+                starts[id(obj)] = start
+                append(start)
+                for key, value in sorted(obj.items()):
+                    walk(key)
+                    walk(value)
+                append(MappingEndEvent())
+            else:
+                start = SequenceStartEvent(None, _SEQ, True, flow_style=False)
+                starts[id(obj)] = start
+                append(start)
+                for item in obj:
+                    walk(item)
+                append(SequenceEndEvent())
+            return
+        if kind is float:
+            tag = _FLOAT
+            if obj != obj:
+                text = ".nan"
+            elif obj == math.inf:
+                text = ".inf"
+            elif obj == -math.inf:
+                text = "-.inf"
+            else:
+                text = repr(obj).lower()
+                if "." not in text and "e" in text:
+                    text = text.replace("e", ".0e", 1)
+        elif kind is int:
+            tag, text = _INT, str(obj)
+        elif kind is bool:
+            tag, text = _BOOL, "true" if obj else "false"
+        elif obj is None:
+            tag, text = _NULL, "null"
+        else:
+            raise TypeError(f"cannot write a {kind.__name__} as YAML")
+        event = others.get((tag, text))
+        if event is None:
+            event = others[tag, text] = ScalarEvent(None, tag, (True, False),
+                                                    text)
+        append(event)
+
+    walk(data)
+    events += [DocumentEndEvent(), StreamEndEvent()]
+    return events
+
+
 def dump_yaml(data: dict) -> str:
-    return yaml.dump(data, Dumper=_Dumper, sort_keys=True,
-                     default_flow_style=False)
+    """``data`` as the text ``yaml.dump(data, _Dumper, sort_keys=True,
+    default_flow_style=False)`` writes: its event stream goes straight to
+    ``_Dumper``'s emitter (libyaml's when it is installed), which decides
+    quoting, folding and indentation.  Only dict, list, str, int, float,
+    bool and None are written; any other type is a TypeError."""
+    stream = io.StringIO()
+    dumper = _Dumper(stream)
+    try:
+        for event in _events(data, dumper.resolve):
+            dumper.emit(event)
+    finally:
+        dumper.dispose()
+    return stream.getvalue()
 
 
 # ---------------------------------------------------------------- domains

@@ -1,13 +1,15 @@
 """YAML I/O tests: agreement with PyYAML's pure-Python reference, and errors."""
 
+import datetime
 import itertools
 import math
 import string
+import sys
 from dataclasses import MISSING, fields, replace
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
@@ -121,6 +123,49 @@ class TestParseErrors:
         err = capsys.readouterr().err
         assert "YAML parse error" in err
         assert "line 3" in err
+
+
+# (command-line words before the input file, the input's error context)
+INPUT_ARGS = {
+    "plan-domain": (("plan", "--domain"), "domain"),
+    "simulate-plan": (("simulate", "--plan"), "plan"),
+    "faults-plan": (("faults", "--mtbf", "40", "--plan"), "plan"),
+    "model-config": (("plan", "--testbed", "homogeneous-nano4",
+                      "--model-config"), "model"),
+}
+# Explicitly tagged scalars whose constructor cannot read their text.
+UNREADABLE_TAGGED = ["!!float abc", "!!int abc", "!!int ''", "!!bool maybe",
+                     "!!timestamp nope", "!!timestamp 2024-13-45"]
+
+
+def _one_error_line(capsys, argv, path) -> str:
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    return err[0]
+
+
+@pytest.mark.parametrize("scalar", UNREADABLE_TAGGED)
+@pytest.mark.parametrize("source", sorted(INPUT_ARGS))
+def test_unreadable_tagged_scalar_exits_1_with_line(tmp_path, capsys, source,
+                                                    scalar):
+    argv, context = INPUT_ARGS[source]
+    path = tmp_path / "input.yaml"
+    path.write_text(f"schema_version: 1\nname: {scalar}\nmode: gpu\n")
+    err = _one_error_line(capsys, argv, path)
+    assert err.startswith(f"error: {context}: YAML parse error: line 2, "), err
+    assert scalar.split()[0] in err
+
+
+@pytest.mark.parametrize("source", sorted(INPUT_ARGS))
+def test_non_utf8_input_exits_1(tmp_path, capsys, source):
+    argv, context = INPUT_ARGS[source]
+    path = tmp_path / "input.yaml"
+    path.write_bytes(b"schema_version: 1\nname: caf\xe9\xff\n")
+    err = _one_error_line(capsys, argv, path)
+    assert err == (f"error: {context}: {path} is not UTF-8 text: byte 0xe9 "
+                   f"on line 2")
 
 
 class TestPlanErrors:
@@ -338,3 +383,144 @@ def test_every_built_plan_loads_back(domain, model):
         loaded, loaded_domain, interval = config_io.plan_from_dict(
             config_io.parse_yaml(text, "plan"))
         assert (loaded, loaded_domain, interval) == (plan, domain, 12.5)
+
+
+# ---------------------------------------------------------------- equivalence
+
+# The classes config_io reads and writes with: the installed ones (libyaml's
+# when present) and PyYAML's pure-Python ones.  With each, config_io must
+# agree with PyYAML's own dump and load through the same class.
+YAML_CLASSES = {"installed": (config_io._Loader, config_io._Dumper),
+                "pure": (yaml.SafeLoader, yaml.SafeDumper)}
+
+
+@pytest.fixture(params=sorted(YAML_CLASSES))
+def yaml_classes(request, monkeypatch):
+    loader, dumper = YAML_CLASSES[request.param]
+    monkeypatch.setattr(config_io, "_Loader", loader)
+    monkeypatch.setattr(config_io, "_Dumper", dumper)
+    return request.param
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-05, sys.float_info.max, math.nan,
+               math.inf, -math.inf, 0.1, -2.5e-300]
+EDGE_INTS = [0, 1, -1, -17, 2 ** 70, -(2 ** 70)]
+EDGE_STRINGS = ["", " lead", "trail ", "yes", "No", "null", "~", "1e9", "0x1F",
+                "12:30", "2024-01-01", "- a", "a: b", "#x", "<<", "=",
+                "two\nlines", "é", "\x07", "1.0", "true", "'q'", '"q"',
+                " ".join(f"w{i}" for i in range(30)),
+                "x" * 90 + " " + "y" * 10]
+
+_KEYS = st.text(max_size=6) | st.sampled_from(EDGE_STRINGS)
+_LEAVES = (st.none() | st.booleans()
+           | st.integers() | st.sampled_from(EDGE_INTS)
+           | st.floats() | st.sampled_from(EDGE_FLOATS)
+           | st.text(max_size=12) | st.sampled_from(EDGE_STRINGS))
+_TREES = st.dictionaries(_KEYS, st.recursive(
+    _LEAVES, lambda inner: (st.lists(inner, max_size=4)
+                            | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24), max_size=6)
+
+
+def _same(a, b) -> bool:
+    """Equal with the same types and key order; NaN equals NaN and -0.0
+    differs from 0.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return repr(a) == repr(b)
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _edge_document():
+    shared = [1, "a"]
+    return {"floats": EDGE_FLOATS, "ints": EDGE_INTS,
+            "strings": EDGE_STRINGS, "keys": dict.fromkeys(EDGE_STRINGS, 1),
+            "zero": 0.0, "negative_zero": -0.0, "flags": [True, False, None],
+            "empty": [{}, []], "shared": shared, "again": shared}
+
+
+_WITH_CLASSES = settings(
+    max_examples=150, deadline=None,
+    # The fixture's patch holds for every example of the test.
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _dump_through(data):
+    """What PyYAML's representer and serializer write through ``_Dumper``:
+    ``yaml.safe_dump`` when it is the pure-Python dumper.  (libyaml's emitter
+    writes an empty key as ``'':`` where PyYAML's writes ``? ''``.)"""
+    return yaml.dump(data, Dumper=config_io._Dumper, sort_keys=True,
+                     default_flow_style=False)
+
+
+def _load_through(text):
+    """What PyYAML's constructor reads through ``_Loader``: ``yaml.safe_load``
+    when it is the pure-Python loader."""
+    return yaml.load(text, Loader=config_io._Loader)
+
+
+class TestEquivalence:
+    """``dump_yaml`` writes what PyYAML's safe representer writes through
+    the same emitter, and ``parse_yaml`` reads what PyYAML's safe
+    constructor reads through the same composer."""
+
+    @_WITH_CLASSES
+    @given(_TREES)
+    def test_dump_and_load_match_pyyaml(self, yaml_classes, data):
+        text = config_io.dump_yaml(data)
+        assert text == _dump_through(data)
+        assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
+
+    def test_edge_document(self, yaml_classes):
+        data = _edge_document()
+        text = config_io.dump_yaml(data)
+        assert text == _dump_through(data)
+        assert "&id001" in text and "*id001" in text
+        got = config_io.parse_yaml(text, "edge")
+        assert _same(got, _load_through(text))
+        assert got["shared"] is got["again"]
+
+    def test_recursive_list(self, yaml_classes):
+        loop: list = []
+        loop.append(loop)
+        text = config_io.dump_yaml({"loop": loop})
+        assert text == _dump_through({"loop": loop})
+        got = config_io.parse_yaml(text, "loop")["loop"]
+        assert got[0] is got
+
+    @pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x",
+                                       datetime.date(2024, 1, 1), object()])
+    def test_other_types_are_refused(self, yaml_classes, value):
+        with pytest.raises(TypeError):
+            config_io.dump_yaml({"a": [value]})
+
+    @pytest.mark.parametrize("text", [
+        "a: &x [1, {b: 2}]\nb: *x\n",
+        "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  y: 3\n",
+        "a: !!str 5\nb: !!int \"7\"\nc: !!float 1\nd: !!null ''\n",
+        "t: 2001-12-14t21:59:43.10-05:00\nd: 2024-01-01\n"
+        "bin: !!binary aGVsbG8=\n",
+        "s: !!set {a, b}\no: !!omap [x: 1, y: 2]\np: !!pairs [x: 1, x: 2]\n",
+        "a: 1\nb: 2\na: 3\n",
+        "f: {x: [1, 2], y: {z: null}}\ng: [a, {b: c}, [d]]\n",
+        "'=': 1\nk: '<<'\n",
+        "a: &s text\nb: *s\nc: &n [*s]\n",
+    ])
+    def test_hand_written_documents(self, yaml_classes, text):
+        got = config_io.parse_yaml(text, "hand")
+        assert _same(got, _load_through(text))
+        if "*x" in text:
+            assert got["a"] is got["b"]
+
+    @pytest.mark.parametrize("text", [
+        "? [a, b]\n: 1\n", "a: 1\n---\nb: 2\n", "", "a: =\n",
+        "a: !!binary a\n", "a: !!omap 5\n", "a: !unknown x\n"])
+    def test_unloadable_documents(self, yaml_classes, text):
+        with pytest.raises(ConfigError, match="^doc: "):
+            config_io.parse_yaml(text, "doc")
+
