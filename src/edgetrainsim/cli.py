@@ -7,6 +7,13 @@ The default job matches the reference experiment grid (global batch 128,
 sequence length 32, micro-batch 8, gradient sync every 5 iterations) and a
 half-precision runtime (2-byte parameters, fp16 activations); every constant
 can be overridden by flags.
+
+Each run builds only what its command needs.  :func:`parse_args` builds the
+named command's parser alone (its flags come from :data:`COMMANDS`) and hands
+anything else, such as help without a command, an unknown command or
+leftover arguments, to the full parser from :func:`build_parser`, which
+prints every help text, usage line and error.  No parser is kept between
+calls.  Output files are written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .workload import MODEL_PRESETS, default_edge_job, model_preset
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
+PROG = "edgetrainsim"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +150,7 @@ def _add_job_flags(p):
 
 def _write_out(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -298,13 +306,7 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="edgetrainsim",
-                     description="Collaborative edge training planner and "
-                                 "simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", help="choose devices/parallelism/checkpointing")
+def _plan_flags(p):
     _add_domain_flags(p)
     p.add_argument("--model", help="model preset name")
     p.add_argument("--model-config", help="custom model YAML file")
@@ -322,14 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="plan output file (default stdout)")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("simulate", help="simulate a previously emitted plan")
+
+def _simulate_flags(p):
     p.add_argument("--plan", required=True, help="plan YAML file")
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--trace", help="write an event trace table to this file")
     p.add_argument("--out", help="result output file (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run the model x parallelism x mode grid")
+
+def _sweep_flags(p):
     _add_domain_flags(p)
     p.add_argument("--models", help="comma-separated model presets "
                                     "(default: all four)")
@@ -338,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="TSV output file (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("faults", help="fault-injected goodput report for a plan")
+
+def _faults_flags(p):
     p.add_argument("--plan", required=True)
     p.add_argument("--mtbf", type=float, required=True,
                    help="per-device MTBF in seconds")
@@ -349,14 +354,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report output file (default stdout)")
     p.set_defaults(func=cmd_faults)
 
-    p = sub.add_parser("presets", help="list built-in models and testbeds")
+
+def _presets_flags(p):
     p.set_defaults(func=cmd_presets)
+
+
+# Each command's help line and flag builder, in the order help lists them.
+# A builder looks its `cmd_*` function up when it runs, so a wrapper put on
+# the module's `cmd_*` name (as bench/tracing.py does) is what gets called.
+COMMANDS = {
+    "plan": ("choose devices/parallelism/checkpointing", _plan_flags),
+    "simulate": ("simulate a previously emitted plan", _simulate_flags),
+    "sweep": ("run the model x parallelism x mode grid", _sweep_flags),
+    "faults": ("fault-injected goodput report for a plan", _faults_flags),
+    "presets": ("list built-in models and testbeds", _presets_flags),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser."""
+    parser = _Parser(prog=PROG,
+                     description="Collaborative edge training planner and "
+                                 "simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_parser` does, building only the named
+    command's parser when that suffices.
+
+    The full parser's subparser action runs exactly this
+    ``parse_known_args`` on the rest of ``argv``.  Anything else (no command,
+    ``-h``, an unknown command, leftover arguments) goes to the full parser,
+    the one source of top-level help, usage lines and errors.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _Parser(prog=f"{PROG} {name}")
+        COMMANDS[name][1](parser)
+        parser.set_defaults(command=name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ConfigError, ValidationError, PlanError, SimulationError,

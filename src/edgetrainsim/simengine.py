@@ -32,7 +32,10 @@ of each shape once by start offset and then device, formats each row's tail
 once and groups the rows by start offset, then streams them iteration by
 iteration, formatting each group's start time once per iteration.  Every row
 starts inside its own iteration, so the file is ordered by start time and
-then device.
+then device, in UTF-8.
+
+numpy is imported on demand, by the fault replay's failure stream alone, so
+planning and simulating never load it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
-
-import numpy as np
 
 from .devices import (FaultModel, NetworkModel, TrustedDomain, busy_power,
                       effective_throughput)
@@ -296,6 +297,7 @@ def _failure_stream(fault_model: FaultModel, num_devices: int):
     Draws are mtbf-scaled standard exponentials, so shrinking the MTBF with a
     fixed seed strictly advances every failure time.
     """
+    import numpy as np  # imported here: only `faults` pays its load time
     seqs = np.random.SeedSequence(fault_model.rng_seed).spawn(num_devices)
     rngs = [np.random.default_rng(s) for s in seqs]
 
@@ -414,7 +416,7 @@ def write_trace(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
     iteration, and each iteration is one ``writelines`` call.
     """
     result, prof = _simulate(plan, domain, iterations)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER)
         if result.oom:
             return result

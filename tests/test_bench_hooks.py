@@ -24,3 +24,30 @@ def test_tracer_patches_required_namespaces(monkeypatch, request):
         tracer.uninstall()
     assert set(REQUIRED) <= patched
     assert not hasattr(edgetrainsim.cli.partition_stages, "__wrapped__")
+
+
+def test_tracer_counts_each_command_once(monkeypatch, request, tmp_path):
+    """A command table that held the `cmd_*` functions themselves would call
+    them past the tracer's wrappers, which then count no call."""
+    monkeypatch.syspath_prepend(str(request.config.rootpath / "bench"))
+    from tracing import Tracer
+    plan = str(tmp_path / "plan.yaml")
+    nano4 = ["--testbed", "homogeneous-nano4"]
+    commands = {
+        "plan": ["plan", *nano4, "--model", "distilbert", "--out", plan],
+        "simulate": ["simulate", "--plan", plan,
+                     "--out", str(tmp_path / "result.yaml")],
+        "sweep": ["sweep", *nano4, "--models", "distilbert",
+                  "--out", str(tmp_path / "sweep.tsv")],
+        "faults": ["faults", "--plan", plan, "--mtbf", "600",
+                   "--out", str(tmp_path / "report.yaml")],
+    }
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for argv in commands.values():
+            assert edgetrainsim.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert {name: tracer.stats[f"cli.{name}"].calls for name in commands} \
+        == dict.fromkeys(commands, 1)

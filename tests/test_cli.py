@@ -1,13 +1,17 @@
 """End-to-end command-line tests: exit codes, file formats, determinism."""
 
+import argparse
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from edgetrainsim import config_io
-from edgetrainsim.cli import main
+from edgetrainsim.cli import COMMANDS, build_parser, main, parse_args
 from edgetrainsim.devices import (DeviceProfile, TrustedDomain,
                                   testbed_preset as load_testbed)
 from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
@@ -496,3 +500,121 @@ BAD_DOMAINS = {
 @pytest.mark.parametrize("case", sorted(BAD_DOMAINS))
 def test_bad_domain_exits_1_with_one_error_line(tmp_path, capsys, case):
     assert_edited_input_exits_1(tmp_path, capsys, "domain", *BAD_DOMAINS[case])
+
+
+def _every_flag(name):
+    """``name``'s argv with each of its flags set to a non-default value."""
+    p = argparse.ArgumentParser()
+    COMMANDS[name][1](p)
+    argv = [name]
+    for action in p._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices:
+            argv += [flag, action.choices[-1]]
+        else:
+            argv += [flag, {int: "3", float: "2.5"}.get(action.type, "x")]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_parse_args_matches_full_parser(name):
+    argv = _every_flag(name)
+    assert vars(parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+# Help, usage errors and edge cases that the full parser must answer.
+USAGE_ARGVS = [[], ["-h"], *[[name, "-h"] for name in COMMANDS], ["bogus"],
+               ["plan", "--iterations", "x"], ["plan", "--mode", "tpu"],
+               ["faults", "--plan", "p"], ["plan", "--bogus"],
+               ["plan", "extra"], ["presets", "x"], ["plan", "--sel"],
+               ["--"], ["--", "plan"], ["plan", "--"], ["plan", "--", "x"]]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_parse_args_prints_and_exits_like_full_parser(argv, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    assert outcome(parse_args) == outcome(
+        lambda a: build_parser().parse_args(a))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python(*args, cwd, **env_overrides):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    env.update(env_overrides)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestEntryPoint:
+    def test_every_output_names_its_encoding(self, tmp_path):
+        strict = ("-X", "warn_default_encoding", "-W",
+                  "error::EncodingWarning", "-m", "edgetrainsim.cli")
+        for argv in (("plan", "--testbed", "homogeneous-nano4", "--model",
+                      "distilbert", "--out", "plan.yaml"),
+                     ("simulate", "--plan", "plan.yaml", "--trace",
+                      "trace.tsv", "--out", "result.yaml"),
+                     ("sweep", "--testbed", "homogeneous-nano4", "--models",
+                      "distilbert", "--out", "sweep.tsv"),
+                     ("faults", "--plan", "plan.yaml", "--mtbf", "600",
+                      "--out", "report.yaml")):
+            proc = _python(*strict, *argv, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+
+    def test_non_ascii_names_are_written_as_utf8_in_an_ascii_locale(
+            self, tmp_path):
+        device = ("{cpu_throughput_flops: 15.0e+9, gpu_throughput_flops: "
+                  "240.0e+9, mem_capacity_bytes: 4.0e+9, power_idle_w: 2.0, "
+                  "power_cpu_busy_w: 7.0, power_gpu_busy_w: 10.0, "
+                  "power_net_w: 1.5, id: nano-é%d}")
+        (tmp_path / "d.yaml").write_text(
+            "schema_version: 1\nname: café\ndevices:\n"
+            + "".join(f"- {device % i}\n" for i in range(2)),
+            encoding="utf-8")
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                        "PYTHONUTF8": "0"}
+        for argv in (("plan", "--domain", "d.yaml", "--model", "distilbert",
+                      "--out", "plan.yaml"),
+                     ("simulate", "--plan", "plan.yaml", "--trace",
+                      "trace.tsv", "--out", "result.yaml"),
+                     ("sweep", "--domain", "d.yaml", "--models", "distilbert",
+                      "--out", "sweep.tsv")):
+            proc = _python("-m", "edgetrainsim.cli", *argv, cwd=tmp_path,
+                           **ascii_locale)
+            assert proc.returncode == 0, proc.stderr
+        assert "\tnano-é1\t" in (tmp_path / "trace.tsv").read_text("utf-8")
+        assert "\tcafé\t" in (tmp_path / "sweep.tsv").read_text("utf-8")
+
+    def test_only_faults_imports_numpy(self, tmp_path):
+        script = """
+import sys
+from edgetrainsim.cli import main
+nano4 = ["--testbed", "homogeneous-nano4"]
+assert main(["presets"]) == 0
+assert main(["plan", *nano4, "--model", "distilbert", "--out", "p.yaml"]) == 0
+assert main(["simulate", "--plan", "p.yaml", "--out", "r.yaml"]) == 0
+assert main(["sweep", *nano4, "--models", "distilbert", "--out", "s.tsv"]) == 0
+assert "numpy" not in sys.modules, "numpy imported before faults"
+assert main(["faults", "--plan", "p.yaml", "--mtbf", "600"]) == 0
+assert "numpy" in sys.modules, "faults ran without numpy"
+"""
+        proc = _python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
