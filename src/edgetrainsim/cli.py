@@ -149,8 +149,15 @@ def _add_job_flags(p):
 
 
 def _write_out(text: str, out: str | None):
+    """Write ``text`` to ``out``, or to stdout without ``--out``, as UTF-8
+    whatever the locale; a stdout without a byte buffer (a redirect to a
+    ``StringIO``) gets the text itself."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(text)
 

@@ -371,6 +371,26 @@ class TestFaults:
         plan = self.plan_file(tmp_path)
         assert run("faults", "--plan", str(plan), "--mtbf", "-5") == 1
 
+    def test_infinite_mtbf_returns_with_no_failures(self, tmp_path):
+        # In a child process with a time limit: a replay that never returns
+        # then fails the test instead of blocking the suite.
+        self.plan_file(tmp_path)
+        proc = _python("-m", "edgetrainsim.cli", "faults", "--plan",
+                       "plan.yaml", "--mtbf", "inf", "--out", "inf.yaml",
+                       cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert yaml.safe_load((tmp_path / "inf.yaml").read_text())[
+            "failures"] == 0
+
+    def test_overflowing_failure_times_print_no_warning(self, tmp_path):
+        # At 1e307 s per device the failure times overflow to inf.
+        self.plan_file(tmp_path)
+        proc = _python("-W", "error", "-m", "edgetrainsim.cli", "faults",
+                       "--plan", "plan.yaml", "--mtbf", "1e307", "--out",
+                       "big.yaml", cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 # argv ("{plan}" marks a DP plan file) and the plan's checkpoint_interval_s
 BAD_VALUES = {
@@ -554,14 +574,29 @@ def test_parse_args_prints_and_exits_like_full_parser(argv, capsys,
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(*args, cwd, **env_overrides):
+def _python(*args, cwd, timeout=120, **env_overrides):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
     env.update(env_overrides)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8",
+                          timeout=timeout)
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def _write_cafe_domain(path):
+    """Two Nanos with non-ASCII ids in a domain named café."""
+    device = ("{cpu_throughput_flops: 15.0e+9, gpu_throughput_flops: "
+              "240.0e+9, mem_capacity_bytes: 4.0e+9, power_idle_w: 2.0, "
+              "power_cpu_busy_w: 7.0, power_gpu_busy_w: 10.0, "
+              "power_net_w: 1.5, id: nano-é%d}")
+    path.write_text("schema_version: 1\nname: café\ndevices:\n"
+                    + "".join(f"- {device % i}\n" for i in range(2)),
+                    encoding="utf-8")
 
 
 class TestEntryPoint:
@@ -581,16 +616,7 @@ class TestEntryPoint:
 
     def test_non_ascii_names_are_written_as_utf8_in_an_ascii_locale(
             self, tmp_path):
-        device = ("{cpu_throughput_flops: 15.0e+9, gpu_throughput_flops: "
-                  "240.0e+9, mem_capacity_bytes: 4.0e+9, power_idle_w: 2.0, "
-                  "power_cpu_busy_w: 7.0, power_gpu_busy_w: 10.0, "
-                  "power_net_w: 1.5, id: nano-é%d}")
-        (tmp_path / "d.yaml").write_text(
-            "schema_version: 1\nname: café\ndevices:\n"
-            + "".join(f"- {device % i}\n" for i in range(2)),
-            encoding="utf-8")
-        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-                        "PYTHONUTF8": "0"}
+        _write_cafe_domain(tmp_path / "d.yaml")
         for argv in (("plan", "--domain", "d.yaml", "--model", "distilbert",
                       "--out", "plan.yaml"),
                      ("simulate", "--plan", "plan.yaml", "--trace",
@@ -598,10 +624,18 @@ class TestEntryPoint:
                      ("sweep", "--domain", "d.yaml", "--models", "distilbert",
                       "--out", "sweep.tsv")):
             proc = _python("-m", "edgetrainsim.cli", *argv, cwd=tmp_path,
-                           **ascii_locale)
+                           **ASCII_LOCALE)
             assert proc.returncode == 0, proc.stderr
         assert "\tnano-é1\t" in (tmp_path / "trace.tsv").read_text("utf-8")
         assert "\tcafé\t" in (tmp_path / "sweep.tsv").read_text("utf-8")
+
+    def test_stdout_is_utf8_in_an_ascii_locale(self, tmp_path):
+        _write_cafe_domain(tmp_path / "d.yaml")
+        proc = _python("-m", "edgetrainsim.cli", "sweep", "--domain",
+                       "d.yaml", "--models", "distilbert", cwd=tmp_path,
+                       **ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert "\tcafé\t" in proc.stdout
 
     def test_only_faults_imports_numpy(self, tmp_path):
         script = """

@@ -1,9 +1,14 @@
 """Simulation engine tests: timing oracles, accounting, energy, faults."""
 
+import contextlib
+import heapq
 import itertools
+import math
 import os
 import random
+import signal
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import (Phase, assume, example, given, settings,
@@ -21,14 +26,45 @@ from edgetrainsim.parallelism import (ALL_KINDS, KIND_SINGLE, OP_ALLGATHER,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan)
 from edgetrainsim.simengine import (TRACE_HEADER, DeviceUsage,
-                                    SimulationError, _profile_iteration,
-                                    _trace_rows, _trace_shapes,
+                                    SimulationError, _failure_stream,
+                                    _profile_iteration, _trace_rows, _trace_shapes,
                                     collective_time, inject_faults,
                                     iteration_times, simulate, write_trace)
 from edgetrainsim.workload import (TrainingJob, flops_per_iteration,
                                    model_preset, default_edge_job)
 
 JOB = default_edge_job()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so that a replay
+    that never returns fails its test instead of blocking the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def scalar_failure_stream(fault_model, num_devices):
+    """The failure stream drawn one exponential at a time: each device's
+    ``t += mtbf * x``, merged.  The block-drawn stream must equal it."""
+    import numpy as np
+    seqs = np.random.SeedSequence(fault_model.rng_seed).spawn(num_devices)
+    rngs = [np.random.default_rng(s) for s in seqs]
+
+    def device_times(rng):
+        t = 0.0
+        while True:
+            t += fault_model.mtbf_per_device * rng.standard_exponential()
+            yield t
+
+    return heapq.merge(*(device_times(r) for r in rngs))
 
 
 def make_domain(throughputs, bandwidth=1e9, latency=1e-4, mem=4e9,
@@ -631,6 +667,43 @@ class TestFaultInjection:
         assert report.goodput_samples_per_s == pytest.approx(
             report.fault_free.samples_processed / report.fault_free.makespan,
             rel=1e-12)
+
+    @pytest.mark.parametrize("mtbf", [math.inf, 1e307])
+    def test_extreme_mtbf_returns_fault_free_without_warnings(self, mtbf):
+        """An infinite MTBF makes every failure time inf, and 1e307 makes
+        them overflow to inf; the replay still returns, with no failures and
+        no numpy warning."""
+        domain, _, plan = self.setup_plan()
+        with deadline(20), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = inject_faults(plan, domain,
+                                   FaultModel(mtbf, 50e6, 50e6),
+                                   iterations=20, checkpoint_interval=1e9)
+        assert report.failures == 0
+        # the replay adds the iterations one by one, the makespan is a product
+        assert report.wall_time == pytest.approx(report.fault_free.makespan,
+                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("block", [simengine.FAILURE_BLOCK, 5])
+    @pytest.mark.parametrize("num_devices", [1, 2, 3, 4, 7, 12])
+    def test_failure_stream_matches_scalar_draws(self, num_devices, block,
+                                                 monkeypatch):
+        """The first 3,000 failure times equal the one-draw-at-a-time
+        stream's exactly, as plain floats; blocks of 5 make every device
+        cross many blocks."""
+        monkeypatch.setattr(simengine, "FAILURE_BLOCK", block)
+        for mtbf in (1e-300, 1e-9, 0.37, 40.0, 3600.0, 1e18, 1e307, math.inf):
+            for seed in (0, 1, 12345):
+                fm = FaultModel(mtbf, 50e6, 50e6, rng_seed=seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the oracle overflows
+                    want = list(itertools.islice(
+                        scalar_failure_stream(fm, num_devices), 3000))
+                with deadline(20):
+                    got = list(itertools.islice(
+                        _failure_stream(fm, num_devices), 3000))
+                assert got == want, (mtbf, seed)
+                assert all(type(t) is float for t in got), (mtbf, seed)
 
     def test_forced_single_failure_hand_trace(self):
         """One failure mid-iteration-4 with a checkpoint after iteration 2."""
