@@ -14,6 +14,10 @@ from dataclasses import dataclass, field, replace
 MODE_CPU = "cpu"
 MODE_GPU = "gpu"
 MODES = (MODE_CPU, MODE_GPU)
+# The longest device id: libyaml's emitter writes an id of 123-128
+# characters as a plain mapping key and PyYAML's pure-Python one as a `? `
+# complex key, so result and plan files would differ between installs.
+MAX_DEVICE_ID_CHARS = 122
 
 
 class ValidationError(ValueError):
@@ -48,6 +52,10 @@ class DeviceProfile:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("device id must be non-empty")
+        if len(self.id) > MAX_DEVICE_ID_CHARS:
+            raise ValidationError(f"device id must be at most "
+                                  f"{MAX_DEVICE_ID_CHARS} characters, got "
+                                  f"{len(self.id)}: {self.id[:20]}...")
         for name in ("cpu_throughput", "gpu_throughput", "power_idle",
                      "power_cpu_busy", "power_gpu_busy", "power_net"):
             _check_finite_nonnegative(f"{self.id}: {name}",

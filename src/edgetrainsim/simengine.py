@@ -6,17 +6,16 @@ compute + comm + idle = makespan.
 
 Every collective comes from the plan's per-iteration template
 (:func:`~edgetrainsim.parallelism.comm_template`).  One pass over it, per
-profile, gives each device's comm seconds, ``comm_bytes_by_op`` and the
-trace rows; ``comm_bytes_by_op`` counts payload bytes (count x payload),
-not the bytes a ring puts on the wire.  Collectives use ring algorithms
-under an alpha-beta link model.  Every kind has one wall-time formula: the
-slowest device's compute, then the busiest device's communication (every
-collective phase in turn where all participants join each one).  A
-pipeline of S stages runs its M micro-batches in the fill-drain schedule's
-M + S - 1 slots, each 1/M of that barrier iteration, so its wall time is
-(M + S - 1) / M >= 1 times it.  For every kind, idle time is never
-negative and every trace row ends inside its iteration, up to float
-rounding.  Compute and communication do not overlap.
+profile, groups its entries by phase into the iteration's timeline: compute,
+then each phase group in turn (the sync-only ones on sync iterations), each
+as long as its busiest device.  Each device's comm seconds,
+``comm_bytes_by_op`` (count x payload, not the bytes a ring puts on the wire)
+and the trace rows are all read from it.  Collectives use ring algorithms
+under an alpha-beta link model.  A pipeline of S stages runs its M
+micro-batches in the fill-drain schedule's M + S - 1 slots, each 1/M of that
+barrier iteration, so its wall time is (M + S - 1) / M >= 1 times it.  Float
+addition is monotone, so every trace row ends inside its iteration exactly;
+idle time is >= 0 up to rounding.  Compute and communication do not overlap.
 
 Energy integrates a three-state power model per device: idle power for the
 whole makespan, the busy-minus-idle delta while computing, and the network
@@ -129,26 +128,16 @@ def collective_time(op: str, payload_bytes: float, participants,
 
 @dataclass
 class _IterationProfile:
-    """Per-device constants of one iteration, folded once from the template."""
-    compute: dict[str, float]               # per-device compute seconds
-    base_comm: dict[str, float]             # per-device comm seconds (every iter)
-    base_len: float                         # iteration wall time without sync
-    sync_len: float                         # extra wall time on sync iterations
-    sync_comm: dict[str, float]             # extra per-device comm on sync iters
-    base_bytes: dict[str, float]            # payload bytes by op, every iteration
-    sync_bytes: dict[str, float]            # payload bytes by op on sync iterations
-    phases: list                            # (CommPhase, seconds per run)
+    """One iteration's phase timeline, built once from the template.
 
-
-def _fold(phases, parts) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-device seconds and payload bytes by op of some template entries."""
-    seconds = dict.fromkeys(parts, 0.0)
-    by_op: dict[str, float] = {}
-    for e, t in phases:
-        for p in e.participants:
-            seconds[p] += e.count * t
-        by_op[e.op] = by_op.get(e.op, 0.0) + e.count * e.payload_bytes
-    return seconds, by_op
+    ``groups`` holds one (start, kind, payload, sync_only, seconds) tuple per
+    phase group, in the order the groups run: compute first (kind
+    ``"compute"``, payload 0), then each collective phase's op, the payload
+    bytes of all its runs and each participant's seconds in it.
+    """
+    groups: list
+    base_len: float     # iteration wall time without the sync-only groups
+    sync_len: float     # their extra wall time on sync iterations
 
 
 def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationProfile:
@@ -163,44 +152,40 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
         compute = {p: flops * (s / total) / thr[p]
                    for p, s in zip(parts, plan.shares)}
 
-    phases = [(e, collective_time(e.op, e.payload_bytes, e.participants,
-                                  domain.network))
-              for e in comm_template(plan)]
-    base_comm, base_bytes = _fold([x for x in phases if not x[0].sync_only], parts)
-    sync_comm, sync_bytes = _fold([x for x in phases if x[0].sync_only], parts)
-    # The slowest device's compute, then the busiest device's comm.  A
-    # pipeline's M micro-batches take M + S - 1 slots of one micro-batch's
-    # share of that; the other kinds take one slot (x * (1 / 1) == x).
+    # (phase, sync_only) -> [op, payload bytes, seconds per device]
+    phases: dict[tuple[str, bool], list] = {}
+    for e in comm_template(plan):
+        t = e.count * collective_time(e.op, e.payload_bytes, e.participants,
+                                      domain.network)
+        acc = phases.get((e.phase, e.sync_only))
+        if acc is None:
+            acc = phases[e.phase, e.sync_only] = [e.op, 0.0,
+                                                  dict.fromkeys(parts, 0.0)]
+        acc[1] += e.count * e.payload_bytes
+        for p in e.participants:
+            acc[2][p] += t
+    # Each group lasts as long as its busiest device and starts when the one
+    # before it ends: compute at 0, the every-iteration groups from the
+    # slowest device's compute, the sync-only groups from the base length.
+    # A pipeline's M micro-batches take M + S - 1 slots of one micro-batch's
+    # share of the base; the other kinds take one slot (x * (1 / 1) == x).
+    groups = [(0.0, "compute", 0.0, False, compute)]
+    end = max(compute.values())
+    for (_, sync_only), (op, payload, seconds) in phases.items():
+        if not sync_only:
+            groups.append((end, op, payload, False, seconds))
+            end += max(seconds.values())
     m_count = job.micro_batch_count
     slots, per_slot = ((m_count + len(parts) - 1, m_count)
                        if plan.kind == KIND_PP else (1, 1))
-    base_len = ((max(compute.values()) + max(base_comm.values()))
-                * (slots / per_slot))
-    return _IterationProfile(compute=compute, base_comm=base_comm,
-                             base_len=base_len,
-                             sync_len=max(sync_comm.values()),
-                             sync_comm=sync_comm, base_bytes=base_bytes,
-                             sync_bytes=sync_bytes, phases=phases)
-
-
-def _trace_rows(prof: _IterationProfile, parts) -> list[tuple]:
-    """(offset, device, kind, duration, bytes, sync_only) rows of one iteration.
-
-    Every-iteration phases start, in template order, when the slowest device
-    finishes computing; sync-only phases start at the base iteration length.
-    """
-    rows = [(0.0, p, "compute", prof.compute[p], 0.0, False) for p in parts]
-    offset = {False: max(prof.compute.values()), True: prof.base_len}
-    by_phase: dict[tuple[str, bool], list] = {}
-    for e, t in prof.phases:
-        by_phase.setdefault((e.phase, e.sync_only), []).append((e, t))
-    for (_, sync_only), phases in by_phase.items():
-        seconds, by_op = _fold(phases, parts)
-        (op, payload), = by_op.items()
-        rows.extend((offset[sync_only], p, op, d, payload, sync_only)
-                    for p, d in seconds.items() if d > 0)
-        offset[sync_only] += max(seconds.values())
-    return rows
+    base_len = end * (slots / per_slot)
+    sync_len = 0.0
+    for (_, sync_only), (op, payload, seconds) in phases.items():
+        if sync_only:
+            groups.append((base_len + sync_len, op, payload, True, seconds))
+            sync_len += max(seconds.values())
+    return _IterationProfile(groups=groups, base_len=base_len,
+                             sync_len=sync_len)
 
 
 def iteration_times(plan: ParallelPlan,
@@ -240,20 +225,27 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
 
     prof = _profile_iteration(plan, domain)
     n_sync = iterations // plan.job.dp_sync_period
-    makespan = iterations * prof.base_len + n_sync * prof.sync_len
-    comm_bytes = {op: iterations * b for op, b in prof.base_bytes.items()}
-    if n_sync:  # a run without a sync reports no sync-only op
-        for op, b in prof.sync_bytes.items():
-            comm_bytes[op] = comm_bytes.get(op, 0.0) + n_sync * b
+    base_len, sync_len = prof.base_len, prof.sync_len
+    makespan = iterations * base_len + n_sync * sync_len
+    (_, _, _, _, compute), *phases = prof.groups
+    comm_bytes: dict[str, float] = {}
+    for _, op, payload, sync_only, _ in phases:
+        runs = n_sync if sync_only else iterations
+        if runs:  # a run without a sync reports no sync-only op
+            comm_bytes[op] = comm_bytes.get(op, 0.0) + runs * payload
 
     for p, u in usage.items():
         device = domain.device(p)
-        compute, base_comm, sync_comm = (prof.compute[p], prof.base_comm[p],
-                                         prof.sync_comm[p])
-        u.compute_time = iterations * compute
+        base_comm = sync_comm = 0.0
+        for _, _, _, sync_only, seconds in phases:
+            if sync_only:
+                sync_comm += seconds[p]
+            else:
+                base_comm += seconds[p]
+        u.compute_time = iterations * compute[p]
         u.comm_time = iterations * base_comm + n_sync * sync_comm
-        u.idle_time = (iterations * (prof.base_len - compute - base_comm)
-                       + n_sync * (prof.sync_len - sync_comm))
+        u.idle_time = (iterations * (base_len - compute[p] - base_comm)
+                       + n_sync * (sync_len - sync_comm))
         u.energy = (device.power_idle * makespan
                     + (busy_power(device, domain.mode) - device.power_idle)
                     * u.compute_time
@@ -428,14 +420,18 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 TRACE_HEADER = "time\tdevice\tkind\tduration\tbytes\n"
 
 
-def _trace_shapes(plan: ParallelPlan, prof: _IterationProfile):
+def _trace_shapes(prof: _IterationProfile):
     """The (offset, device, kind, duration, bytes) rows of each iteration
     shape, keyed by whether it syncs, ordered by (offset, device).
 
-    The rows are sorted once; the sort is stable, so rows that tie keep
-    their template order.
+    One row per group and device with positive seconds in it, read straight
+    from the timeline.  The rows are sorted once; the sort is stable, so rows
+    that tie keep their group order.
     """
-    rows = sorted(_trace_rows(prof, plan.participants), key=itemgetter(0, 1))
+    rows = sorted(((start, p, kind, d, payload, sync_only)
+                   for start, kind, payload, sync_only, seconds in prof.groups
+                   for p, d in seconds.items() if d > 0),
+                  key=itemgetter(0, 1))
     return {True: [r[:5] for r in rows],
             False: [r[:5] for r in rows if not r[5]]}
 
@@ -458,7 +454,7 @@ def write_trace(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
         if result.oom:
             return result
         shapes = {}
-        for sync, rows in _trace_shapes(plan, prof).items():
+        for sync, rows in _trace_shapes(prof).items():
             groups = [(offset, [f"\t{p}\t{kind}\t{d:.9f}\t{b:.1f}\n"
                                 for _, p, kind, d, b in group])
                       for offset, group in groupby(rows, key=itemgetter(0))]

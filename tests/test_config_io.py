@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from edgetrainsim import config_io
 from edgetrainsim.cli import main
 from edgetrainsim.config_io import ConfigError
-from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile, Link,
-                                  NetworkModel, TrustedDomain)
+from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, MAX_DEVICE_ID_CHARS,
+                                  DeviceProfile, Link, NetworkModel,
+                                  TrustedDomain)
 from edgetrainsim.devices import testbed_preset as load_testbed
-from edgetrainsim.parallelism import make_dp_plan
+from edgetrainsim.parallelism import make_dp_plan, make_plan
 from edgetrainsim.scheduler import Objective, candidate_plans
 from edgetrainsim.simengine import simulate
 from edgetrainsim.workload import (MODEL_PRESETS, TrainingJob, TransformerSpec,
@@ -524,3 +525,27 @@ class TestEquivalence:
         with pytest.raises(ConfigError, match="^doc: "):
             config_io.parse_yaml(text, "doc")
 
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="needs libyaml")
+@pytest.mark.parametrize("kind", ["dp", "pp"])
+def test_longest_device_id_writes_the_same_bytes_through_both_emitters(
+        monkeypatch, kind):
+    """Result and plan files of devices with ids of the longest allowed
+    length are the same bytes through libyaml's emitter and PyYAML's
+    pure-Python one; one character more and a key is written differently."""
+    nano = load_testbed("homogeneous-nano4").devices[0]
+    ids = tuple(c * MAX_DEVICE_ID_CHARS for c in "ab")
+    domain = TrustedDomain(tuple(replace(nano, id=i) for i in ids))
+    plan = make_plan(kind, domain, model_preset("distilbert"),
+                     default_edge_job(), ids)
+    docs = (config_io.result_to_dict(simulate(plan, domain)),
+            config_io.plan_to_dict(plan, domain, 12.5),
+            {"a" * (MAX_DEVICE_ID_CHARS + 1): 1.0})
+
+    def dump(dumper):
+        monkeypatch.setattr(config_io, "_Dumper", dumper)
+        return [config_io.dump_yaml(d) for d in docs]
+
+    pure, libyaml = dump(yaml.SafeDumper), dump(yaml.CSafeDumper)
+    assert pure[:2] == libyaml[:2]
+    assert pure[2] != libyaml[2]

@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 from edgetrainsim import config_io
-from edgetrainsim.devices import (DEFAULT_FAULT_MODEL, DeviceProfile, FaultModel,
-                                  Link, NetworkModel, TrustedDomain,
+from edgetrainsim.devices import (DEFAULT_FAULT_MODEL, MAX_DEVICE_ID_CHARS,
+                                  DeviceProfile, FaultModel, Link,
+                                  NetworkModel, TrustedDomain,
                                   ValidationError, busy_power,
                                   effective_throughput, jetson_nano, jetson_nx,
                                   jetson_tx2, testbed_preset as load_testbed)
@@ -61,6 +62,13 @@ class TestProfiles:
             DeviceProfile("x", 1e9, 0, 0, 1, 2, 2, 0)
         with pytest.raises(ValidationError):  # idle above busy
             DeviceProfile("x", 1e9, 0, 1e9, 5, 2, 2, 0)
+
+    def test_id_length_cap(self):
+        longest = "x" * MAX_DEVICE_ID_CHARS
+        assert DeviceProfile(longest, 1e9, 0, 1e9, 1, 2, 2, 0).id == longest
+        with pytest.raises(ValidationError, match="at most 122 characters"):
+            DeviceProfile("x" * (MAX_DEVICE_ID_CHARS + 1), 1e9, 0, 1e9, 1, 2,
+                          2, 0)
 
 
 class TestNetwork:
