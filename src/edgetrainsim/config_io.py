@@ -16,35 +16,39 @@ outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
 builders from its kind, participants and, for PP, stage ranges; a file whose
 partition differs from the rebuilt one is rejected (CLI exit 1).
 
-YAML goes through ``_Loader`` and ``_Dumper``: PyYAML's libyaml bindings when
-they are installed, its pure-Python composer and emitter otherwise.  Writing
-walks the dict once into the event stream PyYAML's safe representer and
-serializer would make and hands it to the emitter, which decides quoting,
-folding and indentation.  Reading composes the node graph and builds plain
-scalars, ``map`` and ``seq`` nodes straight into objects; every other node
-(merge keys, timestamps, binary, sets, unknown tags) goes to PyYAML's safe
-constructor.  Bytes and values are what ``yaml.dump`` and ``yaml.load`` give
-with the same classes, without PyYAML's Python representer and serializer;
-its resolver runs once per distinct scalar in a call.  An explicitly tagged
-scalar that its constructor cannot read (``!!float abc``) is a ConfigError
-naming its line.
+Every file the program writes is a block document (see ``yaml_block``): a
+mapping whose lines are ``key: value``, ``key:`` with a mapping two columns
+in or a list of ``- `` entries at the key's column, and ``{}`` or ``[]`` for
+empties, where each key and scalar is one plain token.  ``yaml_block``
+reads and writes such text line by line, without PyYAML's scanner,
+composer and emitter; each distinct token goes once through PyYAML's
+resolver and its str, int, float, bool or null constructor.
+
+Everything else goes to PyYAML, through ``_Loader`` and ``_Dumper``:
+libyaml's bindings when they are installed, its pure-Python classes
+otherwise.  That is a string that is not a plain token or does not resolve
+to str (``'007'``, ``yes``, ``café``), a dict or list met twice, a list in
+a list, comments, quotes, flow collections, tags, anchors, tabs, blank
+lines and non-ASCII text.  Writing then is ``yaml.dump``.  Reading
+composes the node graph and builds plain scalars, ``map`` and ``seq`` nodes
+straight into objects; every other node (merge keys, timestamps, binary,
+sets, unknown tags) goes to PyYAML's safe constructor.  An explicitly
+tagged scalar that its constructor cannot read (``!!float abc``) is a
+ConfigError naming its line.  On both paths, bytes and values are what
+``yaml.dump`` and ``yaml.load`` give with the same classes.
 """
 
 from __future__ import annotations
 
-import io
-import math
+import itertools
 from dataclasses import MISSING, fields
 from functools import cache
 from typing import Any, get_type_hints
 
 import yaml
-from yaml.events import (AliasEvent, DocumentEndEvent, DocumentStartEvent,
-                         MappingEndEvent, MappingStartEvent, ScalarEvent,
-                         SequenceEndEvent, SequenceStartEvent, StreamEndEvent,
-                         StreamStartEvent)
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
+from . import yaml_block
 from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP, ParallelPlan,
                           make_plan, ranges_from_counts)
@@ -57,10 +61,7 @@ _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _TAG = "tag:yaml.org,2002:"
-_MAP, _SEQ, _STR, _INT, _FLOAT, _BOOL, _NULL = (
-    _TAG + name for name in ("map", "seq", "str", "int", "float", "bool",
-                             "null"))
-_SCALAR_TAGS = (_STR, _NULL, _BOOL, _INT, _FLOAT)
+_MAP, _SEQ = _TAG + "map", _TAG + "seq"
 # Keys a mapping's constructor rewrites before it builds the mapping.
 _SPECIAL_KEYS = (_TAG + "merge", _TAG + "value")
 
@@ -165,7 +166,8 @@ def _construct(loader, root, context: str):
     ConfigError that names its line.
     """
     built = loader.constructed_objects
-    ctors = {tag: loader.yaml_constructors[tag] for tag in _SCALAR_TAGS}
+    ctors = {tag: loader.yaml_constructors[tag]
+             for tag in yaml_block.SCALAR_TAGS}
     scalars: dict[tuple[str, str], Any] = {}
     missing = object()
 
@@ -235,110 +237,45 @@ def _load(text: str, context: str):
 
 
 def parse_yaml(text: str, context: str) -> dict:
-    try:
-        data = _load(text, context)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{context}: YAML parse error: {exc}") from exc
+    """The mapping ``yaml.load(text, _Loader)`` reads: by ``yaml_block`` when
+    ``text`` is a block document, else by ``_load``."""
+    data = yaml_block.read(text)
+    if data is None:
+        try:
+            data = _load(text, context)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{context}: YAML parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected a mapping at the top level")
     return data
 
 
-def _events(data, resolve) -> list:
-    """The event stream PyYAML's safe representer and serializer make from
-    ``data``: keys sorted (keys that do not sort are a TypeError), block
-    collections, and each scalar's tag, text and implicit pair as
-    ``SafeRepresenter`` and ``Serializer`` give them.  A string is
-    plain-implicit when it resolves to ``str``; every other scalar's text
-    resolves to its own tag.  A dict or list met again is an alias of its
-    first, anchored occurrence.
-    """
-    events: list = [StreamStartEvent(), DocumentStartEvent()]
-    append = events.append
-    strs: dict[str, ScalarEvent] = {}
-    others: dict[tuple[str, str], ScalarEvent] = {}
-    starts: dict[int, Any] = {}
-    anchors = 0
-
-    def walk(obj):
-        nonlocal anchors
+def _dump_stock(data) -> str:
+    """``yaml.dump`` through ``_Dumper``, after refusing what
+    ``yaml_block.write`` refuses: a type other than dict, list, str, int,
+    float, bool and None, or keys that do not sort, is a TypeError."""
+    stack, seen = [data], set()
+    while stack:
+        obj = stack.pop()
         kind = type(obj)
-        if kind is str:
-            event = strs.get(obj)
-            if event is None:
-                plain = resolve(ScalarNode, obj, (True, False)) == _STR
-                event = strs[obj] = ScalarEvent(None, _STR, (plain, True), obj)
-            append(event)
-            return
         if kind is dict or kind is list:
-            start = starts.get(id(obj))
-            if start is not None:
-                if start.anchor is None:
-                    anchors += 1
-                    start.anchor = f"id{anchors:03d}"
-                append(AliasEvent(start.anchor))
-                return
-            if kind is dict:
-                start = MappingStartEvent(None, _MAP, True, flow_style=False)
-                starts[id(obj)] = start
-                append(start)
-                for key, value in sorted(obj.items()):
-                    walk(key)
-                    walk(value)
-                append(MappingEndEvent())
-            else:
-                start = SequenceStartEvent(None, _SEQ, True, flow_style=False)
-                starts[id(obj)] = start
-                append(start)
-                for item in obj:
-                    walk(item)
-                append(SequenceEndEvent())
-            return
-        if kind is float:
-            tag = _FLOAT
-            if obj != obj:
-                text = ".nan"
-            elif obj == math.inf:
-                text = ".inf"
-            elif obj == -math.inf:
-                text = "-.inf"
-            else:
-                text = repr(obj).lower()
-                if "." not in text and "e" in text:
-                    text = text.replace("e", ".0e", 1)
-        elif kind is int:
-            tag, text = _INT, str(obj)
-        elif kind is bool:
-            tag, text = _BOOL, "true" if obj else "false"
-        elif obj is None:
-            tag, text = _NULL, "null"
-        else:
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                stack.extend(itertools.chain.from_iterable(sorted(obj.items()))
+                             if kind is dict else obj)
+        elif obj is not None and kind not in (str, int, float, bool):
             raise TypeError(f"cannot write a {kind.__name__} as YAML")
-        event = others.get((tag, text))
-        if event is None:
-            event = others[tag, text] = ScalarEvent(None, tag, (True, False),
-                                                    text)
-        append(event)
-
-    walk(data)
-    events += [DocumentEndEvent(), StreamEndEvent()]
-    return events
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=True,
+                     default_flow_style=False)
 
 
 def dump_yaml(data: dict) -> str:
     """``data`` as the text ``yaml.dump(data, _Dumper, sort_keys=True,
-    default_flow_style=False)`` writes: its event stream goes straight to
-    ``_Dumper``'s emitter (libyaml's when it is installed), which decides
-    quoting, folding and indentation.  Only dict, list, str, int, float,
-    bool and None are written; any other type is a TypeError."""
-    stream = io.StringIO()
-    dumper = _Dumper(stream)
-    try:
-        for event in _events(data, dumper.resolve):
-            dumper.emit(event)
-    finally:
-        dumper.dispose()
-    return stream.getvalue()
+    default_flow_style=False)`` writes: by ``yaml_block`` when it fits the
+    block grammar, else by ``_dump_stock``.  Only dict, list, str, int,
+    float, bool and None are written; any other type is a TypeError."""
+    text = yaml_block.write(data)
+    return _dump_stock(data) if text is None else text
 
 
 # ---------------------------------------------------------------- domains

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from edgetrainsim import config_io
+from edgetrainsim import config_io, yaml_block
 from edgetrainsim.cli import main
 from edgetrainsim.config_io import ConfigError
 from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, MAX_DEVICE_ID_CHARS,
@@ -499,6 +499,9 @@ class TestEquivalence:
     def test_other_types_are_refused(self, yaml_classes, value):
         with pytest.raises(TypeError):
             config_io.dump_yaml({"a": [value]})
+        # PyYAML quotes "yes", so this document takes the stock path.
+        with pytest.raises(TypeError):
+            config_io.dump_yaml({"a": "yes", "b": [value]})
 
     @pytest.mark.parametrize("text", [
         "a: &x [1, {b: 2}]\nb: *x\n",
@@ -524,6 +527,97 @@ class TestEquivalence:
     def test_unloadable_documents(self, yaml_classes, text):
         with pytest.raises(ConfigError, match="^doc: "):
             config_io.parse_yaml(text, "doc")
+
+
+# ---------------------------------------------------------------- block path
+
+# Strings the block writer writes plain, and strings PyYAML quotes because
+# they resolve to another tag, which the block writer leaves to PyYAML.
+_WORDS = (st.tuples(st.sampled_from(string.ascii_letters + "_"),
+                    st.text(string.ascii_letters + string.digits + "_.+-",
+                            max_size=11)).map("".join)
+          | st.sampled_from(["nano-0", "tx2-1", "gpu-nx-12", "a.b", "x+y", "_",
+                             "1e3", "0.5.1", "2x", "y" * 100]))
+_QUOTED_WORDS = st.sampled_from(["yes", "No", "null", "true", "1.0", "0x1F",
+                                 "007", "1_000", "-1", ".5", "2024-01-01"])
+_TOKEN_LEAVES = (st.none() | st.booleans() | st.sampled_from(EDGE_INTS)
+                 | st.integers(-2 ** 80, 2 ** 80) | st.sampled_from(EDGE_FLOATS)
+                 | st.floats() | _WORDS | _QUOTED_WORDS | st.builds(dict)
+                 | st.builds(list))
+
+
+def _token_collections(inner):
+    mappings = st.dictionaries(_WORDS, inner, max_size=4)
+    return mappings | st.lists(_TOKEN_LEAVES | mappings, max_size=4)
+
+
+_TOKEN_TREES = st.dictionaries(_WORDS, st.recursive(
+    _TOKEN_LEAVES, _token_collections, max_leaves=24), min_size=1, max_size=6)
+
+# One edit of a block document, each kind as likely: insert one of these
+# strings, or one of _SIGNS, at any point; insert a line, a copy of one or
+# one of _NEW_LINES; delete a line or a space.
+_INSERTS = [" ", "\t", "- ", "---"]
+_SIGNS = "#:'\"&*!|>%@,?{}[]"
+_NEW_LINES = ["\n", "# note\n", "---\n", "k" * 1025 + ": 1\n"]
+
+
+def _edits(text):
+    lines = text.splitlines(keepends=True)
+    spaces = [i for i, c in enumerate(text) if c == " "]
+
+    def insert(strings):
+        return st.tuples(st.integers(0, len(text)), strings).map(
+            lambda e: text[:e[0]] + e[1] + text[e[0]:])
+
+    def add_line(new):
+        return st.tuples(st.integers(0, len(lines)), new).map(
+            lambda e: "".join(lines[:e[0]] + [e[1]] + lines[e[0]:]))
+
+    edits = [*map(insert, map(st.just, _INSERTS)),
+             insert(st.sampled_from(_SIGNS)),
+             add_line(st.sampled_from(lines)),
+             *map(add_line, map(st.just, _NEW_LINES)),
+             st.integers(0, len(lines) - 1).map(
+                 lambda i: "".join(lines[:i] + lines[i + 1:]))]
+    if spaces:
+        edits.append(st.sampled_from(spaces).map(
+            lambda i: text[:i] + text[i + 1:]))
+    return st.one_of(edits)
+
+
+class TestBlockPath:
+    """``yaml_block`` writes what PyYAML writes and reads what it reads,
+    through either class, and declines everything else."""
+
+    @_WITH_CLASSES
+    @given(_TOKEN_TREES)
+    def test_token_trees_match_pyyaml(self, yaml_classes, data):
+        """A tree whose strings PyYAML writes plain takes the block path
+        both ways; one with a quoted string takes PyYAML's."""
+        text = config_io.dump_yaml(data)
+        assert text == _dump_through(data)
+        plain = "'" not in text
+        assert yaml_block.write(data) == (text if plain else None)
+        assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
+        assert (yaml_block.read(text) is not None) == plain
+
+    @_WITH_CLASSES
+    @given(_TOKEN_TREES, st.data())
+    def test_edited_documents_read_as_pyyaml_reads_them(self, yaml_classes,
+                                                        data, draws):
+        """After one edit a document is read as PyYAML reads it, or both
+        refuse it (PyYAML by raising or by reading no mapping)."""
+        edited = draws.draw(_edits(config_io.dump_yaml(data)))
+        try:
+            want = _load_through(edited)
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+            want = None
+        if isinstance(want, dict):
+            assert _same(config_io.parse_yaml(edited, "edit"), want)
+        else:
+            with pytest.raises(ConfigError, match="^edit: "):
+                config_io.parse_yaml(edited, "edit")
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="needs libyaml")

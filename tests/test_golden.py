@@ -13,11 +13,12 @@ stage splits where memory caps bind.
 
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 import yaml
 
-from edgetrainsim import config_io
+from edgetrainsim import config_io, yaml_block
 from edgetrainsim.cli import main
 from edgetrainsim.devices import (Link, NetworkModel, TrustedDomain,
                                   jetson_nano, jetson_nx, jetson_tx2)
@@ -280,7 +281,9 @@ def test_hand_built_plans_on_per_link_domain(tmp_path):
 
 def test_pure_python_yaml_writes_the_same_bytes(tmp_path, monkeypatch):
     """Every command above again, through PyYAML's pure-Python loader and
-    emitter, the path installs without libyaml take."""
+    emitter, the path installs without libyaml take: first with the block
+    path on, then with it declining every document, so that every file
+    goes through those classes."""
     calls = {"load": 0, "dump": 0}
 
     class Loader(yaml.SafeLoader):
@@ -295,8 +298,76 @@ def test_pure_python_yaml_writes_the_same_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(config_io, "_Loader", Loader)
     monkeypatch.setattr(config_io, "_Dumper", Dumper)
-    assert _testbed_digests(tmp_path) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
-                                          GOLDEN_FAULTS)
-    assert _sweep_digests(tmp_path) == GOLDEN_SWEEP
-    assert _per_link_digests(tmp_path) == GOLDEN_PER_LINK
+    for path in ("block", "stock"):
+        if path == "stock":
+            monkeypatch.setattr(yaml_block, "read", lambda text: None)
+            monkeypatch.setattr(yaml_block, "write", lambda data: None)
+        out = tmp_path / path
+        out.mkdir()
+        assert _testbed_digests(out) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
+                                         GOLDEN_FAULTS)
+        assert _sweep_digests(out) == GOLDEN_SWEEP
+        assert _per_link_digests(out) == GOLDEN_PER_LINK
     assert calls["load"] > 0 and calls["dump"] > 0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a program file went through PyYAML")
+
+
+def _more_inputs(tmp):
+    """Two domains the presets do not cover: ``--devices`` with a repeated
+    kind, and a file of twelve devices and 66 links that PyYAML wrote."""
+    ids = [f"nano-{i}" for i in range(12)]
+    devices = [{"id": d, "cpu_throughput_flops": 15.0e9,
+                "gpu_throughput_flops": 240.0e9, "mem_capacity_bytes": 4.0e9,
+                "power_idle_w": 2.0, "power_cpu_busy_w": 7.0,
+                "power_gpu_busy_w": 10.0, "power_net_w": 1.5} for d in ids]
+    links = [{"a": a, "b": b, "bandwidth_bps": 1e8 * (1 + n % 7),
+              "latency_s": 1e-4 * (1 + n % 3)}
+             for n, (a, b) in enumerate(itertools.combinations(ids, 2))]
+    domain = tmp / "links12.domain.yaml"
+    domain.write_text(yaml.safe_dump(
+        {"schema_version": 1, "name": "nano12-links",
+         "network": {"links": links}, "devices": devices}, sort_keys=True))
+    return {"devices": ("--devices", "nano,tx2,nx,nano"),
+            "links12": ("--domain", domain)}
+
+
+def _more_outputs(tmp):
+    """The bytes of plan, simulate --trace, faults and sweep on
+    ``_more_inputs``' domains."""
+    for name, pool in _more_inputs(tmp).items():
+        plan = tmp / f"{name}.plan.yaml"
+        assert _run("plan", *pool, "--model", "gpt2-s", "--out", plan) == 0
+        assert _run("simulate", "--plan", plan, "--iterations", 7, "--trace",
+                    tmp / f"{name}.tsv", "--out",
+                    tmp / f"{name}.result.yaml") == 0
+        assert _run("faults", "--plan", plan, "--mtbf", 600, "--seed", 1,
+                    "--out", tmp / f"{name}.faults.yaml") == 0
+        assert _run("sweep", *pool, "--models", "distilbert", "--out",
+                    tmp / f"{name}.sweep.tsv") == 0
+    return {path.name: path.read_bytes() for path in tmp.iterdir()}
+
+
+def test_program_files_never_reach_pyyaml(tmp_path, monkeypatch):
+    """With PyYAML's loader, dumper and stock dump all refusing, every
+    command still exits 0 and writes the golden bytes, and the bytes
+    PyYAML writes when the block path declines: every file the program
+    writes, and a domain file from ``yaml.safe_dump``, is a block
+    document."""
+    stock = tmp_path / "stock"
+    stock.mkdir()
+    with monkeypatch.context() as patch:
+        patch.setattr(yaml_block, "read", lambda text: None)
+        patch.setattr(yaml_block, "write", lambda data: None)
+        want = _more_outputs(stock)
+    for name in ("_Loader", "_Dumper", "_dump_stock"):
+        monkeypatch.setattr(config_io, name, _refuse)
+    block = tmp_path / "block"
+    block.mkdir()
+    assert _more_outputs(block) == want
+    assert _testbed_digests(block) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
+                                       GOLDEN_FAULTS)
+    assert _sweep_digests(block) == GOLDEN_SWEEP
+    assert _per_link_digests(block) == GOLDEN_PER_LINK

@@ -19,13 +19,14 @@ from edgetrainsim import simengine
 from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile,
                                   FaultModel, Link, NetworkModel,
                                   TrustedDomain, testbed_preset as load_testbed)
-from edgetrainsim.parallelism import (ALL_KINDS, KIND_SINGLE, OP_ALLGATHER,
-                                      OP_ALLREDUCE, OP_P2P, PlanError,
-                                      activation_tensor_bytes, comm_template,
-                                      grad_sync_bytes, make_dp_plan, make_plan,
-                                      make_pp_plan,
+from edgetrainsim.parallelism import (ALL_KINDS, KIND_PP, KIND_SINGLE,
+                                      OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
+                                      PlanError, activation_tensor_bytes,
+                                      comm_template, grad_sync_bytes,
+                                      make_dp_plan, make_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
-                                      make_tp_plan)
+                                      make_tp_plan, ranges_from_counts)
+from edgetrainsim.scheduler import Objective, orchestrate, plan_checkpointing
 from edgetrainsim.simengine import (TRACE_HEADER, DeviceUsage,
                                     SimulationError, _failure_stream,
                                     _profile_iteration, _trace_shapes,
@@ -694,6 +695,48 @@ class TestHalvingTime:
             sync: [(offset / 2, p, kind, d / 2, b)
                    for offset, p, kind, d, b in rows]
             for sync, rows in _trace_shapes(slow_prof).items()}
+
+
+    @pytest.mark.parametrize("model", ["distilbert", "gpt2-s", "opt-350m",
+                                       "gpt2-l"])
+    @pytest.mark.parametrize("testbed", ["homogeneous-nano4",
+                                         "heterogeneous-mix4"])
+    def test_doubled_speeds_halve_checkpointing_and_fault_replay(self, testbed,
+                                                                 model):
+        """With the write and reload bandwidths doubled and the MTBF halved
+        as well, the checkpoint interval and every replayed time and energy
+        halve exactly, and every count stays the same: failure times are
+        MTBF-scaled standard exponentials, and Young's sqrt(2·C·M) of a
+        quarter is exactly half."""
+        domain = load_testbed(testbed)
+        plan = orchestrate(domain, model_preset(model), JOB, Objective()).plan
+        fast_domain = doubled_speeds(domain)
+        fast_plan = make_plan(plan.kind, fast_domain, plan.spec, plan.job,
+                              plan.participants,
+                              ranges_from_counts(plan.shares)
+                              if plan.kind == KIND_PP else None)
+        assert fast_plan.shares == plan.shares
+        for mtbf in (600.0, 3600.0, 86400.0):
+            for seed in range(3):
+                slow_faults = FaultModel(mtbf, 50e6, 50e6, rng_seed=seed)
+                fast_faults = FaultModel(mtbf / 2, 100e6, 100e6, rng_seed=seed)
+                interval = plan_checkpointing(plan, domain, slow_faults)
+                fast_interval = plan_checkpointing(fast_plan, fast_domain,
+                                                   fast_faults)
+                assert fast_interval == interval / 2
+                with deadline(30):
+                    slow = inject_faults(plan, domain, slow_faults, interval,
+                                         iterations=200)
+                    fast = inject_faults(fast_plan, fast_domain, fast_faults,
+                                         fast_interval, iterations=200)
+                for name in ("wall_time", "rework_time", "reload_time",
+                             "checkpoint_time", "energy_estimate"):
+                    assert getattr(fast, name) == getattr(slow, name) / 2, \
+                        (mtbf, seed, name)
+                assert (fast.failures, fast.executed_iterations,
+                        fast.completed_iterations, fast.checkpoint_writes) == \
+                    (slow.failures, slow.executed_iterations,
+                     slow.completed_iterations, slow.checkpoint_writes)
 
 
 class TestFaultInjection:
