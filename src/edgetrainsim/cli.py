@@ -8,12 +8,16 @@ sequence length 32, micro-batch 8, gradient sync every 5 iterations) and a
 half-precision runtime (2-byte parameters, fp16 activations); every constant
 can be overridden by flags.
 
-Each run builds only what its command needs.  :func:`parse_args` builds the
-named command's parser alone (its flags come from :data:`COMMANDS`) and hands
-anything else, such as help without a command, an unknown command or
-leftover arguments, to the full parser from :func:`build_parser`, which
-prints every help text, usage line and error.  No parser is kept between
-calls.  Output files are written as UTF-8 whatever the locale.
+Each command's flags are declared once, as :class:`Flag` data in
+:data:`COMMANDS`.  :func:`parse_args` reads an argv made only of the command
+and exact ``--flag value`` (or store-true ``--flag``) items straight from
+that table, building no parser.  Every other argv (help, ``--``,
+``--flag=value``, abbreviations, values that start with ``-``, bad values,
+unknown or missing flags) goes to the full parser from :func:`build_parser`,
+built from the same table, which prints every help text, usage line and
+error.  Only one domain source (``--testbed``, ``--domain``, ``--devices``)
+and one model source (``--model``, ``--model-config``) may be given.
+Output files are written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import config_io
 from .config_io import ConfigError
@@ -63,12 +68,20 @@ def _read_file(path: str, context: str) -> str:
             from exc
 
 
+def _one_source(args, *dests: str) -> None:
+    """Refuse ``args`` that give more than one of the flags ``dests``."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests
+             if getattr(args, dest) is not None]
+    if len(given) > 1:
+        raise ConfigError(f"give only one of {', '.join(given)}")
+
+
 def _build_domain(args) -> TrustedDomain:
-    mode = getattr(args, "mode", None)
-    if getattr(args, "domain", None):
+    _one_source(args, "testbed", "domain", "devices")
+    if args.domain is not None:
         domain = config_io.domain_from_dict(
             config_io.parse_yaml(_read_file(args.domain, "domain"), "domain"))
-    elif getattr(args, "devices", None):
+    elif args.devices is not None:
         profiles = []
         counters: dict[str, int] = {}
         for name in args.devices.split(","):
@@ -82,23 +95,23 @@ def _build_domain(args) -> TrustedDomain:
             profiles.append(DEVICE_PROFILE_FACTORIES[name](f"{name}-{idx}"))
         domain = TrustedDomain(devices=tuple(profiles), name="adhoc")
     else:
-        testbed = getattr(args, "testbed", None) or "homogeneous-nano4"
         try:
-            domain = testbed_preset(testbed)
+            domain = testbed_preset("homogeneous-nano4" if args.testbed is None
+                                    else args.testbed)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    if mode:
-        domain = domain.with_mode(mode)
+    if args.mode is not None:
+        domain = domain.with_mode(args.mode)
     return domain
 
 
 def _build_spec(args):
-    if getattr(args, "model_config", None):
+    _one_source(args, "model", "model_config")
+    if args.model_config is not None:
         return config_io.model_from_dict(
             config_io.parse_yaml(_read_file(args.model_config, "model"), "model"))
-    name = getattr(args, "model", None) or "gpt2-s"
     try:
-        return model_preset(name)
+        return model_preset("gpt2-s" if args.model is None else args.model)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -128,24 +141,6 @@ def _build_objective(args) -> Objective:
         return Objective(*weights)
     except ValueError as exc:
         raise ConfigError(f"objective: {exc}") from exc
-
-
-def _add_domain_flags(p):
-    p.add_argument("--testbed", help="testbed preset name")
-    p.add_argument("--domain", help="domain config YAML file")
-    p.add_argument("--devices", help="comma-separated device profile names "
-                                     "(nano, tx2, nx) for an ad-hoc domain")
-    p.add_argument("--mode", choices=("cpu", "gpu"), help="execution mode")
-
-
-def _add_job_flags(p):
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seq-len", type=int)
-    p.add_argument("--micro-batch", type=int)
-    p.add_argument("--sync-period", type=int)
-    p.add_argument("--param-bytes", type=float)
-    p.add_argument("--optimizer-multiplier", type=float)
-    p.add_argument("--activation-factor", type=float)
 
 
 def _write_out(text: str, out: str | None):
@@ -269,7 +264,8 @@ def cmd_sweep(args) -> int:
     domain = _build_domain(args)
     job = _build_job(args)
     modes = ("cpu", "gpu") if args.mode is None else (args.mode,)
-    models = args.models.split(",") if args.models else tuple(MODEL_PRESETS)
+    models = (tuple(MODEL_PRESETS) if args.models is None
+              else args.models.split(","))
     for m in models:
         if m not in MODEL_PRESETS:
             raise ConfigError(f"unknown model preset {m!r}")
@@ -313,68 +309,94 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _plan_flags(p):
-    _add_domain_flags(p)
-    p.add_argument("--model", help="model preset name")
-    p.add_argument("--model-config", help="custom model YAML file")
-    p.add_argument("--objective", choices=("energy", "latency", "weighted"),
-                   default="energy")
-    p.add_argument("--weight-energy", type=float, default=1.0)
-    p.add_argument("--weight-latency", type=float, default=0.0)
-    p.add_argument("--select-devices", action="store_true",
-                   help="also search participant subsets (default: all devices)")
-    _add_job_flags(p)
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p.add_argument("--mtbf", type=float, default=86400.0,
-                   help="per-device MTBF seconds for checkpoint planning")
-    p.add_argument("--ckpt-bandwidth", type=float, default=50e6)
-    p.add_argument("--out", help="plan output file (default stdout)")
-    p.set_defaults(func=cmd_plan)
+class Flag(NamedTuple):
+    """One long flag of a command: what ``add_argument`` is given for it."""
+
+    name: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    store_true: bool = False
+    help: str | None = None
 
 
-def _simulate_flags(p):
-    p.add_argument("--plan", required=True, help="plan YAML file")
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p.add_argument("--trace", help="write an event trace table to this file")
-    p.add_argument("--out", help="result output file (default stdout)")
-    p.set_defaults(func=cmd_simulate)
+class _Flags(dict):
+    """A command's flags by name, in help order; called on a parser, it adds
+    them to it."""
+
+    def __init__(self, *flags: Flag):
+        super().__init__((f.name, f) for f in flags)
+
+    def __call__(self, parser: argparse.ArgumentParser) -> None:
+        for f in self.values():
+            kwargs = ({"action": "store_true"} if f.store_true else
+                      {"type": f.type, "choices": f.choices,
+                       "required": f.required})
+            parser.add_argument(f.name, default=f.default, help=f.help,
+                                **kwargs)
 
 
-def _sweep_flags(p):
-    _add_domain_flags(p)
-    p.add_argument("--models", help="comma-separated model presets "
-                                    "(default: all four)")
-    _add_job_flags(p)
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p.add_argument("--out", help="TSV output file (default stdout)")
-    p.set_defaults(func=cmd_sweep)
+_DOMAIN_FLAGS = (
+    Flag("--testbed", help="testbed preset name"),
+    Flag("--domain", help="domain config YAML file"),
+    Flag("--devices", help="comma-separated device profile names "
+                           "(nano, tx2, nx) for an ad-hoc domain"),
+    Flag("--mode", choices=("cpu", "gpu"), help="execution mode"),
+)
+_JOB_FLAGS = (
+    *(Flag(f"--{name}", int) for name in ("batch-size", "seq-len",
+                                          "micro-batch", "sync-period")),
+    *(Flag(f"--{name}", float) for name in ("param-bytes",
+                                            "optimizer-multiplier",
+                                            "activation-factor")),
+)
+_ITERATIONS = Flag("--iterations", int, DEFAULT_ITERATIONS)
+_CKPT_BANDWIDTH = Flag("--ckpt-bandwidth", float, 50e6)
 
-
-def _faults_flags(p):
-    p.add_argument("--plan", required=True)
-    p.add_argument("--mtbf", type=float, required=True,
-                   help="per-device MTBF in seconds")
-    p.add_argument("--ckpt-bandwidth", type=float, default=50e6)
-    p.add_argument("--reload-bandwidth", type=float, default=50e6)
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="report output file (default stdout)")
-    p.set_defaults(func=cmd_faults)
-
-
-def _presets_flags(p):
-    p.set_defaults(func=cmd_presets)
-
-
-# Each command's help line and flag builder, in the order help lists them.
-# A builder looks its `cmd_*` function up when it runs, so a wrapper put on
-# the module's `cmd_*` name (as bench/tracing.py does) is what gets called.
+# Each command's help line and flags, in the order help lists them.  A
+# command `name` runs the module's `cmd_<name>`, looked up when its
+# arguments are parsed, so a wrapper put on that name (as bench/tracing.py
+# does) is what gets called.
 COMMANDS = {
-    "plan": ("choose devices/parallelism/checkpointing", _plan_flags),
-    "simulate": ("simulate a previously emitted plan", _simulate_flags),
-    "sweep": ("run the model x parallelism x mode grid", _sweep_flags),
-    "faults": ("fault-injected goodput report for a plan", _faults_flags),
-    "presets": ("list built-in models and testbeds", _presets_flags),
+    "plan": ("choose devices/parallelism/checkpointing", _Flags(
+        *_DOMAIN_FLAGS,
+        Flag("--model", help="model preset name"),
+        Flag("--model-config", help="custom model YAML file"),
+        Flag("--objective", default="energy",
+             choices=("energy", "latency", "weighted")),
+        Flag("--weight-energy", float, 1.0),
+        Flag("--weight-latency", float, 0.0),
+        Flag("--select-devices", default=False, store_true=True,
+             help="also search participant subsets (default: all devices)"),
+        *_JOB_FLAGS,
+        _ITERATIONS,
+        Flag("--mtbf", float, 86400.0,
+             help="per-device MTBF seconds for checkpoint planning"),
+        _CKPT_BANDWIDTH,
+        Flag("--out", help="plan output file (default stdout)"))),
+    "simulate": ("simulate a previously emitted plan", _Flags(
+        Flag("--plan", required=True, help="plan YAML file"),
+        _ITERATIONS,
+        Flag("--trace", help="write an event trace table to this file"),
+        Flag("--out", help="result output file (default stdout)"))),
+    "sweep": ("run the model x parallelism x mode grid", _Flags(
+        *_DOMAIN_FLAGS,
+        Flag("--models", help="comma-separated model presets "
+                              "(default: all four)"),
+        *_JOB_FLAGS,
+        _ITERATIONS,
+        Flag("--out", help="TSV output file (default stdout)"))),
+    "faults": ("fault-injected goodput report for a plan", _Flags(
+        Flag("--plan", required=True),
+        Flag("--mtbf", float, required=True,
+             help="per-device MTBF in seconds"),
+        _CKPT_BANDWIDTH,
+        Flag("--reload-bandwidth", float, 50e6),
+        _ITERATIONS,
+        Flag("--seed", int, 0),
+        Flag("--out", help="report output file (default stdout)"))),
+    "presets": ("list built-in models and testbeds", _Flags()),
 }
 
 
@@ -385,28 +407,58 @@ def build_parser() -> argparse.ArgumentParser:
                                  "simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags) in COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_text))
+        command = sub.add_parser(name, help=help_text)
+        add_flags(command)
+        command.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as :func:`build_parser` does, building only the named
-    command's parser when that suffices.
+def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace :func:`build_parser` gives ``argv`` when ``argv`` is a
+    command and then only ``--flag value`` and store-true ``--flag`` items,
+    or None for any other ``argv``.
 
-    The full parser's subparser action runs exactly this
-    ``parse_known_args`` on the rest of ``argv``.  Anything else (no command,
-    ``-h``, an unknown command, leftover arguments) goes to the full parser,
-    the one source of top-level help, usage lines and errors.
+    Each flag must be the command's own, spelled in full; each value must not
+    start with ``-`` and must convert with the flag's type into its choices;
+    the last of a repeated flag counts; every required flag must be given.
     """
-    if argv and argv[0] in COMMANDS:
-        name = argv[0]
-        parser = _Parser(prog=f"{PROG} {name}")
-        COMMANDS[name][1](parser)
-        parser.set_defaults(command=name)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]][1]
+    given = {}
+    items = iter(argv[1:])
+    for item in items:
+        flag = flags.get(item)
+        if flag is None:
+            return None
+        if flag.store_true:
+            given[item] = True
+            continue
+        value = next(items, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = flag.type(value)
+        except (TypeError, ValueError):
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        given[item] = value
+    if any(f.required and name not in given for name, f in flags.items()):
+        return None
+    args = argparse.Namespace(command=argv[0],
+                              func=globals()[f"cmd_{argv[0]}"])
+    for name, flag in flags.items():
+        dest = name[2:].replace("-", "_")
+        setattr(args, dest, given.get(name, flag.default))
+    return args
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_parser` does, building no parser when
+    :func:`_parse_exact` reads it."""
+    args = _parse_exact(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -1,14 +1,18 @@
 """End-to-end command-line tests: exit codes, file formats, determinism."""
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from edgetrainsim import config_io
 from edgetrainsim.cli import COMMANDS, build_parser, main, parse_args
@@ -524,6 +528,59 @@ def test_bad_domain_exits_1_with_one_error_line(tmp_path, capsys, case):
     assert_edited_input_exits_1(tmp_path, capsys, "domain", *BAD_DOMAINS[case])
 
 
+# A flag given as an empty string is given: (argv, part of its error line)
+EMPTY_VALUES = {
+    "model": (("plan", "--model", ""), "unknown model preset ''"),
+    "model-config": (("plan", "--model-config", ""), "model: file not found"),
+    "domain": (("plan", "--domain", ""), "domain: file not found"),
+    "testbed": (("plan", "--testbed", ""), "unknown testbed preset ''"),
+    "devices": (("plan", "--devices", ""), "unknown device profile ''"),
+    "sweep-models": (("sweep", "--models", ""), "unknown model preset ''"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_VALUES))
+def test_empty_value_exits_1_with_one_error_line(capsys, case):
+    argv, message = EMPTY_VALUES[case]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+# Domain and model sources given together ("{domain}" and "{model}" mark
+# valid files): (argv, the flags the error line names)
+CONFLICTS = {
+    "testbed-devices": (("plan", "--testbed", "heterogeneous-mix4",
+                         "--devices", "nano"), "--testbed, --devices"),
+    "testbed-domain": (("plan", "--domain", "{domain}", "--testbed",
+                        "homogeneous-nano4"), "--testbed, --domain"),
+    "domain-devices": (("plan", "--devices", "nano,nx", "--domain",
+                        "{domain}"), "--domain, --devices"),
+    "all-three": (("plan", "--testbed", "homogeneous-nano4", "--domain",
+                   "{domain}", "--devices", "nano"),
+                  "--testbed, --domain, --devices"),
+    "model-and-config": (("plan", "--model", "gpt2-s", "--model-config",
+                          "{model}"), "--model, --model-config"),
+    "sweep-testbed-devices": (("sweep", "--models", "distilbert", "--testbed",
+                               "homogeneous-nano4", "--devices", "nano"),
+                              "--testbed, --devices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFLICTS))
+def test_conflicting_sources_exit_1_naming_the_flags(tmp_path, capsys, case):
+    argv, flags = CONFLICTS[case]
+    domain, model = tmp_path / "domain.yaml", tmp_path / "model.yaml"
+    domain.write_text(config_io.dump_yaml(config_io.domain_to_dict(
+        load_testbed("homogeneous-nano4"))))
+    model.write_text(config_io.dump_yaml(config_io.model_to_dict(
+        model_preset("distilbert"))))
+    assert run(*(arg.replace("{domain}", str(domain))
+                 .replace("{model}", str(model)) for arg in argv)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: give only one of {flags}"]
+
+
 def _every_flag(name):
     """``name``'s argv with each of its flags set to a non-default value."""
     p = argparse.ArgumentParser()
@@ -571,6 +628,121 @@ def test_parse_args_prints_and_exits_like_full_parser(argv, capsys,
 
     assert outcome(parse_args) == outcome(
         lambda a: build_parser().parse_args(a))
+
+
+def _fields(args):
+    """``vars(args)`` by repr, so that NaN equals NaN and -0.0 is not 0.0."""
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` returns or its exit code, and what it prints,
+    with help wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = _fields(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _good_value(flag):
+    """A value that converts with the flag's type into its choices."""
+    if flag.choices:
+        return st.sampled_from(flag.choices)
+    if flag.type is int:
+        return st.integers(0, 10**6).map(str)
+    if flag.type is float:
+        return st.floats(0, 1e9).map(repr)
+    return st.sampled_from(("x", "plan.yaml", "nano,nx", "a b"))
+
+
+def _bad_value(flag):
+    """A value that fails the flag's type or choices, or that the full
+    parser reads as a flag or a negative number."""
+    if flag.choices:
+        bad = ("tpu", "", "Energy")
+    else:
+        bad = {int: ("2.5", "x", "", "1e3", "-1"),
+               float: ("x", "", "1,5", "-2.5")}.get(flag.type, ("-x",))
+    return st.sampled_from(bad + ("-h", "--", "-", "--plan"))
+
+
+def _odd_item(flag):
+    """One item that only the full parser reads, or that it refuses."""
+    name = flag.name
+    return st.one_of(
+        _bad_value(flag).map(lambda value: [name, value]),
+        st.just([name]),
+        st.integers(3, len(name) - 1).flatmap(
+            lambda cut: _good_value(flag).map(lambda v: [name[:cut], v])),
+        _good_value(flag).map(lambda value: [f"{name}={value}"]),
+        st.sampled_from(("-h", "--help", "--", "--bogus", "extra", "", "-1"))
+        .map(lambda item: [item]))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv over one command's flag vocabulary (plan's for `presets`,
+    which has none, and for a non-command): exact ``--flag value`` items,
+    often led by the required flags, with up to two items inserted anywhere
+    that only the full parser reads (more often for a flag with a type or
+    choices)."""
+    name = draw(st.sampled_from([*COMMANDS, "plan", "sweep", "bogus", "-h"]))
+    flags = list(COMMANDS.get(name, COMMANDS["plan"])[1].values()) \
+        or list(COMMANDS["plan"][1].values())
+    checked = [flag for flag in flags if flag.type is not str or flag.choices]
+    argv = [name]
+    if draw(st.booleans()):
+        for flag in flags:
+            if flag.required:
+                argv += [flag.name, draw(_good_value(flag))]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=6)):
+        argv += [flag.name] if flag.store_true \
+            else [flag.name, draw(_good_value(flag))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(_odd_item(draw(st.sampled_from(flags + checked))))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+# One item that only the full parser decides, each of a different kind
+@example(["plan", "--mode", "tpu"])
+@example(["sweep", "--iterations", "3", "--objective", "energy"])
+@example(["faults", "--mtbf", "600", "--seed", "1"])
+@example(["plan", "--out", "-h"])
+@example(["simulate", "--plan", "p", "--iterations", "2.5"])
+@example(["plan", "--select-devices", "x"])
+def test_parse_args_agrees_with_full_parser_on_any_argv(argv):
+    assert _outcome(parse_args, argv) == \
+        _outcome(lambda a: build_parser().parse_args(a), argv)
+
+
+def test_exact_argvs_build_no_parser(monkeypatch, capsys):
+    argvs = {name: _every_flag(name) for name in COMMANDS}
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    def parsers_built(argv):
+        built.clear()
+        with contextlib.suppress(SystemExit):
+            parse_args(argv)
+        return len(built)
+
+    assert {name: parsers_built(argv) for name, argv in argvs.items()} \
+        == dict.fromkeys(COMMANDS, 0)
+    assert parsers_built(["plan", "-h"]) >= 1
+    assert parsers_built(["plan", "--mod", "gpt2-s"]) >= 1
 
 
 ROOT = Path(__file__).resolve().parent.parent
