@@ -76,6 +76,14 @@ def _one_source(args, *dests: str) -> None:
         raise ConfigError(f"give only one of {', '.join(given)}")
 
 
+def _preset(lookup, name: str):
+    """``lookup(name)``, or its KeyError's message as a ConfigError."""
+    try:
+        return lookup(name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+
+
 def _build_domain(args) -> TrustedDomain:
     _one_source(args, "testbed", "domain", "devices")
     if args.domain is not None:
@@ -95,11 +103,8 @@ def _build_domain(args) -> TrustedDomain:
             profiles.append(DEVICE_PROFILE_FACTORIES[name](f"{name}-{idx}"))
         domain = TrustedDomain(devices=tuple(profiles), name="adhoc")
     else:
-        try:
-            domain = testbed_preset("homogeneous-nano4" if args.testbed is None
-                                    else args.testbed)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        domain = _preset(testbed_preset, "homogeneous-nano4"
+                         if args.testbed is None else args.testbed)
     if args.mode is not None:
         domain = domain.with_mode(args.mode)
     return domain
@@ -110,10 +115,8 @@ def _build_spec(args):
     if args.model_config is not None:
         return config_io.model_from_dict(
             config_io.parse_yaml(_read_file(args.model_config, "model"), "model"))
-    try:
-        return model_preset("gpt2-s" if args.model is None else args.model)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _preset(model_preset,
+                   "gpt2-s" if args.model is None else args.model)
 
 
 def _build_job(args):
@@ -267,8 +270,7 @@ def cmd_sweep(args) -> int:
     models = (tuple(MODEL_PRESETS) if args.models is None
               else args.models.split(","))
     for m in models:
-        if m not in MODEL_PRESETS:
-            raise ConfigError(f"unknown model preset {m!r}")
+        _preset(model_preset, m)
     rows = sweep_rows(domain, job, models=models, modes=modes,
                       iterations=args.iterations)
     _write_out(format_sweep_table(rows), args.out)

@@ -16,37 +16,27 @@ outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
 builders from its kind, participants and, for PP, stage ranges; a file whose
 partition differs from the rebuilt one is rejected (CLI exit 1).
 
-Every file the program writes is a block document (see ``yaml_block``): a
-mapping whose lines are ``key: value``, ``key:`` with a mapping two columns
-in or a list of ``- `` entries at the key's column, and ``{}`` or ``[]`` for
-empties, where each key and scalar is one plain token.  ``yaml_block``
-reads and writes such text line by line, without PyYAML's scanner,
-composer and emitter; each distinct token goes once through PyYAML's
-resolver and its str, int, float, bool or null constructor.
-
-Everything else goes to PyYAML, through ``_Loader`` and ``_Dumper``:
-libyaml's bindings when they are installed, its pure-Python classes
-otherwise.  That is a string that is not a plain token or does not resolve
-to str (``'007'``, ``yes``, ``café``), a dict or list met twice, a list in
-a list, comments, quotes, flow collections, tags, anchors, tabs, blank
-lines and non-ASCII text.  Writing then is ``yaml.dump``.  Reading
-composes the node graph and builds plain scalars, ``map`` and ``seq`` nodes
-straight into objects; every other node (merge keys, timestamps, binary,
-sets, unknown tags) goes to PyYAML's safe constructor.  An explicitly
-tagged scalar that its constructor cannot read (``!!float abc``) is a
-ConfigError naming its line.  On both paths, bytes and values are what
-``yaml.dump`` and ``yaml.load`` give with the same classes.
+Every file the program writes comes from ``yaml_block.write``: block YAML
+with sorted keys, one line per scalar, where a string is a plain token or
+one double-quoted line.  Reading a block document of plain tokens, the
+shape of every file the program writes from its own names, is
+``yaml_block.read``, line by line; each distinct token goes once through
+PyYAML's resolver and its str, int, float, bool or null constructor.
+Every other document (quoted strings, comments, flow collections, tags,
+anchors, merge keys) is read by ``_Loader``: libyaml's ``CSafeLoader``
+when it is installed, PyYAML's pure-Python ``SafeLoader`` otherwise.  An
+explicitly tagged scalar that its constructor cannot read (``!!float
+abc``) is a ConfigError naming its line.  Either way the values are what
+``yaml.load`` gives with the same class.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import MISSING, fields
 from functools import cache
 from typing import Any, get_type_hints
 
 import yaml
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from . import yaml_block
 from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
@@ -58,12 +48,6 @@ from .workload import TrainingJob, TransformerSpec
 SCHEMA_VERSION = 1
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-_TAG = "tag:yaml.org,2002:"
-_MAP, _SEQ = _TAG + "map", _TAG + "seq"
-# Keys a mapping's constructor rewrites before it builds the mapping.
-_SPECIAL_KEYS = (_TAG + "merge", _TAG + "value")
 
 # Fields whose file key carries a unit; every other field keeps its name.
 _UNITS = {
@@ -155,94 +139,28 @@ def _check_version(data: dict, context: str):
         raise ConfigError(f"{context}: unsupported schema_version {version!r}")
 
 
-def _construct(loader, root, context: str):
-    """The object ``root`` stands for, as ``loader`` would construct it.
-
-    The five plain scalar tags go through the loader's own constructors,
-    memoized on (tag, text); ``map`` nodes with scalar keys (no merge or
-    value key) become dicts in node order and ``seq`` nodes lists.  An alias
-    is the same node, so it returns the same object.  Every other node is
-    the loader's to construct.  A scalar its constructor cannot read is a
-    ConfigError that names its line.
-    """
-    built = loader.constructed_objects
-    ctors = {tag: loader.yaml_constructors[tag]
-             for tag in yaml_block.SCALAR_TAGS}
-    scalars: dict[tuple[str, str], Any] = {}
-    missing = object()
-
-    def fail(node):
-        mark, tag = node.start_mark, node.tag.replace(_TAG, "!!", 1)
-        what = (f"{node.value!r} as {tag}" if node.__class__ is ScalarNode
-                else tag)
-        return ConfigError(f"{context}: YAML parse error: line "
-                           f"{mark.line + 1}, column {mark.column + 1}: "
-                           f"cannot read {what}")
-
-    def build(node):
-        cls, tag = node.__class__, node.tag
-        if cls is ScalarNode:
-            key = (tag, node.value)
-            obj = scalars.get(key, missing)
-            if obj is not missing:
-                return obj
-            ctor = ctors.get(tag)
-            if ctor is not None:
-                try:
-                    obj = scalars[key] = ctor(loader, node)
-                except (ValueError, LookupError, AttributeError) as exc:
-                    raise fail(node) from exc
-                return obj
-        elif node in built:
-            return built[node]
-        elif cls is SequenceNode and tag == _SEQ:
-            obj = built[node] = []
-            obj.extend([build(item) for item in node.value])
-            return obj
-        elif cls is MappingNode and tag == _MAP and all(
-                k.__class__ is ScalarNode and k.tag not in _SPECIAL_KEYS
-                for k, _ in node.value):
-            obj = built[node] = {}
-            for key_node, value_node in node.value:
-                obj[build(key_node)] = build(value_node)
-            return obj
-        try:
-            return loader.construct_object(node, deep=True)
-        except (ValueError, LookupError, AttributeError) as exc:
-            raise fail(node) from exc
-
-    return build(root)
-
-
-def _load(text: str, context: str):
-    """``yaml.load(text, _Loader)``: ``_Loader`` composes the node graph
-    (libyaml's composer when it is installed), resolving each distinct
-    implicit scalar once, and ``_construct`` builds the objects."""
-    loader = _Loader(text)
-    resolve, tags = loader.resolve, {}
-
-    def memo_resolve(kind, value, implicit):
-        key = (kind, value, implicit)
-        tag = tags.get(key)
-        if tag is None:
-            tag = tags[key] = resolve(kind, value, implicit)
-        return tag
-
-    loader.resolve = memo_resolve
-    try:
-        node = loader.get_single_node()
-        return None if node is None else _construct(loader, node, context)
-    finally:
-        loader.dispose()
-
-
 def parse_yaml(text: str, context: str) -> dict:
-    """The mapping ``yaml.load(text, _Loader)`` reads: by ``yaml_block`` when
-    ``text`` is a block document, else by ``_load``."""
+    """The mapping ``yaml.load(text, _Loader)`` reads: by ``yaml_block``
+    when ``text`` is a block document, else by ``_Loader``."""
     data = yaml_block.read(text)
     if data is None:
         try:
-            data = _load(text, context)
+            loader = _Loader(text)
+            construct = loader.construct_object
+
+            def construct_object(node, deep=False):
+                try:
+                    return construct(node, deep)
+                except (ValueError, LookupError, AttributeError) as exc:
+                    mark = node.start_mark
+                    tag = node.tag.replace("tag:yaml.org,2002:", "!!", 1)
+                    raise ConfigError(
+                        f"{context}: YAML parse error: line {mark.line + 1}, "
+                        f"column {mark.column + 1}: cannot read "
+                        f"{node.value!r} as {tag}") from exc
+
+            loader.construct_object = construct_object
+            data = loader.get_single_data()
         except yaml.YAMLError as exc:
             raise ConfigError(f"{context}: YAML parse error: {exc}") from exc
     if not isinstance(data, dict):
@@ -250,32 +168,9 @@ def parse_yaml(text: str, context: str) -> dict:
     return data
 
 
-def _dump_stock(data) -> str:
-    """``yaml.dump`` through ``_Dumper``, after refusing what
-    ``yaml_block.write`` refuses: a type other than dict, list, str, int,
-    float, bool and None, or keys that do not sort, is a TypeError."""
-    stack, seen = [data], set()
-    while stack:
-        obj = stack.pop()
-        kind = type(obj)
-        if kind is dict or kind is list:
-            if id(obj) not in seen:
-                seen.add(id(obj))
-                stack.extend(itertools.chain.from_iterable(sorted(obj.items()))
-                             if kind is dict else obj)
-        elif obj is not None and kind not in (str, int, float, bool):
-            raise TypeError(f"cannot write a {kind.__name__} as YAML")
-    return yaml.dump(data, Dumper=_Dumper, sort_keys=True,
-                     default_flow_style=False)
-
-
 def dump_yaml(data: dict) -> str:
-    """``data`` as the text ``yaml.dump(data, _Dumper, sort_keys=True,
-    default_flow_style=False)`` writes: by ``yaml_block`` when it fits the
-    block grammar, else by ``_dump_stock``.  Only dict, list, str, int,
-    float, bool and None are written; any other type is a TypeError."""
-    text = yaml_block.write(data)
-    return _dump_stock(data) if text is None else text
+    """``data`` as ``yaml_block`` writes it."""
+    return yaml_block.write(data)
 
 
 # ---------------------------------------------------------------- domains

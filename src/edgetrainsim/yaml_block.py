@@ -1,24 +1,29 @@
-"""The block YAML the program writes, read and written without PyYAML's
-scanner, composer and emitter.
+"""The program's YAML: every file it writes, and the block documents it
+reads without PyYAML's scanner and composer.
 
-Every line of a block document is::
+``write`` turns a tree of dicts, lists, strs, ints, floats, bools and Nones
+into block YAML, one line per scalar.  A mapping's keys are sorted; a bare
+``key:`` is followed by its value, a mapping two columns in or a list whose
+dashes are at the key's own column; a mapping or list in a list starts on
+its dash's line (``- a: 1``, ``- - 1``); an empty collection is ``{}`` or
+``[]``.  A string that is a ``_WORD`` resolving to str, and every other
+scalar, is one plain token; any other string is one double-quoted scalar
+on one line, with YAML 1.1's escapes for ``_ESCAPED`` characters.  For a
+tree whose strings PyYAML writes plain these are the bytes of
+``yaml.safe_dump(data, sort_keys=True)``, through libyaml's emitter or
+PyYAML's own; for every tree, both of PyYAML's safe loaders read them back.
+
+``read`` takes a block document whose every line is::
 
     INDENT ("- ")? (TOKEN ":" [" " VALUE] | VALUE)
 
-where VALUE is a TOKEN, ``{}`` or ``[]``.  The top level is a mapping with
-its keys at column 0.  A bare ``key:`` is followed by its value: a mapping
-two columns in, or a list whose dashes are at the key's own column.  A
-mapping in a list starts on its dash's line, and its keys are two columns
-in from the dash.  A TOKEN is ``_TOKEN``, at most ``_MAX_TOKEN_CHARS``
-long; PyYAML's scanner reads it as a plain scalar of exactly its
-characters.  This is what ``yaml.dump(data, sort_keys=True,
-default_flow_style=False)`` writes, through libyaml's emitter or PyYAML's
-own, for trees of dicts and lists whose scalars are written plain.
-
-``read`` and ``write`` return None for any document outside the grammar,
-and the caller hands it to PyYAML.  A token is resolved by PyYAML's
-resolver and built by its safe constructor, once per distinct token in a
-call, so values are what ``yaml.safe_load`` gives.
+where VALUE is a TOKEN, ``{}`` or ``[]``, at the indentation ``write``
+gives it.  A TOKEN is ``_TOKEN``, at most ``_MAX_TOKEN_CHARS`` long;
+PyYAML's scanner reads it as a plain scalar of exactly its characters.
+Each distinct token is resolved by PyYAML's resolver and built by its safe
+constructor, so values are what ``yaml.safe_load`` gives.  ``read`` returns
+None for any other document (quotes, ``- -``, comments, flow collections),
+and the caller hands it to PyYAML.
 """
 
 from __future__ import annotations
@@ -32,19 +37,25 @@ from yaml.resolver import Resolver
 
 _TAG = "tag:yaml.org,2002:"
 _STR = _TAG + "str"
-SCALAR_TAGS = tuple(_TAG + name for name in ("str", "null", "bool", "int",
-                                             "float"))
+_SCALAR_TAGS = tuple(_TAG + name for name in ("str", "null", "bool", "int",
+                                              "float"))
 
 _TOKEN = r"-?[A-Za-z0-9_.][A-Za-z0-9_.+-]*"
 _MAX_TOKEN_CHARS = 128
 _VALUE = rf"{_TOKEN}|\{{\}}|\[\]"
 _LINE = re.compile(rf"^( *)(- )?(?:({_TOKEN}):(?: ({_VALUE}))?|({_VALUE}))\n",
                    re.M)
-# The strings ``write`` writes as tokens: both emitters quote a string that
-# starts with "---" or "...", and write a key of 123 or more characters
-# their own ways.  A string must also resolve to str.
-_WORD = re.compile(rf"(?![-.]){_TOKEN}")
-_MAX_WORD_CHARS = 100
+# The strings ``write`` writes as tokens, when at most ``_MAX_TOKEN_CHARS``
+# long and resolving to str; PyYAML quotes one that starts with "...".
+_WORD = re.compile(rf"(?!\.\.\.){_TOKEN}")
+# What a double-quoted scalar escapes: the quote and backslash, every
+# character PyYAML's reader refuses (C0 and C1 controls, surrogates, U+FFFE
+# and U+FFFF), and the line breaks, tab and byte order mark it would read
+# as layout.
+_ESCAPED = re.compile(
+    r'["\\\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufeff\ufffe\uffff]')
+# PyYAML reads a simple key only if its ":" is within 1,024 characters.
+_MAX_KEY_CHARS = 1024
 _EMPTY = {dict: "{}", list: "[]"}
 _FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
 
@@ -67,7 +78,7 @@ def read(text: str) -> dict | None:
     if len(rows) != text.count("\n") or text[-1:] != "\n":
         return None
     resolve, constructor = Resolver().resolve, SafeConstructor()
-    ctors = {tag: constructor.yaml_constructors[tag] for tag in SCALAR_TAGS}
+    ctors = {tag: constructor.yaml_constructors[tag] for tag in _SCALAR_TAGS}
     words: dict[str, Any] = {}
     missing = object()
 
@@ -130,46 +141,50 @@ def read(text: str) -> dict | None:
     return None if bare is not None else root
 
 
-def write(data: dict) -> str | None:
-    """``data`` as ``yaml.dump(data, sort_keys=True,
-    default_flow_style=False)`` writes it, or None if it is not a non-empty
-    dict that fits the grammar.
+def _escape(match) -> str:
+    char = match.group()
+    if char in '"\\':
+        return "\\" + char
+    code = ord(char)
+    return f"\\x{code:02X}" if code < 0x100 else f"\\u{code:04X}"
 
-    It does not fit when it holds a string that is not a ``_WORD`` of at
-    most ``_MAX_WORD_CHARS`` or that resolves to another tag, an int longer
-    than that, a non-empty list in a list, or a dict or list met twice.
-    A type other than dict, list, str, int, float, bool and None, and keys
-    that do not sort, are a TypeError.
+
+def write(data: dict) -> str:
+    """``data`` as block YAML (see above).
+
+    A dict or list met twice, shared or recursive, is a ValueError, and so
+    is a key written longer than ``_MAX_KEY_CHARS``.  A type other than
+    dict, list, str, int, float, bool and None, and keys that do not sort,
+    are a TypeError.
     """
-    if type(data) is not dict or not data:
-        return None
+    if type(data) is not dict:
+        raise TypeError(f"cannot write a {type(data).__name__} as a YAML "
+                        f"file")
+    if not data:
+        return "{}\n"
     lines: list[str] = []
-    words: dict[str, bool] = {}
+    words: dict[str, str] = {}
     seen = {id(data)}
     resolve = Resolver().resolve
 
     def token(obj) -> str:
         kind = type(obj)
         if kind is str:
-            plain = words.get(obj)
-            if plain is None:
-                plain = words[obj] = (
-                    len(obj) <= _MAX_WORD_CHARS
-                    and _WORD.fullmatch(obj) is not None
-                    and resolve(ScalarNode, obj, (True, False)) == _STR)
-            if plain:
-                return obj
-            raise _Decline
+            text = words.get(obj)
+            if text is None:
+                plain = (len(obj) <= _MAX_TOKEN_CHARS
+                         and _WORD.fullmatch(obj) is not None
+                         and resolve(ScalarNode, obj, (True, False)) == _STR)
+                text = words[obj] = (obj if plain else
+                                     f'"{_ESCAPED.sub(_escape, obj)}"')
+            return text
         if kind is float:
             text = repr(obj)
             if "e" not in text:
                 return _FLOAT_WORDS.get(text, text)
             return text if "." in text else text.replace("e", ".0e", 1)
         if kind is int:
-            text = repr(obj)
-            if len(text) > _MAX_WORD_CHARS:
-                raise _Decline
-            return text
+            return repr(obj)
         if kind is bool:
             return "true" if obj else "false"
         if obj is None:
@@ -182,7 +197,8 @@ def write(data: dict) -> str | None:
         if kind is not dict and kind is not list:
             return False
         if id(obj) in seen:
-            raise _Decline
+            raise ValueError(f"cannot write a {kind.__name__} met twice "
+                             f"as YAML")
         seen.add(id(obj))
         return True
 
@@ -190,7 +206,11 @@ def write(data: dict) -> str | None:
         """Each item's lines at ``pad``; the first line starts with
         ``lead``."""
         for key, value in sorted(obj.items()):
-            head = f"{lead}{token(key)}:"
+            key = token(key)
+            if len(key) > _MAX_KEY_CHARS:
+                raise ValueError(f"cannot write a key of {len(key)} "
+                                 f"characters as YAML")
+            head = f"{lead}{key}:"
             lead = pad
             if not entered(value):
                 lines.append(f"{head} {token(value)}")
@@ -201,22 +221,23 @@ def write(data: dict) -> str | None:
                 if type(value) is dict:
                     mapping(value, pad + "  ", pad + "  ")
                 else:
-                    sequence(value, pad)
+                    sequence(value, pad, pad)
 
-    def sequence(obj: list, pad: str):
+    def sequence(obj: list, pad: str, lead: str):
+        """Each item's dash at ``pad``; the first line starts with
+        ``lead``."""
         for item in obj:
+            head = f"{lead}- "
+            lead = pad
             if not entered(item):
-                lines.append(f"{pad}- {token(item)}")
+                lines.append(head + token(item))
             elif not item:
-                lines.append(f"{pad}- {_EMPTY[type(item)]}")
+                lines.append(head + _EMPTY[type(item)])
             elif type(item) is dict:
-                mapping(item, pad + "  ", pad + "- ")
+                mapping(item, pad + "  ", head)
             else:
-                raise _Decline
+                sequence(item, pad + "  ", head)
 
-    try:
-        mapping(data, "", "")
-    except _Decline:
-        return None
+    mapping(data, "", "")
     lines.append("")
     return "\n".join(lines)

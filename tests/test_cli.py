@@ -514,7 +514,7 @@ BAD_DOMAINS = {
     "self-link": (("network", "links"), [_link("nano-0", "nano-0", 1e9)]),
     "repeated-link": (("network", "links"), [_link("nano-0", "nano-1", 1e6),
                                              _link("nano-1", "nano-0", 1e9)]),
-    # libyaml and PyYAML's pure-Python emitter write such an id differently
+    # one character over devices.MAX_DEVICE_ID_CHARS
     "123-character-id": (("devices", 0, "id"), "n" * 123),
     "zero-throughput": (("devices", 0),
                         {"id": "nano-0", "cpu_throughput_flops": 0.0,
@@ -529,22 +529,29 @@ def test_bad_domain_exits_1_with_one_error_line(tmp_path, capsys, case):
 
 
 # A flag given as an empty string is given: (argv, part of its error line)
+_KNOWN_MODELS = "(known: distilbert, gpt2-l, gpt2-s, opt-350m)"
+# (argv, the whole error line)
 EMPTY_VALUES = {
-    "model": (("plan", "--model", ""), "unknown model preset ''"),
-    "model-config": (("plan", "--model-config", ""), "model: file not found"),
-    "domain": (("plan", "--domain", ""), "domain: file not found"),
-    "testbed": (("plan", "--testbed", ""), "unknown testbed preset ''"),
-    "devices": (("plan", "--devices", ""), "unknown device profile ''"),
-    "sweep-models": (("sweep", "--models", ""), "unknown model preset ''"),
+    "model": (("plan", "--model", ""),
+              f"error: unknown model preset '' {_KNOWN_MODELS}"),
+    "model-config": (("plan", "--model-config", ""),
+                     "error: model: file not found: "),
+    "domain": (("plan", "--domain", ""), "error: domain: file not found: "),
+    "testbed": (("plan", "--testbed", ""),
+                "error: unknown testbed preset '' (known: homogeneous-nano4, "
+                "heterogeneous-mix4)"),
+    "devices": (("plan", "--devices", ""),
+                "error: unknown device profile '' (known: nano, nx, tx2)"),
+    "sweep-models": (("sweep", "--models", ""),
+                     f"error: unknown model preset '' {_KNOWN_MODELS}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_VALUES))
 def test_empty_value_exits_1_with_one_error_line(capsys, case):
-    argv, message = EMPTY_VALUES[case]
+    argv, line = EMPTY_VALUES[case]
     assert run(*argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 # Domain and model sources given together ("{domain}" and "{model}" mark

@@ -61,6 +61,41 @@ def _reference_dump(data):
     return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
 
 
+# PyYAML's safe classes: the pure-Python ones, and libyaml's when installed.
+LOADERS = tuple(getattr(yaml, name) for name in ("SafeLoader", "CSafeLoader")
+                if hasattr(yaml, name))
+DUMPERS = tuple(getattr(yaml, name) for name in ("SafeDumper", "CSafeDumper")
+                if hasattr(yaml, name))
+
+
+def _dump_through(data, dumper):
+    """What PyYAML's representer and serializer write through ``dumper``."""
+    return yaml.dump(data, Dumper=dumper, sort_keys=True,
+                     default_flow_style=False)
+
+
+def _key_sorted(data):
+    if type(data) is dict:
+        return {key: _key_sorted(data[key]) for key in sorted(data)}
+    if type(data) is list:
+        return [_key_sorted(item) for item in data]
+    return data
+
+
+def _checked_dump(data):
+    """``dump_yaml(data)``, after checking it against PyYAML: every loader
+    class reads it back as the key-sorted ``data``, and a text that quotes
+    no string is what every dumper class writes."""
+    text = config_io.dump_yaml(data)
+    for loader in LOADERS:
+        assert _same(yaml.load(text, Loader=loader), _key_sorted(data)), \
+            loader
+    if '"' not in text:
+        for dumper in DUMPERS:
+            assert text == _dump_through(data, dumper), dumper
+    return text
+
+
 def _documents():
     domain, plans = _per_link_plans()
     docs = {f"plan/{kind}": config_io.plan_to_dict(plan, domain, 12.5)
@@ -91,8 +126,11 @@ def documents(tmp_path_factory):
 
 class TestAgreesWithPureYaml:
     def test_dump_matches_reference(self, documents):
+        """Files of program names are PyYAML's bytes; the edge scalars
+        quote their text, and read back."""
         for name, data in documents.items():
-            assert config_io.dump_yaml(data) == _reference_dump(data), name
+            text = _checked_dump(data)
+            assert ('"' in text) == (name == "scalars"), name
 
     def test_parse_matches_reference(self, documents):
         for name, data in documents.items():
@@ -105,7 +143,7 @@ class TestAgreesWithPureYaml:
         nan_got, nan_want = got["k"].pop(), want["k"].pop()
         assert nan_got != nan_got and nan_want != nan_want
         assert got == want
-        assert config_io.dump_yaml(got) == _reference_dump(got)
+        assert '"007"' in _checked_dump(got)
 
 
 class TestParseErrors:
@@ -388,18 +426,15 @@ def test_every_built_plan_loads_back(domain, model):
 
 # ---------------------------------------------------------------- equivalence
 
-# The classes config_io reads and writes with: the installed ones (libyaml's
-# when present) and PyYAML's pure-Python ones.  With each, config_io must
-# agree with PyYAML's own dump and load through the same class.
-YAML_CLASSES = {"installed": (config_io._Loader, config_io._Dumper),
-                "pure": (yaml.SafeLoader, yaml.SafeDumper)}
+# The classes config_io reads with: the installed one (libyaml's when
+# present) and PyYAML's pure-Python one.  With each, parse_yaml must agree
+# with PyYAML's own load through the same class.
+YAML_LOADERS = {"installed": config_io._Loader, "pure": yaml.SafeLoader}
 
 
-@pytest.fixture(params=sorted(YAML_CLASSES))
+@pytest.fixture(params=sorted(YAML_LOADERS))
 def yaml_classes(request, monkeypatch):
-    loader, dumper = YAML_CLASSES[request.param]
-    monkeypatch.setattr(config_io, "_Loader", loader)
-    monkeypatch.setattr(config_io, "_Dumper", dumper)
+    monkeypatch.setattr(config_io, "_Loader", YAML_LOADERS[request.param])
     return request.param
 
 
@@ -410,13 +445,18 @@ EDGE_STRINGS = ["", " lead", "trail ", "yes", "No", "null", "~", "1e9", "0x1F",
                 "12:30", "2024-01-01", "- a", "a: b", "#x", "<<", "=",
                 "two\nlines", "é", "\x07", "1.0", "true", "'q'", '"q"',
                 " ".join(f"w{i}" for i in range(30)),
-                "x" * 90 + " " + "y" * 10]
+                "x" * 90 + " " + "y" * 10, "back\\slash", "\t", "\r\n",
+                "\x85", "\u2028", "\u2029", "\ufeff", "\ufffe", "\x7f",
+                "\xa0", "\U0001f600", "-a", "...a", "v" * 128, "w" * 129]
 
-_KEYS = st.text(max_size=6) | st.sampled_from(EDGE_STRINGS)
+# Every code point but the surrogates: UTF-8 cannot carry a lone surrogate,
+# and libyaml refuses the escape "\uD800" that would stand for one.
+_CHARS = st.characters(exclude_categories=("Cs",))
+_KEYS = st.text(_CHARS, max_size=6) | st.sampled_from(EDGE_STRINGS)
 _LEAVES = (st.none() | st.booleans()
            | st.integers() | st.sampled_from(EDGE_INTS)
            | st.floats() | st.sampled_from(EDGE_FLOATS)
-           | st.text(max_size=12) | st.sampled_from(EDGE_STRINGS))
+           | st.text(_CHARS, max_size=12) | st.sampled_from(EDGE_STRINGS))
 _TREES = st.dictionaries(_KEYS, st.recursive(
     _LEAVES, lambda inner: (st.lists(inner, max_size=4)
                             | st.dictionaries(_KEYS, inner, max_size=4)),
@@ -438,25 +478,16 @@ def _same(a, b) -> bool:
 
 
 def _edge_document():
-    shared = [1, "a"]
     return {"floats": EDGE_FLOATS, "ints": EDGE_INTS,
             "strings": EDGE_STRINGS, "keys": dict.fromkeys(EDGE_STRINGS, 1),
             "zero": 0.0, "negative_zero": -0.0, "flags": [True, False, None],
-            "empty": [{}, []], "shared": shared, "again": shared}
+            "empty": [{}, []], "nested": [[], [[1, "a"], {"b": [2]}], {}]}
 
 
 _WITH_CLASSES = settings(
     max_examples=150, deadline=None,
     # The fixture's patch holds for every example of the test.
     suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-def _dump_through(data):
-    """What PyYAML's representer and serializer write through ``_Dumper``:
-    ``yaml.safe_dump`` when it is the pure-Python dumper.  (libyaml's emitter
-    writes an empty key as ``'':`` where PyYAML's writes ``? ''``.)"""
-    return yaml.dump(data, Dumper=config_io._Dumper, sort_keys=True,
-                     default_flow_style=False)
 
 
 def _load_through(text):
@@ -466,21 +497,26 @@ def _load_through(text):
 
 
 class TestEquivalence:
-    """``dump_yaml`` writes what PyYAML's safe representer writes through
-    the same emitter, and ``parse_yaml`` reads what PyYAML's safe
-    constructor reads through the same composer."""
+    """Both of PyYAML's loader classes read back what ``dump_yaml`` writes,
+    and ``parse_yaml`` reads what PyYAML's safe constructor reads through
+    the same composer."""
 
     @_WITH_CLASSES
     @given(_TREES)
     def test_dump_and_load_match_pyyaml(self, yaml_classes, data):
-        text = config_io.dump_yaml(data)
-        assert text == _dump_through(data)
+        text = _checked_dump(data)
         assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
 
     def test_edge_document(self, yaml_classes):
+        """Every edge value is written and read back; a list met twice is a
+        ValueError, and read as one object when PyYAML wrote it."""
         data = _edge_document()
-        text = config_io.dump_yaml(data)
-        assert text == _dump_through(data)
+        text = _checked_dump(data)
+        assert _same(config_io.parse_yaml(text, "edge"), _key_sorted(data))
+        shared = [1, "a"]
+        with pytest.raises(ValueError):
+            config_io.dump_yaml({"shared": shared, "again": shared})
+        text = yaml.safe_dump({"shared": shared, "again": shared})
         assert "&id001" in text and "*id001" in text
         got = config_io.parse_yaml(text, "edge")
         assert _same(got, _load_through(text))
@@ -489,19 +525,30 @@ class TestEquivalence:
     def test_recursive_list(self, yaml_classes):
         loop: list = []
         loop.append(loop)
-        text = config_io.dump_yaml({"loop": loop})
-        assert text == _dump_through({"loop": loop})
+        with pytest.raises(ValueError):
+            config_io.dump_yaml({"loop": loop})
+        text = yaml.safe_dump({"loop": loop})
         got = config_io.parse_yaml(text, "loop")["loop"]
         assert got[0] is got
+
+    def test_longest_key(self, yaml_classes):
+        """A key is written up to 1,024 characters, quotes included, the
+        longest simple key PyYAML reads."""
+        longest = {"k" * 1022: ["é" * 1022]}
+        text = _checked_dump(longest)
+        assert _same(config_io.parse_yaml(text, "key"), longest)
+        with pytest.raises(ValueError):
+            config_io.dump_yaml({"k" * 1023: 1})
 
     @pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x",
                                        datetime.date(2024, 1, 1), object()])
     def test_other_types_are_refused(self, yaml_classes, value):
         with pytest.raises(TypeError):
             config_io.dump_yaml({"a": [value]})
-        # PyYAML quotes "yes", so this document takes the stock path.
         with pytest.raises(TypeError):
             config_io.dump_yaml({"a": "yes", "b": [value]})
+        with pytest.raises(TypeError):
+            config_io.dump_yaml([value])
 
     @pytest.mark.parametrize("text", [
         "a: &x [1, {b: 2}]\nb: *x\n",
@@ -537,18 +584,22 @@ _WORDS = (st.tuples(st.sampled_from(string.ascii_letters + "_"),
                     st.text(string.ascii_letters + string.digits + "_.+-",
                             max_size=11)).map("".join)
           | st.sampled_from(["nano-0", "tx2-1", "gpu-nx-12", "a.b", "x+y", "_",
-                             "1e3", "0.5.1", "2x", "y" * 100]))
+                             "1e3", "0.5.1", "2x", "y" * 100, "-a", ".a",
+                             "..a", "-.-"]))
 _QUOTED_WORDS = st.sampled_from(["yes", "No", "null", "true", "1.0", "0x1F",
-                                 "007", "1_000", "-1", ".5", "2024-01-01"])
+                                 "007", "1_000", "-1", ".5", "2024-01-01",
+                                 "...a"])
+# A value of the longest token; as a key, PyYAML's pure-Python emitter
+# writes one of more than 122 characters as a "? " key.
 _TOKEN_LEAVES = (st.none() | st.booleans() | st.sampled_from(EDGE_INTS)
                  | st.integers(-2 ** 80, 2 ** 80) | st.sampled_from(EDGE_FLOATS)
-                 | st.floats() | _WORDS | _QUOTED_WORDS | st.builds(dict)
-                 | st.builds(list))
+                 | st.floats() | _WORDS | _QUOTED_WORDS | st.just("v" * 128)
+                 | st.builds(dict) | st.builds(list))
 
 
 def _token_collections(inner):
-    mappings = st.dictionaries(_WORDS, inner, max_size=4)
-    return mappings | st.lists(_TOKEN_LEAVES | mappings, max_size=4)
+    return st.dictionaries(_WORDS, inner, max_size=4) | st.lists(inner,
+                                                               max_size=4)
 
 
 _TOKEN_TREES = st.dictionaries(_WORDS, st.recursive(
@@ -587,20 +638,22 @@ def _edits(text):
 
 
 class TestBlockPath:
-    """``yaml_block`` writes what PyYAML writes and reads what it reads,
-    through either class, and declines everything else."""
+    """``yaml_block`` writes what PyYAML writes for strings it writes plain,
+    reads what PyYAML reads, through either class, and declines everything
+    else."""
 
     @_WITH_CLASSES
     @given(_TOKEN_TREES)
     def test_token_trees_match_pyyaml(self, yaml_classes, data):
-        """A tree whose strings PyYAML writes plain takes the block path
-        both ways; one with a quoted string takes PyYAML's."""
-        text = config_io.dump_yaml(data)
-        assert text == _dump_through(data)
-        plain = "'" not in text
-        assert yaml_block.write(data) == (text if plain else None)
+        """``dump_yaml`` quotes the strings PyYAML quotes, and is PyYAML's
+        bytes when it quotes none.  The block reader takes a tree with no
+        quoted string and no list in a list; PyYAML reads the rest."""
+        text = _checked_dump(data)
+        quoted = "'" in _dump_through(data, yaml.SafeDumper)
+        assert ('"' in text) == quoted
         assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
-        assert (yaml_block.read(text) is not None) == plain
+        assert (yaml_block.read(text) is not None) == (
+            not quoted and "- - " not in text)
 
     @_WITH_CLASSES
     @given(_TOKEN_TREES, st.data())
@@ -620,26 +673,29 @@ class TestBlockPath:
                 config_io.parse_yaml(edited, "edit")
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="needs libyaml")
+# Device ids the block grammar has no plain token for: escaped non-ASCII
+# text, a string that resolves to an int, and the longest id allowed.
+ODD_IDS = ("é" * 20, "é" * 30, "007", "x" * MAX_DEVICE_ID_CHARS)
+
+
 @pytest.mark.parametrize("kind", ["dp", "pp"])
-def test_longest_device_id_writes_the_same_bytes_through_both_emitters(
-        monkeypatch, kind):
-    """Result and plan files of devices with ids of the longest allowed
-    length are the same bytes through libyaml's emitter and PyYAML's
-    pure-Python one; one character more and a key is written differently."""
+def test_odd_device_ids_read_back_through_both_loaders(tmp_path, kind):
+    """Domain, plan and result files of devices with ``ODD_IDS``, in a
+    domain named café, read back as their dicts through both of PyYAML's
+    loader classes, and the domain file plans and simulates."""
     nano = load_testbed("homogeneous-nano4").devices[0]
-    ids = tuple(c * MAX_DEVICE_ID_CHARS for c in "ab")
-    domain = TrustedDomain(tuple(replace(nano, id=i) for i in ids))
+    domain = TrustedDomain(tuple(replace(nano, id=i) for i in ODD_IDS),
+                           name="café")
     plan = make_plan(kind, domain, model_preset("distilbert"),
-                     default_edge_job(), ids)
-    docs = (config_io.result_to_dict(simulate(plan, domain)),
+                     default_edge_job(), ODD_IDS)
+    docs = (config_io.domain_to_dict(domain),
             config_io.plan_to_dict(plan, domain, 12.5),
-            {"a" * (MAX_DEVICE_ID_CHARS + 1): 1.0})
-
-    def dump(dumper):
-        monkeypatch.setattr(config_io, "_Dumper", dumper)
-        return [config_io.dump_yaml(d) for d in docs]
-
-    pure, libyaml = dump(yaml.SafeDumper), dump(yaml.CSafeDumper)
-    assert pure[:2] == libyaml[:2]
-    assert pure[2] != libyaml[2]
+            config_io.result_to_dict(simulate(plan, domain)))
+    for data in docs:
+        _checked_dump(data)
+    domain_file, plan_file = tmp_path / "domain.yaml", tmp_path / "plan.yaml"
+    domain_file.write_text(config_io.dump_yaml(docs[0]), encoding="utf-8")
+    assert main(["plan", "--domain", str(domain_file), "--model",
+                 "distilbert", "--out", str(plan_file)]) == 0
+    assert main(["simulate", "--plan", str(plan_file), "--out",
+                 str(tmp_path / "result.yaml")]) == 0
