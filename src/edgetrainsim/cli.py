@@ -26,19 +26,20 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 from . import config_io
 from .config_io import ConfigError
 from .devices import (DEFAULT_FAULT_MODEL, DEVICE_PROFILE_FACTORIES,
                       FaultModel, TESTBED_PRESETS, TrustedDomain,
-                      ValidationError, effective_throughput, testbed_preset)
+                      ValidationError, testbed_preset)
 from .parallelism import ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError, make_plan
 from .scheduler import (InfeasibleError, Objective, orchestrate,
                         partition_stages, plan_checkpointing)
 from .simengine import (DEFAULT_ITERATIONS, OutOfMemoryError, SimulationError,
                         inject_faults, simulate, write_trace)
-from .workload import MODEL_PRESETS, default_edge_job, model_preset
+from .workload import (MODEL_PRESETS, TrainingJob, default_edge_job,
+                       model_preset)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,13 +122,8 @@ def _build_spec(args):
 
 def _build_job(args):
     overrides = {}
-    for flag, key in (("batch_size", "global_batch"), ("seq_len", "seq_len"),
-                      ("micro_batch", "micro_batch"),
-                      ("sync_period", "dp_sync_period"),
-                      ("param_bytes", "param_bytes"),
-                      ("optimizer_multiplier", "optimizer_state_multiplier"),
-                      ("activation_factor", "activation_bytes_factor")):
-        value = getattr(args, flag, None)
+    for flag, key in _JOB_FIELDS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             overrides[key] = value
     try:
@@ -210,8 +206,7 @@ def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
     ids, ranges = domain.device_ids, None
     if kind == KIND_SINGLE:
         # Paper-style baseline: the least capable device (a Nano on the presets).
-        ids = (min(ids, key=lambda p: (
-            effective_throughput(domain.device(p), domain.mode), p)),)
+        ids = (min(ids, key=lambda p: (domain.throughput(p), p)),)
     elif kind == KIND_PP:
         ranges = partition_stages(domain, ids, spec, job)
     return make_plan(kind, domain, spec, job, ids, ranges)
@@ -229,22 +224,18 @@ def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
                 try:
                     plan = _sweep_plan(kind, moded, spec, job)
                 except (PlanError, InfeasibleError):
-                    rows.append({"model": model_name, "kind": kind, "mode": mode,
-                                 "testbed": domain.name, "latency_per_sample_s": None,
-                                 "energy_per_sample_j": None, "oom": True,
-                                 "comm_bytes_per_iter": 0.0})
-                    continue
-                result = simulate(plan, moded, iterations=iterations)
-                comm = (result.total_comm_bytes / iterations
-                        if not result.oom else 0.0)
-                rows.append({
-                    "model": model_name, "kind": kind, "mode": mode,
-                    "testbed": domain.name,
-                    "latency_per_sample_s": result.latency_per_sample,
-                    "energy_per_sample_j": result.energy_per_sample,
-                    "oom": result.oom,
-                    "comm_bytes_per_iter": comm,
-                })
+                    result = None  # no plan: the row of one that does not fit
+                else:
+                    result = simulate(plan, moded, iterations=iterations)
+                fits = result is not None and not result.oom
+                lat, energy, comm = ((result.latency_per_sample,
+                                      result.energy_per_sample,
+                                      result.total_comm_bytes / iterations)
+                                     if fits else (None, None, 0.0))
+                rows.append({"model": model_name, "kind": kind, "mode": mode,
+                             "testbed": domain.name, "latency_per_sample_s": lat,
+                             "energy_per_sample_j": energy, "oom": not fits,
+                             "comm_bytes_per_iter": comm})
     return rows
 
 
@@ -346,15 +337,20 @@ _DOMAIN_FLAGS = (
                            "(nano, tx2, nx) for an ad-hoc domain"),
     Flag("--mode", choices=("cpu", "gpu"), help="execution mode"),
 )
-_JOB_FLAGS = (
-    *(Flag(f"--{name}", int) for name in ("batch-size", "seq-len",
-                                          "micro-batch", "sync-period")),
-    *(Flag(f"--{name}", float) for name in ("param-bytes",
-                                            "optimizer-multiplier",
-                                            "activation-factor")),
-)
+# Each job flag and the TrainingJob field it overrides, whose type it takes.
+_JOB_FIELDS = {
+    "--batch-size": "global_batch", "--seq-len": "seq_len",
+    "--micro-batch": "micro_batch", "--sync-period": "dp_sync_period",
+    "--param-bytes": "param_bytes",
+    "--optimizer-multiplier": "optimizer_state_multiplier",
+    "--activation-factor": "activation_bytes_factor",
+}
+_JOB_TYPES = get_type_hints(TrainingJob)
+_JOB_FLAGS = tuple(Flag(flag, _JOB_TYPES[field])
+                   for flag, field in _JOB_FIELDS.items())
 _ITERATIONS = Flag("--iterations", int, DEFAULT_ITERATIONS)
-_CKPT_BANDWIDTH = Flag("--ckpt-bandwidth", float, 50e6)
+_CKPT_BANDWIDTH = Flag("--ckpt-bandwidth", float,
+                       DEFAULT_FAULT_MODEL.checkpoint_write_bandwidth)
 
 # Each command's help line and flags, in the order help lists them.  A
 # command `name` runs the module's `cmd_<name>`, looked up when its
@@ -373,7 +369,7 @@ COMMANDS = {
              help="also search participant subsets (default: all devices)"),
         *_JOB_FLAGS,
         _ITERATIONS,
-        Flag("--mtbf", float, 86400.0,
+        Flag("--mtbf", float, DEFAULT_FAULT_MODEL.mtbf_per_device,
              help="per-device MTBF seconds for checkpoint planning"),
         _CKPT_BANDWIDTH,
         Flag("--out", help="plan output file (default stdout)"))),
@@ -394,9 +390,10 @@ COMMANDS = {
         Flag("--mtbf", float, required=True,
              help="per-device MTBF in seconds"),
         _CKPT_BANDWIDTH,
-        Flag("--reload-bandwidth", float, 50e6),
+        Flag("--reload-bandwidth", float,
+             DEFAULT_FAULT_MODEL.recovery_reload_bandwidth),
         _ITERATIONS,
-        Flag("--seed", int, 0),
+        Flag("--seed", int, DEFAULT_FAULT_MODEL.rng_seed),
         Flag("--out", help="report output file (default stdout)"))),
     "presets": ("list built-in models and testbeds", _Flags()),
 }

@@ -14,7 +14,8 @@ Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
 outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
 builders from its kind, participants and, for PP, stage ranges; a file whose
-partition differs from the rebuilt one is rejected (CLI exit 1).
+partition differs from the rebuilt one, in a value or its type, is rejected
+(CLI exit 1).  ``schema_version`` is an integer field too.
 
 Every file the program writes comes from ``yaml_block.write``: block YAML
 with sorted keys, one line per scalar, where a string is a plain token or
@@ -98,6 +99,19 @@ def _typed(value, kind: type, context: str, key: str):
                       f"not {value!r}")
 
 
+def _same(got, want) -> bool:
+    """``got == want``, with the same type at every level: ``5.0`` is not
+    an integer field's ``5``."""
+    if type(got) is not type(want):
+        return False
+    if type(want) is list:
+        return len(got) == len(want) and all(map(_same, got, want))
+    if type(want) is dict:
+        return got.keys() == want.keys() and all(_same(got[k], want[k])
+                                                 for k in want)
+    return got == want
+
+
 def _read(mapping: dict, key: str, kind: type, context: str):
     return _typed(_require(mapping, key, context), kind, context, key)
 
@@ -133,8 +147,8 @@ def _from_dict(cls: type, data, context: str, **given):
 
 
 def _check_version(data: dict, context: str):
-    version = _expect(data, dict, context).get("schema_version",
-                                               SCHEMA_VERSION)
+    version = _typed(_expect(data, dict, context).get(
+        "schema_version", SCHEMA_VERSION), int, context, "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{context}: unsupported schema_version {version!r}")
 
@@ -294,7 +308,7 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
         raise ConfigError(f"plan: {exc}") from exc
     for key, want in _partition_to_dict(plan).items():
         got = _require(partition, key, "plan")
-        if got != want:
+        if not _same(got, want):
             raise ConfigError(f"plan: partition {key} {got!r} differs from "
                               f"the job's {want}")
     interval = data.get("checkpoint_interval_s")

@@ -163,6 +163,9 @@ class TrustedDomain:
         except KeyError:
             raise KeyError(f"unknown device id {device_id!r}") from None
 
+    def throughput(self, device_id: str) -> float:
+        return effective_throughput(self.device(device_id), self.mode)
+
     @property
     def device_ids(self) -> tuple[str, ...]:
         return tuple(d.id for d in self.devices)

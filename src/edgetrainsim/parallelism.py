@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .devices import TrustedDomain, effective_throughput
+from .devices import TrustedDomain
 from .workload import (TransformerSpec, TrainingJob, activation_bytes_per_block,
                        param_count, state_bytes)
 
@@ -131,10 +131,6 @@ def largest_remainder_split(total: int, weights: list[float]) -> list[int]:
     return shares
 
 
-def _throughputs(domain: TrustedDomain, participants) -> list[float]:
-    return [effective_throughput(domain.device(p), domain.mode) for p in participants]
-
-
 def activation_tensor_bytes(spec: TransformerSpec, job: TrainingJob) -> float:
     """Wire size of one micro-batch activation tensor (m x s x h elements)."""
     return job.activation_elem_bytes * job.micro_batch * job.seq_len * spec.hidden_size
@@ -143,6 +139,13 @@ def activation_tensor_bytes(spec: TransformerSpec, job: TrainingJob) -> float:
 def grad_sync_bytes(spec: TransformerSpec, job: TrainingJob) -> float:
     """Payload of one full-model gradient synchronization."""
     return job.param_bytes * param_count(spec)
+
+
+def stage_transfer(spec: TransformerSpec, job: TrainingJob, a: str,
+                   b: str) -> CommPhase:
+    """Pipeline boundary ``a`` -> ``b``: each micro-batch crosses it twice."""
+    return CommPhase("stage-transfer", OP_P2P, activation_tensor_bytes(spec, job),
+                     (a, b), 2 * job.micro_batch_count)
 
 
 def make_single_plan(domain: TrustedDomain, spec: TransformerSpec,
@@ -158,7 +161,8 @@ def _split_plan(kind: str, what: str, total: int, domain: TrustedDomain,
     if total < len(participants):
         raise PlanError(f"{what} {total} is smaller than the participant "
                         f"count {len(participants)}")
-    shares = largest_remainder_split(total, _throughputs(domain, participants))
+    shares = largest_remainder_split(
+        total, [domain.throughput(p) for p in participants])
     return ParallelPlan(kind, participants, tuple(shares), job, spec)
 
 
@@ -257,22 +261,22 @@ def comm_template(plan: ParallelPlan) -> list[CommPhase]:
 
     Per-block collectives run once per micro-batch pass: their payloads are
     micro-batch sized, and one iteration runs M = B/m passes over L blocks.
-    The gradient AllReduce runs on sync iterations only.
+    The gradient AllReduce runs on sync iterations only.  A pipeline runs
+    each boundary's :func:`stage_transfer`, as the planner prices its order.
     """
     spec, job = plan.spec, plan.job
     parts = plan.participants
     if plan.kind == KIND_SINGLE or len(parts) == 1:
         return []
+    if plan.kind == KIND_PP:
+        return [stage_transfer(spec, job, a, b)
+                for a, b in zip(parts, parts[1:])]
     act = activation_tensor_bytes(spec, job)
     m_count = job.micro_batch_count
     if plan.kind == KIND_TP:
         # forward attention and MLP, then their backward passes
         return [CommPhase("block-reduce", OP_ALLREDUCE, act, parts,
                           4 * m_count * spec.num_blocks)]
-    if plan.kind == KIND_PP:
-        # every micro-batch crosses each boundary forward and backward
-        return [CommPhase("stage-transfer", OP_P2P, act, (a, b), 2 * m_count)
-                for a, b in zip(parts, parts[1:])]
     grad = CommPhase("gradient-sync", OP_ALLREDUCE, grad_sync_bytes(spec, job),
                      parts, 1, sync_only=True)
     if plan.kind == KIND_DP:

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .devices import (DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain,
-                      effective_throughput)
-from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, OP_P2P,
-                          ParallelPlan, PlanError, activation_tensor_bytes,
-                          make_plan, pp_stage_memory, ranges_from_counts)
+from .devices import DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain
+from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, ParallelPlan,
+                          PlanError, make_plan, pp_stage_memory,
+                          ranges_from_counts, stage_transfer)
 from .simengine import (DEFAULT_ITERATIONS, SimulationResult, checkpoint_cost,
                         collective_time, iteration_times, simulate)
 from .workload import TrainingJob, TransformerSpec, flops_per_iteration
@@ -75,8 +74,7 @@ class OrchestrationStrategy:
 
 def _fastest_first(domain: TrustedDomain, ids) -> list[str]:
     """Device ids by descending effective throughput, ties by id."""
-    return sorted(ids, key=lambda p: (
-        -effective_throughput(domain.device(p), domain.mode), p))
+    return sorted(ids, key=lambda p: (-domain.throughput(p), p))
 
 
 def _first_best(candidates, objective: Objective):
@@ -93,8 +91,8 @@ def _first_best(candidates, objective: Objective):
 def _per_block_time(domain: TrustedDomain, device_id: str,
                     spec: TransformerSpec, job: TrainingJob) -> float:
     """Per-iteration compute seconds for one block on one device."""
-    thr = effective_throughput(domain.device(device_id), domain.mode)
-    return flops_per_iteration(spec, job) / spec.num_blocks / thr
+    return (flops_per_iteration(spec, job) / spec.num_blocks
+            / domain.throughput(device_id))
 
 
 def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSpec,
@@ -166,22 +164,22 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
     A device's per-block time and feasible block counts are its own, so the
     stage split's compute bottleneck is the same in every order, and an
     order changes the iteration's wall time only through its busiest
-    device's transfers: its left hop plus its right hop, each run 2M times.
-    An end device's one hop never exceeds its neighbour's two, so an order
-    scores the largest such sum over its interior devices, in the same
-    seconds the simulator charges.  Up to the exhaustive bound every order
-    is scored, ties going to the lexicographically smallest; larger sets go
-    fastest device first.
+    device's transfers: its left hop plus its right hop, each the template's
+    :func:`~edgetrainsim.parallelism.stage_transfer` in the seconds the
+    simulator charges.  An end device's one hop never exceeds its
+    neighbour's two, so an order scores the largest such sum over its
+    interior devices.  Up to the exhaustive bound every order is scored,
+    ties going to the lexicographically smallest; larger sets go fastest
+    device first.
     """
     participants = tuple(participants)
-    if len(participants) == 1:
-        return participants
     if len(participants) > EXHAUSTIVE_PERMUTATION_LIMIT:
         return tuple(_fastest_first(domain, participants))
-    act = activation_tensor_bytes(spec, job)
-    runs = 2 * job.micro_batch_count
-    hop = {pair: runs * collective_time(OP_P2P, act, pair, domain.network)
-           for pair in itertools.permutations(participants, 2)}
+    hop = {}
+    for a, b in itertools.permutations(participants, 2):
+        e = stage_transfer(spec, job, a, b)
+        hop[a, b] = e.count * collective_time(e.op, e.payload_bytes,
+                                              e.participants, domain.network)
     busy = {(a, b, c): hop[a, b] + hop[b, c]
             for a, b, c in itertools.permutations(participants, 3)}
     return min(itertools.permutations(sorted(participants)),

@@ -47,10 +47,9 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from .devices import (FaultModel, NetworkModel, TrustedDomain, busy_power,
-                      effective_throughput)
-from .parallelism import (KIND_PP, KIND_TP, OP_ALLGATHER, OP_ALLREDUCE,
-                          OP_P2P, ParallelPlan, check_memory, comm_template,
+from .devices import FaultModel, NetworkModel, TrustedDomain, busy_power
+from .parallelism import (KIND_PP, OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
+                          ParallelPlan, check_memory, comm_template,
                           sum_in_order)
 from .workload import MAX_COUNT, flops_per_iteration
 
@@ -143,14 +142,10 @@ class _IterationProfile:
 def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationProfile:
     spec, job = plan.spec, plan.job
     parts = plan.participants
-    flops = flops_per_iteration(spec, job)
-    thr = {p: effective_throughput(domain.device(p), domain.mode) for p in parts}
-    if plan.kind == KIND_TP:
-        compute = {p: flops / len(parts) / thr[p] for p in parts}
-    else:  # the others split the batch, the sequence or the blocks by share
-        total = sum(plan.shares)
-        compute = {p: flops * (s / total) / thr[p]
-                   for p, s in zip(parts, plan.shares)}
+    # Each device computes its share (samples, positions, heads or blocks).
+    flops, total = flops_per_iteration(spec, job), sum(plan.shares)
+    compute = {p: flops * (s / total) / domain.throughput(p)
+               for p, s in zip(parts, plan.shares)}
 
     # (phase, sync_only) -> [op, payload bytes, seconds per device]
     phases: dict[tuple[str, bool], list] = {}

@@ -10,8 +10,10 @@ its dash's line (``- a: 1``, ``- - 1``); an empty collection is ``{}`` or
 scalar, is one plain token; any other string is one double-quoted scalar
 on one line, with YAML 1.1's escapes for ``_ESCAPED`` characters.  For a
 tree whose strings PyYAML writes plain these are the bytes of
-``yaml.safe_dump(data, sort_keys=True)``, through libyaml's emitter or
-PyYAML's own; for every tree, both of PyYAML's safe loaders read them back.
+``yaml.safe_dump(data, sort_keys=True)`` through libyaml's emitter.
+PyYAML's own emitter writes the same bytes but for a key of 123 to 128
+characters, which it writes as an explicit ``? key``.  For every tree,
+both of PyYAML's safe loaders read them back.
 
 ``read`` takes a block document whose every line is::
 

@@ -9,7 +9,8 @@ from dataclasses import MISSING, fields, replace
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from edgetrainsim import config_io, yaml_block
 from edgetrainsim.cli import main
@@ -82,17 +83,37 @@ def _key_sorted(data):
     return data
 
 
+def _keys(data):
+    """Every mapping key in ``data``, at any depth."""
+    if type(data) is dict:
+        for key, value in data.items():
+            yield key
+            yield from _keys(value)
+    elif type(data) is list:
+        for item in data:
+            yield from _keys(item)
+
+
 def _checked_dump(data):
     """``dump_yaml(data)``, after checking it against PyYAML: every loader
     class reads it back as the key-sorted ``data``, and a text that quotes
-    no string is what every dumper class writes."""
+    no string is what every dumper class writes.
+
+    One exception: PyYAML's pure-Python emitter takes a key as simple only
+    if the key and its prepared ``!!str`` tag are under 128 characters, so
+    it writes a plain key of 123 to 128 characters as ``? key``, where
+    libyaml and ``dump_yaml`` write it plain.  Its bytes are not compared
+    for such a tree; all three read back alike.
+    """
     text = config_io.dump_yaml(data)
     for loader in LOADERS:
         assert _same(yaml.load(text, Loader=loader), _key_sorted(data)), \
             loader
     if '"' not in text:
+        long_key = any(123 <= len(key) <= 128 for key in _keys(data))
         for dumper in DUMPERS:
-            assert text == _dump_through(data, dumper), dumper
+            if not (long_key and dumper is yaml.SafeDumper):
+                assert text == _dump_through(data, dumper), dumper
     return text
 
 
@@ -256,6 +277,16 @@ MALFORMED = {
     "domain-name-null": ("domain", ("name",), None),
     "sync-period-float": ("plan", ("partition", "sync_period"), 5.9),
     "sync-period-text": ("plan", ("partition", "sync_period"), "5"),
+    "sync-period-whole-float": ("plan", ("partition", "sync_period"), 5.0),
+    "shard-sizes-float": ("plan", ("partition", "shard_sizes"),
+                          [32.0, 32, 32, 32]),
+    "domain-version-bool": ("domain", ("schema_version",), True),
+    "domain-version-float": ("domain", ("schema_version",), 1.0),
+    "plan-version-bool": ("plan", ("schema_version",), True),
+    "plan-version-float": ("plan", ("schema_version",), 1.0),
+    "plan-domain-version-float": ("plan", ("domain", "schema_version"), 1.0),
+    "model-version-bool": ("plan", ("model", "schema_version"), True),
+    "model-version-float": ("plan", ("model", "schema_version"), 1.0),
 }
 
 
@@ -503,6 +534,7 @@ class TestEquivalence:
 
     @_WITH_CLASSES
     @given(_TREES)
+    @example({"v" * 128: None})
     def test_dump_and_load_match_pyyaml(self, yaml_classes, data):
         text = _checked_dump(data)
         assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
