@@ -1,10 +1,12 @@
 """YAML schemas for domains, models, jobs, plans, results and fault reports.
 
 The dataclasses are the schema.  Each scalar field of ``DeviceProfile``,
-``Link``, ``NetworkModel``, ``TrustedDomain``, ``TransformerSpec``,
-``TrainingJob`` and ``FaultReport`` is written and read under its own name,
-or its unit-suffixed key in ``_FILE_KEYS``, with its declared type and
-default; ``_FILE_DEFAULTS`` holds the only defaults a dataclass lacks.  One
+``Link``, ``NetworkModel``, ``TrustedDomain``, ``TransformerSpec`` and
+``TrainingJob`` is written and read under its own name, or its unit-suffixed
+key in ``_FILE_KEYS``, with its declared type and default; ``_FILE_DEFAULTS``
+holds the only defaults a dataclass lacks.  Result and fault-report files,
+and a plan's ``predicted`` block, are written under the same keys from the
+fields of ``SimulationResult``, ``DeviceUsage`` and ``FaultReport``.  One
 type rule holds for every such field: a ``str`` field takes a string, an
 ``int`` field an integer, and a ``float`` field an integer, a float or text
 that ``float()`` parses (YAML 1.1 reads ``1e9`` as text).  A bool or null
@@ -53,12 +55,14 @@ _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # Fields whose file key carries a unit; every other field keeps its name.
 _UNITS = {
     "flops": ("cpu_throughput", "gpu_throughput"),
-    "bytes": ("mem_capacity",),
+    "bytes": ("mem_capacity", "peak_mem"),
     "w": ("power_idle", "power_cpu_busy", "power_gpu_busy", "power_net"),
     "bps": ("bandwidth", "default_bandwidth"),
     "s": ("latency", "default_latency", "wall_time", "rework_time",
-          "reload_time", "checkpoint_time", "checkpoint_interval"),
-    "j": ("energy_estimate",),
+          "reload_time", "checkpoint_time", "checkpoint_interval",
+          "compute_time", "comm_time", "idle_time", "makespan",
+          "latency_per_sample"),
+    "j": ("energy_estimate", "energy", "energy_per_sample"),
 }
 _FILE_KEYS = {name: f"{name}_{unit}" for unit, names in _UNITS.items()
               for name in names}
@@ -272,10 +276,7 @@ def plan_to_dict(plan: ParallelPlan, domain: TrustedDomain,
     if checkpoint_interval is not None:
         data["checkpoint_interval_s"] = checkpoint_interval
     if predicted is not None and not predicted.oom:
-        data["predicted"] = {
-            "latency_per_sample_s": predicted.latency_per_sample,
-            "energy_per_sample_j": predicted.energy_per_sample,
-        }
+        data["predicted"] = _per_sample(predicted)
     return data
 
 
@@ -321,29 +322,23 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
 
 # ---------------------------------------------------------------- results
 
+def _per_sample(result: SimulationResult) -> dict:
+    """A fitting result's per-sample latency and energy under their file
+    keys."""
+    return {_FILE_KEYS[name]: getattr(result, name)
+            for name in ("latency_per_sample", "energy_per_sample")}
+
+
 def result_to_dict(result: SimulationResult) -> dict:
-    data: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "plan_kind": result.plan_kind,
-        "iterations_simulated": result.iterations_simulated,
-        "samples_processed": result.samples_processed,
-        "oom": result.oom,
-        "per_device": {
-            dev: {"peak_mem_bytes": u.peak_mem,
-                  "compute_time_s": u.compute_time,
-                  "comm_time_s": u.comm_time,
-                  "idle_time_s": u.idle_time,
-                  "energy_j": u.energy}
-            for dev, u in sorted(result.per_device.items())
-        },
-        "comm_bytes_by_op": dict(sorted(result.comm_bytes_by_op.items())),
-    }
+    data = _to_dict(result, schema_version=SCHEMA_VERSION, oom=result.oom,
+                    per_device={dev: _to_dict(u) for dev, u
+                                in result.per_device.items()},
+                    comm_bytes_by_op=result.comm_bytes_by_op)
     if result.oom:
+        del data[_FILE_KEYS["makespan"]]
         data["oom_devices"] = list(result.oom_devices)
     else:
-        data["makespan_s"] = result.makespan
-        data["latency_per_sample_s"] = result.latency_per_sample
-        data["energy_per_sample_j"] = result.energy_per_sample
+        data |= _per_sample(result)
     return data
 
 

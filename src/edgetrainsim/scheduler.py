@@ -5,10 +5,11 @@ rejected with one reason; `choose_parallelism` keeps the first best kind and
 `select_devices` the first best subset, under one tie rule.  Subsets are
 searched exhaustively up to 12 devices, pipeline orders up to 8, with a
 fastest-first fallback beyond.  The stage split is exact at any size, a
-threshold search in O(n·L·log(n·L)) for n devices and L blocks; its
-bottleneck does not depend on device order, so a pipeline's order minimises
-its busiest device's boundary time, the largest sum of a device's left and
-right hops.  All ties break deterministically.
+threshold search in O(n·L·log(n·L)) for n devices and L blocks that compares
+stages by blocks per FLOP/s, ``b / throughput``, so stages tied in real
+arithmetic tie exactly.  Its bottleneck does not depend on device order, so
+a pipeline's order minimises its busiest device's boundary time, the largest
+sum of a device's left and right hops.  All ties break deterministically.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, ParallelPlan,
                           PlanError, make_plan, pp_stage_memory,
                           ranges_from_counts, stage_transfer)
 from .simengine import (DEFAULT_ITERATIONS, SimulationResult, checkpoint_cost,
-                        collective_time, iteration_times, simulate)
-from .workload import TrainingJob, TransformerSpec, flops_per_iteration
+                        iteration_times, phase_seconds, simulate)
+from .workload import TrainingJob, TransformerSpec
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
 EXHAUSTIVE_PERMUTATION_LIMIT = 8
@@ -68,7 +69,7 @@ class OrchestrationStrategy:
     predicted: SimulationResult
 
     def __post_init__(self):
-        if self.checkpoint_interval <= 0:
+        if not self.checkpoint_interval > 0:  # also refuses NaN
             raise ValueError("checkpoint_interval must be > 0")
 
 
@@ -88,24 +89,19 @@ def _first_best(candidates, objective: Objective):
     return best
 
 
-def _per_block_time(domain: TrustedDomain, device_id: str,
-                    spec: TransformerSpec, job: TrainingJob) -> float:
-    """Per-iteration compute seconds for one block on one device."""
-    return (flops_per_iteration(spec, job) / spec.num_blocks
-            / domain.throughput(device_id))
-
-
 def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSpec,
                      job: TrainingJob) -> list[tuple[int, int]]:
     """Contiguous stage split minimizing the bottleneck stage compute time.
 
     Exact threshold search.  A stage's memory grows with its block count, so
     device i takes 1 to ``cap_i`` blocks, the most that fit in its usable
-    memory, and its stage times are ``b * t_i`` for b in 1..cap_i.  Under a
-    bottleneck V the first k devices hold any block count from k up to
-    ``fill(k, V)``, the sum of their largest b with ``b * t_i <= V``; so the
-    optimum over j blocks is the smallest stage time V with
-    ``fill(k, V) >= j``, a binary search over all n·L stage times.  Cost:
+    memory.  Every stage time carries the same factor, the FLOPs per block,
+    so a b-block stage is keyed by its blocks per FLOP/s, ``b / thr_i`` for
+    b in 1..cap_i: one correctly rounded division, so stages tied in real
+    arithmetic tie exactly.  Under a bottleneck V the first k devices hold
+    any block count from k up to ``fill(k, V)``, the sum of their largest b
+    with ``b / thr_i <= V``; so the optimum over j blocks is the smallest key
+    V with ``fill(k, V) >= j``, a binary search over all n·L keys.  Cost:
     O(n·L·log(n·L)) to sort them, plus O(n²·log(n·L)·log L) for the searches.
 
     Ties go to the fewest blocks on the later devices: walking back from the
@@ -122,9 +118,9 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
         spec, job, range(1, l + 1), n)]
     stage_times = []
     for d in devices:
-        t = _per_block_time(domain, d, spec, job)
+        thr = domain.throughput(d)
         cap = bisect.bisect_right(required, domain.device(d).usable_memory)
-        stage_times.append([b * t for b in range(1, cap + 1)])
+        stage_times.append([b / thr for b in range(1, cap + 1)])
     candidates = sorted(set(itertools.chain.from_iterable(stage_times)))
 
     def fill(k: int, bound: float) -> int:
@@ -175,11 +171,9 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
     participants = tuple(participants)
     if len(participants) > EXHAUSTIVE_PERMUTATION_LIMIT:
         return tuple(_fastest_first(domain, participants))
-    hop = {}
-    for a, b in itertools.permutations(participants, 2):
-        e = stage_transfer(spec, job, a, b)
-        hop[a, b] = e.count * collective_time(e.op, e.payload_bytes,
-                                              e.participants, domain.network)
+    hop = {(a, b): phase_seconds(stage_transfer(spec, job, a, b),
+                                 domain.network)
+           for a, b in itertools.permutations(participants, 2)}
     busy = {(a, b, c): hop[a, b] + hop[b, c]
             for a, b, c in itertools.permutations(participants, 3)}
     return min(itertools.permutations(sorted(participants)),
@@ -252,8 +246,8 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
     if len(ids) <= EXHAUSTIVE_SUBSET_LIMIT:
         subsets = (s for size in sizes for s in itertools.combinations(ids, size))
     else:
-        ranked = _fastest_first(domain, ids)
-        subsets = (tuple(sorted(ranked[:size])) for size in sizes)
+        rank = {p: i for i, p in enumerate(_fastest_first(domain, ids))}
+        subsets = (tuple(p for p in ids if rank[p] < size) for size in sizes)
     error = None
 
     def winners():
@@ -272,9 +266,12 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
 
 
 def young_checkpoint_interval(write_time: float, system_mtbf: float) -> float:
-    """First-order optimum of the expected overhead C/tau + tau/(2*MTBF)."""
+    """First-order optimum of the expected overhead C/tau + tau/(2*MTBF);
+    infinite when failures never come, whatever the write time."""
     if write_time < 0 or system_mtbf <= 0:
         raise ValueError("write_time must be >= 0 and system_mtbf > 0")
+    if system_mtbf == math.inf:
+        return math.inf
     return math.sqrt(2.0 * write_time * system_mtbf)
 
 

@@ -49,7 +49,7 @@ from typing import Optional
 
 from .devices import FaultModel, NetworkModel, TrustedDomain, busy_power
 from .parallelism import (KIND_PP, OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
-                          ParallelPlan, check_memory, comm_template,
+                          CommPhase, ParallelPlan, check_memory, comm_template,
                           sum_in_order)
 from .workload import MAX_COUNT, flops_per_iteration
 
@@ -125,6 +125,13 @@ def collective_time(op: str, payload_bytes: float, participants,
     raise SimulationError(f"unknown collective op {op!r}")
 
 
+def phase_seconds(entry: CommPhase, network: NetworkModel) -> float:
+    """Seconds one template entry takes per iteration: its count times one
+    collective's time."""
+    return entry.count * collective_time(entry.op, entry.payload_bytes,
+                                         entry.participants, network)
+
+
 @dataclass
 class _IterationProfile:
     """One iteration's phase timeline, built once from the template.
@@ -150,8 +157,7 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
     # (phase, sync_only) -> [op, payload bytes, seconds per device]
     phases: dict[tuple[str, bool], list] = {}
     for e in comm_template(plan):
-        t = e.count * collective_time(e.op, e.payload_bytes, e.participants,
-                                      domain.network)
+        t = phase_seconds(e, domain.network)
         acc = phases.get((e.phase, e.sync_only))
         if acc is None:
             acc = phases[e.phase, e.sync_only] = [e.op, 0.0,
@@ -348,7 +354,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     base, prof = _simulate(plan, domain, iterations)
     if base.oom:
         raise OutOfMemoryError("out of memory on " + ", ".join(base.oom_devices))
-    if checkpoint_interval <= 0:
+    if not checkpoint_interval > 0:  # also refuses NaN
         raise SimulationError("checkpoint_interval must be > 0")
 
     shard, write_time = checkpoint_cost(plan, domain, fault_model)

@@ -14,11 +14,12 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from edgetrainsim import config_io
+from edgetrainsim import config_io, scheduler
 from edgetrainsim.cli import COMMANDS, build_parser, main, parse_args
 from edgetrainsim.devices import (DeviceProfile, TrustedDomain,
                                   testbed_preset as load_testbed)
 from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
+from edgetrainsim.scheduler import CHECKPOINT_INTERVAL_CAP
 from edgetrainsim.workload import default_edge_job, model_preset
 
 
@@ -156,6 +157,50 @@ class TestPlan:
         assert run(*args, "--weight-energy", "nan", "--weight-latency", "-1",
                    "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_select_devices_above_12_keeps_pool_order(self, tmp_path,
+                                                      monkeypatch):
+        """Above 12 devices the subsets are the fastest-first prefixes, each
+        in pool order, so picking the full pool writes the same plan as not
+        selecting at all."""
+        seen = []
+        choose = scheduler.choose_parallelism
+
+        def recording(domain, subset, *args):
+            seen.append(subset)
+            return choose(domain, subset, *args)
+
+        monkeypatch.setattr(scheduler, "choose_parallelism", recording)
+        plans = [tmp_path / "select.yaml", tmp_path / "pool.yaml"]
+        for flags, out in zip((["--select-devices"], []), plans):
+            assert run("plan", "--devices", ",".join(["nano"] * 11
+                                                     + ["tx2", "nx"]),
+                       "--model", "distilbert", "--objective", "latency",
+                       "--out", str(out), *flags) == 0
+        pool = [f"nano-{i}" for i in range(11)] + ["tx2-0", "nx-0"]
+        # Fastest first, the tied Nanos by id: nano-10 before nano-2.
+        ranked = ["nx-0", "tx2-0", *sorted(pool[:11])]
+        assert seen[:13] == [tuple(p for p in pool if p in ranked[:size])
+                             for size in range(1, 14)]
+        assert plans[0].read_bytes() == plans[1].read_bytes()
+
+    def test_free_checkpoints_plan_and_simulate(self, tmp_path):
+        """With no failures and free writes the interval is the cap, not
+        NaN, and the plan simulates; ``faults`` asks for the same one."""
+        plan, result = tmp_path / "free.yaml", tmp_path / "result.yaml"
+        free = ("--mtbf", "inf", "--ckpt-bandwidth", "inf")
+        assert run("plan", "--testbed", "homogeneous-nano4", "--model",
+                   "gpt2-s", *free, "--out", str(plan)) == 0
+        data = yaml.safe_load(plan.read_text())
+        assert data["checkpoint_interval_s"] == CHECKPOINT_INTERVAL_CAP
+        assert run("simulate", "--plan", str(plan), "--out", str(result)) == 0
+        del data["checkpoint_interval_s"]
+        plan.write_text(yaml.safe_dump(data))
+        assert run("faults", "--plan", str(plan), *free,
+                   "--out", str(result)) == 0
+        assert yaml.safe_load(result.read_text())["checkpoint_interval_s"] \
+            == CHECKPOINT_INTERVAL_CAP
 
 
 class TestSimulate:

@@ -705,6 +705,25 @@ class TestBlockPath:
                 config_io.parse_yaml(edited, "edit")
 
 
+    def test_declines_a_token_of_another_tag(self):
+        """A date is a plain token outside the five scalar tags: PyYAML
+        reads it."""
+        text = "d: 2024-01-01\n"
+        assert yaml_block.read(text) is None
+        assert config_io.parse_yaml(text, "ctx") == {
+            "d": datetime.date(2024, 1, 1)} == yaml.load(text,
+                                                         config_io._Loader)
+
+    def test_declines_a_token_its_constructor_cannot_read(self):
+        """``0x_`` resolves to an int that no constructor reads: PyYAML
+        refuses it, naming its line."""
+        assert yaml_block.read("v: 0x_\n") is None
+        with pytest.raises(ConfigError) as exc:
+            config_io.parse_yaml("v: 0x_\n", "ctx")
+        assert str(exc.value) == ("ctx: YAML parse error: line 1, column 4: "
+                                  "cannot read '0x_' as !!int")
+
+
 # Device ids the block grammar has no plain token for: escaped non-ASCII
 # text, a string that resolves to an int, and the longest id allowed.
 ODD_IDS = ("é" * 20, "é" * 30, "007", "x" * MAX_DEVICE_ID_CHARS)

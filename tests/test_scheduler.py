@@ -83,14 +83,16 @@ def brute_force_stage_split(domain, ordered, spec, job):
     return best
 
 
-def dp_stage_split(domain, ordered_devices, spec, job):
+def dp_stage_split(domain, ordered_devices, spec, job, number=float):
     """Oracle: the O(n·L²) dynamic program over (device index, blocks
-    assigned) that the threshold search replaced, kept verbatim."""
+    assigned) that the threshold search replaced, kept verbatim but for its
+    key, the search's blocks per FLOP/s.  ``number=Fraction`` runs it in
+    exact arithmetic."""
     devices = list(ordered_devices)
     n, l = len(devices), spec.num_blocks
     if l < n:
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
-    times = [scheduler._per_block_time(domain, d, spec, job) for d in devices]
+    thrs = [number(domain.throughput(d)) for d in devices]
     required = [state + act for state, act in pp_stage_memory(
         spec, job, range(1, l + 1), n)]
     caps = [sum(r <= domain.device(d).usable_memory for r in required)
@@ -101,12 +103,12 @@ def dp_stage_split(domain, ordered_devices, spec, job):
     best = [[inf] * (l + 1) for _ in range(n)]
     choice = [[0] * (l + 1) for _ in range(n)]
     for j in range(1, caps[0] + 1):
-        best[0][j] = j * times[0]
+        best[0][j] = j / thrs[0]
     for i in range(1, n):
         for j in range(i + 1, l + 1):
             for b in range(1, min(j - i, caps[i]) + 1):
                 prev = best[i - 1][j - b]
-                cand = max(prev, b * times[i])
+                cand = max(prev, b / thrs[i])
                 if cand < best[i][j]:
                     best[i][j] = cand
                     choice[i][j] = b
@@ -131,6 +133,19 @@ def split_outcome(split, *args):
         return type(exc), str(exc)
 
 
+# 400 Fraction-keyed dynamic programs take about 4 s (Python 3.11, 2 cores).
+EXACT_EXAMPLES = 400
+
+
+def scaled_board(board, speed, cap, block):
+    """``board`` at ``speed`` times its throughput, with usable memory for
+    ``cap`` stages of ``block`` bytes a block but not for ``cap + 1``."""
+    return dataclasses.replace(
+        board, cpu_throughput=board.cpu_throughput * speed,
+        gpu_throughput=board.gpu_throughput * speed,
+        mem_capacity=(cap + 0.5) * block / board.usable_mem_fraction)
+
+
 @st.composite
 def stage_split_inputs(draw):
     """1 to 12 boards of the three profiles in any order, with scaled
@@ -151,10 +166,7 @@ def stage_split_inputs(draw):
                      | st.floats(0.1, 10.0))
         # Room for `cap` blocks; the caps sum to about 1.5 models.
         cap = draw(st.integers(0, 3 * l // n + 1))
-        boards.append(dataclasses.replace(
-            board, cpu_throughput=board.cpu_throughput * speed,
-            gpu_throughput=board.gpu_throughput * speed,
-            mem_capacity=(cap + 0.5) * block / board.usable_mem_fraction))
+        boards.append(scaled_board(board, speed, cap, block))
     domain = domain_of(*boards).with_mode(draw(st.sampled_from(("cpu", "gpu"))))
     order = draw(st.permutations(domain.device_ids))
     return domain, order, spec, job
@@ -167,6 +179,30 @@ class TestPartitionStages:
         """Same ranges, ties included, or the same error and message."""
         assert (split_outcome(partition_stages, *inputs)
                 == split_outcome(dp_stage_split, *inputs))
+
+    @settings(max_examples=EXACT_EXAMPLES, deadline=None, derandomize=True)
+    @given(stage_split_inputs())
+    def test_matches_exact_arithmetic(self, inputs):
+        """Splits tied in real arithmetic tie exactly: the same ranges as
+        the dynamic program run in Fractions."""
+        assert (split_outcome(partition_stages, *inputs)
+                == split_outcome(dp_stage_split, *inputs, Fraction))
+
+    def test_real_arithmetic_tie_is_exact(self):
+        """The Nano's 4 blocks and the half-speed NX's 10 take the same real
+        time.  Keyed as ``b·(F/L/thr)``, the Nano's 4 cost one ulp more, so
+        the Nano took 3 and the split was [(0, 3), (3, 13), (13, 24)]."""
+        spec = TransformerSpec("g", 24, 64, 4, 100)
+        job = default_edge_job(global_batch=8)
+        block = sum(pp_stage_memory(spec, job, (1,), 3)[0])
+        domain = domain_of(scaled_board(jetson_nx("d0"), 0.5, 23, block),
+                           scaled_board(jetson_nano("d1"), 1.0, 5, block),
+                           scaled_board(jetson_tx2("d2"), 3.0, 11, block)
+                           ).with_mode("gpu")
+        order = ("d1", "d0", "d2")
+        want = [(0, 4), (4, 14), (14, 24)]
+        assert partition_stages(domain, order, spec, job) == want
+        assert dp_stage_split(domain, order, spec, job, Fraction) == want
 
     def test_homogeneous_uniform(self):
         domain = domain_of(*(device(f"d{i}", 1e9) for i in range(4)))
@@ -639,6 +675,26 @@ class TestCheckpointPlanning:
                             domain.device_ids)
         fm = FaultModel(1e30, 50e6, 50e6)
         assert plan_checkpointing(plan, domain, fm) == CHECKPOINT_INTERVAL_CAP
+
+    def test_free_checkpoints_on_a_failure_free_system(self):
+        """An infinite MTBF gives an infinite interval whatever the write
+        time, though sqrt(2·0·inf) is NaN; the planner caps it."""
+        assert young_checkpoint_interval(0.0, math.inf) == math.inf
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
+                            domain.device_ids)
+        fm = FaultModel(math.inf, math.inf, 50e6)
+        assert plan_checkpointing(plan, domain, fm) == CHECKPOINT_INTERVAL_CAP
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
+    def test_strategy_refuses_an_interval_that_is_not_positive(self,
+                                                               interval):
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
+                            domain.device_ids)
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            scheduler.OrchestrationStrategy(plan, interval,
+                                            simulate(plan, domain))
 
     def test_system_mtbf_scales_with_participants(self):
         domain = load_testbed("homogeneous-nano4")

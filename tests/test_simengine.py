@@ -852,3 +852,12 @@ class TestFaultInjection:
         plan = make_single_plan(domain, model_preset("gpt2-l"), JOB, "nano-0")
         with pytest.raises(SimulationError):
             inject_faults(plan, domain, FaultModel(100.0, 50e6, 50e6), 60.0)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
+    def test_rejects_an_interval_that_is_not_positive(self, interval):
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_single_plan(domain, model_preset("distilbert"), JOB,
+                                "nano-0")
+        with pytest.raises(SimulationError, match="checkpoint_interval"):
+            inject_faults(plan, domain, FaultModel(100.0, 50e6, 50e6),
+                          interval)
