@@ -214,10 +214,11 @@ def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
 
 def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
                modes=("cpu", "gpu"), iterations: int = DEFAULT_ITERATIONS):
-    """One row per (model, kind, mode): the experiment grid of the sweeps."""
+    """One row per (model, kind, mode): the experiment grid of the sweeps.
+    A model listed twice keeps its first place."""
     rows = []
     moded_domains = {mode: domain.with_mode(mode) for mode in modes}
-    for model_name in models:
+    for model_name in dict.fromkeys(models):
         spec = model_preset(model_name)
         for kind in ALL_KINDS:
             for mode, moded in moded_domains.items():

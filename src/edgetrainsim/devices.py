@@ -130,13 +130,24 @@ class NetworkModel:
         return self._by_pair.get((a, b), self._default)
 
 
+def _unknown_device(device_id: str) -> KeyError:
+    return KeyError(f"unknown device id {device_id!r}")
+
+
 @dataclass(frozen=True)
 class TrustedDomain:
+    """Devices, their network and an execution mode.
+
+    ``_by_id`` maps each device id to its profile and ``_throughput`` to its
+    effective throughput in ``mode``; both are built once, when the domain
+    is made, and are not fields of its files.
+    """
     devices: tuple[DeviceProfile, ...]
     network: NetworkModel = field(default_factory=NetworkModel)
     mode: str = MODE_GPU
     name: str = "custom"
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _throughput: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.devices:
@@ -151,24 +162,30 @@ class TrustedDomain:
                                       f"{min(unknown)!r}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        for d in self.devices:
-            if not effective_throughput(d, self.mode) > 0:
-                raise ValidationError(f"device {d.id} has zero throughput in "
-                                      f"mode {self.mode!r}")
+        throughput = {d.id: effective_throughput(d, self.mode)
+                      for d in self.devices}
+        for device_id, thr in throughput.items():
+            if not thr > 0:
+                raise ValidationError(f"device {device_id} has zero "
+                                      f"throughput in mode {self.mode!r}")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_throughput", throughput)
 
     def device(self, device_id: str) -> DeviceProfile:
         try:
             return self._by_id[device_id]
         except KeyError:
-            raise KeyError(f"unknown device id {device_id!r}") from None
+            raise _unknown_device(device_id) from None
 
     def throughput(self, device_id: str) -> float:
-        return effective_throughput(self.device(device_id), self.mode)
+        try:
+            return self._throughput[device_id]
+        except KeyError:
+            raise _unknown_device(device_id) from None
 
     @property
     def device_ids(self) -> tuple[str, ...]:
-        return tuple(d.id for d in self.devices)
+        return tuple(self._by_id)
 
     def with_mode(self, mode: str) -> "TrustedDomain":
         return replace(self, mode=mode)

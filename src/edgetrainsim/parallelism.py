@@ -80,8 +80,9 @@ class CommPhase(NamedTuple):
     sync_only: bool = False  # runs only on gradient-sync iterations
 
 
-@dataclass(frozen=True)
-class MemoryCheck:
+class MemoryCheck(NamedTuple):
+    """One device's required bytes, whether they fit in its usable memory,
+    and their training-state and activation parts."""
     required_bytes: float
     fits: bool
     state_bytes: float
@@ -319,6 +320,5 @@ def _check_one(domain: TrustedDomain, device_id: str, req_state: float,
                req_act: float) -> MemoryCheck:
     device = domain.device(device_id)
     required = req_state + req_act
-    return MemoryCheck(required_bytes=required,
-                       fits=required <= device.usable_memory,
-                       state_bytes=req_state, activation_bytes=req_act)
+    return MemoryCheck(required, required <= device.usable_memory,
+                       req_state, req_act)

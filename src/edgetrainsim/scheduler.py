@@ -4,12 +4,13 @@
 rejected with one reason; `choose_parallelism` keeps the first best kind and
 `select_devices` the first best subset, under one tie rule.  Subsets are
 searched exhaustively up to 12 devices, pipeline orders up to 8, with a
-fastest-first fallback beyond.  The stage split is exact at any size, a
-threshold search in O(n·L·log(n·L)) for n devices and L blocks that compares
-stages by blocks per FLOP/s, ``b / throughput``, so stages tied in real
-arithmetic tie exactly.  Its bottleneck does not depend on device order, so
-a pipeline's order minimises its busiest device's boundary time, the largest
-sum of a device's left and right hops.  All ties break deterministically.
+fastest-first fallback beyond.  The stage split is exact at any size: it
+compares stages by blocks per FLOP/s, ``b / throughput``, so stages tied in
+real arithmetic tie exactly, and reads each least bottleneck as an order
+statistic of those keys, in O(n·L) for n devices and L blocks.  Its
+bottleneck does not depend on device order, so a pipeline's order minimises
+its busiest device's boundary time, the largest sum of a device's left and
+right hops.  All ties break deterministically.
 """
 
 from __future__ import annotations
@@ -93,21 +94,24 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
                      job: TrainingJob) -> list[tuple[int, int]]:
     """Contiguous stage split minimizing the bottleneck stage compute time.
 
-    Exact threshold search.  A stage's memory grows with its block count, so
+    Exact, in closed form.  A stage's memory grows with its block count, so
     device i takes 1 to ``cap_i`` blocks, the most that fit in its usable
     memory.  Every stage time carries the same factor, the FLOPs per block,
     so a b-block stage is keyed by its blocks per FLOP/s, ``b / thr_i`` for
     b in 1..cap_i: one correctly rounded division, so stages tied in real
     arithmetic tie exactly.  Under a bottleneck V the first k devices hold
-    any block count from k up to ``fill(k, V)``, the sum of their largest b
-    with ``b / thr_i <= V``; so the optimum over j blocks is the smallest key
-    V with ``fill(k, V) >= j``, a binary search over all n·L keys.  Cost:
-    O(n·L·log(n·L)) to sort them, plus O(n²·log(n·L)·log L) for the searches.
+    any block count from k up to the number of their keys ``<= V``, provided
+    each holds one block; so the least bottleneck of devices 0..k-1 over j
+    blocks is an order statistic, ``max(S_k[j-1], F_k)``, where S_k is their
+    keys in ascending order and F_k their largest one-block key.  Since
+    j <= L, S_k keeps only its L smallest keys, ``sorted(S_{k-1} +
+    keys_k)[:L]``, and sorting those two ascending runs is one merge.  Cost:
+    O(n·L) time and memory for n devices and L blocks.
 
     Ties go to the fewest blocks on the later devices: walking back from the
-    last device, device i takes ``max(1, j - fill(i, V_i))`` of the j blocks
-    still unassigned, V_i being the optimum of devices 0..i over them.
-    Raises InfeasibleError when no memory-feasible split exists.
+    last device, device i takes ``max(1, j - #(S_i <= V_i))`` of the j
+    blocks still unassigned, V_i being the least bottleneck of devices 0..i
+    over them.  Raises InfeasibleError when no memory-feasible split exists.
     """
     devices = list(ordered_devices)
     n, l = len(devices), spec.num_blocks
@@ -116,36 +120,23 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
     # Non-decreasing in the block count, so a cap is one bisection.
     required = [state + act for state, act in pp_stage_memory(
         spec, job, range(1, l + 1), n)]
-    stage_times = []
+    # Index k: S_k and F_k of devices 0..k-1; a device that holds no block
+    # makes F infinite.
+    smallest, floor = [[]], [0.0]
     for d in devices:
         thr = domain.throughput(d)
         cap = bisect.bisect_right(required, domain.device(d).usable_memory)
-        stage_times.append([b / thr for b in range(1, cap + 1)])
-    candidates = sorted(set(itertools.chain.from_iterable(stage_times)))
-
-    def fill(k: int, bound: float) -> int:
-        """Most blocks devices 0..k-1 hold under ``bound``; -1 if one holds none."""
-        total = 0
-        for times in stage_times[:k]:
-            most = bisect.bisect_right(times, bound)
-            if most == 0:
-                return -1
-            total += most
-        return total
-
-    def optimum(k: int, j: int) -> float:
-        """Least bottleneck of devices 0..k-1 over j blocks (inf if none)."""
-        at = bisect.bisect_left(candidates, True,
-                                key=lambda v: fill(k, v) >= j)
-        return candidates[at] if at < len(candidates) else math.inf
-
-    if not math.isfinite(optimum(n, l)):
+        smallest.append(sorted(smallest[-1]
+                               + [b / thr for b in range(1, cap + 1)])[:l])
+        floor.append(max(floor[-1], 1 / thr if cap else math.inf))
+    if len(smallest[n]) < l or floor[n] == math.inf:
         raise InfeasibleError({KIND_PP: "no memory-feasible contiguous "
                                         "stage partition"})
     counts = []
     j = l
     for i in range(n - 1, 0, -1):
-        counts.append(max(1, j - fill(i, optimum(i + 1, j))))
+        bound = max(smallest[i + 1][j - 1], floor[i + 1])
+        counts.append(max(1, j - bisect.bisect_right(smallest[i], bound)))
         j -= counts[-1]
     counts.append(j)
     counts.reverse()

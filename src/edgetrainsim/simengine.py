@@ -230,7 +230,9 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
     makespan = iterations * base_len + n_sync * sync_len
     (_, _, _, _, compute), *phases = prof.groups
     comm_bytes: dict[str, float] = {}
-    for _, op, payload, sync_only, _ in phases:
+    every, sync = [], []  # each group's seconds per device, in group order
+    for _, op, payload, sync_only, seconds in phases:
+        (sync if sync_only else every).append(seconds)
         runs = n_sync if sync_only else iterations
         if runs:  # a run without a sync reports no sync-only op
             comm_bytes[op] = comm_bytes.get(op, 0.0) + runs * payload
@@ -238,11 +240,10 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
     for p, u in usage.items():
         device = domain.device(p)
         base_comm = sync_comm = 0.0
-        for _, _, _, sync_only, seconds in phases:
-            if sync_only:
-                sync_comm += seconds[p]
-            else:
-                base_comm += seconds[p]
+        for seconds in every:
+            base_comm += seconds[p]
+        for seconds in sync:
+            sync_comm += seconds[p]
         u.compute_time = iterations * compute[p]
         u.comm_time = iterations * base_comm + n_sync * sync_comm
         u.idle_time = (iterations * (base_len - compute[p] - base_comm)

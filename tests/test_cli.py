@@ -352,6 +352,14 @@ class TestSweep:
         lines = a.read_text().splitlines()
         assert len(lines) == 1 + 2 * 5 * 2
 
+    def test_repeated_model_writes_its_rows_once(self, tmp_path):
+        once, twice = tmp_path / "once.tsv", tmp_path / "twice.tsv"
+        for models, out in (("gpt2-s", once), ("gpt2-s,gpt2-s", twice)):
+            assert run("sweep", "--testbed", "heterogeneous-mix4",
+                       "--models", models, "--out", str(out)) == 0
+        assert twice.read_bytes() == once.read_bytes()
+        assert len(once.read_text().splitlines()) == 1 + 5 * 2
+
     def test_mode_filter(self, tmp_path):
         out = tmp_path / "sweep.tsv"
         assert run("sweep", "--models", "distilbert", "--mode", "gpu",

@@ -1,5 +1,6 @@
 """Device, power, network, and serialization tests."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -136,6 +137,47 @@ class TestDomain:
         domain = load_testbed("homogeneous-nano4")
         with pytest.raises(KeyError):
             domain.device("nano-9")
+
+    def test_unknown_device_throughput_names_the_id(self):
+        domain = load_testbed("homogeneous-nano4")
+        with pytest.raises(KeyError) as by_device:
+            domain.device("nope")
+        with pytest.raises(KeyError) as by_throughput:
+            domain.throughput("nope")
+        assert by_throughput.value.args == by_device.value.args == (
+            "unknown device id 'nope'",)
+
+    def test_throughput_table_follows_mode_and_devices(self):
+        domain = load_testbed("heterogeneous-mix4")
+        cpu = domain.with_mode("cpu")
+        for d in domain.devices:
+            assert domain.throughput(d.id) == effective_throughput(d, "gpu")
+            assert cpu.throughput(d.id) == effective_throughput(d, "cpu")
+        pair = dataclasses.replace(domain, devices=(jetson_tx2("a"),
+                                                    jetson_nx("b")))
+        assert pair.device_ids == ("a", "b")
+        assert pair.throughput("b") == jetson_nx("b").gpu_throughput
+        with pytest.raises(KeyError, match="nano-0"):
+            pair.throughput("nano-0")
+
+    def test_equal_domains_compare_and_hash_equal(self):
+        a = load_testbed("heterogeneous-mix4")
+        b = load_testbed("heterogeneous-mix4").with_mode("cpu").with_mode("gpu")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != a.with_mode("cpu")
+        assert len({a, b, a.with_mode("cpu")}) == 2
+
+    def test_lookup_tables_are_not_file_fields(self):
+        domain = load_testbed("heterogeneous-mix4")
+        assert [name for name, *_ in config_io._schema(TrustedDomain)] == [
+            "mode", "name"]
+        data = config_io.domain_to_dict(domain)
+        assert sorted(data) == ["devices", "mode", "name", "network",
+                                "schema_version"]
+        assert repr(domain).endswith(", mode='gpu', name='heterogeneous-mix4')")
+        text = config_io.dump_yaml(data)
+        again = config_io.domain_from_dict(config_io.parse_yaml(text, "domain"))
+        assert config_io.dump_yaml(config_io.domain_to_dict(again)) == text
 
 
 class TestFaultModel:

@@ -204,6 +204,63 @@ class TestPartitionStages:
         assert partition_stages(domain, order, spec, job) == want
         assert dp_stage_split(domain, order, spec, job, Fraction) == want
 
+    def test_slow_device_one_block_floor_binds(self):
+        """The fast device's keys alone give the 4th smallest, 4/10e9, but
+        the slow device must still take a block: the bottleneck is its
+        one-block key 1/1e9, and the fast device takes the other 3, in
+        either order.  Slow first, the fast device's share is read at that
+        bottleneck, not at 4/10e9, which would leave the slow one none."""
+        domain = domain_of(device("fast", 10e9), device("slow", 1e9))
+        spec = TransformerSpec("four", 4, 64, 4, 100)
+        for order, want in ((("slow", "fast"), [(0, 1), (1, 4)]),
+                            (("fast", "slow"), [(0, 3), (3, 4)])):
+            assert partition_stages(domain, order, spec, SMALL_JOB) == want
+            assert dp_stage_split(domain, order, spec, SMALL_JOB,
+                                  Fraction) == want
+
+    def test_jth_smallest_key_binds(self):
+        """Keys 1/2e9..6/2e9 and 1/1e9..6/1e9: the 6th smallest, 2/1e9 =
+        4/2e9, exceeds both one-block keys.  The tie leaves the later,
+        slower device its fewest blocks, 2."""
+        domain = domain_of(device("a", 2e9), device("b", 1e9))
+        spec = TransformerSpec("six", 6, 64, 4, 100)
+        want = [(0, 4), (4, 6)]
+        assert partition_stages(domain, ("a", "b"), spec, SMALL_JOB) == want
+        assert dp_stage_split(domain, ("a", "b"), spec, SMALL_JOB,
+                              Fraction) == want
+
+    def test_caps_far_beyond_the_block_count(self):
+        """Every device holds the whole model, so the keys number 4·L and
+        only the L smallest of each prefix are kept.  In pool order the first
+        three stages tie at the bottleneck, 6/3e9 = 2/1e9 = 14/7e9, and the
+        last device takes the 2 blocks left."""
+        spec = TransformerSpec("deep", 24, 64, 4, 100)
+        domain = domain_of(*(device(f"d{i}", thr, mem=64e9) for i, thr
+                             in enumerate((3e9, 1e9, 7e9, 2e9))))
+        required = [sum(m) for m in pp_stage_memory(spec, SMALL_JOB,
+                                                    range(1, 25), 4)]
+        assert all(r <= d.usable_memory for r in required
+                   for d in domain.devices)
+        for order in itertools.permutations(domain.device_ids):
+            got = partition_stages(domain, order, spec, SMALL_JOB)
+            assert got == dp_stage_split(domain, order, spec, SMALL_JOB,
+                                         Fraction)
+        assert partition_stages(domain, domain.device_ids, spec,
+                                SMALL_JOB) == [(0, 6), (6, 8), (8, 22),
+                                               (22, 24)]
+
+    def test_device_without_a_block_mid_order_is_infeasible(self):
+        spec = model_preset("gpt2-s")
+        domain = domain_of(device("a", 1e9, mem=64e9),
+                           device("none", 1e9, mem=1e3),
+                           device("c", 1e9, mem=64e9))
+        with pytest.raises(InfeasibleError) as caught:
+            partition_stages(domain, ("a", "none", "c"), spec, JOB)
+        assert caught.value.reasons == {
+            KIND_PP: "no memory-feasible contiguous stage partition"}
+        assert str(caught.value) == ("no feasible plan (pp: no memory-feasible"
+                                     " contiguous stage partition)")
+
     def test_homogeneous_uniform(self):
         domain = domain_of(*(device(f"d{i}", 1e9) for i in range(4)))
         spec = model_preset("gpt2-s")
