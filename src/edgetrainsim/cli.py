@@ -203,13 +203,13 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
-    ids, ranges = domain.device_ids, None
+    ids, blocks = domain.device_ids, None
     if kind == KIND_SINGLE:
         # Paper-style baseline: the least capable device (a Nano on the presets).
         ids = (min(ids, key=lambda p: (domain.throughput(p), p)),)
     elif kind == KIND_PP:
-        ranges = partition_stages(domain, ids, spec, job)
-    return make_plan(kind, domain, spec, job, ids, ranges)
+        blocks = partition_stages(domain, ids, spec, job)
+    return make_plan(kind, domain, spec, job, ids, blocks)
 
 
 def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),

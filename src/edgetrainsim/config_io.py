@@ -15,9 +15,13 @@ is never a number.
 Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
 outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
-builders from its kind, participants and, for PP, stage ranges; a file whose
-partition differs from the rebuilt one, in a value or its type, is rejected
-(CLI exit 1).  ``schema_version`` is an integer field too.
+builders from its kind, participants and, for PP, per-stage block counts,
+each stage's ``end - start``; this is the only module that knows stage
+ranges.  A file whose partition differs from the rebuilt one, in a value or
+its type, is rejected (CLI exit 1); a gap, an overlap or a stage on another
+device is such a difference.  ``schema_version`` is an integer field too.
+A mapping holding a key the schema does not name is rejected, naming the
+key.
 
 Every file the program writes comes from ``yaml_block.write``: block YAML
 with sorted keys, one line per scalar, where a string is a plain token or
@@ -35,6 +39,7 @@ abc``) is a ConfigError naming its line.  Either way the values are what
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import MISSING, fields
 from functools import cache
 from typing import Any, get_type_hints
@@ -44,7 +49,7 @@ import yaml
 from . import yaml_block
 from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP, ParallelPlan,
-                          make_plan, ranges_from_counts)
+                          make_plan)
 from .simengine import FaultReport, SimulationResult
 from .workload import TrainingJob, TransformerSpec
 
@@ -120,6 +125,13 @@ def _read(mapping: dict, key: str, kind: type, context: str):
     return _typed(_require(mapping, key, context), kind, context, key)
 
 
+def _only(mapping: dict, keys, context: str):
+    """Refuse the first key of ``mapping`` that is not in ``keys``."""
+    if not mapping.keys() <= keys:
+        key = next(k for k in mapping if k not in keys)
+        raise ConfigError(f"{context}: unknown field {key!r}")
+
+
 @cache
 def _schema(cls: type) -> tuple:
     """(field, file key, type, default) of each scalar field of ``cls``; a
@@ -130,15 +142,23 @@ def _schema(cls: type) -> tuple:
                  for f in fields(cls) if hints[f.name] in _TYPE_NAMES)
 
 
+@cache
+def _file_keys(cls: type, *structural: str) -> frozenset:
+    """The keys a file mapping of ``cls`` may hold: its scalar fields' file
+    keys and ``structural``."""
+    return frozenset(structural).union(key for _, key, _, _ in _schema(cls))
+
+
 def _to_dict(obj, **extra) -> dict:
     """``obj``'s scalar fields under their file keys, and ``extra``."""
     return {key: getattr(obj, name)
             for name, key, _, _ in _schema(type(obj))} | extra
 
 
-def _from_dict(cls: type, data, context: str, **given):
-    """A ``cls`` from its file mapping; ``given`` holds its other fields."""
-    _expect(data, dict, context)
+def _from_dict(cls: type, data, context: str, structural=(), **given):
+    """A ``cls`` from its file mapping, which holds its scalar fields and
+    the ``structural`` keys; ``given`` holds its other fields."""
+    _only(_expect(data, dict, context), _file_keys(cls, *structural), context)
     for name, key, kind, default in _schema(cls):
         value = data.get(key, default)
         if value is MISSING:
@@ -213,11 +233,12 @@ def domain_from_dict(data: dict) -> TrustedDomain:
                                       "domain.network.links")):
         ctx = f"domain.network.links[{i}]"
         links.append((_read(entry, "a", str, ctx), _read(entry, "b", str, ctx),
-                      _from_dict(Link, entry, ctx)))
-    network = _from_dict(NetworkModel, net_data, "domain.network",
+                      _from_dict(Link, entry, ctx, ("a", "b"))))
+    network = _from_dict(NetworkModel, net_data, "domain.network", ("links",),
                          links=tuple(links))
-    return _from_dict(TrustedDomain, data, "domain", devices=devices,
-                      network=network)
+    return _from_dict(TrustedDomain, data, "domain",
+                      ("schema_version", "devices", "network"),
+                      devices=devices, network=network)
 
 
 # ---------------------------------------------------------------- model/job
@@ -228,7 +249,7 @@ def model_to_dict(spec: TransformerSpec) -> dict:
 
 def model_from_dict(data: dict) -> TransformerSpec:
     _check_version(data, "model")
-    return _from_dict(TransformerSpec, data, "model")
+    return _from_dict(TransformerSpec, data, "model", ("schema_version",))
 
 
 def job_to_dict(job: TrainingJob) -> dict:
@@ -254,9 +275,9 @@ def _partition_to_dict(plan: ParallelPlan) -> dict:
         return {"heads_per_device": shares,
                 "hidden_slice_per_device": [mlp_hidden // n] * n}
     if plan.kind == KIND_PP:
-        ranges = ranges_from_counts(shares)
-        return {"stages": [{"device": d, "start": s, "end": e}
-                           for d, (s, e) in zip(plan.participants, ranges)],
+        starts = itertools.accumulate(shares, initial=0)
+        return {"stages": [{"device": d, "start": s, "end": s + b} for d, s, b
+                           in zip(plan.participants, starts, shares)],
                 "micro_batch_count": plan.job.micro_batch_count}
     return {}
 
@@ -280,8 +301,15 @@ def plan_to_dict(plan: ParallelPlan, domain: TrustedDomain,
     return data
 
 
+# The keys plan_to_dict writes.
+_PLAN_KEYS = frozenset({"schema_version", "kind", "participants", "partition",
+                        "model", "job", "domain", "checkpoint_interval_s",
+                        "predicted"})
+
+
 def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | None]:
     _check_version(data, "plan")
+    _only(data, _PLAN_KEYS, "plan")
     domain = domain_from_dict(_require(data, "domain", "plan"))
     spec = model_from_dict(_require(data, "model", "plan"))
     job = job_from_dict(_require(data, "job", "plan"))
@@ -297,17 +325,20 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
             raise ConfigError(f"plan: participant {p!r} is not in the domain") \
                 from exc
     partition = data.get("partition", {})
-    ranges = None
+    blocks = None
     if kind == KIND_PP:
         stages = _expect(_require(partition, "stages", "plan"), list,
                          "plan.partition.stages")
-        ranges = [(_read(s, "start", int, "plan"), _read(s, "end", int, "plan"))
+        blocks = [-_read(s, "start", int, "plan") + _read(s, "end", int, "plan")
                   for s in stages]
     try:
-        plan = make_plan(kind, domain, spec, job, participants, ranges)
+        plan = make_plan(kind, domain, spec, job, participants, blocks)
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
-    for key, want in _partition_to_dict(plan).items():
+    wanted = _partition_to_dict(plan)
+    _only(_expect(partition, dict, "plan.partition"), wanted.keys(),
+          "plan.partition")
+    for key, want in wanted.items():
         got = _require(partition, key, "plan")
         if not _same(got, want):
             raise ConfigError(f"plan: partition {key} {got!r} differs from "

@@ -7,8 +7,8 @@ proportion to throughput; tensor parallelism shares the attention heads
 equally; pipeline parallelism shares the blocks, in pipeline order, as
 contiguous stages.  A single-device plan holds one share, ``(1,)``.  Only
 the builders make plans, so every plan is what its builder makes from its
-kind, participants and, for PP, stage ranges.  Plans never mutate the spec
-or job they reference; construction is pure.
+kind, participants and, for PP, per-stage block counts.  Plans never mutate
+the spec or job they reference; construction is pure.
 
 One per-iteration template, :func:`comm_template`, defines every collective
 a plan runs; the simulator derives timing, byte counts and the trace from it.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .devices import TrustedDomain
 from .workload import (TransformerSpec, TrainingJob, activation_bytes_per_block,
@@ -200,47 +200,28 @@ def make_tp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                         job, spec)
 
 
-def ranges_from_counts(counts) -> list[tuple[int, int]]:
-    """Contiguous [start, end) block ranges holding ``counts`` blocks each."""
-    ranges, start = [], 0
-    for c in counts:
-        ranges.append((start, start + c))
-        start += c
-    return ranges
-
-
 def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
-                 ordered_participants,
-                 stage_ranges: Optional[list[tuple[int, int]]] = None) -> ParallelPlan:
+                 ordered_participants, blocks=None) -> ParallelPlan:
     participants = tuple(ordered_participants)
     n = len(participants)
     if spec.num_blocks < n:
         raise PlanError(f"{spec.num_blocks} blocks cannot fill {n} pipeline stages")
     for p in participants:
         domain.device(p)
-    if stage_ranges is None:
-        # near-equal contiguous stages, earlier stages larger
-        stage_ranges = ranges_from_counts(
-            largest_remainder_split(spec.num_blocks, [1.0] * n))
-    stage_ranges = [tuple(r) for r in stage_ranges]
-    if len(stage_ranges) != n:
-        raise PlanError("stage_ranges must match the participant count")
-    expected_start = 0
-    for start, end in stage_ranges:
-        if start != expected_start or end <= start:
-            raise PlanError("stage ranges must tile the block range contiguously")
-        expected_start = end
-    if expected_start != spec.num_blocks:
-        raise PlanError("stage ranges must cover every block")
-    return ParallelPlan(KIND_PP, participants,
-                        tuple(end - start for start, end in stage_ranges),
-                        job, spec)
+    # near-equal contiguous stages, earlier stages larger
+    blocks = tuple(largest_remainder_split(spec.num_blocks, [1.0] * n)
+                   if blocks is None else blocks)
+    if (len(blocks) != n or min(blocks, default=0) < 1
+            or sum(blocks) != spec.num_blocks):
+        raise PlanError(f"a pipeline of {n} stages needs one block count "
+                        f">= 1 per stage, summing to {spec.num_blocks}")
+    return ParallelPlan(KIND_PP, participants, blocks, job, spec)
 
 
 def make_plan(kind: str, domain: TrustedDomain, spec: TransformerSpec,
-              job: TrainingJob, participants,
-              stage_ranges: Optional[list[tuple[int, int]]] = None) -> ParallelPlan:
-    """Build a ``kind`` plan; ``stage_ranges`` (PP only) default to uniform."""
+              job: TrainingJob, participants, blocks=None) -> ParallelPlan:
+    """Build a ``kind`` plan; ``blocks`` (PP only) are the per-stage block
+    counts, near-equal by default."""
     participants = tuple(participants)
     if kind == KIND_SINGLE:
         if len(participants) != 1:
@@ -253,7 +234,7 @@ def make_plan(kind: str, domain: TrustedDomain, spec: TransformerSpec,
     if kind == KIND_TP:
         return make_tp_plan(domain, spec, job, participants)
     if kind == KIND_PP:
-        return make_pp_plan(domain, spec, job, participants, stage_ranges)
+        return make_pp_plan(domain, spec, job, participants, blocks)
     raise PlanError(f"unknown plan kind {kind!r}")
 
 

@@ -23,8 +23,7 @@ from typing import Iterator
 
 from .devices import DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain
 from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, ParallelPlan,
-                          PlanError, make_plan, pp_stage_memory,
-                          ranges_from_counts, stage_transfer)
+                          PlanError, make_plan, pp_stage_memory, stage_transfer)
 from .simengine import (DEFAULT_ITERATIONS, SimulationResult, checkpoint_cost,
                         iteration_times, phase_seconds, simulate)
 from .workload import TrainingJob, TransformerSpec
@@ -91,8 +90,9 @@ def _first_best(candidates, objective: Objective):
 
 
 def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSpec,
-                     job: TrainingJob) -> list[tuple[int, int]]:
-    """Contiguous stage split minimizing the bottleneck stage compute time.
+                     job: TrainingJob) -> tuple[int, ...]:
+    """Contiguous stage split minimizing the bottleneck stage compute time;
+    returns the stages' block counts, in pipeline order.
 
     Exact, in closed form.  A stage's memory grows with its block count, so
     device i takes 1 to ``cap_i`` blocks, the most that fit in its usable
@@ -139,8 +139,7 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
         counts.append(max(1, j - bisect.bisect_right(smallest[i], bound)))
         j -= counts[-1]
     counts.append(j)
-    counts.reverse()
-    return ranges_from_counts(counts)
+    return tuple(reversed(counts))
 
 
 def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
@@ -186,11 +185,11 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
     participants = tuple(participants)
     for kind in (KIND_SINGLE,) if len(participants) == 1 else KIND_PREFERENCE:
         try:
-            order, ranges = participants, None
+            order, blocks = participants, None
             if kind == KIND_PP:
                 order = arrange_topology(domain, participants, spec, job)
-                ranges = partition_stages(domain, order, spec, job)
-            plan = make_plan(kind, domain, spec, job, order, ranges)
+                blocks = partition_stages(domain, order, spec, job)
+            plan = make_plan(kind, domain, spec, job, order, blocks)
         except PlanError as exc:
             yield kind, None, None, str(exc)
             continue

@@ -206,10 +206,10 @@ def test_09_oracle_equivalence():
             domain = TrustedDomain(devices=tuple(
                 _toy_device(f"d{i}", rng.uniform(1e9, 1e12))
                 for i in range(n)), network=NetworkModel())
-            ranges = partition_stages(domain, domain.device_ids, spec, toy_job)
+            blocks = partition_stages(domain, domain.device_ids, spec, toy_job)
             flops = flops_per_iteration(spec, toy_job)
-            got = max((e - s) * flops / l / domain.device(d).gpu_throughput
-                      for d, (s, e) in zip(domain.device_ids, ranges))
+            got = max(b * flops / l / domain.device(d).gpu_throughput
+                      for d, b in zip(domain.device_ids, blocks))
             best = math.inf
             for cuts in itertools.combinations(range(1, l), n - 1):
                 bounds = (0,) + cuts + (l,)
@@ -249,12 +249,12 @@ def test_09_oracle_equivalence():
                       lambda: [make_tp_plan(domain, spec, toy_job, subset)],
                       lambda: [make_pp_plan(
                           domain, spec, toy_job, perm,
-                          [(b[i], b[i + 1]) for i in range(len(perm))])
+                          [b - a for a, b in zip(bounds, bounds[1:])])
                           for perm in itertools.permutations(subset)
-                          for b in ((0,) + c + (spec.num_blocks,)
-                                    for c in itertools.combinations(
-                                        range(1, spec.num_blocks),
-                                        len(perm) - 1))]]
+                          for bounds in ((0,) + c + (spec.num_blocks,)
+                                         for c in itertools.combinations(
+                                             range(1, spec.num_blocks),
+                                             len(perm) - 1))]]
             if len(subset) == 1:
                 makers = [lambda: [make_single_plan(domain, spec, toy_job,
                                                     subset[0])]]
@@ -285,8 +285,8 @@ def test_09_oracle_equivalence():
         order = arrange_topology(domain, domain.device_ids, spec, toy_job)
         perm_best, perm_orders = math.inf, []
         for perm in itertools.permutations(domain.device_ids):
-            ranges = partition_stages(domain, perm, spec, toy_job)
-            plan = make_pp_plan(domain, spec, toy_job, perm, ranges)
+            blocks = partition_stages(domain, perm, spec, toy_job)
+            plan = make_pp_plan(domain, spec, toy_job, perm, blocks)
             t = simulate(plan, domain, iterations=1).makespan
             if t < perm_best - 1e-15:
                 perm_best, perm_orders = t, [perm]

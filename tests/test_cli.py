@@ -524,15 +524,17 @@ def assert_edited_input_exits_1(tmp_path, capsys, kind, path, value):
     """Replace the value at ``path`` (keys and list indices) in one input
     file for homogeneous-nano4 and expect exit 1 with one `error:` line.
 
-    ``kind`` "domain" runs `plan --domain` on the domain file; "plan" runs
-    `simulate --plan` on a gpt2-s DP plan file.
+    ``kind`` "domain" runs `plan --domain` on the domain file; "plan" and
+    "pp-plan" run `simulate --plan` on a gpt2-s DP or PP plan file, the
+    PP one of four 3-block stages.  Returns the error line.
     """
     domain = load_testbed("homogeneous-nano4")
     if kind == "domain":
         data, argv = config_io.domain_to_dict(domain), ("plan", "--domain")
     else:
-        plan = make_dp_plan(domain, model_preset("gpt2-s"), default_edge_job(),
-                            domain.device_ids)
+        plan = make_plan("pp" if kind == "pp-plan" else "dp", domain,
+                         model_preset("gpt2-s"), default_edge_job(),
+                         domain.device_ids)
         data = config_io.plan_to_dict(plan, domain)
         argv = ("simulate", "--plan")
     target = data
@@ -544,6 +546,7 @@ def assert_edited_input_exits_1(tmp_path, capsys, kind, path, value):
     assert run(*argv, str(file)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
 
 
 def _link(a, b, bandwidth):

@@ -19,13 +19,13 @@ from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, MAX_DEVICE_ID_CHARS,
                                   DeviceProfile, Link, NetworkModel,
                                   TrustedDomain)
 from edgetrainsim.devices import testbed_preset as load_testbed
-from edgetrainsim.parallelism import make_dp_plan, make_plan
+from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
 from edgetrainsim.scheduler import Objective, candidate_plans
 from edgetrainsim.simengine import simulate
 from edgetrainsim.workload import (MODEL_PRESETS, TrainingJob, TransformerSpec,
                                    default_edge_job, model_preset)
 
-from test_cli import assert_edited_input_exits_1
+from test_cli import _stages, assert_edited_input_exits_1
 from test_golden import _per_link_plans
 
 EDGE_SCALARS = {
@@ -250,7 +250,8 @@ class TestPlanErrors:
             config_io.plan_from_dict(data)
 
 
-# (input file, path into it, new value); see assert_edited_input_exits_1
+# (input file, path into it, new value[, the error line after "error: "]);
+# see assert_edited_input_exits_1
 MALFORMED = {
     "device-list": ("domain", ("devices", 0), ["nano-0"]),
     "devices-null": ("domain", ("devices",), None),
@@ -287,12 +288,53 @@ MALFORMED = {
     "plan-domain-version-float": ("plan", ("domain", "schema_version"), 1.0),
     "model-version-bool": ("plan", ("model", "schema_version"), True),
     "model-version-float": ("plan", ("model", "schema_version"), 1.0),
+    # The PP plan's stages are (0, 3), (3, 6), (6, 9) and (9, 12).
+    "pp-gap": ("pp-plan", ("partition", "stages"),
+               _stages((0, 3), (4, 6), (6, 9), (9, 12))),
+    "pp-overlap": ("pp-plan", ("partition", "stages"),
+                   _stages((0, 3), (2, 6), (6, 9), (9, 12))),
+    "pp-gap-and-overlap": ("pp-plan", ("partition", "stages"),
+                           _stages((0, 3), (4, 7), (6, 9), (9, 12))),
+    "pp-stage-on-another-participant": (
+        "pp-plan", ("partition", "stages", 1, "device"), "nano-0"),
+    "pp-one-stage-too-many": ("pp-plan", ("partition", "stages"), _stages(
+        (0, 3), (3, 6), (6, 9), (9, 11), (11, 12),
+        devices=("nano-0", "nano-1", "nano-2", "nano-3", "nano-3"))),
+    "pp-zero-block-stage": ("pp-plan", ("partition", "stages", 1, "end"), 3),
+    "pp-float-end": ("pp-plan", ("partition", "stages", 3, "end"), 12.0),
+    # A key the schema does not name, and the error line naming it.
+    "device-unknown-key": (
+        "domain", ("devices", 0, "usable_mem_fracton"), 0.1,
+        "domain.devices[0]: unknown field 'usable_mem_fracton'"),
+    "link-unknown-key": (
+        "domain", ("network", "links"),
+        [{"a": "nano-0", "b": "nano-1", "bandwidth_bps": 1e9, "latency": 5.0}],
+        "domain.network.links[0]: unknown field 'latency'"),
+    "network-unknown-key": (
+        "domain", ("network", "default_bandwith_bps"), 1e8,
+        "domain.network: unknown field 'default_bandwith_bps'"),
+    "domain-unknown-key": ("domain", ("nmae",), "lab",
+                           "domain: unknown field 'nmae'"),
+    "model-unknown-key": ("plan", ("model", "num_layers"), 24,
+                          "model: unknown field 'num_layers'"),
+    "job-unknown-key": ("plan", ("job", "batch_size"), 64,
+                        "job: unknown field 'batch_size'"),
+    "plan-unknown-key": ("plan", ("checkpoint_interval",), 10.0,
+                         "plan: unknown field 'checkpoint_interval'"),
+    "partition-unknown-key": (
+        "plan", ("partition", "shard_size"), [32, 32, 32, 32],
+        "plan.partition: unknown field 'shard_size'"),
+    "pp-partition-unknown-key": (
+        "pp-plan", ("partition", "micro_batches"), 16,
+        "plan.partition: unknown field 'micro_batches'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_value_exits_1_with_one_error_line(tmp_path, capsys, case):
-    assert_edited_input_exits_1(tmp_path, capsys, *MALFORMED[case])
+    edit, named = MALFORMED[case][:3], MALFORMED[case][3:]
+    error = assert_edited_input_exits_1(tmp_path, capsys, *edit)
+    assert named in ((), (error.removeprefix("error: "),))
 
 
 def test_float_fields_take_numeric_text():
@@ -453,6 +495,25 @@ def test_every_built_plan_loads_back(domain, model):
         loaded, loaded_domain, interval = config_io.plan_from_dict(
             config_io.parse_yaml(text, "plan"))
         assert (loaded, loaded_domain, interval) == (plan, domain, 12.5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_domains(), st.data())
+def test_pp_block_counts_round_trip(domain, data):
+    """A PP plan of any valid block counts, in any order, writes stage i
+    from the sum of the first i counts to the sum of the first i + 1, and
+    its file reads back as the same plan."""
+    order = data.draw(st.permutations(domain.device_ids))
+    blocks = data.draw(st.lists(st.integers(1, 8), min_size=len(order),
+                                max_size=len(order)))
+    spec = TransformerSpec("g", sum(blocks), 64, 4, 100)
+    plan = make_pp_plan(domain, spec, default_edge_job(), order, blocks)
+    file = config_io.plan_to_dict(plan, domain)
+    assert file["partition"]["stages"] == [
+        {"device": d, "start": sum(blocks[:i]), "end": sum(blocks[:i + 1])}
+        for i, d in enumerate(order)]
+    assert config_io.plan_from_dict(_through_yaml(file)) == (plan, domain,
+                                                             None)
 
 
 # ---------------------------------------------------------------- equivalence

@@ -208,8 +208,7 @@ def _per_link_plans():
         "dp": make_dp_plan(domain, spec, job, ids),
         "sp": make_sp_plan(domain, spec, job, ids),
         "tp": make_tp_plan(domain, spec, job, ids),
-        "pp": make_pp_plan(domain, spec, job, ids,
-                           [(0, 1), (1, 3), (3, 5), (5, 6)]),
+        "pp": make_pp_plan(domain, spec, job, ids, (1, 2, 2, 1)),
     }
 
 

@@ -13,8 +13,7 @@ from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                                       grad_sync_bytes, largest_remainder_split,
                                       make_dp_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
-                                      make_tp_plan, ranges_from_counts,
-                                      sum_in_order)
+                                      make_tp_plan, sum_in_order)
 from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
                                    state_bytes)
 
@@ -116,8 +115,6 @@ class TestPlanConstruction:
         plan = make_pp_plan(domain, model_preset("gpt2-s"), FP32_JOB,
                             domain.device_ids)
         assert plan.shares == (3, 3, 3, 3)
-        assert ranges_from_counts(plan.shares) == \
-            [(0, 3), (3, 6), (6, 9), (9, 12)]
         plan = make_pp_plan(domain, model_preset("distilbert"), FP32_JOB,
                             domain.device_ids)
         assert plan.shares == (2, 2, 1, 1)  # earlier stages larger
@@ -130,12 +127,15 @@ class TestPlanConstruction:
     def test_pp_range_validation(self):
         domain = domain_with([1e9] * 2)
         spec = model_preset("gpt2-s")
-        with pytest.raises(PlanError):
-            make_pp_plan(domain, spec, FP32_JOB, domain.device_ids,
-                         [(0, 5), (6, 12)])  # gap
-        with pytest.raises(PlanError):
-            make_pp_plan(domain, spec, FP32_JOB, domain.device_ids,
-                         [(0, 5), (5, 11)])  # incomplete
+        for blocks in ((5, 6),  # one block left out
+                       (5, 8),  # one block too many
+                       (0, 12),  # an empty stage
+                       (12,), (4, 4, 4)):  # a stage count off by one
+            with pytest.raises(PlanError):
+                make_pp_plan(domain, spec, FP32_JOB, domain.device_ids,
+                             blocks)
+        plan = make_pp_plan(domain, spec, FP32_JOB, domain.device_ids, [5, 7])
+        assert plan.shares == (5, 7)
 
     def test_errors(self):
         domain = domain_with([1e9] * 4)

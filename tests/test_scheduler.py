@@ -22,7 +22,7 @@ from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
 from edgetrainsim.parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP,
                                       KIND_TP, PlanError, make_dp_plan,
                                       make_pp_plan, make_sp_plan, make_tp_plan,
-                                      pp_stage_memory, ranges_from_counts)
+                                      pp_stage_memory)
 from edgetrainsim.scheduler import (CHECKPOINT_INTERVAL_CAP, InfeasibleError,
                                     Objective, arrange_topology, candidate_plans,
                                     choose_parallelism, orchestrate,
@@ -121,12 +121,12 @@ def dp_stage_split(domain, ordered_devices, spec, job, number=float):
         counts.append(choice[i][j])
         j -= choice[i][j]
     counts.append(j)
-    counts.reverse()
-    return ranges_from_counts(counts)
+    return tuple(reversed(counts))
 
 
 def split_outcome(split, *args):
-    """A split's ranges, or the type and message of the error it raised."""
+    """A split's block counts, or the type and message of the error it
+    raised."""
     try:
         return split(*args)
     except (PlanError, InfeasibleError) as exc:
@@ -176,22 +176,23 @@ class TestPartitionStages:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stage_split_inputs())
     def test_matches_dynamic_program_exactly(self, inputs):
-        """Same ranges, ties included, or the same error and message."""
+        """Same block counts, ties included, or the same error and
+        message."""
         assert (split_outcome(partition_stages, *inputs)
                 == split_outcome(dp_stage_split, *inputs))
 
     @settings(max_examples=EXACT_EXAMPLES, deadline=None, derandomize=True)
     @given(stage_split_inputs())
     def test_matches_exact_arithmetic(self, inputs):
-        """Splits tied in real arithmetic tie exactly: the same ranges as
-        the dynamic program run in Fractions."""
+        """Splits tied in real arithmetic tie exactly: the same block counts
+        as the dynamic program run in Fractions."""
         assert (split_outcome(partition_stages, *inputs)
                 == split_outcome(dp_stage_split, *inputs, Fraction))
 
     def test_real_arithmetic_tie_is_exact(self):
         """The Nano's 4 blocks and the half-speed NX's 10 take the same real
         time.  Keyed as ``b·(F/L/thr)``, the Nano's 4 cost one ulp more, so
-        the Nano took 3 and the split was [(0, 3), (3, 13), (13, 24)]."""
+        the Nano took 3 and the split was (3, 10, 11)."""
         spec = TransformerSpec("g", 24, 64, 4, 100)
         job = default_edge_job(global_batch=8)
         block = sum(pp_stage_memory(spec, job, (1,), 3)[0])
@@ -200,7 +201,7 @@ class TestPartitionStages:
                            scaled_board(jetson_tx2("d2"), 3.0, 11, block)
                            ).with_mode("gpu")
         order = ("d1", "d0", "d2")
-        want = [(0, 4), (4, 14), (14, 24)]
+        want = (4, 10, 10)
         assert partition_stages(domain, order, spec, job) == want
         assert dp_stage_split(domain, order, spec, job, Fraction) == want
 
@@ -212,8 +213,8 @@ class TestPartitionStages:
         bottleneck, not at 4/10e9, which would leave the slow one none."""
         domain = domain_of(device("fast", 10e9), device("slow", 1e9))
         spec = TransformerSpec("four", 4, 64, 4, 100)
-        for order, want in ((("slow", "fast"), [(0, 1), (1, 4)]),
-                            (("fast", "slow"), [(0, 3), (3, 4)])):
+        for order, want in ((("slow", "fast"), (1, 3)),
+                            (("fast", "slow"), (3, 1))):
             assert partition_stages(domain, order, spec, SMALL_JOB) == want
             assert dp_stage_split(domain, order, spec, SMALL_JOB,
                                   Fraction) == want
@@ -224,7 +225,7 @@ class TestPartitionStages:
         slower device its fewest blocks, 2."""
         domain = domain_of(device("a", 2e9), device("b", 1e9))
         spec = TransformerSpec("six", 6, 64, 4, 100)
-        want = [(0, 4), (4, 6)]
+        want = (4, 2)
         assert partition_stages(domain, ("a", "b"), spec, SMALL_JOB) == want
         assert dp_stage_split(domain, ("a", "b"), spec, SMALL_JOB,
                               Fraction) == want
@@ -246,8 +247,7 @@ class TestPartitionStages:
             assert got == dp_stage_split(domain, order, spec, SMALL_JOB,
                                          Fraction)
         assert partition_stages(domain, domain.device_ids, spec,
-                                SMALL_JOB) == [(0, 6), (6, 8), (8, 22),
-                                               (22, 24)]
+                                SMALL_JOB) == (6, 2, 14, 2)
 
     def test_device_without_a_block_mid_order_is_infeasible(self):
         spec = model_preset("gpt2-s")
@@ -265,23 +265,23 @@ class TestPartitionStages:
         domain = domain_of(*(device(f"d{i}", 1e9) for i in range(4)))
         spec = model_preset("gpt2-s")
         assert partition_stages(domain, domain.device_ids, spec, JOB) == \
-            [(0, 3), (3, 6), (6, 9), (9, 12)]
+            (3, 3, 3, 3)
 
     def test_one_block_per_stage(self):
         domain = domain_of(*(device(f"d{i}", 1e9) for i in range(4)))
         spec = TransformerSpec("four", 4, 64, 4, 100)
         assert partition_stages(domain, domain.device_ids, spec, SMALL_JOB) == \
-            [(0, 1), (1, 2), (2, 3), (3, 4)]
+            (1, 1, 1, 1)
 
     def test_heterogeneous_matches_brute_force(self):
         domain = domain_of(device("a", 1e9), device("b", 1e9),
                            device("c", 2e9), device("d", 4e9))
         spec = model_preset("gpt2-s")  # L=12, C(11,3)=165 splits
-        ranges = partition_stages(domain, domain.device_ids, spec, JOB)
-        got = max((e - s) * flops_per_iteration(spec, JOB) / 12
+        blocks = partition_stages(domain, domain.device_ids, spec, JOB)
+        got = max(b * flops_per_iteration(spec, JOB) / 12
                   / max(domain.device(d).gpu_throughput,
                         domain.device(d).cpu_throughput)
-                  for d, (s, e) in zip(domain.device_ids, ranges))
+                  for d, b in zip(domain.device_ids, blocks))
         want = brute_force_stage_split(domain, domain.device_ids, spec, JOB)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -307,9 +307,8 @@ class TestPartitionStages:
                     partition_stages(domain, domain.device_ids, spec,
                                      SMALL_JOB)
                 continue
-            ranges = partition_stages(domain, domain.device_ids, spec,
+            counts = partition_stages(domain, domain.device_ids, spec,
                                       SMALL_JOB)
-            counts = [e - s for s, e in ranges]
             assert sum(counts) == l and all(c >= 1 for c in counts)
             flops = flops_per_iteration(spec, SMALL_JOB)
             got = max(c * flops / l / domain.device(d).gpu_throughput
@@ -325,8 +324,8 @@ class TestPartitionStages:
         small = device("small", 4e9, mem=one_block * 1.5 / 0.9)
         big = device("big", 1e9, mem=64e9)
         domain = domain_of(small, big)
-        ranges = partition_stages(domain, ("small", "big"), spec, JOB)
-        assert ranges[0] == (0, 1)  # despite "small" being 4x faster
+        blocks = partition_stages(domain, ("small", "big"), spec, JOB)
+        assert blocks[0] == 1  # despite "small" being 4x faster
 
     def test_infeasible_raises(self):
         spec = model_preset("gpt2-l")
@@ -356,8 +355,8 @@ class TestArrangeTopology:
         """Oracle: partition and simulate every order; keep the fastest."""
         best_time, best_perms = math.inf, []
         for perm in itertools.permutations(participants):
-            ranges = partition_stages(domain, perm, spec, job)
-            plan = make_pp_plan(domain, spec, job, perm, ranges)
+            blocks = partition_stages(domain, perm, spec, job)
+            plan = make_pp_plan(domain, spec, job, perm, blocks)
             t = simulate(plan, domain, iterations=1).makespan
             if t < best_time - 1e-15:
                 best_time, best_perms = t, [perm]
@@ -422,11 +421,11 @@ class TestChooseParallelism:
             KIND_TP: lambda: [make_tp_plan(domain, spec, job, participants)],
             KIND_PP: lambda: [
                 make_pp_plan(domain, spec, job, perm,
-                             [(b[i], b[i + 1]) for i in range(len(perm))])
+                             [b - a for a, b in zip(bounds, bounds[1:])])
                 for perm in itertools.permutations(participants)
-                for b in ((0,) + c + (spec.num_blocks,)
-                          for c in itertools.combinations(
-                              range(1, spec.num_blocks), len(perm) - 1))],
+                for bounds in ((0,) + c + (spec.num_blocks,)
+                               for c in itertools.combinations(
+                                   range(1, spec.num_blocks), len(perm) - 1))],
         }
         for kind, build in builders.items():
             try:

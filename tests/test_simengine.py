@@ -25,7 +25,7 @@ from edgetrainsim.parallelism import (ALL_KINDS, KIND_PP, KIND_SINGLE,
                                       comm_template, grad_sync_bytes,
                                       make_dp_plan, make_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
-                                      make_tp_plan, ranges_from_counts)
+                                      make_tp_plan)
 from edgetrainsim.scheduler import Objective, orchestrate, plan_checkpointing
 from edgetrainsim.simengine import (TRACE_HEADER, DeviceUsage,
                                     SimulationError, _failure_stream,
@@ -713,8 +713,7 @@ class TestHalvingTime:
         fast_domain = doubled_speeds(domain)
         fast_plan = make_plan(plan.kind, fast_domain, plan.spec, plan.job,
                               plan.participants,
-                              ranges_from_counts(plan.shares)
-                              if plan.kind == KIND_PP else None)
+                              plan.shares if plan.kind == KIND_PP else None)
         assert fast_plan.shares == plan.shares
         for mtbf in (600.0, 3600.0, 86400.0):
             for seed in range(3):
