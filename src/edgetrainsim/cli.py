@@ -30,9 +30,9 @@ from typing import Callable, NamedTuple, get_type_hints
 
 from . import config_io
 from .config_io import ConfigError
-from .devices import (DEFAULT_FAULT_MODEL, DEVICE_PROFILE_FACTORIES,
+from .devices import (DEFAULT_FAULT_MODEL, DEVICE_PROFILE_FACTORIES, MODES,
                       FaultModel, TESTBED_PRESETS, TrustedDomain,
-                      ValidationError, testbed_preset)
+                      ValidationError, profile_domain, testbed_preset)
 from .parallelism import ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError, make_plan
 from .scheduler import (InfeasibleError, Objective, orchestrate,
                         partition_stages, plan_checkpointing)
@@ -77,10 +77,10 @@ def _one_source(args, *dests: str) -> None:
         raise ConfigError(f"give only one of {', '.join(given)}")
 
 
-def _preset(lookup, name: str):
-    """``lookup(name)``, or its KeyError's message as a ConfigError."""
+def _preset(lookup, *args):
+    """``lookup(*args)``, or its KeyError's message as a ConfigError."""
     try:
-        return lookup(name)
+        return lookup(*args)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
 
@@ -91,18 +91,8 @@ def _build_domain(args) -> TrustedDomain:
         domain = config_io.domain_from_dict(
             config_io.parse_yaml(_read_file(args.domain, "domain"), "domain"))
     elif args.devices is not None:
-        profiles = []
-        counters: dict[str, int] = {}
-        for name in args.devices.split(","):
-            name = name.strip().lower()
-            if name not in DEVICE_PROFILE_FACTORIES:
-                known = ", ".join(sorted(DEVICE_PROFILE_FACTORIES))
-                raise ConfigError(f"unknown device profile {name!r} "
-                                  f"(known: {known})")
-            idx = counters.get(name, 0)
-            counters[name] = idx + 1
-            profiles.append(DEVICE_PROFILE_FACTORIES[name](f"{name}-{idx}"))
-        domain = TrustedDomain(devices=tuple(profiles), name="adhoc")
+        names = [name.strip().lower() for name in args.devices.split(",")]
+        domain = _preset(profile_domain, names, "adhoc")
     else:
         domain = _preset(testbed_preset, "homogeneous-nano4"
                          if args.testbed is None else args.testbed)
@@ -213,7 +203,7 @@ def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
 
 
 def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
-               modes=("cpu", "gpu"), iterations: int = DEFAULT_ITERATIONS):
+               modes=MODES, iterations: int = DEFAULT_ITERATIONS):
     """One row per (model, kind, mode): the experiment grid of the sweeps.
     A model listed twice keeps its first place."""
     rows = []
@@ -258,7 +248,7 @@ def format_sweep_table(rows) -> str:
 def cmd_sweep(args) -> int:
     domain = _build_domain(args)
     job = _build_job(args)
-    modes = ("cpu", "gpu") if args.mode is None else (args.mode,)
+    modes = MODES if args.mode is None else (args.mode,)
     models = (tuple(MODEL_PRESETS) if args.models is None
               else args.models.split(","))
     for m in models:
@@ -336,7 +326,7 @@ _DOMAIN_FLAGS = (
     Flag("--domain", help="domain config YAML file"),
     Flag("--devices", help="comma-separated device profile names "
                            "(nano, tx2, nx) for an ad-hoc domain"),
-    Flag("--mode", choices=("cpu", "gpu"), help="execution mode"),
+    Flag("--mode", choices=MODES, help="execution mode"),
 )
 # Each job flag and the TrainingJob field it overrides, whose type it takes.
 _JOB_FIELDS = {

@@ -17,9 +17,11 @@ type invariants and reports the offending field; dumping is key-sorted so
 outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
 builders from its kind, participants and, for PP, per-stage block counts,
 each stage's ``end - start``; this is the only module that knows stage
-ranges.  A file whose partition differs from the rebuilt one, in a value or
-its type, is rejected (CLI exit 1); a gap, an overlap or a stage on another
-device is such a difference.  ``schema_version`` is an integer field too.
+ranges.  The loader checks only that the participants are a list of
+strings; the builders' participant rule checks the rest.  A file whose
+partition differs from the rebuilt one, in a value or its type, is rejected
+(CLI exit 1); a gap, an overlap or a stage on another device is such a
+difference.  ``schema_version`` is an integer field too.
 A mapping holding a key the schema does not name is rejected, naming the
 key.
 
@@ -318,12 +320,6 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
         _typed(p, str, "plan", f"participants[{i}]")
         for i, p in enumerate(_expect(_require(data, "participants", "plan"),
                                       list, "plan.participants")))
-    for p in participants:
-        try:
-            domain.device(p)
-        except KeyError as exc:
-            raise ConfigError(f"plan: participant {p!r} is not in the domain") \
-                from exc
     partition = data.get("partition", {})
     blocks = None
     if kind == KIND_PP:

@@ -243,18 +243,33 @@ DEVICE_PROFILE_FACTORIES = {
     "nx": jetson_nx,
 }
 
-TESTBED_PRESETS = ("homogeneous-nano4", "heterogeneous-mix4")
+# Each built-in testbed's device profiles, in pool order.
+_TESTBED_PROFILES = {
+    "homogeneous-nano4": ("nano",) * 4,
+    "heterogeneous-mix4": ("nano", "nano", "tx2", "nx"),
+}
+TESTBED_PRESETS = tuple(_TESTBED_PROFILES)
+
+
+def profile_domain(profiles, name: str) -> TrustedDomain:
+    """A domain of one built-in device per profile name, in order, on the
+    default 1000 Mbps network; the k-th device of profile ``p`` (from 0) is
+    ``p-k``."""
+    devices, counts = [], {}
+    for profile in profiles:
+        if profile not in DEVICE_PROFILE_FACTORIES:
+            known = ", ".join(sorted(DEVICE_PROFILE_FACTORIES))
+            raise KeyError(f"unknown device profile {profile!r} "
+                           f"(known: {known})")
+        k = counts.get(profile, 0)
+        counts[profile] = k + 1
+        devices.append(DEVICE_PROFILE_FACTORIES[profile](f"{profile}-{k}"))
+    return TrustedDomain(devices=tuple(devices), name=name)
 
 
 def testbed_preset(name: str) -> TrustedDomain:
     """Built-in testbeds: four Nanos, or two Nanos + TX2 + NX, 1000 Mbps links."""
-    network = NetworkModel(default_bandwidth=1e9, default_latency=1e-4)
-    if name == "homogeneous-nano4":
-        devices = tuple(jetson_nano(f"nano-{i}") for i in range(4))
-    elif name == "heterogeneous-mix4":
-        devices = (jetson_nano("nano-0"), jetson_nano("nano-1"),
-                   jetson_tx2("tx2-0"), jetson_nx("nx-0"))
-    else:
+    if name not in _TESTBED_PROFILES:
         known = ", ".join(TESTBED_PRESETS)
         raise KeyError(f"unknown testbed preset {name!r} (known: {known})")
-    return TrustedDomain(devices=devices, network=network, name=name)
+    return profile_domain(_TESTBED_PROFILES[name], name)

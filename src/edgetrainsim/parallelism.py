@@ -7,8 +7,10 @@ proportion to throughput; tensor parallelism shares the attention heads
 equally; pipeline parallelism shares the blocks, in pipeline order, as
 contiguous stages.  A single-device plan holds one share, ``(1,)``.  Only
 the builders make plans, so every plan is what its builder makes from its
-kind, participants and, for PP, per-stage block counts.  Plans never mutate
-the spec or job they reference; construction is pure.
+kind, participants and, for PP, per-stage block counts.  Every builder first
+applies the one participant rule: at least one participant, each listed
+once, each a device of the domain; each violation is one ``PlanError``.
+Plans never mutate the spec or job they reference; construction is pure.
 
 One per-iteration template, :func:`comm_template`, defines every collective
 a plan runs; the simulator derives timing, byte counts and the trace from it.
@@ -63,16 +65,9 @@ class ParallelPlan:
     job: TrainingJob
     spec: TransformerSpec
 
-    def __post_init__(self):
-        if not self.participants:
-            raise PlanError("a plan needs at least one participant")
-        if len(set(self.participants)) != len(self.participants):
-            raise PlanError("participants must be distinct")
-
 
 class CommPhase(NamedTuple):
     """One template entry: ``count`` runs of ``op`` among ``participants``."""
-    phase: str
     op: str
     payload_bytes: float
     participants: tuple[str, ...]
@@ -145,14 +140,29 @@ def grad_sync_bytes(spec: TransformerSpec, job: TrainingJob) -> float:
 def stage_transfer(spec: TransformerSpec, job: TrainingJob, a: str,
                    b: str) -> CommPhase:
     """Pipeline boundary ``a`` -> ``b``: each micro-batch crosses it twice."""
-    return CommPhase("stage-transfer", OP_P2P, activation_tensor_bytes(spec, job),
-                     (a, b), 2 * job.micro_batch_count)
+    return CommPhase(OP_P2P, activation_tensor_bytes(spec, job), (a, b),
+                     2 * job.micro_batch_count)
+
+
+def _participants(domain: TrustedDomain, participants) -> tuple[str, ...]:
+    """``participants`` as a tuple, under the one participant rule of every
+    plan: at least one, each listed once, each a device of ``domain``."""
+    participants = tuple(participants)
+    if not participants:
+        raise PlanError("a plan needs at least one participant")
+    if len(set(participants)) != len(participants):
+        raise PlanError("participants must be distinct")
+    ids = domain.device_ids
+    for p in participants:
+        if p not in ids:
+            raise PlanError(f"participant {p!r} is not in the domain")
+    return participants
 
 
 def make_single_plan(domain: TrustedDomain, spec: TransformerSpec,
                      job: TrainingJob, participant: str) -> ParallelPlan:
-    domain.device(participant)  # raises for unknown ids
-    return ParallelPlan(KIND_SINGLE, (participant,), (1,), job, spec)
+    return ParallelPlan(KIND_SINGLE, _participants(domain, (participant,)),
+                        (1,), job, spec)
 
 
 def _split_plan(kind: str, what: str, total: int, domain: TrustedDomain,
@@ -169,45 +179,36 @@ def _split_plan(kind: str, what: str, total: int, domain: TrustedDomain,
 
 def make_dp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                  participants) -> ParallelPlan:
-    participants = tuple(participants)
-    if not participants:
-        raise PlanError("data parallelism needs at least one participant")
     return _split_plan(KIND_DP, "global batch", job.global_batch, domain, spec,
-                       job, participants)
+                       job, _participants(domain, participants))
 
 
 def make_sp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                  participants) -> ParallelPlan:
     return _split_plan(KIND_SP, "sequence length", job.seq_len, domain, spec,
-                       job, tuple(participants))
+                       job, _participants(domain, participants))
 
 
 def make_tp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                  participants) -> ParallelPlan:
-    participants = tuple(participants)
+    participants = _participants(domain, participants)
     n = len(participants)
-    if n == 0:
-        raise PlanError("tensor parallelism needs at least one participant")
     mlp_hidden = spec.mlp_ratio * spec.hidden_size
     if spec.num_heads % n != 0 or mlp_hidden % n != 0:
         raise PlanError(
             f"tensor parallelism requires the participant count ({n}) to divide "
             f"both the head count ({spec.num_heads}) and the MLP hidden size "
             f"({mlp_hidden})")
-    for p in participants:
-        domain.device(p)
     return ParallelPlan(KIND_TP, participants, (spec.num_heads // n,) * n,
                         job, spec)
 
 
 def make_pp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                  ordered_participants, blocks=None) -> ParallelPlan:
-    participants = tuple(ordered_participants)
+    participants = _participants(domain, ordered_participants)
     n = len(participants)
     if spec.num_blocks < n:
         raise PlanError(f"{spec.num_blocks} blocks cannot fill {n} pipeline stages")
-    for p in participants:
-        domain.device(p)
     # near-equal contiguous stages, earlier stages larger
     blocks = tuple(largest_remainder_split(spec.num_blocks, [1.0] * n)
                    if blocks is None else blocks)
@@ -248,7 +249,7 @@ def comm_template(plan: ParallelPlan) -> list[CommPhase]:
     """
     spec, job = plan.spec, plan.job
     parts = plan.participants
-    if plan.kind == KIND_SINGLE or len(parts) == 1:
+    if len(parts) == 1:
         return []
     if plan.kind == KIND_PP:
         return [stage_transfer(spec, job, a, b)
@@ -257,16 +258,15 @@ def comm_template(plan: ParallelPlan) -> list[CommPhase]:
     m_count = job.micro_batch_count
     if plan.kind == KIND_TP:
         # forward attention and MLP, then their backward passes
-        return [CommPhase("block-reduce", OP_ALLREDUCE, act, parts,
+        return [CommPhase(OP_ALLREDUCE, act, parts,
                           4 * m_count * spec.num_blocks)]
-    grad = CommPhase("gradient-sync", OP_ALLREDUCE, grad_sync_bytes(spec, job),
-                     parts, 1, sync_only=True)
+    grad = CommPhase(OP_ALLREDUCE, grad_sync_bytes(spec, job), parts, 1,
+                     sync_only=True)
     if plan.kind == KIND_DP:
         return [grad]
     per_block = m_count * spec.num_blocks  # KIND_SP
-    return [CommPhase("block-gather", OP_ALLGATHER, act, parts, per_block),
-            CommPhase("block-reduce", OP_ALLREDUCE, act, parts, per_block),
-            grad]
+    return [CommPhase(OP_ALLGATHER, act, parts, per_block),
+            CommPhase(OP_ALLREDUCE, act, parts, per_block), grad]
 
 
 def pp_stage_memory(spec: TransformerSpec, job: TrainingJob, blocks,

@@ -6,9 +6,9 @@ compute + comm + idle = makespan.
 
 Every collective comes from the plan's per-iteration template
 (:func:`~edgetrainsim.parallelism.comm_template`).  One pass over it, per
-profile, groups its entries by phase into the iteration's timeline: compute,
-then each phase group in turn (the sync-only ones on sync iterations), each
-as long as its busiest device.  Each device's comm seconds,
+profile, groups its entries by op and sync-only flag into the iteration's
+timeline: compute, then each group in turn (the sync-only ones on sync
+iterations), each as long as its busiest device.  Each device's comm seconds,
 ``comm_bytes_by_op`` (count x payload, not the bytes a ring puts on the wire)
 and the trace rows are all read from it.  Collectives use ring algorithms
 under an alpha-beta link model.  A pipeline of S stages runs its M
@@ -137,9 +137,10 @@ class _IterationProfile:
     """One iteration's phase timeline, built once from the template.
 
     ``groups`` holds one (start, kind, payload, sync_only, seconds) tuple per
-    phase group, in the order the groups run: compute first (kind
-    ``"compute"``, payload 0), then each collective phase's op, the payload
-    bytes of all its runs and each participant's seconds in it.
+    group, in the order the groups run: compute first (kind ``"compute"``,
+    payload 0), then the template's entries grouped by (op, sync_only): the
+    op, the payload bytes of all its runs and each participant's seconds in
+    it.
     """
     groups: list
     base_len: float     # iteration wall time without the sync-only groups
@@ -154,17 +155,16 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
     compute = {p: flops * (s / total) / domain.throughput(p)
                for p, s in zip(parts, plan.shares)}
 
-    # (phase, sync_only) -> [op, payload bytes, seconds per device]
+    # (op, sync_only) -> [payload bytes, seconds per device]
     phases: dict[tuple[str, bool], list] = {}
     for e in comm_template(plan):
         t = phase_seconds(e, domain.network)
-        acc = phases.get((e.phase, e.sync_only))
+        acc = phases.get((e.op, e.sync_only))
         if acc is None:
-            acc = phases[e.phase, e.sync_only] = [e.op, 0.0,
-                                                  dict.fromkeys(parts, 0.0)]
-        acc[1] += e.count * e.payload_bytes
+            acc = phases[e.op, e.sync_only] = [0.0, dict.fromkeys(parts, 0.0)]
+        acc[0] += e.count * e.payload_bytes
         for p in e.participants:
-            acc[2][p] += t
+            acc[1][p] += t
     # Each group lasts as long as its busiest device and starts when the one
     # before it ends: compute at 0, the every-iteration groups from the
     # slowest device's compute, the sync-only groups from the base length.
@@ -172,7 +172,7 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
     # share of the base; the other kinds take one slot (x * (1 / 1) == x).
     groups = [(0.0, "compute", 0.0, False, compute)]
     end = max(compute.values())
-    for (_, sync_only), (op, payload, seconds) in phases.items():
+    for (op, sync_only), (payload, seconds) in phases.items():
         if not sync_only:
             groups.append((end, op, payload, False, seconds))
             end += max(seconds.values())
@@ -181,7 +181,7 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
                        if plan.kind == KIND_PP else (1, 1))
     base_len = end * (slots / per_slot)
     sync_len = 0.0
-    for (_, sync_only), (op, payload, seconds) in phases.items():
+    for (op, sync_only), (payload, seconds) in phases.items():
         if sync_only:
             groups.append((base_len + sync_len, op, payload, True, seconds))
             sync_len += max(seconds.values())

@@ -32,8 +32,11 @@ def _stages(*ranges, devices=("nano-0", "nano-1", "nano-2", "nano-3")):
             for d, (s, e) in zip(devices, ranges)]
 
 
-# (kind, partition field, edited value) for gpt2-s on homogeneous-nano4;
-# "participants" edits the plan's participant list instead.
+_EMPTY = "error: plan: a plan needs at least one participant"
+_REPEATED = "error: plan: participants must be distinct"
+# (kind, partition field, edited value[, the whole error line]) for gpt2-s
+# on homogeneous-nano4; "participants" edits the plan's participant list
+# instead.
 EDITED_PLANS = {
     "dp-five-shards": ("dp", "shard_sizes", [32, 32, 32, 32, 128]),
     "dp-two-shards": ("dp", "shard_sizes", [64, 64]),
@@ -50,6 +53,11 @@ EDITED_PLANS = {
                                                (8, 12))),
     "single-two-participants": ("single", "participants",
                                 ["nano-0", "nano-1"]),
+    **{f"{kind}-no-participants": (kind, "participants", [], _EMPTY)
+       for kind in ("dp", "sp", "tp", "pp")},
+    **{f"{kind}-repeated-participant": (
+        kind, "participants", ["nano-0", "nano-1", "nano-1", "nano-3"],
+        _REPEATED) for kind in ("dp", "sp", "tp", "pp")},
 }
 
 
@@ -278,7 +286,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("case", sorted(EDITED_PLANS))
     def test_edited_partition_exits_1(self, tmp_path, capsys, case):
-        kind, key, value = EDITED_PLANS[case]
+        kind, key, value, *line = EDITED_PLANS[case]
         domain = load_testbed("homogeneous-nano4")
         ids = domain.device_ids[:1] if kind == "single" else domain.device_ids
         plan = make_plan(kind, domain, model_preset("gpt2-s"),
@@ -291,7 +299,9 @@ class TestSimulate:
         path = tmp_path / "plan.yaml"
         path.write_text(config_io.dump_yaml(data))
         assert run("simulate", "--plan", str(path)) == 1
-        assert capsys.readouterr().err.startswith("error: plan: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan: ")
+        assert line in ([], err.splitlines())
 
     def test_missing_plan_file_exits_1(self):
         assert run("simulate", "--plan", "/nonexistent/plan.yaml") == 1

@@ -327,6 +327,28 @@ MALFORMED = {
     "pp-partition-unknown-key": (
         "pp-plan", ("partition", "micro_batches"), 16,
         "plan.partition: unknown field 'micro_batches'"),
+    # A value each dataclass or builder refuses, and its error line.
+    "device-no-cpu-throughput": (
+        "domain", ("devices", 0),
+        {"id": "nano-0", "mem_capacity_bytes": 4e9, "power_idle_w": 2.0,
+         "power_cpu_busy_w": 7.0, "power_gpu_busy_w": 10.0},
+        "domain.devices[0]: missing required field 'cpu_throughput_flops'"),
+    "domain-unknown-mode": ("domain", ("mode",), "tpu",
+                            "domain: unknown mode 'tpu'"),
+    "device-zero-usable-memory": (
+        "domain", ("devices", 0, "usable_mem_fraction"), 0.0,
+        "domain.devices[0]: nano-0: usable_mem_fraction must be in (0, 1]"),
+    "model-zero-mlp-ratio": ("plan", ("model", "mlp_ratio"), 0,
+                             "model: mlp_ratio must be >= 1"),
+    "model-zero-heads": (
+        "plan", ("model", "num_heads"), 0,
+        "model: hidden_size, num_heads and vocab_size must be >= 1"),
+    "job-zero-sync-period": ("plan", ("job", "dp_sync_period"), 0,
+                             "job: dp_sync_period must be >= 1"),
+    "job-zero-batch": ("plan", ("job", "global_batch"), 0,
+                       "job: global_batch and seq_len must be >= 1"),
+    "plan-unknown-kind": ("plan", ("kind",), "zz",
+                          "plan: unknown plan kind 'zz'"),
 }
 
 

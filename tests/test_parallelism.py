@@ -1,5 +1,6 @@
 """Plan share and schedule tests, including the conservation property suite."""
 
+import functools
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                                       PlanError, activation_tensor_bytes,
                                       check_memory, comm_template,
                                       grad_sync_bytes, largest_remainder_split,
-                                      make_dp_plan, make_pp_plan,
+                                      make_dp_plan, make_plan, make_pp_plan,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan, sum_in_order)
 from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
@@ -19,6 +20,10 @@ from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
 
 FP32_JOB = TrainingJob(global_batch=128, seq_len=32, micro_batch=128,
                        dp_sync_period=5)
+
+
+BUILDERS = {"single": make_single_plan, "dp": make_dp_plan,
+            "sp": make_sp_plan, "tp": make_tp_plan, "pp": make_pp_plan}
 
 
 def device(i, throughput=240e9, mem=4e9):
@@ -148,6 +153,36 @@ class TestPlanConstruction:
         with pytest.raises(PlanError):
             make_pp_plan(domain, tiny, FP32_JOB, domain.device_ids)
 
+    @pytest.mark.parametrize("participants, message", [
+        ((), "a plan needs at least one participant"),
+        (("d0", "d1", "d1", "d3"), "participants must be distinct"),
+        (("d0", "ghost"), "participant 'ghost' is not in the domain")],
+        ids=["empty", "repeated", "unknown"])
+    @pytest.mark.parametrize("kind", ["dp", "sp", "tp", "pp"])
+    def test_one_participant_rule(self, kind, participants, message):
+        """Each builder, called directly and through make_plan, refuses an
+        empty, repeated or unknown participant list with one PlanError."""
+        domain = domain_with([1e9] * 4)
+        for build in (BUILDERS[kind], functools.partial(make_plan, kind)):
+            with pytest.raises(PlanError) as exc:
+                build(domain, model_preset("gpt2-s"), FP32_JOB, participants)
+            assert str(exc.value) == message
+
+    def test_single_participant_rule(self):
+        """The single builder takes one id; make_plan keeps its own count
+        rule for a single-device plan."""
+        domain = domain_with([1e9] * 4)
+        spec = model_preset("gpt2-s")
+        unknown = "participant 'ghost' is not in the domain"
+        with pytest.raises(PlanError, match=f"^{unknown}$"):
+            make_single_plan(domain, spec, FP32_JOB, "ghost")
+        with pytest.raises(PlanError, match=f"^{unknown}$"):
+            make_plan("single", domain, spec, FP32_JOB, ["ghost"])
+        for participants in ((), ("d0", "d0")):
+            with pytest.raises(PlanError, match="^a single-device plan has "
+                                                "exactly one participant$"):
+                make_plan("single", domain, spec, FP32_JOB, participants)
+
     def test_plans_reference_inputs_without_copying(self):
         domain = domain_with([1e9] * 2)
         spec = model_preset("gpt2-s")
@@ -234,7 +269,7 @@ class TestCommSchedule:
         assert gather.payload_bytes == pytest.approx(12_582_912.0)
         assert reduce.payload_bytes == gather.payload_bytes
         assert not gather.sync_only and not reduce.sync_only
-        assert (sync.phase, sync.sync_only) == ("gradient-sync", True)
+        assert (sync.op, sync.sync_only) == (OP_ALLREDUCE, True)
 
     def test_tp_wire_bytes_per_device(self):
         # 4 ops x 12 blocks x ring cost 2(n-1)/n x 12.58 MB ~ 905 MB/device.
@@ -272,7 +307,7 @@ class TestCommSchedule:
             ev_s, ev_d = (
                 sum(e.count for e in comm_template(
                     maker(domain, spec, job, domain.device_ids))
-                    if e.phase.startswith("block"))
+                    if not e.sync_only)
                 for spec in (shallow, deep))
             assert ev_d == 2 * ev_s
 
