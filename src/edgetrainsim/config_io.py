@@ -10,7 +10,9 @@ fields of ``SimulationResult``, ``DeviceUsage`` and ``FaultReport``.  One
 type rule holds for every such field: a ``str`` field takes a string, an
 ``int`` field an integer, and a ``float`` field an integer, a float or text
 that ``float()`` parses (YAML 1.1 reads ``1e9`` as text).  A bool or null
-is never a number.
+is never a number.  A plan's ``checkpoint_interval_s`` is a float field
+under the same rule, and must be > 0; its ``predicted`` block, when present,
+is a mapping of exactly the per-sample keys a result file writes.
 
 Every file carries a ``schema_version`` field.  Loading validates against the
 type invariants and reports the offending field; dumping is key-sorted so
@@ -340,20 +342,31 @@ def plan_from_dict(data: dict) -> tuple[ParallelPlan, TrustedDomain, float | Non
             raise ConfigError(f"plan: partition {key} {got!r} differs from "
                               f"the job's {want}")
     interval = data.get("checkpoint_interval_s")
-    if interval is not None and not (type(interval) in (int, float)
-                                     and interval > 0):
-        raise ConfigError(f"plan: checkpoint_interval_s must be a positive "
-                          f"number, not {interval!r}")
+    if interval is not None:
+        interval = _typed(interval, float, "plan", "checkpoint_interval_s")
+        if not interval > 0:  # also refuses NaN
+            raise ConfigError(f"plan: checkpoint_interval_s must be a "
+                              f"positive number, not {interval!r}")
+    if "predicted" in data:
+        predicted = _expect(data["predicted"], dict, "plan.predicted")
+        _only(predicted, _PER_SAMPLE_KEYS.keys(), "plan.predicted")
+        for key in _PER_SAMPLE_KEYS:
+            _read(predicted, key, float, "plan.predicted")
     return plan, domain, interval
 
 
 # ---------------------------------------------------------------- results
 
+# The file keys of a fitting result's per-sample latency and energy.
+_PER_SAMPLE_KEYS = {_FILE_KEYS[name]: name
+                    for name in ("latency_per_sample", "energy_per_sample")}
+
+
 def _per_sample(result: SimulationResult) -> dict:
     """A fitting result's per-sample latency and energy under their file
     keys."""
-    return {_FILE_KEYS[name]: getattr(result, name)
-            for name in ("latency_per_sample", "energy_per_sample")}
+    return {key: getattr(result, name)
+            for key, name in _PER_SAMPLE_KEYS.items()}
 
 
 def result_to_dict(result: SimulationResult) -> dict:

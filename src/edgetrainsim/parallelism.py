@@ -117,6 +117,11 @@ def largest_remainder_split(total: int, weights: list[float]) -> list[int]:
     leftover = total - sum(shares)
     for i in range(leftover):
         shares[order[i % n]] += 1
+    # Near 2**53 a float quotient can round up to the next whole number, so
+    # the floors overshoot: take the excess back from the smallest
+    # remainders, in the reverse of the hand-out order.
+    for i in range(-leftover):
+        shares[order[-1 - i % n]] -= 1
     # Give every share at least 1 by stealing from the currently largest;
     # total >= n, so while a share is 0 another holds at least 2.
     for i in range(n):

@@ -34,10 +34,11 @@ starts inside its own iteration, so the file is ordered by start time and
 then device, in UTF-8.
 
 numpy is imported on demand, by the fault replay's failure stream alone, so
-planning and simulating never load it.  The stream draws each device's
-exponentials in blocks, accumulates them with ``np.cumsum`` and yields them
-as sorted plain floats up to a horizon no later draw can undercut; its
-failure times are exactly those of drawing one exponential at a time.
+planning and simulating never load it.  The participants' independent
+exponential failures superpose into one Poisson stream at the system MTBF,
+the one checkpoint planning assumes; the stream draws its exponentials in
+blocks, accumulates them with ``np.cumsum`` and yields them as plain floats,
+exactly the times of drawing one exponential at a time.
 """
 
 from __future__ import annotations
@@ -287,58 +288,42 @@ class FaultReport:
     seed: int
 
 
-# The most exponentials the failure stream draws for one device at a time.
+# The most exponentials the failure stream draws at a time.
 FAILURE_BLOCK = 256
 
 
 def _failure_stream(fault_model: FaultModel, num_devices: int):
-    """Merged absolute failure times, one exponential renewal stream per device.
+    """Absolute failure times of ``num_devices`` participants, as one stream.
 
-    Draws are mtbf-scaled standard exponentials, so shrinking the MTBF with a
-    fixed seed strictly advances every failure time.  Device d's times are
-    ``t += mtbf * x`` over its generator's successive draws x, and the stream
-    yields exactly the values that one draw at a time would, drawn in blocks:
+    Each participant fails as an exponential renewal process of mean
+    ``mtbf_per_device``.  Independent such processes superpose into one
+    Poisson process of summed rate, whose mean gap ``mtbf_per_device /
+    num_devices`` is the system MTBF that
+    :func:`~edgetrainsim.scheduler.plan_checkpointing` plans for.  Its times
+    are ``t += scale * x`` over the standard exponentials x of one
+    generator, the seed's first ``SeedSequence`` child, so shrinking the
+    MTBF with a fixed seed strictly advances every failure time.
 
-    - ``Generator.standard_exponential(n)`` returns the same doubles as n
-      successive scalar draws;
-    - adding the device's last time into a block's first scaled step and then
-      taking ``np.cumsum`` makes the same left-to-right additions as the
-      scalar loop, since ``cumsum`` accumulates in order and
-      ``a + b == b + a`` exactly;
-    - a device's undrawn times are >= its last drawn time, so every drawn
-      time <= the horizon H, the smallest last drawn time over the devices,
-      is final.  Each round yields those times, sorted, as plain floats.
-
-    The horizon is inclusive: at an infinite MTBF every time is inf, and a
-    strict ``< H`` would release nothing and never return.  Only a device
-    whose drawn times are all released draws again, at most FAILURE_BLOCK at
-    a time, and released times are not kept, so memory stays bounded however
-    many failures are consumed.  numpy's overflow and ``inf * 0`` warnings
-    are silenced, as the scalar loop printed none.
+    Drawn FAILURE_BLOCK at a time, the stream yields exactly the plain
+    floats that one draw at a time would: ``standard_exponential(n)``
+    returns the same doubles as n scalar draws, and adding the last time
+    into a block's first scaled step before ``np.cumsum`` makes the same
+    left-to-right additions.  numpy's overflow and ``inf * 0`` warnings are
+    silenced, as the scalar loop printed none.
     """
     import numpy as np  # imported here: only `faults` pays its load time
-    seqs = np.random.SeedSequence(fault_model.rng_seed).spawn(num_devices)
-    rngs = [np.random.default_rng(s) for s in seqs]
-    mtbf = fault_model.mtbf_per_device
-    last = [0.0] * num_devices  # each device's last drawn time
-    horizon = 0.0
-    held = np.empty(0)  # drawn times > horizon, sorted
+    seq = np.random.SeedSequence(fault_model.rng_seed).spawn(1)[0]
+    rng = np.random.default_rng(seq)
+    scale = fault_model.mtbf_per_device / num_devices
+    last = 0.0
     while True:
-        blocks = [held]
+        steps = rng.standard_exponential(FAILURE_BLOCK)
         with np.errstate(over="ignore", invalid="ignore"):
-            for d, rng in enumerate(rngs):
-                if not last[d] > horizon:  # all its drawn times are out
-                    steps = rng.standard_exponential(FAILURE_BLOCK)
-                    steps *= mtbf
-                    steps[0] += last[d]
-                    blocks.append(np.cumsum(steps, out=steps))
-                    last[d] = steps[-1]
-        times = np.concatenate(blocks)
-        times.sort()
-        horizon = min(last)
-        cut = times.searchsorted(horizon, "right")
-        held = times[cut:]
-        yield from times[:cut].tolist()
+            steps *= scale
+            steps[0] += last
+            np.cumsum(steps, out=steps)
+        last = steps[-1]
+        yield from steps.tolist()
 
 
 def inject_faults(plan: ParallelPlan, domain: TrustedDomain,

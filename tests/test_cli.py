@@ -210,6 +210,18 @@ class TestPlan:
         assert yaml.safe_load(result.read_text())["checkpoint_interval_s"] \
             == CHECKPOINT_INTERVAL_CAP
 
+    def test_shards_near_2_53_sum_to_the_batch(self, tmp_path):
+        """Near 2**53 a float quotient of the share split can round up to a
+        whole number; the shards still sum to the batch."""
+        plan = tmp_path / "plan.yaml"
+        assert run("plan", "--testbed", "heterogeneous-mix4", "--model",
+                   "distilbert", "--batch-size", "8731263594046565",
+                   "--micro-batch", "1", "--out", str(plan)) == 0
+        data = yaml.safe_load(plan.read_text())
+        assert data["kind"] == "dp"
+        assert sum(data["partition"]["shard_sizes"]) \
+            == data["job"]["global_batch"] == 8731263594046565
+
 
 class TestSimulate:
     def plan_file(self, tmp_path, **kwargs):
@@ -433,6 +445,20 @@ class TestFaults:
                     "goodput_samples_per_s"]
             means[mtbf] = total / 30
         assert means["40"] <= means["80"]
+
+    @pytest.mark.parametrize("interval", ["1e3", "1000"])
+    def test_interval_is_read_under_the_type_rule(self, tmp_path, interval):
+        """YAML 1.1 reads ``1e3`` as text; the interval loads it like every
+        number field, and an integer too, and the report writes a float."""
+        plan = self.plan_file(tmp_path)
+        lines = [f"checkpoint_interval_s: {interval}"
+                 if line.startswith("checkpoint_interval_s: ") else line
+                 for line in plan.read_text().splitlines()]
+        plan.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.yaml"
+        assert run("faults", "--plan", str(plan), "--mtbf", "600",
+                   "--out", str(out)) == 0
+        assert "checkpoint_interval_s: 1000.0" in out.read_text().splitlines()
 
     def test_invalid_mtbf_exits_1(self, tmp_path):
         plan = self.plan_file(tmp_path)

@@ -327,6 +327,15 @@ MALFORMED = {
     "pp-partition-unknown-key": (
         "pp-plan", ("partition", "micro_batches"), 16,
         "plan.partition: unknown field 'micro_batches'"),
+    "predicted-not-a-mapping": ("plan", ("predicted",), 5,
+                                "plan.predicted: expected a mapping, not int"),
+    "predicted-unknown-key": (
+        "plan", ("predicted",), {"bogus": 1, "latency_per_sample_s": 0.5},
+        "plan.predicted: unknown field 'bogus'"),
+    "predicted-text": (
+        "plan", ("predicted",),
+        {"energy_per_sample_j": 0.5, "latency_per_sample_s": "abc"},
+        "plan.predicted: latency_per_sample_s must be a number, not 'abc'"),
     # A value each dataclass or builder refuses, and its error line.
     "device-no-cpu-throughput": (
         "domain", ("devices", 0),

@@ -81,19 +81,19 @@ GOLDEN_FAULTS = {
     "homogeneous-nano4/distilbert":
         "ea2dfcc0f1d94cdad78769a349a492e73647d5003ab408ad452ec5e09ed8b6bc",
     "homogeneous-nano4/gpt2-s":
-        "d9476096568cb03493c8fcb7340e6f0805b2a0d245122f9a510867851e9935b5",
+        "7d66dbd2038dd5d9bfe6b12d661138b9d14f694d3dfa732e5acf278f550f7dd4",
     "homogeneous-nano4/opt-350m":
-        "3e6cebec887d0693432f4a04f31018e8b9933ff83c4bd00310f8583b59adec64",
+        "4beb870a74096d3448fdf48f23ef0c43568d69014d768caea06af0e4ad141579",
     "homogeneous-nano4/gpt2-l":
-        "7d2e5c06edf4190ea27ecc3d66abf30ad32eacdbcc974c12a00d599179e522b7",
+        "09b37f43a653d117a8f3dc5692d60519c7087b2b5c4466d7f9749082eefbb098",
     "heterogeneous-mix4/distilbert":
         "b2b65493913263db2655ed61961e9963bdf5f69095552e636e0324b8ff3916f0",
     "heterogeneous-mix4/gpt2-s":
         "49ef5148a3f22f18cdc87b6a89c33e29eb25644581662a1a220dc2714a472549",
     "heterogeneous-mix4/opt-350m":
-        "c5fe668b066d6b51542b4a3945535c9e893bec867ab425ba341da49f3ddd7102",
+        "604ad4e7882907f0c9b20a28410ba0598ca5ac56e7f31fc916e3df8cd6b43f3c",
     "heterogeneous-mix4/gpt2-l":
-        "f35a37b14f9e9d0a43a01cf749f99108cfe8ae493ed9a0fb6e1ade75b92d5aca",
+        "ef22936b83557b2fb600e70934dc71dbd08b153a19dbc78ad6bad170965346c6",
 }
 
 GOLDEN_SWEEP = {

@@ -89,6 +89,18 @@ class TestLargestRemainderSplit:
             assert sum(shares) == total
             assert all(s >= 1 for s in shares)
 
+    def test_conservation_near_2_53(self):
+        """Near 2**53 a float quotient can round up to a whole number, so the
+        floors overshoot the total; the split takes the excess back."""
+        rng = random.Random(53)
+        for _ in range(20_000):
+            total = rng.randint(2**50, 2**53)
+            weights = [rng.uniform(15e9, 1.2e12)
+                       for _ in range(rng.randint(2, 12))]
+            shares = largest_remainder_split(total, weights)
+            assert sum(shares) == total, (total, weights)
+            assert all(s >= 1 for s in shares)
+
 
 class TestPlanConstruction:
     def test_dp_shards_proportional(self):

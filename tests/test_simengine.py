@@ -53,9 +53,10 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def scalar_failure_stream(fault_model, num_devices):
-    """The failure stream drawn one exponential at a time: each device's
-    ``t += mtbf * x``, merged.  The block-drawn stream must equal it."""
+def merged_failure_stream(fault_model, num_devices):
+    """The failure model's reference: one exponential renewal process of mean
+    ``mtbf_per_device`` per device, each from its own child of the seed's
+    ``SeedSequence``, merged in time order."""
     import numpy as np
     seqs = np.random.SeedSequence(fault_model.rng_seed).spawn(num_devices)
     rngs = [np.random.default_rng(s) for s in seqs]
@@ -67,6 +68,21 @@ def scalar_failure_stream(fault_model, num_devices):
             yield t
 
     return heapq.merge(*(device_times(r) for r in rngs))
+
+
+def scalar_failure_stream(fault_model, num_devices):
+    """The system failure stream drawn one exponential at a time:
+    ``t += scale * x`` at the system MTBF ``mtbf_per_device / num_devices``,
+    from the seed's first child generator.  The block-drawn stream must
+    equal it."""
+    import numpy as np
+    seq = np.random.SeedSequence(fault_model.rng_seed).spawn(1)[0]
+    rng = np.random.default_rng(seq)
+    scale = fault_model.mtbf_per_device / num_devices
+    t = 0.0
+    while True:
+        t += scale * rng.standard_exponential()
+        yield t
 
 
 def make_domain(throughputs, bandwidth=1e9, latency=1e-4, mem=4e9,
@@ -791,8 +807,8 @@ class TestFaultInjection:
     def test_failure_stream_matches_scalar_draws(self, num_devices, block,
                                                  monkeypatch):
         """The first 3,000 failure times equal the one-draw-at-a-time
-        stream's exactly, as plain floats; blocks of 5 make every device
-        cross many blocks."""
+        system stream's exactly, as plain floats; blocks of 5 make the
+        stream cross many blocks."""
         monkeypatch.setattr(simengine, "FAILURE_BLOCK", block)
         for mtbf in (1e-300, 1e-9, 0.37, 40.0, 3600.0, 1e18, 1e307, math.inf):
             for seed in (0, 1, 12345):
@@ -806,6 +822,22 @@ class TestFaultInjection:
                         _failure_stream(fm, num_devices), 3000))
                 assert got == want, (mtbf, seed)
                 assert all(type(t) is float for t in got), (mtbf, seed)
+
+    @pytest.mark.parametrize("num_devices", [2, 4, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_system_stream_has_the_merged_streams_law(self, num_devices,
+                                                      seed):
+        """Independent exponential renewal processes superpose into one
+        Poisson process of summed rate: a two-sample Kolmogorov-Smirnov test
+        does not tell the first 20,000 gaps of the per-device merge from the
+        system stream's, at alpha = 0.001."""
+        import numpy as np
+        from scipy.stats import ks_2samp
+        fm = FaultModel(3600.0, 50e6, 50e6, rng_seed=seed)
+        gaps = [np.diff(list(itertools.islice(stream(fm, num_devices),
+                                              20_000)), prepend=0.0)
+                for stream in (merged_failure_stream, _failure_stream)]
+        assert ks_2samp(*gaps).pvalue > 0.001
 
     def test_forced_single_failure_hand_trace(self):
         """One failure mid-iteration-4 with a checkpoint after iteration 2."""
