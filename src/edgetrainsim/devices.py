@@ -210,6 +210,12 @@ class FaultModel:
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
+    def system_mtbf(self, num_devices: int) -> float:
+        """Mean time between failures of ``num_devices`` participants: their
+        independent exponential failures superpose into one Poisson stream
+        of summed rate."""
+        return self.mtbf_per_device / num_devices
+
 
 DEFAULT_FAULT_MODEL = FaultModel(
     mtbf_per_device=86400.0,            # one day

@@ -275,8 +275,8 @@ def plan_checkpointing(plan: ParallelPlan, domain: TrustedDomain,
     failure-free system stops checkpointing.
     """
     _, write_time = checkpoint_cost(plan, domain, fault_model)
-    system_mtbf = fault_model.mtbf_per_device / len(plan.participants)
-    tau = young_checkpoint_interval(write_time, system_mtbf)
+    tau = young_checkpoint_interval(
+        write_time, fault_model.system_mtbf(len(plan.participants)))
     base_len, sync_len = iteration_times(plan, domain)
     floor = base_len + sync_len / plan.job.dp_sync_period
     return min(max(tau, floor), CHECKPOINT_INTERVAL_CAP)

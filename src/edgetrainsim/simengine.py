@@ -33,19 +33,19 @@ iteration, formatting each group's start time once per iteration.  Every row
 starts inside its own iteration, so the file is ordered by start time and
 then device, in UTF-8.
 
-numpy is imported on demand, by the fault replay's failure stream alone, so
-planning and simulating never load it.  The participants' independent
-exponential failures superpose into one Poisson stream at the system MTBF,
-the one checkpoint planning assumes; the stream draws its exponentials in
-blocks, accumulates them with ``np.cumsum`` and yields them as plain floats,
-exactly the times of drawing one exponential at a time.
+Fault replay draws the participants' failures as one Poisson stream at the
+system MTBF, the one checkpoint planning assumes: a generator over the
+standard library's ``random.Random`` seeded with the fault model's seed,
+one exponential per failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from math import log
 from operator import itemgetter
+from random import Random
 from typing import Optional
 
 from .devices import FaultModel, NetworkModel, TrustedDomain, busy_power
@@ -84,8 +84,11 @@ class SimulationResult:
     energy_per_sample: Optional[float]
     per_device: dict[str, DeviceUsage]
     comm_bytes_by_op: dict[str, float]
-    oom: bool = False
     oom_devices: tuple[str, ...] = ()
+
+    @property
+    def oom(self) -> bool:
+        return bool(self.oom_devices)
 
     @property
     def total_energy(self) -> float:
@@ -222,7 +225,7 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
         return SimulationResult(
             plan_kind=plan.kind, iterations_simulated=0, samples_processed=0,
             makespan=0.0, latency_per_sample=None, energy_per_sample=None,
-            per_device=usage, comm_bytes_by_op={}, oom=True,
+            per_device=usage, comm_bytes_by_op={},
             oom_devices=oom_devices), None
 
     prof = _profile_iteration(plan, domain)
@@ -288,42 +291,25 @@ class FaultReport:
     seed: int
 
 
-# The most exponentials the failure stream draws at a time.
-FAILURE_BLOCK = 256
-
-
 def _failure_stream(fault_model: FaultModel, num_devices: int):
     """Absolute failure times of ``num_devices`` participants, as one stream.
 
     Each participant fails as an exponential renewal process of mean
     ``mtbf_per_device``.  Independent such processes superpose into one
-    Poisson process of summed rate, whose mean gap ``mtbf_per_device /
-    num_devices`` is the system MTBF that
-    :func:`~edgetrainsim.scheduler.plan_checkpointing` plans for.  Its times
-    are ``t += scale * x`` over the standard exponentials x of one
-    generator, the seed's first ``SeedSequence`` child, so shrinking the
-    MTBF with a fixed seed strictly advances every failure time.
-
-    Drawn FAILURE_BLOCK at a time, the stream yields exactly the plain
-    floats that one draw at a time would: ``standard_exponential(n)``
-    returns the same doubles as n scalar draws, and adding the last time
-    into a block's first scaled step before ``np.cumsum`` makes the same
-    left-to-right additions.  numpy's overflow and ``inf * 0`` warnings are
-    silenced, as the scalar loop printed none.
+    Poisson process at the system MTBF,
+    :meth:`~edgetrainsim.devices.FaultModel.system_mtbf`, which
+    :func:`~edgetrainsim.scheduler.plan_checkpointing` plans for.  Each
+    failure takes one draw u of ``random.Random(rng_seed)`` and adds
+    ``scale * x`` for the standard exponential ``x = -log(1 - u)``.  Float
+    multiplication and addition are monotone, so shrinking the MTBF with a
+    fixed seed never delays a failure time; a time that overflows is inf.
     """
-    import numpy as np  # imported here: only `faults` pays its load time
-    seq = np.random.SeedSequence(fault_model.rng_seed).spawn(1)[0]
-    rng = np.random.default_rng(seq)
-    scale = fault_model.mtbf_per_device / num_devices
-    last = 0.0
+    draw = Random(fault_model.rng_seed).random
+    scale = fault_model.system_mtbf(num_devices)
+    t = 0.0
     while True:
-        steps = rng.standard_exponential(FAILURE_BLOCK)
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps *= scale
-            steps[0] += last
-            np.cumsum(steps, out=steps)
-        last = steps[-1]
-        yield from steps.tolist()
+        t += scale * -log(1.0 - draw())
+        yield t
 
 
 def inject_faults(plan: ParallelPlan, domain: TrustedDomain,

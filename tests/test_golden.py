@@ -83,17 +83,17 @@ GOLDEN_FAULTS = {
     "homogeneous-nano4/gpt2-s":
         "7d66dbd2038dd5d9bfe6b12d661138b9d14f694d3dfa732e5acf278f550f7dd4",
     "homogeneous-nano4/opt-350m":
-        "4beb870a74096d3448fdf48f23ef0c43568d69014d768caea06af0e4ad141579",
+        "ebdb1b9817abd19add31a168061cf49be4914f5fd91d5c1b56e6f41c985f028f",
     "homogeneous-nano4/gpt2-l":
-        "09b37f43a653d117a8f3dc5692d60519c7087b2b5c4466d7f9749082eefbb098",
+        "4d56b38a1cd7410dfb781cc5d8e730049c208d53f950f77272b23d648956e7f7",
     "heterogeneous-mix4/distilbert":
         "b2b65493913263db2655ed61961e9963bdf5f69095552e636e0324b8ff3916f0",
     "heterogeneous-mix4/gpt2-s":
         "49ef5148a3f22f18cdc87b6a89c33e29eb25644581662a1a220dc2714a472549",
     "heterogeneous-mix4/opt-350m":
-        "604ad4e7882907f0c9b20a28410ba0598ca5ac56e7f31fc916e3df8cd6b43f3c",
+        "9bc1d8557a25a1e8fb6b0651a29b6f5e46af1e5e40f253c87a5c89a99bbb6309",
     "heterogeneous-mix4/gpt2-l":
-        "ef22936b83557b2fb600e70934dc71dbd08b153a19dbc78ad6bad170965346c6",
+        "67f520784ada19475054c529423e5f7218c384b95fa2eea1744cbc3e8ab3c149",
 }
 
 GOLDEN_SWEEP = {

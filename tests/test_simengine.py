@@ -71,17 +71,16 @@ def merged_failure_stream(fault_model, num_devices):
 
 
 def scalar_failure_stream(fault_model, num_devices):
-    """The system failure stream drawn one exponential at a time:
-    ``t += scale * x`` at the system MTBF ``mtbf_per_device / num_devices``,
-    from the seed's first child generator.  The block-drawn stream must
-    equal it."""
-    import numpy as np
-    seq = np.random.SeedSequence(fault_model.rng_seed).spawn(1)[0]
-    rng = np.random.default_rng(seq)
+    """The system failure stream by its rule: one draw u of
+    ``random.Random(rng_seed)`` per failure and ``t += scale * x`` for the
+    standard exponential ``x = -log(1 - u)``, at the system MTBF
+    ``mtbf_per_device / num_devices``."""
+    rng = random.Random(fault_model.rng_seed)
     scale = fault_model.mtbf_per_device / num_devices
     t = 0.0
     while True:
-        t += scale * rng.standard_exponential()
+        x = -math.log(1.0 - rng.random())
+        t += scale * x
         yield t
 
 
@@ -790,7 +789,7 @@ class TestFaultInjection:
     def test_extreme_mtbf_returns_fault_free_without_warnings(self, mtbf):
         """An infinite MTBF makes every failure time inf, and 1e307 makes
         them overflow to inf; the replay still returns, with no failures and
-        no numpy warning."""
+        no warning."""
         domain, _, plan = self.setup_plan()
         with deadline(20), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -802,26 +801,47 @@ class TestFaultInjection:
         assert report.wall_time == pytest.approx(report.fault_free.makespan,
                                                  rel=1e-12)
 
-    @pytest.mark.parametrize("block", [simengine.FAILURE_BLOCK, 5])
+    @pytest.mark.parametrize("chunk", [256, 5])
     @pytest.mark.parametrize("num_devices", [1, 2, 3, 4, 7, 12])
-    def test_failure_stream_matches_scalar_draws(self, num_devices, block,
-                                                 monkeypatch):
-        """The first 3,000 failure times equal the one-draw-at-a-time
-        system stream's exactly, as plain floats; blocks of 5 make the
-        stream cross many blocks."""
-        monkeypatch.setattr(simengine, "FAILURE_BLOCK", block)
+    def test_failure_stream_matches_scalar_draws(self, num_devices, chunk):
+        """The first 3,000 failure times equal the stream rule's exactly, as
+        plain floats, from underflowing to overflowing MTBFs.  The stream is
+        read ``chunk`` times at a time, alternating with a stream of another
+        seed, so two live streams never share generator state."""
         for mtbf in (1e-300, 1e-9, 0.37, 40.0, 3600.0, 1e18, 1e307, math.inf):
             for seed in (0, 1, 12345):
-                fm = FaultModel(mtbf, 50e6, 50e6, rng_seed=seed)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # the oracle overflows
-                    want = list(itertools.islice(
-                        scalar_failure_stream(fm, num_devices), 3000))
+                fms = [FaultModel(mtbf, 50e6, 50e6, rng_seed=s)
+                       for s in (seed, seed + 1)]
+                want = [list(itertools.islice(
+                            scalar_failure_stream(fm, num_devices), 3000))
+                        for fm in fms]
+                streams = [_failure_stream(fm, num_devices) for fm in fms]
+                got = [[], []]
                 with deadline(20):
-                    got = list(itertools.islice(
-                        _failure_stream(fm, num_devices), 3000))
+                    while len(got[0]) < 3000:
+                        for times, stream in zip(got, streams):
+                            times.extend(itertools.islice(
+                                stream, min(chunk, 3000 - len(times))))
                 assert got == want, (mtbf, seed)
-                assert all(type(t) is float for t in got), (mtbf, seed)
+                assert all(type(t) is float for t in got[0] + got[1]), (
+                    mtbf, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64), num_devices=st.integers(1, 12),
+           mtbfs=st.lists(st.floats(min_value=1e-300), min_size=2,
+                          max_size=2))
+    def test_failure_times_are_monotone_in_order_and_mtbf(self, seed,
+                                                          num_devices,
+                                                          mtbfs):
+        """For a fixed seed the failure times never decrease along the
+        stream, and never increase when the MTBF shrinks."""
+        times = [list(itertools.islice(
+                     _failure_stream(FaultModel(m, 50e6, 50e6, rng_seed=seed),
+                                     num_devices), 300))
+                 for m in sorted(mtbfs)]
+        for stream in times:
+            assert all(a <= b for a, b in zip(stream, stream[1:]))
+        assert all(a <= b for a, b in zip(*times))
 
     @pytest.mark.parametrize("num_devices", [2, 4, 12])
     @pytest.mark.parametrize("seed", [0, 1, 2])
