@@ -8,6 +8,9 @@ sequence length 32, micro-batch 8, gradient sync every 5 iterations) and a
 half-precision runtime (2-byte parameters, fp16 activations); every constant
 can be overridden by flags.
 
+`plan` and `sweep` price a plan over one gradient-sync period, its long-run
+rates; only `simulate` and `faults` replay a run of ``--iterations``.
+
 Each command's flags are declared once, as :class:`Flag` data in
 :data:`COMMANDS`.  :func:`parse_args` reads an argv made only of the command
 and exact ``--flag value`` (or store-true ``--flag``) items straight from
@@ -156,8 +159,7 @@ def cmd_plan(args) -> int:
     try:
         strategy = orchestrate(domain, spec, job, objective,
                                fault_model=fault_model,
-                               select=args.select_devices,
-                               iterations=args.iterations)
+                               select=args.select_devices)
     except InfeasibleError as exc:
         print(f"infeasible: {spec.name} does not fit this domain", file=sys.stderr)
         for kind, reason in sorted(exc.reasons.items()):
@@ -203,10 +205,11 @@ def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
 
 
 def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
-               modes=MODES, iterations: int = DEFAULT_ITERATIONS):
-    """One row per (model, kind, mode): the experiment grid of the sweeps.
-    A model listed twice keeps its first place."""
-    rows = []
+               modes=MODES):
+    """One row per (model, kind, mode): the experiment grid of the sweeps,
+    each plan priced over one sync period as the planner prices it.  A model
+    listed twice keeps its first place."""
+    rows, period = [], job.dp_sync_period
     moded_domains = {mode: domain.with_mode(mode) for mode in modes}
     for model_name in dict.fromkeys(models):
         spec = model_preset(model_name)
@@ -217,11 +220,11 @@ def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
                 except (PlanError, InfeasibleError):
                     result = None  # no plan: the row of one that does not fit
                 else:
-                    result = simulate(plan, moded, iterations=iterations)
+                    result = simulate(plan, moded, iterations=period)
                 fits = result is not None and not result.oom
                 lat, energy, comm = ((result.latency_per_sample,
                                       result.energy_per_sample,
-                                      result.total_comm_bytes / iterations)
+                                      result.total_comm_bytes / period)
                                      if fits else (None, None, 0.0))
                 rows.append({"model": model_name, "kind": kind, "mode": mode,
                              "testbed": domain.name, "latency_per_sample_s": lat,
@@ -253,8 +256,7 @@ def cmd_sweep(args) -> int:
               else args.models.split(","))
     for m in models:
         _preset(model_preset, m)
-    rows = sweep_rows(domain, job, models=models, modes=modes,
-                      iterations=args.iterations)
+    rows = sweep_rows(domain, job, models=models, modes=modes)
     _write_out(format_sweep_table(rows), args.out)
     return EXIT_OK
 
@@ -359,7 +361,6 @@ COMMANDS = {
         Flag("--select-devices", default=False, store_true=True,
              help="also search participant subsets (default: all devices)"),
         *_JOB_FLAGS,
-        _ITERATIONS,
         Flag("--mtbf", float, DEFAULT_FAULT_MODEL.mtbf_per_device,
              help="per-device MTBF seconds for checkpoint planning"),
         _CKPT_BANDWIDTH,
@@ -374,7 +375,6 @@ COMMANDS = {
         Flag("--models", help="comma-separated model presets "
                               "(default: all four)"),
         *_JOB_FLAGS,
-        _ITERATIONS,
         Flag("--out", help="TSV output file (default stdout)"))),
     "faults": ("fault-injected goodput report for a plan", _Flags(
         Flag("--plan", required=True),

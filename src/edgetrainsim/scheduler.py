@@ -2,7 +2,9 @@
 
 `candidate_plans` streams the plan kinds for a participant set, simulated or
 rejected with one reason; `choose_parallelism` keeps the first best kind and
-`select_devices` the first best subset, under one tie rule.  Subsets are
+`select_devices` the first best subset, under one tie rule.  A plan is priced
+over one gradient-sync period, which its run repeats, so the period's
+per-sample figures are its long-run rates (renewal-reward).  Subsets are
 searched exhaustively up to 12 devices, pipeline orders up to 8, with a
 fastest-first fallback beyond.  The stage split is exact at any size: it
 compares stages by blocks per FLOP/s, ``b / throughput``, so stages tied in
@@ -24,8 +26,8 @@ from typing import Iterator
 from .devices import DEFAULT_FAULT_MODEL, FaultModel, TrustedDomain
 from .parallelism import (KIND_PP, KIND_PREFERENCE, KIND_SINGLE, ParallelPlan,
                           PlanError, make_plan, pp_stage_memory, stage_transfer)
-from .simengine import (DEFAULT_ITERATIONS, SimulationResult, checkpoint_cost,
-                        iteration_times, phase_seconds, simulate)
+from .simengine import (SimulationResult, checkpoint_cost, iteration_times,
+                        phase_seconds, simulate)
 from .workload import TrainingJob, TransformerSpec
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -173,14 +175,13 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
 
 
 def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
-                    job: TrainingJob, objective: Objective,
-                    iterations: int = DEFAULT_ITERATIONS) -> Iterator[tuple]:
+                    job: TrainingJob, objective: Objective) -> Iterator[tuple]:
     """Each plan kind for a participant set, as ``(kind, plan, result,
     reason)`` in preference order: single for one participant, else DP, PP,
-    TP, SP.  ``reason`` is None for a plan that can win, else its one
-    rejection: no build, no memory-feasible stage split, out of memory, a
-    non-finite cost or a non-finite objective value.  ``plan`` and
-    ``result`` are None where it got no further.
+    TP, SP.  ``result`` simulates one sync period.  ``reason`` is None for a
+    plan that can win, else its one rejection: no build, no memory-feasible
+    stage split, out of memory, a non-finite cost or a non-finite objective
+    value.  ``plan`` and ``result`` are None where it got no further.
     """
     participants = tuple(participants)
     for kind in (KIND_SINGLE,) if len(participants) == 1 else KIND_PREFERENCE:
@@ -196,7 +197,7 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
         except InfeasibleError as exc:
             yield kind, None, None, exc.reasons[kind]
             continue
-        result = simulate(plan, domain, iterations=iterations)
+        result = simulate(plan, domain, iterations=job.dp_sync_period)
         reason = None
         if result.oom:
             reason = "out of memory on " + ", ".join(result.oom_devices)
@@ -209,14 +210,13 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
 
 
 def choose_parallelism(domain: TrustedDomain, participants, spec: TransformerSpec,
-                       job: TrainingJob, objective: Objective,
-                       iterations: int = DEFAULT_ITERATIONS
+                       job: TrainingJob, objective: Objective
                        ) -> tuple[ParallelPlan, SimulationResult]:
     """Best plan kind for a fixed participant set under the objective: the
     first best of `candidate_plans`, so ties go DP < PP < TP < SP.  Raises
     InfeasibleError with each kind's rejection when none can win."""
     candidates = list(candidate_plans(domain, participants, spec, job,
-                                      objective, iterations))
+                                      objective))
     best = _first_best([(plan, result) for _, plan, result, reason
                         in candidates if reason is None], objective)
     if best is None:
@@ -226,8 +226,7 @@ def choose_parallelism(domain: TrustedDomain, participants, spec: TransformerSpe
 
 
 def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
-                   objective: Objective, iterations: int = DEFAULT_ITERATIONS
-                   ) -> tuple[ParallelPlan, SimulationResult]:
+                   objective: Objective) -> tuple[ParallelPlan, SimulationResult]:
     """Objective-optimal participant subset, as its best plan and result:
     the first best of `choose_parallelism` over subsets by size, then pool
     order; every subset up to 12 devices, else the fastest-first prefixes.
@@ -244,8 +243,7 @@ def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJo
         nonlocal error
         for subset in subsets:
             try:
-                yield choose_parallelism(domain, subset, spec, job, objective,
-                                         iterations)
+                yield choose_parallelism(domain, subset, spec, job, objective)
             except InfeasibleError as exc:
                 error = exc
 
@@ -285,8 +283,7 @@ def plan_checkpointing(plan: ParallelPlan, domain: TrustedDomain,
 def orchestrate(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                 objective: Objective,
                 fault_model: FaultModel = DEFAULT_FAULT_MODEL,
-                select: bool = False,
-                iterations: int = DEFAULT_ITERATIONS) -> OrchestrationStrategy:
+                select: bool = False) -> OrchestrationStrategy:
     """Full orchestration: participants, plan, checkpoint interval, prediction.
 
     By default every device in the trusted domain participates (the pool is
@@ -294,10 +291,10 @@ def orchestrate(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     participant subsets.
     """
     if select:
-        plan, result = select_devices(domain, spec, job, objective, iterations)
+        plan, result = select_devices(domain, spec, job, objective)
     else:
         plan, result = choose_parallelism(domain, domain.device_ids, spec, job,
-                                          objective, iterations)
+                                          objective)
     interval = plan_checkpointing(plan, domain, fault_model)
     return OrchestrationStrategy(plan=plan, checkpoint_interval=interval,
                                  predicted=result)

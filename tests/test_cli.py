@@ -222,6 +222,26 @@ class TestPlan:
         assert sum(data["partition"]["shard_sizes"]) \
             == data["job"]["global_batch"] == 8731263594046565
 
+    @pytest.mark.parametrize("flags", [
+        ("--sync-period", "15"),
+        ("--sync-period", "6", "--objective", "latency")],
+        ids=["energy-k15", "latency-k6"])
+    def test_plan_is_ranked_by_its_long_run_rate(self, tmp_path, flags):
+        """20 iterations hold one sync of period 15 and three of period 6,
+        fewer than the long-run 20/15 and 20/6, which made DP look cheaper
+        than PP; priced over one sync period, PP wins, and the plan predicts
+        what one period simulates."""
+        plan, result = tmp_path / "plan.yaml", tmp_path / "result.yaml"
+        assert run("plan", "--testbed", "heterogeneous-mix4", "--mode", "gpu",
+                   "--model", "opt-350m", *flags, "--out", str(plan)) == 0
+        data = yaml.safe_load(plan.read_text())
+        assert data["kind"] == "pp"
+        assert run("simulate", "--plan", str(plan), "--iterations", flags[1],
+                   "--out", str(result)) == 0
+        simulated = yaml.safe_load(result.read_text())
+        assert data["predicted"] == {key: simulated[key] for key in (
+            "latency_per_sample_s", "energy_per_sample_j")}
+
 
 class TestSimulate:
     def plan_file(self, tmp_path, **kwargs):
@@ -255,6 +275,25 @@ class TestSimulate:
         assert lines[0] == "time\tdevice\tkind\tduration\tbytes"
         times = [float(line.split("\t")[0]) for line in lines[1:]]
         assert times and times == sorted(times)
+
+    def test_largest_iteration_count_matches_whole_sync_periods(self,
+                                                               tmp_path):
+        """2**53 iterations cost no more than 20, and their per-sample
+        numbers are those of 20 (four sync periods of 5) up to the rounding
+        of the one partial period."""
+        plan = tmp_path / "plan.yaml"
+        assert run("plan", "--testbed", "heterogeneous-mix4", "--model",
+                   "distilbert", "--out", str(plan)) == 0
+        assert yaml.safe_load(plan.read_text())["kind"] == "dp"
+        results = []
+        for iterations in (20, 2**53):
+            out = tmp_path / f"{iterations}.yaml"
+            assert run("simulate", "--plan", str(plan), "--iterations",
+                       str(iterations), "--out", str(out)) == 0
+            results.append(yaml.safe_load(out.read_text()))
+        for key in ("latency_per_sample_s", "energy_per_sample_j"):
+            assert results[1][key] == pytest.approx(results[0][key],
+                                                    rel=1e-12)
 
     def test_unknown_participant_exits_1(self, tmp_path):
         plan = self.plan_file(tmp_path)
@@ -393,18 +432,6 @@ class TestSweep:
     def test_unknown_model_exits_1(self):
         assert run("sweep", "--models", "bogus") == 1
 
-    def test_largest_iteration_count_matches_whole_sync_periods(self,
-                                                               tmp_path):
-        """2**53 iterations cost no more than 20, and their per-sample
-        numbers print as those of 20 (four sync periods of 5) do."""
-        tables = []
-        for iterations in (20, 2**53):
-            out = tmp_path / f"{iterations}.tsv"
-            assert run("sweep", "--iterations", str(iterations),
-                       "--out", str(out)) == 0
-            tables.append(out.read_bytes())
-        assert tables[0] == tables[1]
-
 
 class TestFaults:
     def plan_file(self, tmp_path):
@@ -487,20 +514,14 @@ class TestFaults:
 
 # argv ("{plan}" marks a DP plan file) and the plan's checkpoint_interval_s
 BAD_VALUES = {
-    "plan-iterations": (("plan", "--model", "distilbert", "--iterations", "0"),
-                        None),
     "simulate-iterations": (("simulate", "--plan", "{plan}", "--iterations",
                              "0"), None),
-    "sweep-iterations": (("sweep", "--models", "distilbert", "--iterations",
-                          "0"), None),
     "faults-iterations": (("faults", "--plan", "{plan}", "--mtbf", "600",
                            "--iterations", "0"), None),
     # Run totals are products of the iteration count: above 2**53 it is no
     # longer a whole float, and 10**400 does not convert to one at all.
     **{f"{argv[0]}-iterations-{name}": (argv + ("--iterations", value), None)
-       for argv in (("plan", "--model", "distilbert"),
-                    ("simulate", "--plan", "{plan}"),
-                    ("sweep", "--models", "distilbert"),
+       for argv in (("simulate", "--plan", "{plan}"),
                     ("faults", "--plan", "{plan}", "--mtbf", "600"))
        for name, value in (("above-2**53", str(2**53 + 1)),
                            ("10**400", str(10**400)))},
@@ -706,7 +727,8 @@ def test_parse_args_matches_full_parser(name):
 
 # Help, usage errors and edge cases that the full parser must answer.
 USAGE_ARGVS = [[], ["-h"], *[[name, "-h"] for name in COMMANDS], ["bogus"],
-               ["plan", "--iterations", "x"], ["plan", "--mode", "tpu"],
+               ["plan", "--iterations", "x"], ["plan", "--mtbf", "x"],
+               ["plan", "--mode", "tpu"],
                ["faults", "--plan", "p"], ["plan", "--bogus"],
                ["plan", "extra"], ["presets", "x"], ["plan", "--sel"],
                ["--"], ["--", "plan"], ["plan", "--"], ["plan", "--", "x"]]
@@ -811,7 +833,7 @@ def _argvs(draw):
 @given(_argvs())
 # One item that only the full parser decides, each of a different kind
 @example(["plan", "--mode", "tpu"])
-@example(["sweep", "--iterations", "3", "--objective", "energy"])
+@example(["sweep", "--sync-period", "3", "--objective", "energy"])
 @example(["faults", "--mtbf", "600", "--seed", "1"])
 @example(["plan", "--out", "-h"])
 @example(["simulate", "--plan", "p", "--iterations", "2.5"])

@@ -103,23 +103,30 @@ GOLDEN_SWEEP = {
         "3522d66e3ee9c12ed24ac150aacd3dbcd4ab53e461e918f138b239c8058ca0e6",
 }
 
+# "plan": the planner's plan file; each kind: its hand-built plan file, then
+# the result and trace of simulating it.
 GOLDEN_PER_LINK = {
     "plan":
         "58fdfa016ff65fe558fe0f1de00f97de92cecd6f1301fe0f3a956a10d4295c35",
     "single":
-        ("f401dd669ad6c715806daad95f92efd825b450f838a76ac2c85185ec87c8bcdd",
+        ("b578c7b5280f3ec8f83bf0070b6bff2de4b5e9dfb0fcce7ec8331d34fd87533d",
+         "f401dd669ad6c715806daad95f92efd825b450f838a76ac2c85185ec87c8bcdd",
          "ccc684da119abc7efe33c24428df8957a020d164291a8767eb60f9db00763b58"),
     "dp":
-        ("689fa497b3e39f438b4294f2c3812bdda6665f5cc33f3f30b9f6a0ade947260c",
+        ("0efb8f7631b4e6cd006d1ddcc5c9ed941d9d6d0e21fa0d8db92e012237579ecf",
+         "689fa497b3e39f438b4294f2c3812bdda6665f5cc33f3f30b9f6a0ade947260c",
          "ed2add6eee46d0c23bfda05b4dc5f87fc88f319894f8c683dc787c5eacdee293"),
     "sp":
-        ("d3f19db9917073d8780153d91d21ee0b2dd6f4d17779dab377a575ca816c63a9",
+        ("d38f6082e3d696c00fad2517997d7097b362b2a10da2cb263bda7020c32ef574",
+         "d3f19db9917073d8780153d91d21ee0b2dd6f4d17779dab377a575ca816c63a9",
          "5f5a2b9e1db135eea106316091daa2de50c882d796d3490bc407fefd4b4d89d8"),
     "tp":
-        ("7961a33475288e740444ba68cce0a398adcc60d89f45092b9df95826b6b1c00a",
+        ("3a9e129ad5caba080bb245762fea186fc86c053dcf3847fcf94de558b44c693b",
+         "7961a33475288e740444ba68cce0a398adcc60d89f45092b9df95826b6b1c00a",
          "d1c3ace0f81ed82422da8e16da97862a5ce3d6f130de72b7b0a9c523434875af"),
     "pp":
-        ("51754417369aabd9424cffbcc1239c6898160e7a830dbc468aca7707bf564b64",
+        ("baac4cf58afdf355c96f46b652610e9454da2976b615b41abd89d0c04f900280",
+         "51754417369aabd9424cffbcc1239c6898160e7a830dbc468aca7707bf564b64",
          "b10f9d4cd3409f9826c049b6750d11062ef1b150b81b087476d7246fdb31db7f"),
 }
 
@@ -248,7 +255,7 @@ def _per_link_digests(tmp):
         result, trace = tmp / f"{kind}.result.yaml", tmp / f"{kind}.tsv"
         assert _run("simulate", "--plan", path, "--iterations", 12,
                     "--trace", trace, "--out", result) == 0
-        got[kind] = (_sha(result), _sha(trace))
+        got[kind] = (_sha(path), _sha(result), _sha(trace))
     return got
 
 

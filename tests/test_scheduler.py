@@ -22,13 +22,13 @@ from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
 from edgetrainsim.parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP,
                                       KIND_TP, PlanError, make_dp_plan,
                                       make_pp_plan, make_sp_plan, make_tp_plan,
-                                      pp_stage_memory)
+                                      pp_stage_memory, stage_transfer)
 from edgetrainsim.scheduler import (CHECKPOINT_INTERVAL_CAP, InfeasibleError,
                                     Objective, arrange_topology, candidate_plans,
                                     choose_parallelism, orchestrate,
                                     partition_stages, plan_checkpointing,
                                     select_devices, young_checkpoint_interval)
-from edgetrainsim.simengine import iteration_times, simulate
+from edgetrainsim.simengine import iteration_times, phase_seconds, simulate
 from edgetrainsim.workload import (TrainingJob, TransformerSpec,
                                    activation_bytes_per_block, default_edge_job,
                                    flops_per_iteration, model_preset,
@@ -411,6 +411,38 @@ class TestArrangeTopology:
         got = arrange_topology(domain, tuple("dcba"), SMALL_SPEC, SMALL_JOB)
         assert got == min(fastest) == ("b", "a", "c", "d")
 
+    @staticmethod
+    def slow_fastest_pair(n):
+        """``n`` devices d0..d{n-1}, fastest first, whose one slow link joins
+        the two fastest, so the fastest-first order puts it on the boundary
+        of interior device d1, and orders that part d0 and d1 avoid it."""
+        ids = [f"d{i}" for i in range(n)]
+        return domain_of(*(device(d, 1e9 * (n - i)) for i, d in enumerate(ids)),
+                         links=(("d0", "d1", Link(1e7, 1e-4)),))
+
+    def test_eight_devices_are_searched_exhaustively(self):
+        """The documented bound: 8 devices get the best order of all 8!,
+        not the fastest-first one, which is strictly worse here; 9 go
+        fastest-first."""
+        spec = model_preset("gpt2-s")
+        domain = self.slow_fastest_pair(8)
+        ids = domain.device_ids
+        hop = {pair: phase_seconds(stage_transfer(spec, JOB, *pair),
+                                   domain.network)
+               for pair in itertools.permutations(ids, 2)}
+
+        def busiest(order):
+            """The largest left + right hop over interior devices."""
+            return max(hop[a, b] + hop[b, c]
+                       for a, b, c in zip(order, order[1:], order[2:]))
+
+        best = min(itertools.permutations(ids), key=busiest)
+        assert busiest(ids) > busiest(best)
+        assert arrange_topology(domain, ids[::-1], spec, JOB) == best
+        domain = self.slow_fastest_pair(9)
+        assert arrange_topology(domain, domain.device_ids[::-1], spec, JOB) \
+            == domain.device_ids
+
 
 class TestChooseParallelism:
     def brute_force_best(self, domain, participants, spec, job, objective):
@@ -784,3 +816,59 @@ class TestOrchestrate:
         domain = domain_of(device("a", 1e9, mem=1e6))
         with pytest.raises(InfeasibleError):
             orchestrate(domain, model_preset("gpt2-l"), JOB, Objective())
+
+
+@st.composite
+def planner_inputs(draw, sync_periods=st.integers(1, 9)):
+    """1 to 5 boards of the three profiles at scaled speeds, on links of
+    10 Mbps to 1 Gbps, a preset model in either mode, and a job whose sync
+    period is drawn from ``sync_periods``."""
+    boards = []
+    for i in range(draw(st.integers(1, 5))):
+        board = draw(st.sampled_from((jetson_nano, jetson_tx2, jetson_nx)))(
+            f"d{i}")
+        speed = draw(st.floats(0.25, 4.0))
+        boards.append(dataclasses.replace(
+            board, cpu_throughput=board.cpu_throughput * speed,
+            gpu_throughput=board.gpu_throughput * speed))
+    links = tuple((a.id, b.id, Link(draw(st.sampled_from((1e7, 1e8, 1e9))),
+                                    draw(st.sampled_from((0.0, 1e-4, 1e-3)))))
+                  for a, b in itertools.combinations(boards, 2))
+    domain = domain_of(*boards, links=links).with_mode(
+        draw(st.sampled_from(("cpu", "gpu"))))
+    spec = model_preset(draw(st.sampled_from(("distilbert", "gpt2-s",
+                                              "opt-350m"))))
+    job = default_edge_job(global_batch=8 * draw(st.sampled_from((1, 2, 16))),
+                           dp_sync_period=draw(sync_periods))
+    return domain, spec, job
+
+
+class TestSyncPeriodPricing:
+    """The planner prices each plan over one sync period, whose per-sample
+    figures are the plan's long-run rates (renewal-reward)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planner_inputs(), st.sampled_from((ENERGY, LATENCY)))
+    def test_candidates_simulate_one_sync_period(self, inputs, objective):
+        domain, spec, job = inputs
+        for _, plan, result, reason in candidate_plans(
+                domain, domain.device_ids, spec, job, objective):
+            if reason is None:
+                assert result == simulate(plan, domain,
+                                          iterations=job.dp_sync_period)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planner_inputs(sync_periods=st.just(5)),
+           st.sampled_from((ENERGY, LATENCY)))
+    def test_default_period_predicts_the_twenty_iteration_report(
+            self, inputs, objective):
+        """At the default period of 5, the predicted per-sample figures are
+        bitwise those of the default 20-iteration `simulate`: its totals are
+        exactly 4 times one period's, a power of two."""
+        domain, spec, job = inputs
+        for _, plan, result, reason in candidate_plans(
+                domain, domain.device_ids, spec, job, objective):
+            if reason is None:
+                report = simulate(plan, domain, iterations=20)
+                assert (result.latency_per_sample, result.energy_per_sample) \
+                    == (report.latency_per_sample, report.energy_per_sample)
