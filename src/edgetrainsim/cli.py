@@ -14,22 +14,22 @@ rates; only `simulate` and `faults` replay a run of ``--iterations``.
 Each command's flags are declared once, as :class:`Flag` data in
 :data:`COMMANDS`.  :func:`parse_args` reads an argv made only of the command
 and exact ``--flag value`` (or store-true ``--flag``) items straight from
-that table, building no parser.  Every other argv (help, ``--``,
-``--flag=value``, abbreviations, values that start with ``-``, bad values,
-unknown or missing flags) goes to the full parser from :func:`build_parser`,
-built from the same table, which prints every help text, usage line and
-error.  Only one domain source (``--testbed``, ``--domain``, ``--devices``)
+that table, building no parser and importing no argparse.  Every other argv
+(help, ``--``, ``--flag=value``, abbreviations, values that start with
+``-``, bad values, unknown or missing flags) goes to the full parser from
+:func:`build_parser`, built from the same table, which prints every help
+text, usage line and error.  Only one domain source (``--testbed``, ``--domain``, ``--devices``)
 and one model source (``--model``, ``--model-config``) may be given.
 Output files are written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 
 from . import config_io
 from .config_io import ConfigError
@@ -44,19 +44,13 @@ from .simengine import (DEFAULT_ITERATIONS, OutOfMemoryError, SimulationError,
 from .workload import (MODEL_PRESETS, TrainingJob, default_edge_job,
                        model_preset)
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 PROG = "edgetrainsim"
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _read_file(path: str, context: str) -> str:
@@ -391,7 +385,18 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every command as a subparser."""
+    """The full parser: every command as a subparser.  Only help and usage
+    errors need it, so only it imports argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser whose usage errors exit with code 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     parser = _Parser(prog=PROG,
                      description="Collaborative edge training planner and "
                                  "simulator")
@@ -403,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace :func:`build_parser` gives ``argv`` when ``argv`` is a
-    command and then only ``--flag value`` and store-true ``--flag`` items,
-    or None for any other ``argv``.
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of the Namespace :func:`build_parser` gives ``argv``
+    when ``argv`` is a command and then only ``--flag value`` and store-true
+    ``--flag`` items, or None for any other ``argv``.
 
     Each flag must be the command's own, spelled in full; each value must not
     start with ``-`` and must convert with the flag's type into its choices;
@@ -436,15 +441,14 @@ def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
         given[item] = value
     if any(f.required and name not in given for name, f in flags.items()):
         return None
-    args = argparse.Namespace(command=argv[0],
-                              func=globals()[f"cmd_{argv[0]}"])
+    args = SimpleNamespace(command=argv[0], func=globals()[f"cmd_{argv[0]}"])
     for name, flag in flags.items():
         dest = name[2:].replace("-", "_")
         setattr(args, dest, given.get(name, flag.default))
     return args
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """Parse ``argv`` as :func:`build_parser` does, building no parser when
     :func:`_parse_exact` reads it."""
     args = _parse_exact(argv)

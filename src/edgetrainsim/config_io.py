@@ -31,14 +31,15 @@ Every file the program writes comes from ``yaml_block.write``: block YAML
 with sorted keys, one line per scalar, where a string is a plain token or
 one double-quoted line.  Reading a block document of plain tokens, the
 shape of every file the program writes from its own names, is
-``yaml_block.read``, line by line; each distinct token goes once through
-PyYAML's resolver and its str, int, float, bool or null constructor.
-Every other document (quoted strings, comments, flow collections, tags,
-anchors, merge keys) is read by ``_Loader``: libyaml's ``CSafeLoader``
-when it is installed, PyYAML's pure-Python ``SafeLoader`` otherwise.  An
-explicitly tagged scalar that its constructor cannot read (``!!float
-abc``) is a ConfigError naming its line.  Either way the values are what
-``yaml.load`` gives with the same class.
+``yaml_block.read``, line by line; each distinct token is resolved once
+by its table of YAML 1.1's str, int, float, bool and null scalars, without
+PyYAML.  Every other document (quoted strings, comments, flow collections,
+tags, anchors, merge keys) is read by ``_Loader``: libyaml's
+``CSafeLoader`` when it is installed, PyYAML's pure-Python ``SafeLoader``
+otherwise.  PyYAML is imported only then.  An explicitly tagged scalar
+that its constructor cannot read (``!!float abc``) is a ConfigError naming
+its line.  Either way the values are what ``yaml.load`` gives with the
+same class.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from dataclasses import MISSING, fields
 from functools import cache
 from typing import Any, get_type_hints
 
-import yaml
-
 from . import yaml_block
 from .devices import DeviceProfile, Link, NetworkModel, TrustedDomain
 from .parallelism import (KIND_DP, KIND_PP, KIND_SP, KIND_TP, ParallelPlan,
@@ -58,8 +57,6 @@ from .simengine import FaultReport, SimulationResult
 from .workload import TrainingJob, TransformerSpec
 
 SCHEMA_VERSION = 1
-
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Fields whose file key carries a unit; every other field keeps its name.
 _UNITS = {
@@ -181,13 +178,26 @@ def _check_version(data: dict, context: str):
         raise ConfigError(f"{context}: unsupported schema_version {version!r}")
 
 
+def __getattr__(name: str):
+    """``_Loader``, the class PyYAML reads the documents ``yaml_block``
+    declines with: libyaml's ``CSafeLoader`` when it is installed, else
+    ``SafeLoader``.  PyYAML is imported on first use; setting ``_Loader``
+    replaces the class."""
+    if name != "_Loader":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import yaml
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_yaml(text: str, context: str) -> dict:
     """The mapping ``yaml.load(text, _Loader)`` reads: by ``yaml_block``
     when ``text`` is a block document, else by ``_Loader``."""
     data = yaml_block.read(text)
     if data is None:
+        import yaml
         try:
-            loader = _Loader(text)
+            # A ``_Loader`` set on the module, else the installed class.
+            loader = (globals().get("_Loader") or __getattr__("_Loader"))(text)
             construct = loader.construct_object
 
             def construct_object(node, deep=False):

@@ -22,25 +22,18 @@ both of PyYAML's safe loaders read them back.
 where VALUE is a TOKEN, ``{}`` or ``[]``, at the indentation ``write``
 gives it.  A TOKEN is ``_TOKEN``, at most ``_MAX_TOKEN_CHARS`` long;
 PyYAML's scanner reads it as a plain scalar of exactly its characters.
-Each distinct token is resolved by PyYAML's resolver and built by its safe
-constructor, so values are what ``yaml.safe_load`` gives.  ``read`` returns
-None for any other document (quotes, ``- -``, comments, flow collections),
-and the caller hands it to PyYAML.
+Each distinct token is resolved and built once by this module's table of
+YAML 1.1's plain scalars (``_scalar``), the one PyYAML's resolver and safe
+constructor apply, so values are what ``yaml.safe_load`` gives.  ``read``
+returns None for any other document (quotes, ``- -``, comments, flow
+collections), and the caller hands it to PyYAML.  Neither function imports
+PyYAML.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Any
-
-from yaml.constructor import SafeConstructor
-from yaml.nodes import ScalarNode
-from yaml.resolver import Resolver
-
-_TAG = "tag:yaml.org,2002:"
-_STR = _TAG + "str"
-_SCALAR_TAGS = tuple(_TAG + name for name in ("str", "null", "bool", "int",
-                                              "float"))
 
 _TOKEN = r"-?[A-Za-z0-9_.][A-Za-z0-9_.+-]*"
 _MAX_TOKEN_CHARS = 128
@@ -61,9 +54,79 @@ _MAX_KEY_CHARS = 1024
 _EMPTY = {dict: "{}", list: "[]"}
 _FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
 
+# YAML 1.1's plain scalars of the null, bool, int, float and timestamp
+# tags (yaml.org/type, 2005), as PyYAML resolves and builds them, for the
+# tokens ``_TOKEN`` admits: no "+" sign, and no ":" for base 60.  Every
+# other token is a str.  The bool and null words, and infinity and NaN:
+_INF = float("inf")
+_SCALAR_WORDS = {
+    **dict.fromkeys(("yes", "Yes", "YES", "true", "True", "TRUE",
+                     "on", "On", "ON"), True),
+    **dict.fromkeys(("no", "No", "NO", "false", "False", "FALSE",
+                     "off", "Off", "OFF"), False),
+    **dict.fromkeys(("null", "Null", "NULL")),
+    **dict.fromkeys((".inf", ".Inf", ".INF"), _INF),
+    **dict.fromkeys(("-.inf", "-.Inf", "-.INF"), -_INF),
+    # PyYAML's NaN, whose sign bit the division sets on most hardware.
+    **dict.fromkeys((".nan", ".NaN", ".NAN"), -_INF / _INF),
+}
+# The numbers: a float has a "." and at most a signed exponent, an int a
+# "0b", "0x" or octal "0" prefix or none; "_" separates digits anywhere
+# after the first.  A date is a timestamp, which ``read`` declines.
+_NUMBER = re.compile(r"""
+    (?P<float>-?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?
+             |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?)
+   |(?P<int>-?(?:0b[01_]+|0x[0-9a-fA-F_]+|0[0-7_]*|[1-9][0-9_]*))
+   |(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})""", re.X)
+_BASES = {"0b": 2, "0x": 16}
+
 
 class _Decline(Exception):
     """The document is outside the grammar."""
+
+
+def _scalar(token: str):
+    """``token``'s value as PyYAML's resolver and safe constructor give
+    it; _Decline for a date, and for an int of no digits (``0x_``), which
+    its constructor cannot read."""
+    if token in _SCALAR_WORDS:
+        return _SCALAR_WORDS[token]
+    number = _NUMBER.fullmatch(token)
+    if number is None:
+        return token
+    kind, digits = number.lastgroup, token.replace("_", "")
+    if kind == "float":
+        return float(digits)
+    if kind == "date":
+        raise _Decline
+    sign, digits = (-1, digits[1:]) if digits[0] == "-" else (1, digits)
+    base = _BASES.get(digits[:2])
+    try:
+        if base is None:
+            return sign * int(digits, 8 if digits[0] == "0" else 10)
+        return sign * int(digits[2:], base)
+    except ValueError as exc:
+        raise _Decline from exc
+
+
+def _is_str(token: str) -> bool:
+    """Whether ``token`` is a str under ``_scalar``'s table."""
+    return token not in _SCALAR_WORDS and _NUMBER.fullmatch(token) is None
+
+
+class _Values(dict):
+    """Each token's value, built on first use by ``_scalar``; an empty
+    collection is a new one each time."""
+
+    def __missing__(self, token: str):
+        if token == "{}":
+            return {}
+        if token == "[]":
+            return []
+        if len(token) > _MAX_TOKEN_CHARS:
+            raise _Decline
+        value = self[token] = _scalar(token)
+        return value
 
 
 def read(text: str) -> dict | None:
@@ -79,38 +142,23 @@ def read(text: str) -> dict | None:
     rows = _LINE.findall(text)
     if len(rows) != text.count("\n") or text[-1:] != "\n":
         return None
-    resolve, constructor = Resolver().resolve, SafeConstructor()
-    ctors = {tag: constructor.yaml_constructors[tag] for tag in _SCALAR_TAGS}
-    words: dict[str, Any] = {}
-    missing = object()
-
-    def word(token: str):
-        obj = words.get(token, missing)
-        if obj is not missing:
-            return obj
-        if token == "{}":
-            return {}
-        if token == "[]":
-            return []
-        if len(token) > _MAX_TOKEN_CHARS:
-            raise _Decline
-        tag = resolve(ScalarNode, token, (True, False))
-        if tag not in ctors:
-            raise _Decline
-        try:
-            obj = words[token] = ctors[tag](constructor, ScalarNode(tag, token))
-        except (ValueError, LookupError, AttributeError) as exc:
-            raise _Decline from exc
-        return obj
-
+    values = _Values()
     root: dict = {}
     # (column, collection, is a list) of each open collection, innermost
     # last: a mapping's column is its keys', a list's its dashes'.
     stack: list[tuple[int, Any, bool]] = [(-1, None, False), (0, root, False)]
     bare = None  # (mapping, key, column) after a ``key:`` line
+    # The innermost collection and its column when it is a mapping and no
+    # ``key:`` line is open, else column -1: a ``key: value`` line at that
+    # column is one more of its items.
+    filling, at = root, 0
     try:
         for indent, dash, key, key_value, value in rows:
-            column, is_list = len(indent), bool(dash)
+            column = len(indent)
+            if column == at and key_value and not dash:
+                filling[values[key]] = values[key_value]
+                continue
+            is_list = bool(dash)
             if bare is not None:
                 parent, parent_key, parent_column = bare
                 bare = None
@@ -127,7 +175,8 @@ def read(text: str) -> dict | None:
             into = stack[-1][1]
             if is_list:
                 if not key:
-                    into.append(word(value))
+                    into.append(values[value])
+                    at = -1
                     continue
                 into.append({})
                 into, column = into[-1], column + 2
@@ -135,9 +184,11 @@ def read(text: str) -> dict | None:
             elif not key:
                 return None
             if key_value:
-                into[word(key)] = word(key_value)
+                into[values[key]] = values[key_value]
+                filling, at = into, column
             else:
-                bare = (into, word(key), column)
+                bare = (into, values[key], column)
+                at = -1
     except _Decline:
         return None
     return None if bare is not None else root
@@ -167,7 +218,6 @@ def write(data: dict) -> str:
     lines: list[str] = []
     words: dict[str, str] = {}
     seen = {id(data)}
-    resolve = Resolver().resolve
 
     def token(obj) -> str:
         kind = type(obj)
@@ -176,7 +226,7 @@ def write(data: dict) -> str:
             if text is None:
                 plain = (len(obj) <= _MAX_TOKEN_CHARS
                          and _WORD.fullmatch(obj) is not None
-                         and resolve(ScalarNode, obj, (True, False)) == _STR)
+                         and _is_str(obj))
                 text = words[obj] = (obj if plain else
                                      f'"{_ESCAPED.sub(_escape, obj)}"')
             return text

@@ -949,3 +949,29 @@ assert main(["faults", "--plan", "p.yaml", "--mtbf", "600"]) == 0
 """
         proc = _python("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_program_files_load_without_pyyaml_or_argparse(self, tmp_path):
+        """The README flow on files the program wrote, a domain among them,
+        imports neither PyYAML nor argparse; a flow-style domain written by
+        hand still plans, read by PyYAML."""
+        (tmp_path / "d.yaml").write_text(config_io.dump_yaml(
+            config_io.domain_to_dict(load_testbed("homogeneous-nano4"))))
+        _write_cafe_domain(tmp_path / "cafe.yaml")
+        script = """
+import sys
+from edgetrainsim.cli import main
+domain = ["--domain", "d.yaml"]
+assert main(["plan", *domain, "--model", "gpt2-s", "--objective", "energy",
+             "--out", "p.yaml"]) == 0
+assert main(["simulate", "--plan", "p.yaml", "--trace", "t.tsv",
+             "--out", "r.yaml"]) == 0
+assert main(["sweep", *domain, "--out", "s.tsv"]) == 0
+assert main(["faults", "--plan", "p.yaml", "--mtbf", "600", "--out",
+             "f.yaml"]) == 0
+assert not {"yaml", "argparse"} & set(sys.modules), sorted(sys.modules)
+assert main(["plan", "--domain", "cafe.yaml", "--model", "distilbert",
+             "--out", "cafe.plan.yaml"]) == 0
+assert "yaml" in sys.modules
+"""
+        proc = _python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import datetime
 import itertools
 import math
+import re
 import string
 import sys
 from dataclasses import MISSING, fields, replace
@@ -713,12 +714,21 @@ _WORDS = (st.tuples(st.sampled_from(string.ascii_letters + "_"),
 _QUOTED_WORDS = st.sampled_from(["yes", "No", "null", "true", "1.0", "0x1F",
                                  "007", "1_000", "-1", ".5", "2024-01-01",
                                  "...a"])
+# The corners of YAML 1.1's plain scalar table: ints with separators and
+# prefixes, floats with and without a signed exponent, infinities, NaNs,
+# bool and null words in odd case, a date, and tokens of the longest length
+# the block reader takes and one more.
+CORNER_TOKENS = ["1_000", "1_", "_1", "0b1_0", "017", "0o17", "0x1F", "0x_",
+                 "00", "-0", "1.", ".5", "-.5", "1e9", "1.0e9", "1.0e+9",
+                 "1.0E+9", ".inf", "-.Inf", ".NaN", "NaN", "yes", "Off",
+                 "NULL", "nuLL", "2024-01-01", "1" * 128, "1" * 129]
 # A value of the longest token; as a key, PyYAML's pure-Python emitter
 # writes one of more than 122 characters as a "? " key.
 _TOKEN_LEAVES = (st.none() | st.booleans() | st.sampled_from(EDGE_INTS)
                  | st.integers(-2 ** 80, 2 ** 80) | st.sampled_from(EDGE_FLOATS)
                  | st.floats() | _WORDS | _QUOTED_WORDS | st.just("v" * 128)
-                 | st.builds(dict) | st.builds(list))
+                 | st.sampled_from(CORNER_TOKENS) | st.builds(dict)
+                 | st.builds(list))
 
 
 def _token_collections(inner):
@@ -761,6 +771,26 @@ def _edits(text):
     return st.one_of(edits)
 
 
+def _strings(data):
+    """Every string in ``data``, key or value, at any depth."""
+    if type(data) is str:
+        yield data
+    elif type(data) is dict:
+        for key, value in data.items():
+            yield from _strings(key)
+            yield from _strings(value)
+    elif type(data) is list:
+        for item in data:
+            yield from _strings(item)
+
+
+def _corner_examples(test):
+    """``test`` with one example per corner token, as a key and a value."""
+    for token in CORNER_TOKENS:
+        test = example({token: token})(test)
+    return test
+
+
 class TestBlockPath:
     """``yaml_block`` writes what PyYAML writes for strings it writes plain,
     reads what PyYAML reads, through either class, and declines everything
@@ -768,16 +798,32 @@ class TestBlockPath:
 
     @_WITH_CLASSES
     @given(_TOKEN_TREES)
+    @_corner_examples
     def test_token_trees_match_pyyaml(self, yaml_classes, data):
         """``dump_yaml`` quotes the strings PyYAML quotes, and is PyYAML's
         bytes when it quotes none.  The block reader takes a tree with no
-        quoted string and no list in a list; PyYAML reads the rest."""
+        quoted string and no list in a list; PyYAML reads the rest.  Each
+        string of the tree, written plain, is read as PyYAML reads it, and
+        declined only when it is no token, is longer than 128 characters, or
+        is a scalar PyYAML builds no str, int, float, bool or None from."""
         text = _checked_dump(data)
         quoted = "'" in _dump_through(data, yaml.SafeDumper)
         assert ('"' in text) == quoted
         assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
         assert (yaml_block.read(text) is not None) == (
             not quoted and "- - " not in text)
+        for word in _strings(data):
+            plain = f"v: {word}\n"
+            got = yaml_block.read(plain)
+            if got is not None:
+                assert _same(got, _load_through(plain)), word
+            elif re.fullmatch(yaml_block._TOKEN, word) and len(word) <= 128:
+                try:
+                    want = _load_through(plain)["v"]
+                except ValueError:  # an int of no digits, such as 0x_
+                    continue
+                assert type(want) not in (str, int, float, bool,
+                                          type(None)), word
 
     @_WITH_CLASSES
     @given(_TOKEN_TREES, st.data())

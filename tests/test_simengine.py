@@ -885,6 +885,23 @@ class TestFaultInjection:
         assert report.energy_estimate == pytest.approx(
             per_iter * 6 + (2.0 + 1.5) * (r + 2 * w), rel=1e-9)
 
+    def test_failure_at_an_iterations_end_loses_it(self):
+        """A failure exactly at the end of the first iteration falls after
+        it: the iteration is executed, then lost, as no checkpoint was
+        written, and run again after the reload, four in all."""
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
+                            domain.device_ids)
+        base_len, _ = iteration_times(plan, domain)
+        report = inject_faults(plan, domain, FaultModel(1e18, 50e6, 50e6),
+                               1e8, iterations=3, failure_times=[base_len])
+        assert report.failures == 1
+        assert report.executed_iterations == 4
+        assert report.completed_iterations == 3
+        assert report.rework_time == base_len
+        assert report.energy_estimate == pytest.approx(785.114873856,
+                                                       rel=1e-12)
+
     def test_halving_mtbf_never_helps_on_average(self):
         domain = load_testbed("homogeneous-nano4")
         plan = make_single_plan(domain, model_preset("distilbert"), JOB,
