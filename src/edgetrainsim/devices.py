@@ -74,21 +74,26 @@ class DeviceProfile:
         return self.mem_capacity * self.usable_mem_fraction
 
 
+def _gpu_computes(device: DeviceProfile, mode: str) -> bool:
+    """Whether the GPU does the computing: in GPU mode, when it is at least
+    as fast as the CPU and not absent (0 FLOP/s)."""
+    return (mode == MODE_GPU and device.gpu_throughput >= device.cpu_throughput
+            and device.gpu_throughput > 0)
+
+
 def effective_throughput(device: DeviceProfile, mode: str) -> float:
-    """Sustained FLOP/s under the given execution mode."""
-    if mode == MODE_CPU:
-        return device.cpu_throughput
-    if mode == MODE_GPU:
-        return max(device.cpu_throughput, device.gpu_throughput)
-    raise ValidationError(f"unknown mode {mode!r} (expected one of {MODES})")
+    """Sustained FLOP/s of the unit that computes under the given mode."""
+    if mode not in MODES:
+        raise ValidationError(
+            f"unknown mode {mode!r} (expected one of {MODES})")
+    return (device.gpu_throughput if _gpu_computes(device, mode)
+            else device.cpu_throughput)
 
 
 def busy_power(device: DeviceProfile, mode: str) -> float:
-    """Power draw while computing, matching the unit effective_throughput picks."""
-    if mode == MODE_GPU and device.gpu_throughput >= device.cpu_throughput \
-            and device.gpu_throughput > 0:
-        return device.power_gpu_busy
-    return device.power_cpu_busy
+    """Power draw while computing, of the unit effective_throughput picks."""
+    return (device.power_gpu_busy if _gpu_computes(device, mode)
+            else device.power_cpu_busy)
 
 
 @dataclass(frozen=True)

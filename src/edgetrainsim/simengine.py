@@ -33,10 +33,14 @@ iteration, formatting each group's start time once per iteration.  Every row
 starts inside its own iteration, so the file is ordered by start time and
 then device, in UTF-8.
 
-Fault replay draws the participants' failures as one Poisson stream at the
-system MTBF, the one checkpoint planning assumes: a generator over the
-standard library's ``random.Random`` seeded with the fault model's seed,
-one exponential per failure.
+Fault replay keeps the same books.  It times the iterations c+1..j since
+the last checkpoint (after iteration c) or reload by the same closed form,
+(j - c) * base_len + (floor(j/k) - floor(c/k)) * sync_len, writes a
+checkpoint once that span reaches the interval, and prices the executed
+iterations with the same totals.  It draws the participants' failures as one
+Poisson stream at the system MTBF, the one checkpoint planning assumes: a
+generator over the standard library's ``random.Random`` seeded with the
+fault model's seed, one exponential per failure.
 """
 
 from __future__ import annotations
@@ -229,7 +233,24 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
             oom_devices=oom_devices), None
 
     prof = _profile_iteration(plan, domain)
-    n_sync = iterations // plan.job.dp_sync_period
+    makespan, comm_bytes = _totals(plan, domain, prof, usage, iterations,
+                                   iterations // plan.job.dp_sync_period)
+    samples = iterations * plan.job.global_batch
+    return SimulationResult(
+        plan_kind=plan.kind, iterations_simulated=iterations,
+        samples_processed=samples, makespan=makespan,
+        latency_per_sample=makespan / samples,
+        energy_per_sample=(sum_in_order(u.energy for u in usage.values())
+                           / samples),
+        per_device=usage, comm_bytes_by_op=comm_bytes), prof
+
+
+def _totals(plan: ParallelPlan, domain: TrustedDomain,
+            prof: _IterationProfile, usage: dict[str, DeviceUsage],
+            iterations: int, n_sync: int) -> tuple[float, dict[str, float]]:
+    """Total ``iterations`` iterations, of which ``n_sync`` sync, as the
+    two shapes' products: set each device's compute, comm and idle time and
+    energy in ``usage``, and return the makespan and ``comm_bytes_by_op``."""
     base_len, sync_len = prof.base_len, prof.sync_len
     makespan = iterations * base_len + n_sync * sync_len
     (_, _, _, _, compute), *phases = prof.groups
@@ -256,15 +277,7 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
                     + (busy_power(device, domain.mode) - device.power_idle)
                     * u.compute_time
                     + device.power_net * u.comm_time)
-
-    samples = iterations * plan.job.global_batch
-    return SimulationResult(
-        plan_kind=plan.kind, iterations_simulated=iterations,
-        samples_processed=samples, makespan=makespan,
-        latency_per_sample=makespan / samples,
-        energy_per_sample=(sum_in_order(u.energy for u in usage.values())
-                           / samples),
-        per_device=usage, comm_bytes_by_op=comm_bytes), prof
+    return makespan, comm_bytes
 
 
 def checkpoint_cost(plan: ParallelPlan, domain: TrustedDomain,
@@ -318,9 +331,14 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
                   failure_times: Optional[list[float]] = None) -> FaultReport:
     """Replay the run against seeded failures with checkpoint/restart recovery.
 
-    A failure rolls progress back to the last checkpoint and charges a state
-    reload; checkpoints are written at iteration boundaries once the caller's
-    ``checkpoint_interval`` (> 0 seconds) has elapsed since the previous one.
+    The work since the last checkpoint or reload takes :func:`simulate`'s
+    makespan of its iterations, so with no failure the wall time is the
+    makespan.  A failure rolls progress back to the last checkpoint and
+    charges a state reload; a checkpoint is written after any iteration but
+    the last once that span reaches ``checkpoint_interval`` (> 0 seconds).
+    The energy is simulate's energy of the executed iterations, syncs
+    included, plus idle and network power over reloads and writes; the part
+    of an iteration that a failure cuts off is not charged.
     ``failure_times`` overrides the random stream (used for hand-built traces).
     """
     base, prof = _simulate(plan, domain, iterations)
@@ -340,52 +358,60 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
         stream = _failure_stream(fault_model, len(plan.participants))
     next_fail = next(stream)
 
-    wall = 0.0
-    it = 0
-    ckpt_iter = 0
-    last_ckpt_wall = 0.0
-    failures = 0
-    executed = 0
-    rework = 0.0
-    reload_total = 0.0
-    ckpt_total = 0.0
-    ckpt_writes = 0
-
-    while it < iterations:
-        dt = base_len + (sync_len if (it + 1) % k == 0 else 0.0)
-        if wall + dt > next_fail:
-            # Work since the last checkpoint is lost.
-            lost = next_fail - last_ckpt_wall
-            rework += lost
-            wall = next_fail + reload_time_each
-            reload_total += reload_time_each
-            it = ckpt_iter
-            last_ckpt_wall = wall
-            failures += 1
-            next_fail = next(stream)
+    # The run is a chain of stretches.  Each starts at wall time ``start``,
+    # the end of a write or a reload (or 0), from the last checkpoint's
+    # iteration ``done``.  Iterations done+1..j take ``span``, simulate's
+    # makespan of them.  A stretch ends at the iteration a failure cuts off,
+    # or at the first whose span reaches the interval.
+    start = rework = 0.0
+    done = failures = writes = executed = executed_syncs = 0
+    while True:
+        done_syncs = done // k
+        for j in range(done + 1, iterations + 1):
+            span = (j - done) * base_len + (j // k - done_syncs) * sync_len
+            end = start + span
+            if end > next_fail or span >= checkpoint_interval:
+                break
+        if end > next_fail:
+            # A failure cuts iteration j off and the stretch's work is lost.
+            # The run reloads and restarts the stretch, as often as the next
+            # failure comes before its first iteration ends.
+            executed += j - 1 - done
+            executed_syncs += (j - 1) // k - done_syncs
+            first = base_len + ((done + 1) // k - done_syncs) * sync_len
+            while True:
+                rework += next_fail - start
+                start = next_fail + reload_time_each
+                failures += 1
+                next_fail = next(stream)
+                if not start + first > next_fail:
+                    break
             continue
-        wall += dt
-        it += 1
-        executed += 1
-        if it < iterations and wall - last_ckpt_wall >= checkpoint_interval:
-            wall += write_time
-            ckpt_total += write_time
-            ckpt_writes += 1
-            last_ckpt_wall = wall
-            ckpt_iter = it
+        executed += j - done
+        executed_syncs += j // k - done_syncs
+        if j == iterations:
+            break
+        start = end + write_time
+        writes += 1
+        done = j
 
-    samples = iterations * plan.job.global_batch
-    per_iter_energy = base.total_energy / base.iterations_simulated
+    # count x cost; none takes 0 s even at an infinite cost
+    reloading = failures * reload_time_each if failures else 0.0
+    writing = writes * write_time if writes else 0.0
+    usage = {p: DeviceUsage() for p in plan.participants}
+    _totals(plan, domain, prof, usage, executed, executed_syncs)
     overhead_power = sum_in_order(
         domain.device(p).power_idle + domain.device(p).power_net
         for p in plan.participants)
-    energy = per_iter_energy * executed + overhead_power * (reload_total + ckpt_total)
+    energy = (sum_in_order(u.energy for u in usage.values())
+              + overhead_power * (reloading + writing))
+    samples = iterations * plan.job.global_batch
     return FaultReport(
-        fault_free=base, wall_time=wall,
-        goodput_samples_per_s=samples / wall, failures=failures,
+        fault_free=base, wall_time=end,
+        goodput_samples_per_s=samples / end, failures=failures,
         executed_iterations=executed, completed_iterations=iterations,
-        checkpoint_writes=ckpt_writes, rework_time=rework,
-        reload_time=reload_total, checkpoint_time=ckpt_total,
+        checkpoint_writes=writes, rework_time=rework,
+        reload_time=reloading, checkpoint_time=writing,
         energy_estimate=energy, checkpoint_interval=checkpoint_interval,
         seed=fault_model.rng_seed)
 

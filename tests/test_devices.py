@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -46,6 +47,19 @@ class TestProfiles:
         cpu_only = DeviceProfile("c", 1e9, 0.0, 1e9, 1.0, 3.0, 3.0, 0.5)
         assert effective_throughput(cpu_only, "gpu") == 1e9
         assert busy_power(cpu_only, "gpu") == 3.0
+
+    @pytest.mark.parametrize("mode", ["cpu", "gpu"])
+    def test_throughput_and_power_come_from_one_unit(self, mode):
+        """Over equal, zero and signed-zero throughputs: GPU mode runs at
+        the faster unit's FLOP/s, and the throughput and the busy power are
+        always those of the same unit."""
+        for cpu, gpu in itertools.product((0.0, -0.0, 1e9, 2e9), repeat=2):
+            dev = DeviceProfile("d", cpu, gpu, 1e9, 1.0, 3.0, 5.0, 0.5)
+            thr, power = effective_throughput(dev, mode), busy_power(dev, mode)
+            assert (thr, power) in ((cpu, 3.0), (gpu, 5.0))
+            want = cpu if mode == "cpu" else max(cpu, gpu)
+            assert (thr, math.copysign(1.0, thr)) == \
+                (want, math.copysign(1.0, want))
 
     def test_gpu_mode_energy_per_flop_is_lower(self):
         # The mode gap relies on GPUs being more efficient per FLOP.

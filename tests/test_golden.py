@@ -81,19 +81,19 @@ GOLDEN_FAULTS = {
     "homogeneous-nano4/distilbert":
         "ea2dfcc0f1d94cdad78769a349a492e73647d5003ab408ad452ec5e09ed8b6bc",
     "homogeneous-nano4/gpt2-s":
-        "7d66dbd2038dd5d9bfe6b12d661138b9d14f694d3dfa732e5acf278f550f7dd4",
+        "2e8d9d61217938c7580a4332846198df68004b26bbcf2d7469a273e0a713790c",
     "homogeneous-nano4/opt-350m":
-        "ebdb1b9817abd19add31a168061cf49be4914f5fd91d5c1b56e6f41c985f028f",
+        "0d96930cb2b6afb27d3c3b1d491b42e99e2e62c5e30bf9b46edd84e84ca8de90",
     "homogeneous-nano4/gpt2-l":
-        "4d56b38a1cd7410dfb781cc5d8e730049c208d53f950f77272b23d648956e7f7",
+        "3a2fd862e42d2e7ee2e15274fde48383bd71a9f3b0cf5da280c28fc4e4c4f0a0",
     "heterogeneous-mix4/distilbert":
-        "b2b65493913263db2655ed61961e9963bdf5f69095552e636e0324b8ff3916f0",
+        "f407602c0590d3bcb9154c6c54ef74ce61c6ea903ddbea2edd7971f0c74128d3",
     "heterogeneous-mix4/gpt2-s":
-        "49ef5148a3f22f18cdc87b6a89c33e29eb25644581662a1a220dc2714a472549",
+        "c9ea3b9075791c664260a39b704e519e3c4a3bc90681a1bf19c640b18c85277e",
     "heterogeneous-mix4/opt-350m":
-        "9bc1d8557a25a1e8fb6b0651a29b6f5e46af1e5e40f253c87a5c89a99bbb6309",
+        "dcec9f9f35214741ad50138a4d11ea14e9340b41c9c4d034a4acbf4384a408ec",
     "heterogeneous-mix4/gpt2-l":
-        "67f520784ada19475054c529423e5f7218c384b95fa2eea1744cbc3e8ab3c149",
+        "fb4a8b501f2096f4e60b6a5937e82ea0d0e4d364fa06e585d4eb63ecb43dbed3",
 }
 
 GOLDEN_SWEEP = {
