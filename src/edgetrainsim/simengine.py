@@ -27,11 +27,12 @@ sync period k.  So a run of I iterations has n = floor(I/k) syncs, and every
 total is closed-form: the makespan is I * base_len + n * sync_len, and each
 device's compute, comm and idle time and ``comm_bytes_by_op`` are the same
 two products.  The trace is never stored: :func:`write_trace` sorts the rows
-of each shape once by start offset and then device, formats each row's tail
-once and groups the rows by start offset, then streams them iteration by
-iteration, formatting each group's start time once per iteration.  Every row
-starts inside its own iteration, so the file is ordered by start time and
-then device, in UTF-8.
+of each shape once by start offset and then device, formats and encodes each
+row's tail once and groups the rows by start offset, then builds the bytes
+iteration by iteration, formatting each group's start time once per
+iteration, and writes them in chunks of about a fixed size.  Every row starts
+inside its own iteration, so the file is ordered by start time and then
+device, in UTF-8.
 
 Fault replay keeps the same books.  It times the iterations c+1..j since
 the last checkpoint (after iteration c) or reload by the same closed form,
@@ -47,9 +48,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import log
+from math import isfinite, log
 from operator import itemgetter
 from random import Random
+from sys import float_info
 from typing import Optional
 
 from .devices import FaultModel, NetworkModel, TrustedDomain, busy_power
@@ -325,6 +327,11 @@ def _failure_stream(fault_model: FaultModel, num_devices: int):
         yield t
 
 
+def _never_ends(what: str, shard: float, bandwidth: float) -> str:
+    return (f"a checkpoint {what} of {shard:.6g} bytes at {bandwidth:.6g} B/s "
+            f"never ends")
+
+
 def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
                   fault_model: FaultModel, checkpoint_interval: float,
                   iterations: int = DEFAULT_ITERATIONS,
@@ -338,7 +345,9 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     the last once that span reaches ``checkpoint_interval`` (> 0 seconds).
     The energy is simulate's energy of the executed iterations, syncs
     included, plus idle and network power over reloads and writes; the part
-    of an iteration that a failure cuts off is not charged.
+    of an iteration that a failure cuts off is not charged.  A reload or a
+    write whose time is not finite (a bandwidth too small for the shard)
+    would never end, so the first one due raises :class:`SimulationError`.
     ``failure_times`` overrides the random stream (used for hand-built traces).
     """
     base, prof = _simulate(plan, domain, iterations)
@@ -376,6 +385,9 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
             # A failure cuts iteration j off and the stretch's work is lost.
             # The run reloads and restarts the stretch, as often as the next
             # failure comes before its first iteration ends.
+            if not isfinite(reload_time_each):
+                raise SimulationError(_never_ends(
+                    "reload", shard, fault_model.recovery_reload_bandwidth))
             executed += j - 1 - done
             executed_syncs += (j - 1) // k - done_syncs
             first = base_len + ((done + 1) // k - done_syncs) * sync_len
@@ -391,6 +403,9 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
         executed_syncs += j // k - done_syncs
         if j == iterations:
             break
+        if not isfinite(write_time):
+            raise SimulationError(_never_ends(
+                "write", shard, fault_model.checkpoint_write_bandwidth))
         start = end + write_time
         writes += 1
         done = j
@@ -418,6 +433,9 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
 
 TRACE_HEADER = "time\tdevice\tkind\tduration\tbytes\n"
 
+# About how many bytes of rows write_trace joins before each write.
+_TRACE_CHUNK_BYTES = 1 << 16
+
 
 def _trace_shapes(prof: _IterationProfile):
     """The (offset, device, kind, duration, bytes) rows of each iteration
@@ -443,30 +461,45 @@ def write_trace(plan: ParallelPlan, domain: TrustedDomain, iterations: int,
     One row per device and phase of each of the ``iterations`` iterations,
     with the syncs on the iterations that :func:`simulate` totals.  An
     out-of-memory run simulates none, so its table is the header alone.
+    The file is written as UTF-8 bytes, with LF line ends on every platform.
     The rows of a shape are grouped by start offset: each row's tail after
-    the time is formatted once per run, each group's start time once per
-    iteration, and each iteration is one ``writelines`` call.
+    the time is formatted and encoded once per run, and each group's start
+    time once per iteration.  The groups go out in chunks of whole
+    iterations, as many as fit about ``_TRACE_CHUNK_BYTES`` at the widest
+    iteration's size, so the memory held stays bounded however many devices
+    there are.
     """
     result, prof = _simulate(plan, domain, iterations)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER)
+    with open(path, "wb") as fh:
+        fh.write(TRACE_HEADER.encode())
         if result.oom:
             return result
         shapes = {}
         for sync, rows in _trace_shapes(prof).items():
-            groups = [(offset, [f"\t{p}\t{kind}\t{d:.9f}\t{b:.1f}\n"
-                                for _, p, kind, d, b in group])
+            # [b"", *tails]: joined by a start time, a group's rows each begin
+            # with it.
+            groups = [(offset, [b"", *(f"\t{p}\t{kind}\t{d:.9f}\t{b:.1f}\n"
+                                       .encode() for _, p, kind, d, b in group)])
                       for offset, group in groupby(rows, key=itemgetter(0))]
             length = prof.base_len + (prof.sync_len if sync else 0.0)
             shapes[sync] = groups, length
+        # The sync shape holds every row, so its iteration is the widest.
+        # Start times grow, so none is wider than the run's end (or than the
+        # largest float, should that overflow).
+        start_width = len(b"%.9f" % min(result.makespan, float_info.max))
+        widest = sum(len(tail) + start_width
+                     for _, tails in shapes[True][0] for tail in tails[1:])
+        per_chunk = max(1, _TRACE_CHUNK_BYTES // max(widest, 1))
         k = plan.job.dp_sync_period
         t0 = 0.0
+        chunk = []
         for g in range(iterations):
             groups, length = shapes[(g + 1) % k == 0]
-            lines = []
             for offset, tails in groups:
-                start = f"{t0 + offset:.9f}"
-                lines.append(start + start.join(tails))
-            fh.writelines(lines)
+                chunk.append((b"%.9f" % (t0 + offset)).join(tails))
             t0 += length
+            if (g + 1) % per_chunk == 0:
+                fh.write(b"".join(chunk))
+                chunk = []
+        fh.write(b"".join(chunk))
     return result

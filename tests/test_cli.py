@@ -554,6 +554,11 @@ BAD_VALUES = {
                             "--ckpt-bandwidth", "nan"), None),
     "plan-nan-mtbf": (("plan", "--model", "distilbert", "--mtbf", "nan"),
                       None),
+    # A reload or a checkpoint write of inf seconds never ends.
+    "reload-never-ends": (("faults", "--plan", "{plan}", "--mtbf", "60",
+                           "--reload-bandwidth", "1e-300"), None),
+    "write-never-ends": (("faults", "--plan", "{plan}", "--mtbf", "60",
+                          "--ckpt-bandwidth", "1e-300"), 10.0),
     "trace-missing-dir": (("simulate", "--plan", "{plan}", "--trace",
                            "{missing}/trace.tsv"), None),
     "out-missing-dir": (("simulate", "--plan", "{plan}", "--out",

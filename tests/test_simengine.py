@@ -16,7 +16,8 @@ from hypothesis import (Phase, assume, example, given, settings,
                         strategies as st)
 
 from edgetrainsim import simengine
-from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile,
+from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES,
+                                  MAX_DEVICE_ID_CHARS, DeviceProfile,
                                   FaultModel, Link, NetworkModel,
                                   TrustedDomain, testbed_preset as load_testbed)
 from edgetrainsim.parallelism import (ALL_KINDS, KIND_PP, KIND_SINGLE,
@@ -492,6 +493,17 @@ def plan_on_testbed(kind, model="gpt2-s", testbed="heterogeneous-mix4", k=5):
                      default_edge_job(dp_sync_period=k), ids), domain
 
 
+def trace_peak_bytes(plan, domain, iterations):
+    """Peak bytes that tracemalloc sees while the trace goes to the null
+    device."""
+    tracemalloc.start()
+    try:
+        write_trace(plan, domain, iterations, os.devnull)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrace:
     def test_trace_invariants(self, tmp_path):
         domain = load_testbed("homogeneous-nano4")
@@ -563,20 +575,65 @@ class TestTrace:
             else materialised_trace(plan, domain, iterations))
 
     def test_write_trace_streams_one_iteration_at_a_time(self, tmp_path):
-        # About 8 MB of rows; the writer must hold no more than an iteration.
+        # About 8 MB of rows; the writer must hold no more than a bounded
+        # chunk.
         domain = load_testbed("homogeneous-nano4")
         plan = make_pp_plan(domain, model_preset("gpt2-s"), JOB,
                             domain.device_ids)
         path = tmp_path / "trace.tsv"
         write_trace(plan, domain, 20_000, path)
         assert path.stat().st_size > 4e6
-        tracemalloc.start()
-        try:
-            write_trace(plan, domain, 20_000, os.devnull)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+        assert trace_peak_bytes(plan, domain, 20_000) < 1e6
+
+    def test_write_trace_holds_a_bounded_chunk_on_12_devices(self, tmp_path):
+        # A 12-device pipeline's iteration is about three times as wide as
+        # the 4-device one's; its 7 MB of rows fill over a hundred chunks,
+        # and the writer still holds no more than one.
+        devices = tuple(DEVICE_PROFILE_FACTORIES["nano"](f"nano-{i}")
+                        for i in range(12))
+        domain = TrustedDomain(devices, NetworkModel())
+        plan = make_pp_plan(domain, model_preset("gpt2-s"), JOB,
+                            domain.device_ids)
+        path = tmp_path / "trace.tsv"
+        write_trace(plan, domain, 6_000, path)
+        assert path.stat().st_size > 6e6
+        assert trace_peak_bytes(plan, domain, 6_000) < 1e6
+
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_chunk_boundaries_move_no_byte(self, tmp_path, monkeypatch,
+                                           budget):
+        """A chunk of one iteration, or of two (the widest, a sync
+        iteration, is about 400 bytes), so that chunks end inside the
+        5-iteration sync periods and the last one is partial, writes the
+        same bytes."""
+        plan, domain = plan_on_testbed("dp", testbed="homogeneous-nano4")
+        monkeypatch.setattr(simengine, "_TRACE_CHUNK_BYTES", budget)
+        path = tmp_path / "trace.tsv"
+        write_trace(plan, domain, 23, path)
+        assert path.read_bytes() == materialised_trace(
+            plan, domain, 23).encode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["dp", KIND_PP])
+    def test_non_ascii_and_longest_ids_are_written_as_utf8(self, tmp_path,
+                                                          kind):
+        ids = ("é" * 30, "x" * MAX_DEVICE_ID_CHARS)
+        domain = TrustedDomain(tuple(DEVICE_PROFILE_FACTORIES["nano"](i)
+                                     for i in ids), NetworkModel())
+        plan = make_plan(kind, domain, model_preset("distilbert"), JOB, ids)
+        path = tmp_path / "trace.tsv"
+        write_trace(plan, domain, 7, path)
+        assert path.read_bytes() == materialised_trace(
+            plan, domain, 7).encode("utf-8")
+
+    @given(st.one_of(st.floats(allow_nan=False),
+                     st.sampled_from((2.0**53, 1e300)),
+                     # odd multiples of 2**-10 end in 5 at the 10th decimal
+                     st.integers(-2**40, 2**40).map(
+                         lambda n: (2 * n + 1) * 2.0**-10)))
+    def test_bytes_format_matches_text_format(self, x):
+        """Start times are formatted as bytes, the reference as text: both
+        round alike, halves at the 9th decimal included."""
+        assert b"%.9f" % x == f"{x:.9f}".encode()
 
 
 def looped_totals(plan, domain, iterations):
@@ -961,6 +1018,19 @@ class TestFaultInjection:
         report = inject_faults(plan, domain, fm, 1e8, iterations=20)
         assert (report.checkpoint_time, report.reload_time) == (0.0, 0.0)
         assert report.energy_estimate == report.fault_free.total_energy
+
+    @pytest.mark.parametrize("what", ["reload", "write"])
+    def test_a_reload_or_write_that_never_ends_is_an_error(self, what):
+        """A bandwidth so small that the shard's reload or write time
+        overflows to inf would never let the run end: the replay raises at
+        the first one due, instead of drawing failures forever (reload) or
+        reporting -inf rework (write)."""
+        domain, _, plan = self.setup_plan()
+        tiny = {"reload": (50e6, 1e-300), "write": (1e-300, 50e6)}[what]
+        fm = FaultModel(60.0, *tiny)
+        with deadline(20), pytest.raises(SimulationError,
+                                         match=f"{what} .* never ends"):
+            inject_faults(plan, domain, fm, 10.0, iterations=200)
 
     @pytest.mark.parametrize("chunk", [256, 5])
     @pytest.mark.parametrize("num_devices", [1, 2, 3, 4, 7, 12])
