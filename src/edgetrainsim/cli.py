@@ -182,8 +182,7 @@ def cmd_simulate(args) -> int:
         result = write_trace(plan, domain, args.iterations, args.trace)
     _write_out(config_io.dump_yaml(config_io.result_to_dict(result)), args.out)
     if result.oom:
-        print("simulation aborted: out of memory on "
-              + ", ".join(result.oom_devices), file=sys.stderr)
+        print(f"simulation aborted: {result.rejection}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -202,7 +201,12 @@ def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
                modes=MODES):
     """One row per (model, kind, mode): the experiment grid of the sweeps,
     each plan priced over one sync period as the planner prices it.  A model
-    listed twice keeps its first place."""
+    listed twice keeps its first place.
+
+    A plan that cannot be built, or whose run the planner would reject
+    (:attr:`~edgetrainsim.simengine.SimulationResult.rejection`: out of
+    memory, or a latency or energy per sample that is not finite), gets the
+    row of one that does not fit: ``oom`` true, no figures, 0 bytes."""
     rows, period = [], job.dp_sync_period
     moded_domains = {mode: domain.with_mode(mode) for mode in modes}
     for model_name in dict.fromkeys(models):
@@ -212,10 +216,10 @@ def sweep_rows(domain: TrustedDomain, job, models=tuple(MODEL_PRESETS),
                 try:
                     plan = _sweep_plan(kind, moded, spec, job)
                 except (PlanError, InfeasibleError):
-                    result = None  # no plan: the row of one that does not fit
+                    result = None
                 else:
                     result = simulate(plan, moded, iterations=period)
-                fits = result is not None and not result.oom
+                fits = result is not None and result.rejection is None
                 lat, energy, comm = ((result.latency_per_sample,
                                       result.energy_per_sample,
                                       result.total_comm_bytes / period)

@@ -282,7 +282,7 @@ def pp_stage_memory(spec: TransformerSpec, job: TrainingJob, blocks,
     every micro-batch in flight, at most one per stage.
     """
     state = state_bytes(spec, job)
-    act = activation_bytes_per_block(spec, job.micro_batch, job)
+    act = activation_bytes_per_block(spec, job)
     depth = min(job.micro_batch_count, num_stages)
     return [(state * b / spec.num_blocks, b * act * depth) for b in blocks]
 
@@ -295,7 +295,7 @@ def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryC
         return {p: _check_one(domain, p, *req)
                 for p, req in zip(plan.participants, need)}
     state = state_bytes(spec, job)
-    act = spec.num_blocks * activation_bytes_per_block(spec, job.micro_batch, job)
+    act = spec.num_blocks * activation_bytes_per_block(spec, job)
     if plan.kind == KIND_TP:
         n = len(plan.participants)
         state, act = state / n, act / n

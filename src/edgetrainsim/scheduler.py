@@ -180,8 +180,10 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
     reason)`` in preference order: single for one participant, else DP, PP,
     TP, SP.  ``result`` simulates one sync period.  ``reason`` is None for a
     plan that can win, else its one rejection: no build, no memory-feasible
-    stage split, out of memory, a non-finite cost or a non-finite objective
-    value.  ``plan`` and ``result`` are None where it got no further.
+    stage split, the result's own
+    :attr:`~edgetrainsim.simengine.SimulationResult.rejection` (out of memory
+    or a non-finite cost) or a non-finite objective value.  ``plan`` and
+    ``result`` are None where it got no further.
     """
     participants = tuple(participants)
     for kind in (KIND_SINGLE,) if len(participants) == 1 else KIND_PREFERENCE:
@@ -198,13 +200,8 @@ def candidate_plans(domain: TrustedDomain, participants, spec: TransformerSpec,
             yield kind, None, None, exc.reasons[kind]
             continue
         result = simulate(plan, domain, iterations=job.dp_sync_period)
-        reason = None
-        if result.oom:
-            reason = "out of memory on " + ", ".join(result.oom_devices)
-        elif not (math.isfinite(result.latency_per_sample)
-                  and math.isfinite(result.energy_per_sample)):
-            reason = "latency or energy per sample is not finite"
-        elif not math.isfinite(objective.value(result)):
+        reason = result.rejection
+        if reason is None and not math.isfinite(objective.value(result)):
             reason = "objective value is not finite"
         yield kind, plan, result, reason
 

@@ -26,13 +26,20 @@ iteration g (counting from 0) syncs when g + 1 is a multiple of the job's
 sync period k.  So a run of I iterations has n = floor(I/k) syncs, and every
 total is closed-form: the makespan is I * base_len + n * sync_len, and each
 device's compute, comm and idle time and ``comm_bytes_by_op`` are the same
-two products.  The trace is never stored: :func:`write_trace` sorts the rows
-of each shape once by start offset and then device, formats and encodes each
-row's tail once and groups the rows by start offset, then builds the bytes
-iteration by iteration, formatting each group's start time once per
-iteration, and writes them in chunks of about a fixed size.  Every row starts
-inside its own iteration, so the file is ordered by start time and then
-device, in UTF-8.
+two products.  A shape that never runs has no term, so a run with no sync
+(I < k) is finite even when the sync alone would never end.  The trace is
+never stored: :func:`write_trace` sorts the rows of each shape once by start
+offset and then device, formats and encodes each row's tail once and groups
+the rows by start offset, then builds the bytes iteration by iteration,
+formatting each group's start time once per iteration, and writes them in
+chunks of about a fixed size.  Every row starts inside its own iteration, so
+the file is ordered by start time and then device, in UTF-8.
+
+One rule decides whether a run can be used:
+:attr:`SimulationResult.rejection` refuses a run that does not fit in memory
+or whose latency or energy per sample is not finite.  The planner rejects
+such a kind with that reason, ``sweep`` writes its row as one that does not
+fit, and fault replay raises it; ``simulate`` reports the run as it is.
 
 Fault replay keeps the same books.  It times the iterations c+1..j since
 the last checkpoint (after iteration c) or reload by the same closed form,
@@ -95,6 +102,18 @@ class SimulationResult:
     @property
     def oom(self) -> bool:
         return bool(self.oom_devices)
+
+    @property
+    def rejection(self) -> Optional[str]:
+        """Why this run cannot be used, in one line, or None when it can: it
+        does not fit in memory, or its latency or energy per sample is not
+        finite (a compute or link rate too small for its work)."""
+        if self.oom:
+            return "out of memory on " + ", ".join(self.oom_devices)
+        if not (isfinite(self.latency_per_sample)
+                and isfinite(self.energy_per_sample)):
+            return "latency or energy per sample is not finite"
+        return None
 
     @property
     def total_energy(self) -> float:
@@ -235,7 +254,7 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
             oom_devices=oom_devices), None
 
     prof = _profile_iteration(plan, domain)
-    makespan, comm_bytes = _totals(plan, domain, prof, usage, iterations,
+    makespan, comm_bytes = _totals(domain, prof, usage, iterations,
                                    iterations // plan.job.dp_sync_period)
     samples = iterations * plan.job.global_batch
     return SimulationResult(
@@ -247,21 +266,25 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
         per_device=usage, comm_bytes_by_op=comm_bytes), prof
 
 
-def _totals(plan: ParallelPlan, domain: TrustedDomain,
-            prof: _IterationProfile, usage: dict[str, DeviceUsage],
-            iterations: int, n_sync: int) -> tuple[float, dict[str, float]]:
+def _totals(domain: TrustedDomain, prof: _IterationProfile,
+            usage: dict[str, DeviceUsage], iterations: int,
+            n_sync: int) -> tuple[float, dict[str, float]]:
     """Total ``iterations`` iterations, of which ``n_sync`` sync, as the
     two shapes' products: set each device's compute, comm and idle time and
-    energy in ``usage``, and return the makespan and ``comm_bytes_by_op``."""
-    base_len, sync_len = prof.base_len, prof.sync_len
+    energy in ``usage``, and return the makespan and ``comm_bytes_by_op``.
+
+    A group that never runs has no term, so a run without a sync has no
+    sync term, not ``0 * inf`` for a sync that would never end."""
+    base_len = prof.base_len
+    sync_len = prof.sync_len if n_sync else 0.0
     makespan = iterations * base_len + n_sync * sync_len
     (_, _, _, _, compute), *phases = prof.groups
     comm_bytes: dict[str, float] = {}
     every, sync = [], []  # each group's seconds per device, in group order
     for _, op, payload, sync_only, seconds in phases:
-        (sync if sync_only else every).append(seconds)
         runs = n_sync if sync_only else iterations
-        if runs:  # a run without a sync reports no sync-only op
+        if runs:
+            (sync if sync_only else every).append(seconds)
             comm_bytes[op] = comm_bytes.get(op, 0.0) + runs * payload
 
     for p, u in usage.items():
@@ -345,21 +368,28 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     the last once that span reaches ``checkpoint_interval`` (> 0 seconds).
     The energy is simulate's energy of the executed iterations, syncs
     included, plus idle and network power over reloads and writes; the part
-    of an iteration that a failure cuts off is not charged.  A reload or a
-    write whose time is not finite (a bandwidth too small for the shard)
-    would never end, so the first one due raises :class:`SimulationError`.
+    of an iteration that a failure cuts off is not charged.  A run that
+    :attr:`SimulationResult.rejection` refuses is not replayed: out of
+    memory raises :class:`OutOfMemoryError`, and a run whose latency or
+    energy per sample is not finite, which would never end, raises
+    :class:`SimulationError`.  So does the first reload or write due whose
+    time is not finite (a bandwidth too small for the shard).
     ``failure_times`` overrides the random stream (used for hand-built traces).
     """
     base, prof = _simulate(plan, domain, iterations)
-    if base.oom:
-        raise OutOfMemoryError("out of memory on " + ", ".join(base.oom_devices))
+    if base.rejection is not None:
+        raise (OutOfMemoryError if base.oom else SimulationError)(
+            base.rejection)
     if not checkpoint_interval > 0:  # also refuses NaN
         raise SimulationError("checkpoint_interval must be > 0")
 
     shard, write_time = checkpoint_cost(plan, domain, fault_model)
     reload_time_each = shard / fault_model.recovery_reload_bandwidth
-    base_len, sync_len = prof.base_len, prof.sync_len
     k = plan.job.dp_sync_period
+    # A run shorter than a sync period never syncs: no sync term, as in
+    # simulate's totals.
+    base_len = prof.base_len
+    sync_len = prof.sync_len if iterations >= k else 0.0
 
     if failure_times is not None:
         stream = iter(list(failure_times) + [float("inf")])
@@ -414,7 +444,7 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     reloading = failures * reload_time_each if failures else 0.0
     writing = writes * write_time if writes else 0.0
     usage = {p: DeviceUsage() for p in plan.participants}
-    _totals(plan, domain, prof, usage, executed, executed_syncs)
+    _totals(domain, prof, usage, executed, executed_syncs)
     overhead_power = sum_in_order(
         domain.device(p).power_idle + domain.device(p).power_net
         for p in plan.participants)

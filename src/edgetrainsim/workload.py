@@ -115,13 +115,12 @@ def flops_per_iteration(spec: TransformerSpec, job: TrainingJob) -> float:
     return block_term + attn_term + head_term
 
 
-def activation_bytes_per_block(spec: TransformerSpec, micro_batch: int,
+def activation_bytes_per_block(spec: TransformerSpec,
                                job: TrainingJob) -> float:
-    """Stored activation bytes of one block for one micro-batch."""
-    if micro_batch < 0:
-        raise ValueError("micro_batch must be >= 0")
-    s, h, a = job.seq_len, spec.hidden_size, spec.num_heads
-    fp16_ref = s * micro_batch * h * (34.0 + 5.0 * a * s / h)
+    """Stored activation bytes of one block for one of the job's
+    micro-batches."""
+    s, m, h, a = job.seq_len, job.micro_batch, spec.hidden_size, spec.num_heads
+    fp16_ref = s * m * h * (34.0 + 5.0 * a * s / h)
     return job.activation_bytes_factor * fp16_ref
 
 
@@ -136,7 +135,7 @@ def full_replication_memory(spec: TransformerSpec, job: TrainingJob) -> float:
     Activations are sized by the micro-batch: gradient accumulation keeps
     only one micro-batch worth of per-block activations alive.
     """
-    act = activation_bytes_per_block(spec, job.micro_batch, job)
+    act = activation_bytes_per_block(spec, job)
     return state_bytes(spec, job) + spec.num_blocks * act
 
 

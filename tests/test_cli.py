@@ -3,10 +3,12 @@
 import argparse
 import contextlib
 import io
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from edgetrainsim import config_io, scheduler
 from edgetrainsim.cli import COMMANDS, build_parser, main, parse_args
-from edgetrainsim.devices import (DeviceProfile, TrustedDomain,
-                                  testbed_preset as load_testbed)
+from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile,
+                                  Link, NetworkModel, TrustedDomain,
+                                  jetson_nano, testbed_preset as load_testbed)
 from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
 from edgetrainsim.scheduler import CHECKPOINT_INTERVAL_CAP
 from edgetrainsim.workload import default_edge_job, model_preset
@@ -59,6 +62,26 @@ EDITED_PLANS = {
         kind, "participants", ["nano-0", "nano-1", "nano-1", "nano-3"],
         _REPEATED) for kind in ("dp", "sp", "tp", "pp")},
 }
+
+
+# Two Nanos joined by a 1e-300 bps link: every collective takes inf seconds,
+# the compute does not.
+_SLOW = TrustedDomain(devices=tuple(jetson_nano(f"nano-{i}") for i in range(2)),
+                      network=NetworkModel(default_bandwidth=1e-300),
+                      name="nano2-slow")
+
+
+def _write_slow_domain(path):
+    path.write_text(config_io.dump_yaml(config_io.domain_to_dict(_SLOW)))
+
+
+def _write_slow_dp_plan(path):
+    """distilbert DP on the slow Nanos, which `plan` never writes: its
+    gradient sync never ends."""
+    plan = make_dp_plan(_SLOW, model_preset("distilbert"), default_edge_job(),
+                        _SLOW.device_ids)
+    path.write_text(config_io.dump_yaml(config_io.plan_to_dict(
+        plan, _SLOW, 60.0)))
 
 
 class TestPresets:
@@ -135,6 +158,16 @@ class TestPlan:
         assert capsys.readouterr().err.splitlines() == [
             "infeasible: gpt2-s does not fit this domain",
             "  single: latency or energy per sample is not finite"]
+
+    def test_a_link_that_never_delivers_rejects_every_kind(self, tmp_path,
+                                                           capsys):
+        _write_slow_domain(tmp_path / "slow.yaml")
+        assert run("plan", "--domain", str(tmp_path / "slow.yaml"),
+                   "--model", "gpt2-s") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: gpt2-s does not fit this domain",
+            *(f"  {kind}: latency or energy per sample is not finite"
+              for kind in ("dp", "pp", "sp", "tp"))]
 
     def test_unknown_testbed_exits_1(self, capsys):
         assert run("plan", "--testbed", "bogus") == 1
@@ -371,6 +404,19 @@ class TestSimulate:
         assert result["oom"] and result["oom_devices"]
         assert trace.read_text() == "time\tdevice\tkind\tduration\tbytes\n"
 
+    def test_a_run_with_no_sync_is_finite(self, tmp_path):
+        """Three iterations of a five-iteration sync period run no sync, so
+        the sync that never ends adds no term."""
+        _write_slow_dp_plan(tmp_path / "plan.yaml")
+        out = tmp_path / "result.yaml"
+        assert run("simulate", "--plan", str(tmp_path / "plan.yaml"),
+                   "--iterations", "3", "--out", str(out)) == 0
+        result = yaml.safe_load(out.read_text())
+        assert result["makespan_s"] == 10.1688016896
+        assert result["comm_bytes_by_op"] == {}
+        assert all(math.isfinite(u["energy_j"])
+                   for u in result["per_device"].values())
+
     def test_oom_plan_faults_exits_2(self, tmp_path, capsys):
         domain = load_testbed("homogeneous-nano4")
         plan = make_dp_plan(domain, model_preset("gpt2-l"), default_edge_job(),
@@ -431,6 +477,27 @@ class TestSweep:
 
     def test_unknown_model_exits_1(self):
         assert run("sweep", "--models", "bogus") == 1
+
+    def test_a_rejected_run_is_written_as_one_that_does_not_fit(self,
+                                                                tmp_path):
+        """On a link that never delivers, every collective kind's run is
+        one the planner rejects; its row is `oom` with no figures and 0
+        bytes, as for a plan that cannot be built."""
+        _write_slow_domain(tmp_path / "slow.yaml")
+        out = tmp_path / "sweep.tsv"
+        assert run("sweep", "--domain", str(tmp_path / "slow.yaml"),
+                   "--models", "distilbert", "--out", str(out)) == 0
+        header, *lines = out.read_text().splitlines()
+        rows = [dict(zip(header.split("\t"), line.split("\t")))
+                for line in lines]
+        assert len(rows) == 10
+        for row in rows:
+            cells = (row["latency_per_sample_s"], row["energy_per_sample_j"],
+                     row["oom"], row["comm_bytes_per_iter"])
+            if row["kind"] == "single":
+                assert cells[2] == "false" and float(cells[0]) > 0
+            else:
+                assert cells == ("", "", "true", "0"), row
 
 
 class TestFaults:
@@ -502,6 +569,20 @@ class TestFaults:
         assert yaml.safe_load((tmp_path / "inf.yaml").read_text())[
             "failures"] == 0
 
+    def test_a_run_that_never_ends_exits_1(self, tmp_path, capsys):
+        # First through the entry point, in a child process with a time
+        # limit: a replay that never returns fails the test instead of
+        # blocking the suite.
+        _write_slow_dp_plan(tmp_path / "plan.yaml")
+        line = "error: latency or energy per sample is not finite\n"
+        proc = _python("-m", "edgetrainsim.cli", "faults", "--plan",
+                       "plan.yaml", "--mtbf", "600", cwd=tmp_path, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
+        assert run("faults", "--plan", str(tmp_path / "plan.yaml"),
+                   "--mtbf", "600", "--out", str(tmp_path / "r.yaml")) == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "r.yaml").exists()
+
     def test_overflowing_failure_times_print_no_warning(self, tmp_path):
         # At 1e307 s per device the failure times overflow to inf.
         self.plan_file(tmp_path)
@@ -510,6 +591,87 @@ class TestFaults:
                        "big.yaml", cwd=tmp_path, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+
+@st.composite
+def _link_pools(draw):
+    """2 to 6 boards of the three profiles, in a drawn order, on drawn
+    per-link bandwidths and latencies, in either mode."""
+    profiles = draw(st.lists(st.sampled_from(sorted(DEVICE_PROFILE_FACTORIES)),
+                             min_size=2, max_size=6))
+    boards = tuple(DEVICE_PROFILE_FACTORIES[name](f"{name}-{i}")
+                   for i, name in enumerate(profiles))
+    links = tuple((a.id, b.id,
+                   Link(draw(st.sampled_from((1e7, 5e7, 1e8, 1e9))),
+                        draw(st.sampled_from((0.0, 1e-4, 1e-3)))))
+                  for a, b in itertools.combinations(boards, 2))
+    return TrustedDomain(devices=boards, network=NetworkModel(links=links),
+                         mode=draw(st.sampled_from(("cpu", "gpu"))),
+                         name="pool")
+
+
+def _relabelled(domain, prefix):
+    """``domain`` with ``prefix`` before every device id, which keeps both
+    the pool order and the sorted order of the ids."""
+    return replace(
+        domain,
+        devices=tuple(replace(d, id=prefix + d.id) for d in domain.devices),
+        network=replace(domain.network, links=tuple(
+            (prefix + a, prefix + b, link)
+            for a, b, link in domain.network.links)))
+
+
+class TestRelabelling:
+    PREFIX = "site-"
+    FLOWS = (
+        ("plan", "--domain", "{dir}/d.yaml", "--model", "{model}",
+         "--objective", "energy", "--out", "{dir}/energy.yaml"),
+        ("plan", "--domain", "{dir}/d.yaml", "--model", "{model}",
+         "--objective", "latency", "--out", "{dir}/latency.yaml"),
+        ("plan", "--domain", "{dir}/d.yaml", "--model", "{model}",
+         "--select-devices", "--out", "{dir}/select.yaml"),
+        ("simulate", "--plan", "{dir}/energy.yaml", "--iterations", "7",
+         "--trace", "{dir}/trace.tsv", "--out", "{dir}/result.yaml"),
+        ("faults", "--plan", "{dir}/energy.yaml", "--mtbf", "300", "--seed",
+         "{seed}", "--iterations", "30", "--out", "{dir}/faults.yaml"),
+    )
+
+    def outputs(self, root, domain, model, seed):
+        """Each command's exit code and stderr, then every file written,
+        for the flows above on ``domain`` in the new directory ``root``."""
+        root.mkdir()
+        (root / "d.yaml").write_text(config_io.dump_yaml(
+            config_io.domain_to_dict(domain)), encoding="utf-8")
+        seen = []
+        for argv in self.FLOWS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(*(a.format(dir=root, model=model, seed=seed)
+                             for a in argv))
+            seen.append((code, err.getvalue()))
+        files = {p.name: p.read_text(encoding="utf-8")
+                 for p in sorted(root.iterdir()) if p.name != "d.yaml"}
+        return seen, files
+
+    @settings(max_examples=25, deadline=None)
+    @given(_link_pools(), st.sampled_from(("distilbert", "gpt2-s")),
+           st.integers(0, 3))
+    def test_prefixed_ids_give_the_same_bytes(self, tmp_path_factory, domain,
+                                              model, seed):
+        """Renaming devices in a way that keeps both the pool order and the
+        sorted order (a common prefix) changes no output byte but the ids:
+        `plan` under each objective and with `--select-devices`,
+        `simulate --trace` and `faults`."""
+        root = tmp_path_factory.mktemp("relabel")
+        seen, files = self.outputs(root / "ids", domain, model, seed)
+        seen_p, files_p = self.outputs(root / "prefixed",
+                                       _relabelled(domain, self.PREFIX),
+                                       model, seed)
+        assert "energy.yaml" in files
+        assert [(code, err.replace(self.PREFIX, "")) for code, err in seen_p] \
+            == seen
+        assert {name: text.replace(self.PREFIX, "")
+                for name, text in files_p.items()} == files
 
 
 # argv ("{plan}" marks a DP plan file) and the plan's checkpoint_interval_s

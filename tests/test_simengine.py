@@ -30,7 +30,8 @@ from edgetrainsim.parallelism import (ALL_KINDS, KIND_PP, KIND_SINGLE,
 from edgetrainsim.scheduler import (CHECKPOINT_INTERVAL_CAP, Objective,
                                     orchestrate, plan_checkpointing)
 from edgetrainsim.simengine import (TRACE_HEADER, DeviceUsage,
-                                    SimulationError, _failure_stream,
+                                    OutOfMemoryError, SimulationError,
+                                    _failure_stream,
                                     _profile_iteration, _trace_shapes,
                                     collective_time, inject_faults,
                                     iteration_times, simulate, write_trace)
@@ -201,6 +202,58 @@ class TestSingleDevice:
         plan = make_single_plan(domain, model_preset("distilbert"), JOB, "d0")
         with pytest.raises(SimulationError):
             simulate(plan, domain, iterations=0)
+
+
+def slow_link_dp(k=5):
+    """DP of distilbert on two Nanos joined by a 1e-300 bps link, sync
+    period ``k``: its gradient sync takes inf seconds, its compute does not."""
+    domain = TrustedDomain(
+        devices=tuple(DEVICE_PROFILE_FACTORIES["nano"](f"nano-{i}")
+                      for i in range(2)),
+        network=NetworkModel(default_bandwidth=1e-300))
+    job = default_edge_job(dp_sync_period=k)
+    return domain, make_dp_plan(domain, model_preset("distilbert"), job,
+                                domain.device_ids)
+
+
+class TestRejection:
+    """`SimulationResult.rejection` is the one rule for a usable run."""
+
+    def test_a_run_that_fits_is_usable(self):
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-s"), JOB,
+                            domain.device_ids)
+        assert simulate(plan, domain).rejection is None
+
+    def test_out_of_memory_names_its_devices(self):
+        domain = load_testbed("homogeneous-nano4")
+        plan = make_dp_plan(domain, model_preset("gpt2-l"), JOB,
+                            domain.device_ids)
+        assert simulate(plan, domain).rejection == \
+            "out of memory on nano-0, nano-1, nano-2, nano-3"
+
+    def test_a_non_finite_figure_is_a_rejection(self):
+        domain, plan = slow_link_dp()
+        result = simulate(plan, domain, iterations=5)
+        assert result.makespan == math.inf
+        assert result.rejection == \
+            "latency or energy per sample is not finite"
+
+    @pytest.mark.parametrize("iterations", [1, 3, 4])
+    def test_a_run_with_no_sync_has_no_sync_term(self, iterations):
+        """Fewer iterations than the sync period run no sync, so the sync
+        that would never end adds nothing: not ``0 * inf``, which is NaN."""
+        domain, plan = slow_link_dp()
+        result = simulate(plan, domain, iterations=iterations)
+        base_len, sync_len = iteration_times(plan, domain)
+        assert sync_len == math.inf and math.isfinite(base_len)
+        assert result.makespan == iterations * base_len
+        assert result.rejection is None
+        assert result.comm_bytes_by_op == {}
+        for u in result.per_device.values():
+            assert (u.comm_time, u.idle_time) == (0.0, 0.0)
+            assert u.compute_time == result.makespan
+            assert math.isfinite(u.energy)
 
 
 class TestClosedForms:
@@ -1149,8 +1202,37 @@ class TestFaultInjection:
     def test_rejects_infeasible_plan(self):
         domain = load_testbed("homogeneous-nano4")
         plan = make_single_plan(domain, model_preset("gpt2-l"), JOB, "nano-0")
-        with pytest.raises(SimulationError):
+        with pytest.raises(OutOfMemoryError, match="^out of memory on nano-0$"):
             inject_faults(plan, domain, FaultModel(100.0, 50e6, 50e6), 60.0)
+
+    @pytest.mark.parametrize("iterations", [5, 20])
+    def test_refuses_a_run_that_never_ends(self, iterations):
+        """A run whose sync takes inf seconds is refused with the planner's
+        reason, not replayed forever."""
+        domain, plan = slow_link_dp()
+        with deadline(20), pytest.raises(SimulationError) as info:
+            inject_faults(plan, domain, FaultModel(600.0, 50e6, 50e6), 60.0,
+                          iterations=iterations)
+        assert not isinstance(info.value, OutOfMemoryError)
+        assert str(info.value) == "latency or energy per sample is not finite"
+
+    @pytest.mark.parametrize("iterations", [3, 4])
+    def test_a_run_with_no_sync_replays_without_it(self, iterations):
+        """Shorter than a sync period, the same run never syncs: its replay
+        is finite, and without failures it is the simulation."""
+        domain, plan = slow_link_dp()
+        fault_free = simulate(plan, domain, iterations=iterations)
+        with deadline(20):
+            report = inject_faults(plan, domain,
+                                   FaultModel(math.inf, 50e6, 50e6), 60.0,
+                                   iterations=iterations)
+            failing = inject_faults(plan, domain, FaultModel(5.0, 50e6, 50e6),
+                                    1.0, iterations=iterations)
+        assert report.wall_time == fault_free.makespan
+        assert report.energy_estimate == fault_free.total_energy
+        assert failing.failures > 0
+        assert math.isfinite(failing.wall_time)
+        assert math.isfinite(failing.energy_estimate)
 
     @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
     def test_rejects_an_interval_that_is_not_positive(self, interval):

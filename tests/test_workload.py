@@ -68,25 +68,22 @@ class TestFlops:
 class TestActivations:
     def test_gpt2s_frozen_value(self):
         # 2 * 32*128*768*(34 + 5*12*32/768) = 229,638,144 bytes
-        got = activation_bytes_per_block(model_preset("gpt2-s"), 128, FP32_JOB)
+        got = activation_bytes_per_block(model_preset("gpt2-s"), FP32_JOB)
         assert got == pytest.approx(229_638_144.0, rel=0)
-
-    def test_zero_microbatch(self):
-        assert activation_bytes_per_block(small_spec(), 0, FP32_JOB) == 0.0
 
     @given(st.integers(1, 64))
     def test_linear_in_microbatch(self, m):
         spec = small_spec()
-        a1 = activation_bytes_per_block(spec, m, FP32_JOB)
-        a2 = activation_bytes_per_block(spec, 2 * m, FP32_JOB)
+        a1 = activation_bytes_per_block(spec, TrainingJob(2 * m, 32, m))
+        a2 = activation_bytes_per_block(spec, TrainingJob(2 * m, 32, 2 * m))
         assert a2 == pytest.approx(2 * a1, rel=1e-12)
 
     def test_factor_scales_bytes(self):
         spec = small_spec()
         half = TrainingJob(8, 16, 8, activation_bytes_factor=1.0)
         full = TrainingJob(8, 16, 8, activation_bytes_factor=2.0)
-        assert (activation_bytes_per_block(spec, 8, full)
-                == 2 * activation_bytes_per_block(spec, 8, half))
+        assert (activation_bytes_per_block(spec, full)
+                == 2 * activation_bytes_per_block(spec, half))
 
 
 class TestMemory:
@@ -135,8 +132,7 @@ class TestMonotonicity:
         def costs():
             return (param_count(spec), flops_per_iteration(spec, FP32_JOB),
                     state_bytes(spec, FP32_JOB),
-                    activation_bytes_per_block(spec, FP32_JOB.micro_batch,
-                                               FP32_JOB))
+                    activation_bytes_per_block(spec, FP32_JOB))
         assert costs() == costs()
 
 
