@@ -198,12 +198,10 @@ def make_tp_plan(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                  participants) -> ParallelPlan:
     participants = _participants(domain, participants)
     n = len(participants)
-    mlp_hidden = spec.mlp_ratio * spec.hidden_size
-    if spec.num_heads % n != 0 or mlp_hidden % n != 0:
+    if spec.num_heads % n != 0:
         raise PlanError(
             f"tensor parallelism requires the participant count ({n}) to divide "
-            f"both the head count ({spec.num_heads}) and the MLP hidden size "
-            f"({mlp_hidden})")
+            f"the head count ({spec.num_heads})")
     return ParallelPlan(KIND_TP, participants, (spec.num_heads // n,) * n,
                         job, spec)
 

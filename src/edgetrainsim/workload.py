@@ -1,15 +1,17 @@
 """Analytic cost model for Transformer training workloads.
 
 Parameter count, FLOPs per iteration and memory footprint are derived from
-the architecture description alone; no tensors are ever materialized.  All
-functions are pure and deterministic.
+the architecture description alone, the MLP width included: every cost reads
+``mlp_ratio`` (r, the MLP hidden size over the model width; 4 in every
+preset).  No tensors are ever materialized.  All functions are pure and
+deterministic.
 
 Byte-size conventions:
   * parameter/optimizer state: ``param_bytes * optimizer_state_multiplier``
     bytes per parameter (default 4 * 4 = 16, an fp32 Adam-style optimizer).
-  * activations: the per-block closed form ``s*m*h*(34 + 5*a*s/h)`` bytes is
-    an fp16 reference and is scaled by ``activation_bytes_factor`` (default 2,
-    i.e. fp32 activations).
+  * activations: the per-block closed form ``s*m*h*(18 + 4*r + 5*a*s/h)``
+    bytes is an fp16 reference and is scaled by ``activation_bytes_factor``
+    (default 2, i.e. fp32 activations).
 """
 
 from __future__ import annotations
@@ -96,20 +98,26 @@ class TrainingJob:
 
 
 def param_count(spec: TransformerSpec) -> int:
-    """Total parameters: 12*L*h^2 block weights plus a tied V*h embedding."""
+    """Total parameters: (4 + 2*r)*L*h^2 block weights plus a tied V*h
+    embedding.
+
+    Each block holds 4*h^2 attention weights and two r*h^2 MLP matrices.
+    """
     h = spec.hidden_size
-    return 12 * spec.num_blocks * h * h + spec.vocab_size * h
+    return ((4 + 2 * spec.mlp_ratio) * spec.num_blocks * h * h
+            + spec.vocab_size * h)
 
 
 def flops_per_iteration(spec: TransformerSpec, job: TrainingJob) -> float:
     """Forward+backward FLOPs of one iteration over the global batch.
 
-    6*B*s FLOPs per block weight (2 FLOP/MAC forward, x3 for fwd+bwd),
-    plus the attention score/context matmuls and the LM head.
+    6*B*s FLOPs per block weight (2 FLOP/MAC forward, x3 for fwd+bwd), so
+    6*B*s*(4 + 2*r)*L*h^2 for the blocks, plus the attention score/context
+    matmuls and the LM head.
     """
     b, s = job.global_batch, job.seq_len
     l, h, v = spec.num_blocks, spec.hidden_size, spec.vocab_size
-    block_term = 6.0 * b * s * (12.0 * l * h * h)
+    block_term = 6.0 * b * s * ((4.0 + 2.0 * spec.mlp_ratio) * l * h * h)
     attn_term = 12.0 * l * b * s * s * h
     head_term = 6.0 * b * s * h * v
     return block_term + attn_term + head_term
@@ -118,9 +126,14 @@ def flops_per_iteration(spec: TransformerSpec, job: TrainingJob) -> float:
 def activation_bytes_per_block(spec: TransformerSpec,
                                job: TrainingJob) -> float:
     """Stored activation bytes of one block for one of the job's
-    micro-batches."""
+    micro-batches: factor*s*m*h*(18 + 4*r + 5*a*s/h).
+
+    The MLP's two r*h-wide tensors (the GeLU's input and output, fp16) store
+    4*r bytes per token and model-width element; the rest of the block
+    stores 18.
+    """
     s, m, h, a = job.seq_len, job.micro_batch, spec.hidden_size, spec.num_heads
-    fp16_ref = s * m * h * (34.0 + 5.0 * a * s / h)
+    fp16_ref = s * m * h * (18.0 + 4.0 * spec.mlp_ratio + 5.0 * a * s / h)
     return job.activation_bytes_factor * fp16_ref
 
 

@@ -275,6 +275,25 @@ class TestPlan:
         assert data["predicted"] == {key: simulated[key] for key in (
             "latency_per_sample_s", "energy_per_sample_j")}
 
+    def test_a_wider_mlp_costs_more(self, tmp_path):
+        """The model file's mlp_ratio reaches the costs: a ratio-8 gpt2-s
+        predicts 44.85 ms and 1.523 J per sample where ratio 4 predicts
+        31.41 ms and 1.053 J."""
+        predicted = {}
+        for ratio in (4, 8):
+            model, out = tmp_path / f"r{ratio}.yaml", tmp_path / "plan.yaml"
+            model.write_text(config_io.dump_yaml(config_io.model_to_dict(
+                replace(model_preset("gpt2-s"), mlp_ratio=ratio))))
+            assert run("plan", "--testbed", "homogeneous-nano4",
+                       "--model-config", str(model), "--out", str(out)) == 0
+            data = yaml.safe_load(out.read_text())
+            assert data["model"]["mlp_ratio"] == ratio
+            predicted[ratio] = data["predicted"]
+        assert predicted[4] == {"energy_per_sample_j": 1.0529315008000002,
+                                "latency_per_sample_s": 0.0314060918}
+        assert predicted[8] == {"energy_per_sample_j": 1.522903264,
+                                "latency_per_sample_s": 0.044854079}
+
 
 class TestSimulate:
     def plan_file(self, tmp_path, **kwargs):

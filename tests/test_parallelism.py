@@ -3,9 +3,12 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
+from edgetrainsim import config_io
 from edgetrainsim.devices import (DeviceProfile, NetworkModel, TrustedDomain,
                                   jetson_nano, testbed_preset as load_testbed)
 from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
@@ -16,7 +19,7 @@ from edgetrainsim.parallelism import (OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                                       make_single_plan, make_sp_plan,
                                       make_tp_plan, sum_in_order)
 from edgetrainsim.workload import (TrainingJob, TransformerSpec, model_preset,
-                                   state_bytes)
+                                   param_count, state_bytes)
 
 FP32_JOB = TrainingJob(global_batch=128, seq_len=32, micro_batch=128,
                        dp_sync_period=5)
@@ -123,9 +126,44 @@ class TestPlanConstruction:
 
     def test_tp_divisibility_error(self):
         domain = domain_with([1e9] * 3)
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError) as err:
             make_tp_plan(domain, model_preset("opt-350m"), FP32_JOB,
                          domain.device_ids)
+        assert str(err.value) == ("tensor parallelism requires the "
+                                  "participant count (3) to divide the head "
+                                  "count (16)")
+
+    @given(n=st.integers(1, 12), heads=st.integers(1, 24),
+           head_dim=st.integers(1, 16), r=st.integers(1, 8))
+    def test_tp_builds_iff_n_divides_the_head_count(self, n, heads, head_dim,
+                                                   r):
+        """The width is a multiple of the head count, so n | heads already
+        gives n | r*h: the head count is TP's one rule, and the MLP splits
+        into n equal slices."""
+        spec = TransformerSpec("t", 2, heads * head_dim, heads, 100,
+                               mlp_ratio=r)
+        domain = domain_with([1e9] * n)
+        if heads % n:
+            with pytest.raises(PlanError, match=rf"head count \({heads}\)"):
+                make_tp_plan(domain, spec, FP32_JOB, domain.device_ids)
+            return
+        plan = make_tp_plan(domain, spec, FP32_JOB, domain.device_ids)
+        slices = config_io.plan_to_dict(plan, domain)["partition"][
+            "hidden_slice_per_device"]
+        assert slices == [r * spec.hidden_size // n] * n
+        assert sum(slices) == r * spec.hidden_size
+
+    def test_tp_ratio_8_slices_and_state(self):
+        spec = replace(model_preset("gpt2-s"), mlp_ratio=8)
+        domain = domain_with([1e9] * 4, mem=64e9)
+        plan = make_tp_plan(domain, spec, FP32_JOB, domain.device_ids)
+        partition = config_io.plan_to_dict(plan, domain)["partition"]
+        assert partition["hidden_slice_per_device"] == [2 * 768] * 4
+        # (4 + 2*8)*L*h^2 + V*h parameters at 4 bytes x 4 (fp32 Adam).
+        params = 20 * 12 * 768 * 768 + 50257 * 768
+        assert param_count(spec) == params
+        for check in check_memory(plan, domain).values():
+            assert check.state_bytes == params * 16 / 4
 
     def test_pp_uniform_ranges(self):
         domain = domain_with([1e9] * 4)

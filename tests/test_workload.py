@@ -1,6 +1,7 @@
 """Cost-model tests: frozen values, linearity, monotonicity."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,9 +22,53 @@ EXPECTED_PARAMS = {
 }
 
 
-def small_spec(l=2, h=64, a=4, v=100):
+def small_spec(l=2, h=64, a=4, v=100, r=4):
     return TransformerSpec("toy", num_blocks=l, hidden_size=h, num_heads=a,
-                           vocab_size=v)
+                           vocab_size=v, mlp_ratio=r)
+
+
+@given(l=st.integers(0, 96), a=st.integers(1, 64), head_dim=st.integers(1, 256),
+       v=st.integers(1, 300_000), micro=st.integers(1, 64),
+       count=st.integers(1, 64), s=st.integers(1, 4096),
+       factor=st.floats(1e-3, 16.0))
+def test_ratio_4_costs_equal_the_literal_expressions(l, a, head_dim, v, micro,
+                                                     count, s, factor):
+    """At mlp_ratio 4 the three costs are the 12*L*h^2 / 34 forms, bit for
+    bit, so no preset's numbers move."""
+    h = a * head_dim
+    b, m = micro * count, micro
+    spec = TransformerSpec("r4", l, h, a, v)
+    job = TrainingJob(b, s, m, activation_bytes_factor=factor)
+    assert param_count(spec) == 12 * l * h * h + v * h
+    assert flops_per_iteration(spec, job) == (
+        6.0 * b * s * (12.0 * l * h * h) + 12.0 * l * b * s * s * h
+        + 6.0 * b * s * h * v)
+    assert activation_bytes_per_block(spec, job) == (
+        factor * (s * m * h * (34.0 + 5.0 * a * s / h)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+class TestMlpRatio:
+    """Every cost reads the MLP width: (4 + 2r)*h^2 weights per block and
+    18 + 4r activation bytes per element before attention's 5*a*s/h."""
+
+    def test_params(self, r):
+        spec = small_spec(l=3, h=128, a=4, v=1000, r=r)
+        assert param_count(spec) == (4 + 2 * r) * 3 * 128 * 128 + 1000 * 128
+
+    def test_flops_block_term(self, r):
+        # Only the block term reads r, so two ratios differ by it alone.
+        spec, job = small_spec(l=3, h=128, r=r), TrainingJob(16, 32, 4)
+        block = (flops_per_iteration(spec, job)
+                 - flops_per_iteration(replace(spec, num_blocks=0), job)
+                 - 12 * 3 * 16 * 32 * 32 * 128)
+        assert block == 6 * 16 * 32 * (4 + 2 * r) * 3 * 128 * 128
+
+    def test_activation_bytes(self, r):
+        spec = small_spec(h=128, a=4, r=r)
+        job = TrainingJob(16, 32, 4, activation_bytes_factor=1.5)
+        assert activation_bytes_per_block(spec, job) == (
+            1.5 * 32 * 4 * 128 * (18 + 4 * r + 5 * 4 * 32 / 128))
 
 
 class TestParamCount:
@@ -118,11 +163,15 @@ class TestMonotonicity:
             bigger_specs = [TransformerSpec("b", l + 1, h, 4, 500),
                             TransformerSpec("c", l, h + 64, 4, 500)]
             bigger_jobs = [TrainingJob(b + 1, s, 1), TrainingJob(b, s + 1, 1)]
+            wider_mlp = TransformerSpec("d", l, h, 4, 500, mlp_ratio=8)
             f0 = flops_per_iteration(spec, job)
             m0 = full_replication_memory(spec, job)
             for s2 in bigger_specs:
                 assert flops_per_iteration(s2, job) >= f0
                 assert full_replication_memory(s2, job) >= m0
+            assert param_count(wider_mlp) > param_count(spec)
+            assert flops_per_iteration(wider_mlp, job) > f0
+            assert full_replication_memory(wider_mlp, job) > m0
             for j2 in bigger_jobs:
                 assert flops_per_iteration(spec, j2) >= f0
 
