@@ -25,9 +25,10 @@ Output files are written as UTF-8 whatever the locale.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
-from pathlib import Path
+from functools import partial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 
@@ -37,8 +38,8 @@ from .devices import (DEFAULT_FAULT_MODEL, DEVICE_PROFILE_FACTORIES, MODES,
                       FaultModel, TESTBED_PRESETS, TrustedDomain,
                       ValidationError, profile_domain, testbed_preset)
 from .parallelism import ALL_KINDS, KIND_PP, KIND_SINGLE, PlanError, make_plan
-from .scheduler import (InfeasibleError, Objective, orchestrate,
-                        partition_stages, plan_checkpointing)
+from .scheduler import (InfeasibleError, Objective, checkpoint_interval_for,
+                        orchestrate, partition_stages)
 from .simengine import (DEFAULT_ITERATIONS, OutOfMemoryError, SimulationError,
                         inject_faults, simulate, write_trace)
 from .workload import (MODEL_PRESETS, TrainingJob, default_edge_job,
@@ -54,11 +55,13 @@ PROG = "edgetrainsim"
 
 
 def _read_file(path: str, context: str) -> str:
-    p = Path(path)
-    if not p.is_file():
+    """The UTF-8 text of the regular file ``path``, newlines read as
+    ``\n``; anything else (missing, a directory, a device) is not found."""
+    if not os.path.isfile(path):
         raise ConfigError(f"{context}: file not found: {path}")
     try:
-        return p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{context}: {path} is not UTF-8 text: byte "
@@ -134,7 +137,8 @@ def _write_out(text: str, out: str | None):
     whatever the locale; a stdout without a byte buffer (a redirect to a
     ``StringIO``) gets the text itself."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
@@ -267,7 +271,8 @@ def cmd_faults(args) -> int:
                              recovery_reload_bandwidth=args.reload_bandwidth,
                              rng_seed=args.seed)
     if interval is None:
-        interval = plan_checkpointing(plan, domain, fault_model)
+        # Planned as `plan` plans it, from the replay's own profile.
+        interval = partial(checkpoint_interval_for, plan, fault_model)
     try:
         report = inject_faults(plan, domain, fault_model, interval,
                                iterations=args.iterations)

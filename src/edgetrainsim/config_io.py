@@ -156,19 +156,48 @@ def _to_dict(obj, **extra) -> dict:
             for name, key, _, _ in _schema(type(obj))} | extra
 
 
+def _from_rows(cls: type, rows, where, ends=(), structural=(),
+               **given) -> list:
+    """A ``cls`` from each file mapping in ``rows``, which holds its scalar
+    fields, the string fields ``ends`` that are not ``cls``'s (a link's
+    ``a`` and ``b``) and the ``structural`` keys; ``given`` holds its other
+    fields.  Each row gives ``(*ends, obj)``, or ``obj`` without ``ends``.
+
+    The checks run in one order, each with its one message: a mapping, its
+    ``ends``, no unknown key, then each scalar field under the type rule,
+    then ``cls``'s own.  ``where(i)`` names row i; only a row that fails a
+    check builds its name, and only a value of another type than its
+    field's goes through :func:`_typed`."""
+    schema, keys = _schema(cls), _file_keys(cls, *ends, *structural)
+    made = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            _expect(row, dict, where(i))
+        values = [row[key] if type(row.get(key)) is str
+                  else _read(row, key, str, where(i)) for key in ends]
+        if not row.keys() <= keys:
+            _only(row, keys, where(i))
+        kwargs = dict(given)
+        for name, key, kind, default in schema:
+            value = row.get(key, default)
+            if type(value) is not kind:
+                if value is MISSING:
+                    raise ConfigError(f"{where(i)}: missing required field "
+                                      f"{key!r}")
+                value = _typed(value, kind, where(i), key)
+            kwargs[name] = value
+        try:
+            obj = cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{where(i)}: {exc}") from exc
+        made.append((*values, obj) if ends else obj)
+    return made
+
+
 def _from_dict(cls: type, data, context: str, structural=(), **given):
-    """A ``cls`` from its file mapping, which holds its scalar fields and
-    the ``structural`` keys; ``given`` holds its other fields."""
-    _only(_expect(data, dict, context), _file_keys(cls, *structural), context)
-    for name, key, kind, default in _schema(cls):
-        value = data.get(key, default)
-        if value is MISSING:
-            raise ConfigError(f"{context}: missing required field {key!r}")
-        given[name] = _typed(value, kind, context, key)
-    try:
-        return cls(**given)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    """A ``cls`` from its one file mapping (see :func:`_from_rows`)."""
+    return _from_rows(cls, (data,), lambda _: context, (), structural,
+                      **given)[0]
 
 
 def _check_version(data: dict, context: str):
@@ -235,24 +264,25 @@ def domain_to_dict(domain: TrustedDomain) -> dict:
                     devices=[_to_dict(d) for d in domain.devices])
 
 
+def _list_rows(cls: type, rows, context: str, ends=()) -> list:
+    """:func:`_from_rows` of the file list ``rows``, row i named
+    ``context[i]``."""
+    return _from_rows(cls, _expect(rows, list, context),
+                      f"{context}[{{}}]".format, ends)
+
+
 def domain_from_dict(data: dict) -> TrustedDomain:
     _check_version(data, "domain")
-    entries = _expect(_require(data, "devices", "domain"), list,
-                      "domain.devices")
-    devices = tuple(_from_dict(DeviceProfile, entry, f"domain.devices[{i}]")
-                    for i, entry in enumerate(entries))
+    devices = _list_rows(DeviceProfile, _require(data, "devices", "domain"),
+                         "domain.devices")
     net_data = _expect(data.get("network", {}), dict, "domain.network")
-    links = []
-    for i, entry in enumerate(_expect(net_data.get("links", []), list,
-                                      "domain.network.links")):
-        ctx = f"domain.network.links[{i}]"
-        links.append((_read(entry, "a", str, ctx), _read(entry, "b", str, ctx),
-                      _from_dict(Link, entry, ctx, ("a", "b"))))
+    links = _list_rows(Link, net_data.get("links", []),
+                       "domain.network.links", ("a", "b"))
     network = _from_dict(NetworkModel, net_data, "domain.network", ("links",),
                          links=tuple(links))
     return _from_dict(TrustedDomain, data, "domain",
                       ("schema_version", "devices", "network"),
-                      devices=devices, network=network)
+                      devices=tuple(devices), network=network)
 
 
 # ---------------------------------------------------------------- model/job

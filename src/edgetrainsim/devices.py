@@ -24,17 +24,20 @@ class ValidationError(ValueError):
     """A profile or domain violates a structural invariant."""
 
 
-def _check_finite_nonnegative(what: str, value: float):
+def _check_finite_nonnegative(value: float, *what: str):
+    """Refuse a ``value`` that is not finite and >= 0; the parts of ``what``
+    name it, joined only for the message."""
     # NaN fails both `value < 0` and `value >= 0`: test the bound positively.
     if not (math.isfinite(value) and value >= 0):
-        raise ValidationError(f"{what} must be finite and >= 0, got {value}")
+        raise ValidationError(f"{''.join(what)} must be finite and >= 0, "
+                              f"got {value}")
 
 
 def _check_link(prefix: str, bandwidth: float, latency: float):
     # `not x > 0` also rejects NaN; an infinite bandwidth is valid.
     if not bandwidth > 0:
         raise ValidationError(f"{prefix}bandwidth must be > 0, got {bandwidth}")
-    _check_finite_nonnegative(f"{prefix}latency", latency)
+    _check_finite_nonnegative(latency, prefix, "latency")
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class DeviceProfile:
                                   f"{len(self.id)}: {self.id[:20]}...")
         for name in ("cpu_throughput", "gpu_throughput", "power_idle",
                      "power_cpu_busy", "power_gpu_busy", "power_net"):
-            _check_finite_nonnegative(f"{self.id}: {name}",
-                                      getattr(self, name))
+            _check_finite_nonnegative(getattr(self, name), self.id, ": ",
+                                      name)
         if not (math.isfinite(self.mem_capacity) and self.mem_capacity > 0):
             raise ValidationError(f"{self.id}: mem_capacity must be finite "
                                   f"and > 0, got {self.mem_capacity}")
@@ -143,9 +146,17 @@ def _unknown_device(device_id: str) -> KeyError:
 class TrustedDomain:
     """Devices, their network and an execution mode.
 
-    ``_by_id`` maps each device id to its profile and ``_throughput`` to its
-    effective throughput in ``mode``; both are built once, when the domain
-    is made, and are not fields of its files.
+    Four tables map each device id, built once when the domain is made
+    (``with_mode`` makes a new domain) and not fields of its files:
+
+    - ``_by_id``: its profile;
+    - ``_throughput``: its effective throughput in ``mode``;
+    - ``_usable_memory``: its ``DeviceProfile.usable_memory``;
+    - ``_power``: its (idle, busy − idle, network) watts in ``mode``, busy
+      being :func:`busy_power`.
+
+    The plan builders, the memory check, the stage split and the simulator
+    index them rather than call a method per device.
     """
     devices: tuple[DeviceProfile, ...]
     network: NetworkModel = field(default_factory=NetworkModel)
@@ -153,6 +164,8 @@ class TrustedDomain:
     name: str = "custom"
     _by_id: dict = field(init=False, repr=False, compare=False)
     _throughput: dict = field(init=False, repr=False, compare=False)
+    _usable_memory: dict = field(init=False, repr=False, compare=False)
+    _power: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.devices:
@@ -161,20 +174,25 @@ class TrustedDomain:
         if len(by_id) != len(self.devices):
             raise ValidationError("device ids must be unique")
         for a, b, _ in self.network.links:
-            unknown = {a, b} - by_id.keys()
-            if unknown:
+            if a not in by_id or b not in by_id:
+                unknown = {a, b} - by_id.keys()
                 raise ValidationError(f"link {a}-{b}: unknown device "
                                       f"{min(unknown)!r}")
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        throughput = {d.id: effective_throughput(d, self.mode)
-                      for d in self.devices}
+        mode = self.mode
+        if mode not in MODES:
+            raise ValidationError(f"unknown mode {mode!r}")
+        throughput = {d.id: effective_throughput(d, mode) for d in self.devices}
         for device_id, thr in throughput.items():
             if not thr > 0:
                 raise ValidationError(f"device {device_id} has zero "
-                                      f"throughput in mode {self.mode!r}")
+                                      f"throughput in mode {mode!r}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_throughput", throughput)
+        object.__setattr__(self, "_usable_memory", {
+            d.id: d.usable_memory for d in self.devices})
+        object.__setattr__(self, "_power", {
+            d.id: (d.power_idle, busy_power(d, mode) - d.power_idle,
+                   d.power_net) for d in self.devices})
 
     def device(self, device_id: str) -> DeviceProfile:
         try:

@@ -157,7 +157,7 @@ def _participants(domain: TrustedDomain, participants) -> tuple[str, ...]:
         raise PlanError("a plan needs at least one participant")
     if len(set(participants)) != len(participants):
         raise PlanError("participants must be distinct")
-    ids = domain.device_ids
+    ids = domain._by_id
     for p in participants:
         if p not in ids:
             raise PlanError(f"participant {p!r} is not in the domain")
@@ -177,8 +177,9 @@ def _split_plan(kind: str, what: str, total: int, domain: TrustedDomain,
     if total < len(participants):
         raise PlanError(f"{what} {total} is smaller than the participant "
                         f"count {len(participants)}")
+    throughput = domain._throughput
     shares = largest_remainder_split(
-        total, [domain.throughput(p) for p in participants])
+        total, [throughput[p] for p in participants])
     return ParallelPlan(kind, participants, tuple(shares), job, spec)
 
 
@@ -285,24 +286,26 @@ def pp_stage_memory(spec: TransformerSpec, job: TrainingJob, blocks,
     return [(state * b / spec.num_blocks, b * act * depth) for b in blocks]
 
 
-def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryCheck]:
-    """Per-device required bytes and whether they fit in usable memory."""
+def participant_memory(plan: ParallelPlan) -> list[tuple[float, float]]:
+    """(state, activation) bytes of each participant, in order: a pipeline
+    stage's by :func:`pp_stage_memory`, else the whole model's state and
+    activations, each split n ways under TP.  The one memory formula that
+    :func:`check_memory` and the simulator read."""
     spec, job = plan.spec, plan.job
     if plan.kind == KIND_PP:
-        need = pp_stage_memory(spec, job, plan.shares, len(plan.shares))
-        return {p: _check_one(domain, p, *req)
-                for p, req in zip(plan.participants, need)}
+        return pp_stage_memory(spec, job, plan.shares, len(plan.shares))
     state = state_bytes(spec, job)
     act = spec.num_blocks * activation_bytes_per_block(spec, job)
+    n = len(plan.participants)
     if plan.kind == KIND_TP:
-        n = len(plan.participants)
         state, act = state / n, act / n
-    return {p: _check_one(domain, p, state, act) for p in plan.participants}
+    return [(state, act)] * n
 
 
-def _check_one(domain: TrustedDomain, device_id: str, req_state: float,
-               req_act: float) -> MemoryCheck:
-    device = domain.device(device_id)
-    required = req_state + req_act
-    return MemoryCheck(required, required <= device.usable_memory,
-                       req_state, req_act)
+def check_memory(plan: ParallelPlan, domain: TrustedDomain) -> dict[str, MemoryCheck]:
+    """Per-device required bytes and whether they fit in usable memory."""
+    usable, checks = domain._usable_memory, {}
+    for p, (state, act) in zip(plan.participants, participant_memory(plan)):
+        required = state + act
+        checks[p] = MemoryCheck(required, required <= usable[p], state, act)
+    return checks

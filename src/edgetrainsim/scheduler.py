@@ -125,9 +125,10 @@ def partition_stages(domain: TrustedDomain, ordered_devices, spec: TransformerSp
     # Index k: S_k and F_k of devices 0..k-1; a device that holds no block
     # makes F infinite.
     smallest, floor = [[]], [0.0]
+    throughput, usable = domain._throughput, domain._usable_memory
     for d in devices:
-        thr = domain.throughput(d)
-        cap = bisect.bisect_right(required, domain.device(d).usable_memory)
+        thr = throughput[d]
+        cap = bisect.bisect_right(required, usable[d])
         smallest.append(sorted(smallest[-1]
                                + [b / thr for b in range(1, cap + 1)])[:l])
         floor.append(max(floor[-1], 1 / thr if cap else math.inf))
@@ -262,17 +263,29 @@ def young_checkpoint_interval(write_time: float, system_mtbf: float) -> float:
 
 def plan_checkpointing(plan: ParallelPlan, domain: TrustedDomain,
                        fault_model: FaultModel) -> float:
-    """Checkpoint interval in seconds for a plan under a fault model.
+    """Checkpoint interval in seconds for a plan under a fault model: the
+    :func:`checkpoint_interval_for` its write time and iteration times."""
+    _, write_time = checkpoint_cost(plan, domain, fault_model)
+    return checkpoint_interval_for(plan, fault_model, write_time,
+                                   *iteration_times(plan, domain))
+
+
+def checkpoint_interval_for(plan: ParallelPlan, fault_model: FaultModel,
+                            write_time: float, base_len: float,
+                            sync_len: float) -> float:
+    """The checkpoint interval of a plan whose state takes ``write_time``
+    seconds to write and whose iterations take ``base_len`` and, on syncs,
+    ``sync_len`` more.
 
     Young's approximation on the system MTBF (independent exponential
     failures per participant), floored at the mean iteration of a sync
     period, ``base_len + sync_len / k``, and capped so an effectively
-    failure-free system stops checkpointing.
+    failure-free system stops checkpointing.  ``faults`` passes it to
+    :func:`~edgetrainsim.simengine.inject_faults` as the rule for a plan
+    file without an interval, so the replay's own profile feeds it.
     """
-    _, write_time = checkpoint_cost(plan, domain, fault_model)
     tau = young_checkpoint_interval(
         write_time, fault_model.system_mtbf(len(plan.participants)))
-    base_len, sync_len = iteration_times(plan, domain)
     floor = base_len + sync_len / plan.job.dp_sync_period
     return min(max(tau, floor), CHECKPOINT_INTERVAL_CAP)
 

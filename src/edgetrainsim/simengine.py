@@ -59,12 +59,12 @@ from math import isfinite, log
 from operator import itemgetter
 from random import Random
 from sys import float_info
-from typing import Optional
+from typing import Callable, Optional
 
-from .devices import FaultModel, NetworkModel, TrustedDomain, busy_power
+from .devices import FaultModel, NetworkModel, TrustedDomain
 from .parallelism import (KIND_PP, OP_ALLGATHER, OP_ALLREDUCE, OP_P2P,
                           CommPhase, ParallelPlan, check_memory, comm_template,
-                          sum_in_order)
+                          participant_memory, sum_in_order)
 from .workload import MAX_COUNT, flops_per_iteration
 
 DEFAULT_ITERATIONS = 20
@@ -181,7 +181,8 @@ def _profile_iteration(plan: ParallelPlan, domain: TrustedDomain) -> _IterationP
     parts = plan.participants
     # Each device computes its share (samples, positions, heads or blocks).
     flops, total = flops_per_iteration(spec, job), sum(plan.shares)
-    compute = {p: flops * (s / total) / domain.throughput(p)
+    throughput = domain._throughput
+    compute = {p: flops * (s / total) / throughput[p]
                for p, s in zip(parts, plan.shares)}
 
     # (op, sync_only) -> [payload bytes, seconds per device]
@@ -242,10 +243,12 @@ def _simulate(plan: ParallelPlan, domain: TrustedDomain, iterations: int
     if not 1 <= iterations <= MAX_COUNT:
         raise SimulationError("iterations must be in 1..2**53")
 
-    mem = check_memory(plan, domain)
-    oom_devices = tuple(p for p, c in mem.items() if not c.fits)
-    usage = {p: DeviceUsage(peak_mem=mem[p].required_bytes)
-             for p in plan.participants}
+    # check_memory's rule, without a MemoryCheck per device.
+    usage = {p: DeviceUsage(peak_mem=state + act) for p, (state, act)
+             in zip(plan.participants, participant_memory(plan))}
+    usable = domain._usable_memory
+    oom_devices = tuple(p for p, u in usage.items()
+                        if not u.peak_mem <= usable[p])
     if oom_devices:
         return SimulationResult(
             plan_kind=plan.kind, iterations_simulated=0, samples_processed=0,
@@ -287,8 +290,9 @@ def _totals(domain: TrustedDomain, prof: _IterationProfile,
             (sync if sync_only else every).append(seconds)
             comm_bytes[op] = comm_bytes.get(op, 0.0) + runs * payload
 
+    power = domain._power
     for p, u in usage.items():
-        device = domain.device(p)
+        idle, busy_extra, net = power[p]
         base_comm = sync_comm = 0.0
         for seconds in every:
             base_comm += seconds[p]
@@ -298,10 +302,8 @@ def _totals(domain: TrustedDomain, prof: _IterationProfile,
         u.comm_time = iterations * base_comm + n_sync * sync_comm
         u.idle_time = (iterations * (base_len - compute[p] - base_comm)
                        + n_sync * (sync_len - sync_comm))
-        u.energy = (device.power_idle * makespan
-                    + (busy_power(device, domain.mode) - device.power_idle)
-                    * u.compute_time
-                    + device.power_net * u.comm_time)
+        u.energy = (idle * makespan + busy_extra * u.compute_time
+                    + net * u.comm_time)
     return makespan, comm_bytes
 
 
@@ -356,7 +358,9 @@ def _never_ends(what: str, shard: float, bandwidth: float) -> str:
 
 
 def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
-                  fault_model: FaultModel, checkpoint_interval: float,
+                  fault_model: FaultModel,
+                  checkpoint_interval: float | Callable[[float, float, float],
+                                                        float],
                   iterations: int = DEFAULT_ITERATIONS,
                   failure_times: Optional[list[float]] = None) -> FaultReport:
     """Replay the run against seeded failures with checkpoint/restart recovery.
@@ -366,6 +370,9 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     makespan.  A failure rolls progress back to the last checkpoint and
     charges a state reload; a checkpoint is written after any iteration but
     the last once that span reaches ``checkpoint_interval`` (> 0 seconds).
+    ``checkpoint_interval`` may instead be a rule that gives it from the
+    write time and the iteration's (base_len, sync_len), so a caller that
+    plans the interval profiles nothing itself.
     The energy is simulate's energy of the executed iterations, syncs
     included, plus idle and network power over reloads and writes; the part
     of an iteration that a failure cuts off is not charged.  A run that
@@ -380,10 +387,13 @@ def inject_faults(plan: ParallelPlan, domain: TrustedDomain,
     if base.rejection is not None:
         raise (OutOfMemoryError if base.oom else SimulationError)(
             base.rejection)
+    shard, write_time = checkpoint_cost(plan, domain, fault_model)
+    if callable(checkpoint_interval):
+        checkpoint_interval = checkpoint_interval(write_time, prof.base_len,
+                                                  prof.sync_len)
     if not checkpoint_interval > 0:  # also refuses NaN
         raise SimulationError("checkpoint_interval must be > 0")
 
-    shard, write_time = checkpoint_cost(plan, domain, fault_model)
     reload_time_each = shard / fault_model.recovery_reload_bandwidth
     k = plan.job.dp_sync_period
     # A run shorter than a sync period never syncs: no sync term, as in

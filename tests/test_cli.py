@@ -16,9 +16,10 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from edgetrainsim import config_io, scheduler
+from edgetrainsim import config_io, scheduler, simengine
 from edgetrainsim.cli import COMMANDS, build_parser, main, parse_args
-from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, DeviceProfile,
+from edgetrainsim.devices import (DEFAULT_FAULT_MODEL,
+                                  DEVICE_PROFILE_FACTORIES, DeviceProfile,
                                   Link, NetworkModel, TrustedDomain,
                                   jetson_nano, testbed_preset as load_testbed)
 from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
@@ -242,6 +243,33 @@ class TestPlan:
                    "--out", str(result)) == 0
         assert yaml.safe_load(result.read_text())["checkpoint_interval_s"] \
             == CHECKPOINT_INTERVAL_CAP
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_faults_profiles_and_checks_memory_once(self, tmp_path, stored):
+        """`faults` profiles the iteration and checks memory once, whether
+        the plan file holds its interval or the interval is planned, from
+        the same profile, as `plan` plans it."""
+        plan = tmp_path / "plan.yaml"
+        assert run("plan", "--testbed", "homogeneous-nano4", "--model",
+                   "gpt2-s", "--out", str(plan)) == 0
+        data = yaml.safe_load(plan.read_text())
+        if not stored:
+            del data["checkpoint_interval_s"]
+            plan.write_text(yaml.safe_dump(data))
+        report = tmp_path / "report.yaml"
+        with mock.patch.object(simengine, "_profile_iteration",
+                               wraps=simengine._profile_iteration) as prof, \
+                mock.patch.object(simengine, "check_memory",
+                                  wraps=simengine.check_memory) as mem:
+            assert run("faults", "--plan", str(plan), "--mtbf", "600",
+                       "--seed", "0", "--out", str(report)) == 0
+        assert (prof.call_count, mem.call_count) == (1, 1)
+        loaded, domain, _ = config_io.plan_from_dict(data)
+        want = (data["checkpoint_interval_s"] if stored else
+                scheduler.plan_checkpointing(loaded, domain, replace(
+                    DEFAULT_FAULT_MODEL, mtbf_per_device=600.0)))
+        assert yaml.safe_load(report.read_text())["checkpoint_interval_s"] \
+            == want
 
     def test_shards_near_2_53_sum_to_the_batch(self, tmp_path):
         """Near 2**53 a float quotient of the share split can round up to a
@@ -796,35 +824,102 @@ def _link(a, b, bandwidth):
     return {"a": a, "b": b, "bandwidth_bps": bandwidth, "latency_s": 1e-4}
 
 
-# (path into the homogeneous-nano4 domain, new value) for `plan --domain`
+# (path into the homogeneous-nano4 domain, new value, the whole error line)
+# for `plan --domain`
+_LINK = "error: domain.network.links"
 BAD_DOMAINS = {
-    "nan-memory": (("devices", 0, "mem_capacity_bytes"), math.nan),
-    "nan-idle-power": (("devices", 0, "power_idle_w"), math.nan),
-    "nan-gpu": (("devices", 0, "gpu_throughput_flops"), math.nan),
-    "inf-gpu": (("devices", 0, "gpu_throughput_flops"), math.inf),
+    "nan-memory": (("devices", 0, "mem_capacity_bytes"), math.nan,
+                   "error: domain.devices[0]: nano-0: mem_capacity must be "
+                   "finite and > 0, got nan"),
+    "nan-idle-power": (("devices", 0, "power_idle_w"), math.nan,
+                       "error: domain.devices[0]: nano-0: power_idle must be "
+                       "finite and >= 0, got nan"),
+    "nan-gpu": (("devices", 0, "gpu_throughput_flops"), math.nan,
+                "error: domain.devices[0]: nano-0: gpu_throughput must be "
+                "finite and >= 0, got nan"),
+    "inf-gpu": (("devices", 0, "gpu_throughput_flops"), math.inf,
+                "error: domain.devices[0]: nano-0: gpu_throughput must be "
+                "finite and >= 0, got inf"),
+    "device-not-a-mapping": (("devices", 2), "nano-2",
+                             "error: domain.devices[2]: expected a mapping, "
+                             "not str"),
+    "device-missing-field": (("devices", 1), {"id": "nano-1"},
+                             "error: domain.devices[1]: missing required "
+                             "field 'cpu_throughput_flops'"),
+    "device-unknown-key": (("devices", 3, "speed"), 1,
+                           "error: domain.devices[3]: unknown field 'speed'"),
+    "device-text-memory": (("devices", 1, "mem_capacity_bytes"), "4 GB",
+                           "error: domain.devices[1]: mem_capacity_bytes "
+                           "must be a number, not '4 GB'"),
+    "link-not-a-mapping": (("network", "links"),
+                           [_link("nano-0", "nano-1", 1e9), ["nano-1"]],
+                           f"{_LINK}[1]: expected a mapping, not list"),
+    "link-missing-a": (("network", "links"),
+                       [{"b": "nano-1", "bandwidth_bps": 1e9}],
+                       f"{_LINK}[0]: missing required field 'a'"),
+    "link-integer-b": (("network", "links"),
+                       [_link("nano-0", "nano-1", 1e9), _link("nano-0", 2, 1e9)],
+                       f"{_LINK}[1]: b must be a string, not 2"),
+    "link-unknown-key": (("network", "links"),
+                         [dict(_link("nano-0", "nano-1", 1e9), hops=2)],
+                         f"{_LINK}[0]: unknown field 'hops'"),
+    "link-missing-bandwidth": (("network", "links"),
+                               [{"a": "nano-0", "b": "nano-1"}],
+                               f"{_LINK}[0]: missing required field "
+                               f"'bandwidth_bps'"),
+    "zero-link-bandwidth": (("network", "links"),
+                            [_link("nano-0", "nano-1", 0)],
+                            f"{_LINK}[0]: link bandwidth must be > 0, got 0.0"),
     "nan-link-bandwidth": (("network", "links"),
-                           [_link("nano-0", "nano-1", math.nan)]),
+                           [_link("nano-0", "nano-1", math.nan)],
+                           f"{_LINK}[0]: link bandwidth must be > 0, got nan"),
+    "text-link-bandwidth": (("network", "links"),
+                            [_link("nano-0", "nano-1", "fast")],
+                            f"{_LINK}[0]: bandwidth_bps must be a number, "
+                            f"not 'fast'"),
+    "negative-link-latency": (("network", "links"),
+                              [dict(_link("nano-0", "nano-1", 1e9),
+                                    latency_s=-1e-4)],
+                              f"{_LINK}[0]: link latency must be finite and "
+                              f">= 0, got -0.0001"),
     "nan-link-latency": (("network", "links"),
                          [dict(_link("nano-0", "nano-1", 1e9),
-                               latency_s=math.nan)]),
-    "nan-default-bandwidth": (("network", "default_bandwidth_bps"), math.nan),
+                               latency_s=math.nan)],
+                         f"{_LINK}[0]: link latency must be finite and >= 0, "
+                         f"got nan"),
+    "nan-default-bandwidth": (("network", "default_bandwidth_bps"), math.nan,
+                              "error: domain.network: default_bandwidth must "
+                              "be > 0, got nan"),
     "link-to-unknown-device": (("network", "links"),
-                               [_link("nano-0", "nano-9", 1e9)]),
-    "self-link": (("network", "links"), [_link("nano-0", "nano-0", 1e9)]),
+                               [_link("nano-0", "nano-9", 1e9)],
+                               "error: domain: link nano-0-nano-9: unknown "
+                               "device 'nano-9'"),
+    "self-link": (("network", "links"), [_link("nano-0", "nano-0", 1e9)],
+                  "error: domain.network: link nano-0-nano-0 joins a device "
+                  "to itself"),
     "repeated-link": (("network", "links"), [_link("nano-0", "nano-1", 1e6),
-                                             _link("nano-1", "nano-0", 1e9)]),
+                                             _link("nano-1", "nano-0", 1e9)],
+                      "error: domain.network: link nano-1-nano-0 is listed "
+                      "twice"),
     # one character over devices.MAX_DEVICE_ID_CHARS
-    "123-character-id": (("devices", 0, "id"), "n" * 123),
+    "123-character-id": (("devices", 0, "id"), "n" * 123,
+                         "error: domain.devices[0]: device id must be at "
+                         "most 122 characters, got 123: nnnnnnnnnnnnnnnnnnnn"
+                         "..."),
     "zero-throughput": (("devices", 0),
                         {"id": "nano-0", "cpu_throughput_flops": 0.0,
                          "mem_capacity_bytes": 4e9, "power_idle_w": 2.0,
-                         "power_cpu_busy_w": 7.0, "power_gpu_busy_w": 10.0}),
+                         "power_cpu_busy_w": 7.0, "power_gpu_busy_w": 10.0},
+                        "error: domain: device nano-0 has zero throughput "
+                        "in mode 'gpu'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DOMAINS))
 def test_bad_domain_exits_1_with_one_error_line(tmp_path, capsys, case):
-    assert_edited_input_exits_1(tmp_path, capsys, "domain", *BAD_DOMAINS[case])
+    path, value, line = BAD_DOMAINS[case]
+    assert assert_edited_input_exits_1(tmp_path, capsys, "domain", path,
+                                       value) == line
 
 
 # A flag given as an empty string is given: (argv, part of its error line)
@@ -1134,6 +1229,27 @@ assert main(["sweep", *nano4, "--models", "distilbert", "--out", "s.tsv"]) == 0
 assert main(["faults", "--plan", "p.yaml", "--mtbf", "600"]) == 0
 """
         proc = _python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_readme_flow_imports_no_pathlib(self, tmp_path):
+        """The README flow reads and writes its files without pathlib.  The
+        interpreter runs with -S, as a site hook may import pathlib at
+        start-up."""
+        script = """
+import sys
+assert "pathlib" not in sys.modules
+from edgetrainsim.cli import main
+nano4 = ["--testbed", "homogeneous-nano4"]
+assert main(["plan", *nano4, "--model", "gpt2-s", "--objective", "energy",
+             "--out", "p.yaml"]) == 0
+assert main(["simulate", "--plan", "p.yaml", "--trace", "t.tsv",
+             "--out", "r.yaml"]) == 0
+assert main(["sweep", "--testbed", "heterogeneous-mix4", "--out", "s.tsv"]) == 0
+assert main(["faults", "--plan", "p.yaml", "--mtbf", "600", "--seed", "0",
+             "--out", "f.yaml"]) == 0
+assert "pathlib" not in sys.modules, "pathlib"
+"""
+        proc = _python("-S", "-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
 
     def test_program_files_load_without_pyyaml_or_argparse(self, tmp_path):

@@ -3,6 +3,7 @@
 import datetime
 import itertools
 import math
+import os
 import re
 import string
 import sys
@@ -18,7 +19,8 @@ from edgetrainsim.cli import main
 from edgetrainsim.config_io import ConfigError
 from edgetrainsim.devices import (DEVICE_PROFILE_FACTORIES, MAX_DEVICE_ID_CHARS,
                                   DeviceProfile, Link, NetworkModel,
-                                  TrustedDomain)
+                                  TrustedDomain, busy_power,
+                                  effective_throughput)
 from edgetrainsim.devices import testbed_preset as load_testbed
 from edgetrainsim.parallelism import make_dp_plan, make_plan, make_pp_plan
 from edgetrainsim.scheduler import Objective, candidate_plans
@@ -227,6 +229,33 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, source):
     err = _one_error_line(capsys, argv, path)
     assert err == (f"error: {context}: {path} is not UTF-8 text: byte 0xe9 "
                    f"on line 2")
+
+
+@pytest.mark.parametrize("what", ["directory", "device"])
+@pytest.mark.parametrize("source", sorted(INPUT_ARGS))
+def test_input_that_is_not_a_regular_file_is_not_found(tmp_path, capsys,
+                                                       source, what):
+    """A directory or a device given as an input file exits 1 as a missing
+    file does."""
+    argv, context = INPUT_ARGS[source]
+    path = tmp_path if what == "directory" else os.devnull
+    assert _one_error_line(capsys, argv, path) == \
+        f"error: {context}: file not found: {path}"
+
+
+def test_crlf_input_reads_as_lf(tmp_path):
+    """Input files are read with universal newlines: a domain written with
+    CRLF line ends plans to the same bytes as with LF."""
+    text = config_io.dump_yaml(config_io.domain_to_dict(
+        load_testbed("heterogeneous-mix4")))
+    (tmp_path / "lf.yaml").write_bytes(text.encode())
+    (tmp_path / "crlf.yaml").write_bytes(text.replace("\n", "\r\n").encode())
+    for name in ("lf", "crlf"):
+        assert main(["plan", "--domain", str(tmp_path / f"{name}.yaml"),
+                     "--model", "distilbert", "--out",
+                     str(tmp_path / f"{name}.plan.yaml")]) == 0
+    assert (tmp_path / "lf.plan.yaml").read_bytes() == \
+        (tmp_path / "crlf.plan.yaml").read_bytes()
 
 
 class TestPlanErrors:
@@ -499,6 +528,45 @@ def test_schema_round_trips_and_defaults(domain, spec, job):
                 del data[f.name]
                 assert from_dict(_through_yaml(data)) == \
                     replace(obj, **{f.name: f.default}), f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schema_domains(), st.data())
+def test_link_rows_and_device_tables(domain, data):
+    """A link's bandwidth loads from an integer, a float or YAML 1.1 text
+    (``3e9``, which YAML 1.1 reads as a string) to the same ``Link``, from
+    the mapping or its YAML text.  In both modes, for a domain made, loaded
+    or moved by ``with_mode``, each device's table entries are what its
+    methods and ``busy_power`` give."""
+    pairs = list(itertools.combinations(domain.device_ids, 2))
+    rows, links = [], []
+    for a, b in (data.draw(st.lists(st.sampled_from(pairs), unique=True))
+                 if pairs else ()):
+        m, e = data.draw(st.integers(1, 999)), data.draw(st.integers(0, 9))
+        latency = data.draw(_finite(0, 1))
+        bandwidth = data.draw(st.sampled_from(
+            (m * 10 ** e, float(m * 10 ** e), f"{m}e{e}")))
+        rows.append({"a": a, "b": b, "bandwidth_bps": bandwidth,
+                     "latency_s": latency})
+        links.append((a, b, Link(float(m * 10 ** e), latency)))
+    want = replace(domain, network=replace(domain.network, links=tuple(links)))
+    file = config_io.domain_to_dict(want)
+    file["network"]["links"] = rows
+    loaded = config_io.domain_from_dict(file)
+    assert loaded == want
+    assert config_io.domain_from_dict(_through_yaml(file)) == want
+    for mode in ("cpu", "gpu"):
+        for moded in (replace(want, mode=mode), loaded.with_mode(mode)):
+            assert list(moded._throughput) == list(moded._usable_memory) \
+                == list(moded._power) == list(moded.device_ids)
+            for d in moded.devices:
+                assert moded._throughput[d.id] == moded.throughput(d.id) \
+                    == effective_throughput(d, mode)
+                assert moded._usable_memory[d.id] \
+                    == moded.device(d.id).usable_memory
+                assert moded._power[d.id] == (
+                    d.power_idle, busy_power(d, mode) - d.power_idle,
+                    d.power_net)
 
 
 @st.composite
