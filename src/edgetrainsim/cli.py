@@ -54,14 +54,14 @@ EXIT_INFEASIBLE = 2
 PROG = "edgetrainsim"
 
 
-def _read_file(path: str, context: str) -> str:
-    """The UTF-8 text of the regular file ``path``, newlines read as
-    ``\n``; anything else (missing, a directory, a device) is not found."""
+def _read_yaml(path: str, context: str) -> dict:
+    """The mapping in the UTF-8 YAML file ``path`` (newlines read as ``\n``);
+    a missing file, a directory or a device is not found."""
     if not os.path.isfile(path):
         raise ConfigError(f"{context}: file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return config_io.parse_yaml(fh.read(), context)
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{context}: {path} is not UTF-8 text: byte "
@@ -88,8 +88,7 @@ def _preset(lookup, *args):
 def _build_domain(args) -> TrustedDomain:
     _one_source(args, "testbed", "domain", "devices")
     if args.domain is not None:
-        domain = config_io.domain_from_dict(
-            config_io.parse_yaml(_read_file(args.domain, "domain"), "domain"))
+        domain = config_io.domain_from_dict(_read_yaml(args.domain, "domain"))
     elif args.devices is not None:
         names = [name.strip().lower() for name in args.devices.split(",")]
         domain = _preset(profile_domain, names, "adhoc")
@@ -104,8 +103,8 @@ def _build_domain(args) -> TrustedDomain:
 def _build_spec(args):
     _one_source(args, "model", "model_config")
     if args.model_config is not None:
-        return config_io.model_from_dict(
-            config_io.parse_yaml(_read_file(args.model_config, "model"), "model"))
+        return config_io.model_from_dict(_read_yaml(args.model_config,
+                                                    "model"))
     return _preset(model_preset,
                    "gpt2-s" if args.model is None else args.model)
 
@@ -178,7 +177,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    data = config_io.parse_yaml(_read_file(args.plan, "plan"), "plan")
+    data = _read_yaml(args.plan, "plan")
     plan, domain, _ = config_io.plan_from_dict(data)
     if args.trace is None:
         result = simulate(plan, domain, iterations=args.iterations)
@@ -264,7 +263,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    data = config_io.parse_yaml(_read_file(args.plan, "plan"), "plan")
+    data = _read_yaml(args.plan, "plan")
     plan, domain, interval = config_io.plan_from_dict(data)
     fault_model = FaultModel(mtbf_per_device=args.mtbf,
                              checkpoint_write_bandwidth=args.ckpt_bandwidth,

@@ -1,45 +1,32 @@
 """YAML schemas for domains, models, jobs, plans, results and fault reports.
 
-The dataclasses are the schema.  Each scalar field of ``DeviceProfile``,
+The dataclasses are the schema: each scalar field of ``DeviceProfile``,
 ``Link``, ``NetworkModel``, ``TrustedDomain``, ``TransformerSpec`` and
-``TrainingJob`` is written and read under its own name, or its unit-suffixed
-key in ``_FILE_KEYS``, with its declared type and default; ``_FILE_DEFAULTS``
-holds the only defaults a dataclass lacks.  Result and fault-report files,
-and a plan's ``predicted`` block, are written under the same keys from the
+``TrainingJob`` is written and read under its own name or its unit-suffixed
+key in ``_FILE_KEYS``, with its declared type and default (``_FILE_DEFAULTS``
+holds the only ones a dataclass lacks).  Result and fault-report files, and
+a plan's ``predicted`` block, are written under the same keys from the
 fields of ``SimulationResult``, ``DeviceUsage`` and ``FaultReport``.  One
-type rule holds for every such field: a ``str`` field takes a string, an
-``int`` field an integer, and a ``float`` field an integer, a float or text
-that ``float()`` parses (YAML 1.1 reads ``1e9`` as text).  A bool or null
-is never a number.  A plan's ``checkpoint_interval_s`` is a float field
-under the same rule, and must be > 0; its ``predicted`` block, when present,
-is a mapping of exactly the per-sample keys a result file writes.
+type rule holds for every such field, ``schema_version`` and a plan's
+``checkpoint_interval_s`` (> 0) included: a ``str`` field takes a string,
+an ``int`` field an integer, and a ``float`` field an integer, a float or
+text that ``float()`` parses (YAML 1.1 reads ``1e9`` as text); a bool or
+null is never a number.  A plan's ``predicted`` block, when present, is a
+mapping of exactly the per-sample keys a result file writes.
 
-Every file carries a ``schema_version`` field.  Loading validates against the
-type invariants and reports the offending field; dumping is key-sorted so
-outputs are byte-stable.  A loaded plan's partition is rebuilt by the plan
-builders from its kind, participants and, for PP, per-stage block counts,
-each stage's ``end - start``; this is the only module that knows stage
-ranges.  The loader checks only that the participants are a list of
-strings; the builders' participant rule checks the rest.  A file whose
-partition differs from the rebuilt one, in a value or its type, is rejected
-(CLI exit 1); a gap, an overlap or a stage on another device is such a
-difference.  ``schema_version`` is an integer field too.
-A mapping holding a key the schema does not name is rejected, naming the
-key.
+Every file carries a ``schema_version``.  Loading reports the offending
+field, and a key the schema does not name; dumping is key-sorted so outputs
+are byte-stable.  A loaded plan's partition is rebuilt by the plan builders
+from its kind, participants and, for PP, per-stage block counts, each
+stage's ``end - start``; this is the only module that knows stage ranges.
+The loader checks only that the participants are a list of strings; the
+builders' participant rule checks the rest.  A file whose partition differs
+from the rebuilt one, in a value or its type (a gap, an overlap, a stage on
+another device), exits 1.
 
-Every file the program writes comes from ``yaml_block.write``: block YAML
-with sorted keys, one line per scalar, where a string is a plain token or
-one double-quoted line.  Reading a block document of plain tokens, the
-shape of every file the program writes from its own names, is
-``yaml_block.read``, line by line; each distinct token is resolved once
-by its table of YAML 1.1's str, int, float, bool and null scalars, without
-PyYAML.  Every other document (quoted strings, comments, flow collections,
-tags, anchors, merge keys) is read by ``_Loader``: libyaml's
-``CSafeLoader`` when it is installed, PyYAML's pure-Python ``SafeLoader``
-otherwise.  PyYAML is imported only then.  An explicitly tagged scalar
-that its constructor cannot read (``!!float abc``) is a ConfigError naming
-its line.  Either way the values are what ``yaml.load`` gives with the
-same class.
+Files are written by ``yaml_block.write`` and read by ``yaml_block.read``,
+the one reader, which never imports PyYAML: a document outside its grammar
+is a ConfigError ``<context>: line N: <construct> is not read: '<line>'``.
 """
 
 from __future__ import annotations
@@ -207,46 +194,13 @@ def _check_version(data: dict, context: str):
         raise ConfigError(f"{context}: unsupported schema_version {version!r}")
 
 
-def __getattr__(name: str):
-    """``_Loader``, the class PyYAML reads the documents ``yaml_block``
-    declines with: libyaml's ``CSafeLoader`` when it is installed, else
-    ``SafeLoader``.  PyYAML is imported on first use; setting ``_Loader``
-    replaces the class."""
-    if name != "_Loader":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import yaml
-    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def parse_yaml(text: str, context: str) -> dict:
-    """The mapping ``yaml.load(text, _Loader)`` reads: by ``yaml_block``
-    when ``text`` is a block document, else by ``_Loader``."""
-    data = yaml_block.read(text)
-    if data is None:
-        import yaml
-        try:
-            # A ``_Loader`` set on the module, else the installed class.
-            loader = (globals().get("_Loader") or __getattr__("_Loader"))(text)
-            construct = loader.construct_object
-
-            def construct_object(node, deep=False):
-                try:
-                    return construct(node, deep)
-                except (ValueError, LookupError, AttributeError) as exc:
-                    mark = node.start_mark
-                    tag = node.tag.replace("tag:yaml.org,2002:", "!!", 1)
-                    raise ConfigError(
-                        f"{context}: YAML parse error: line {mark.line + 1}, "
-                        f"column {mark.column + 1}: cannot read "
-                        f"{node.value!r} as {tag}") from exc
-
-            loader.construct_object = construct_object
-            data = loader.get_single_data()
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{context}: YAML parse error: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected a mapping at the top level")
-    return data
+    """The mapping ``text`` holds, read by ``yaml_block``; a ConfigError
+    naming the first line outside its grammar."""
+    try:
+        return yaml_block.read(text)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def dump_yaml(data: dict) -> str:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 MODE_CPU = "cpu"
 MODE_GPU = "gpu"
 MODES = (MODE_CPU, MODE_GPU)
-# The longest device id.  A result file writes ids as mapping keys, and
-# PyYAML reads a key only within 1,024 characters of its ":"; escaped at
-# most 6 characters each (\uHHHH) and quoted, a 122-character id fits.
+# The longest device id.  A result file writes ids as mapping keys, read
+# only within 1,024 characters of their ":"; escaped at most 6 characters
+# each (\uHHHH) and quoted, a 122-character id fits.
 MAX_DEVICE_ID_CHARS = 122
 
 

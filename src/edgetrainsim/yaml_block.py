@@ -1,54 +1,73 @@
-"""The program's YAML: every file it writes, and the block documents it
-reads without PyYAML's scanner and composer.
+"""The program's YAML: every file it writes, and the one reader of every
+file it reads; neither imports PyYAML.
 
 ``write`` turns a tree of dicts, lists, strs, ints, floats, bools and Nones
-into block YAML, one line per scalar.  A mapping's keys are sorted; a bare
-``key:`` is followed by its value, a mapping two columns in or a list whose
-dashes are at the key's own column; a mapping or list in a list starts on
-its dash's line (``- a: 1``, ``- - 1``); an empty collection is ``{}`` or
-``[]``.  A string that is a ``_WORD`` resolving to str, and every other
-scalar, is one plain token; any other string is one double-quoted scalar
-on one line, with YAML 1.1's escapes for ``_ESCAPED`` characters.  For a
-tree whose strings PyYAML writes plain these are the bytes of
-``yaml.safe_dump(data, sort_keys=True)`` through libyaml's emitter.
-PyYAML's own emitter writes the same bytes but for a key of 123 to 128
-characters, which it writes as an explicit ``? key``.  For every tree,
-both of PyYAML's safe loaders read them back.
+into block YAML, one line per scalar: sorted keys, a bare ``key:`` followed
+by a mapping two columns in or a list whose dashes are at the key's column,
+a mapping or list in a list on its dash's line (``- a: 1``, ``- - 1``), and
+``{}`` or ``[]`` for an empty collection.  A ``_WORD`` that resolves to str,
+and every other scalar, is one plain token; any other string is one
+double-quoted line, with YAML 1.1's escapes for ``_ESCAPED`` characters.
+Both of PyYAML's safe loaders read every tree back; with no quoted string
+the bytes are libyaml's ``yaml.safe_dump(data, sort_keys=True)`` (PyYAML's
+own emitter writes a key of 123 to 128 characters as ``? key``).
 
-``read`` takes a block document whose every line is::
-
-    INDENT ("- ")? (TOKEN ":" [" " VALUE] | VALUE)
-
-where VALUE is a TOKEN, ``{}`` or ``[]``, at the indentation ``write``
-gives it.  A TOKEN is ``_TOKEN``, at most ``_MAX_TOKEN_CHARS`` long;
-PyYAML's scanner reads it as a plain scalar of exactly its characters.
-Each distinct token is resolved and built once by this module's table of
-YAML 1.1's plain scalars (``_scalar``), the one PyYAML's resolver and safe
-constructor apply, so values are what ``yaml.safe_load`` gives.  ``read``
-returns None for any other document (quotes, ``- -``, comments, flow
-collections), and the caller hands it to PyYAML.  Neither function imports
-PyYAML.
+``read`` takes blank lines, full-line comments and, at ``write``'s
+indentation, rows ``INDENT ("- ")* (KEY ":" [" " VALUE] | VALUE)``.  A KEY
+is a TOKEN (``_TOKEN``, at most ``_MAX_TOKEN_CHARS`` long, which PyYAML's
+scanner reads as a plain scalar of exactly its characters) or a one-line
+double-quoted str whose only escapes are ``write``'s: ``\\"``, ``\\\\``,
+``\\xHH`` and ``\\uHHHH``.  A VALUE is one of those, ``{}`` or ``[]``.
+Tokens resolve by YAML 1.1's plain scalar table (``_scalar``), the one
+PyYAML's resolver and safe constructor apply, so values are what
+``yaml.safe_load`` gives.  Any other document is a ValueError naming its
+first line outside the grammar and what that line holds (``_CONSTRUCTS``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any
+from operator import length_hint
 
 _TOKEN = r"-?[A-Za-z0-9_.][A-Za-z0-9_.+-]*"
 _MAX_TOKEN_CHARS = 128
 _VALUE = rf"{_TOKEN}|\{{\}}|\[\]"
-_LINE = re.compile(rf"^( *)(- )?(?:({_TOKEN}):(?: ({_VALUE}))?|({_VALUE}))\n",
-                   re.M)
+_LINE = re.compile(
+    rf"^( *)(- )?(?:({_TOKEN}):(?: ({_VALUE}))?|({_VALUE}))\n", re.M)
 # The strings ``write`` writes as tokens, when at most ``_MAX_TOKEN_CHARS``
 # long and resolving to str; PyYAML quotes one that starts with "...".
 _WORD = re.compile(rf"(?!\.\.\.){_TOKEN}")
-# What a double-quoted scalar escapes: the quote and backslash, every
-# character PyYAML's reader refuses (C0 and C1 controls, surrogates, U+FFFE
-# and U+FFFF), and the line breaks, tab and byte order mark it would read
-# as layout.
-_ESCAPED = re.compile(
-    r'["\\\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufeff\ufffe\uffff]')
+# What a double-quoted scalar escapes: the quote and backslash, what
+# PyYAML's reader refuses (C0 and C1 controls, surrogates, U+FFFE, U+FFFF),
+# and the line breaks, tab and byte order mark it would read as layout.
+_ESCAPED_CHARS = r'"\\\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufeff\ufffe\uffff'
+_ESCAPED = re.compile(f"[{_ESCAPED_CHARS}]")
+# A double-quoted scalar as ``write`` writes it, without its closing quote.
+_GOOD_ESCAPE = r'["\\]|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}'
+_OPEN_QUOTE = rf'"(?:[^{_ESCAPED_CHARS}]|\\(?:{_GOOD_ESCAPE}))*'
+_UNESCAPE = re.compile(r'\\(["\\]|x..|u....)')
+_KEY = rf'{_TOKEN}|{_OPEN_QUOTE}"'
+# A row, or a blank or comment line (of characters PyYAML's reader takes).
+_ANY_LINE = re.compile(
+    rf"( *)((?:- )*)(?:({_KEY}):(?: ({_KEY}|{_VALUE}))?|({_KEY}|{_VALUE}))"
+    r"| *(?:#[^\x00-\x08\x0a-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff"
+    r"\ufffe\uffff]*)?")
+# What a line that is neither holds: the first of these matching it after
+# the indentation, dashes and key the grammar takes.
+_ROW_START = re.compile(rf" *(?:- )*(?:(?:{_KEY}):(?: |$))?")
+_CONSTRUCTS = [(re.compile(pattern), construct) for pattern, construct in (
+    (r"(?:---|\.\.\.)(?:[ \t]|$)", "a document marker"),
+    (r"&", "an anchor"), (r"\*", "an alias"), (r"!", "a tag"),
+    (r"[{[]", "a flow collection"), (r"<<", "a merge key"),
+    (r"[|>]", "a block scalar"), (r"'", "a single-quoted scalar"),
+    (f"{_OPEN_QUOTE}$", "a multi-line scalar"),
+    (rf"{_OPEN_QUOTE}\\(?!{_GOOD_ESCAPE})",
+     "an escape other than \\\", \\\\, \\xHH and \\uHHHH"),
+    (r"[0-9]{4}-[0-9][0-9]?-[0-9][0-9]?(?:[Tt \t]|$)", "a timestamp"),
+    (rf"(?:{_KEY}|{_VALUE})? *#", "a comment after a value"),
+    (r"\?", "an explicit key"), (r"%", "a directive"), (r"\t", "a tab"),
+    (rf"(?:{_KEY}|{_VALUE})? *$| ", "spaces other than the writer's"),
+    (r"", "a scalar that is neither a token nor quoted"))]
 # PyYAML reads a simple key only if its ":" is within 1,024 characters.
 _MAX_KEY_CHARS = 1024
 _EMPTY = {dict: "{}", list: "[]"}
@@ -72,7 +91,7 @@ _SCALAR_WORDS = {
 }
 # The numbers: a float has a "." and at most a signed exponent, an int a
 # "0b", "0x" or octal "0" prefix or none; "_" separates digits anywhere
-# after the first.  A date is a timestamp, which ``read`` declines.
+# after the first.  A date is a timestamp, which ``read`` refuses.
 _NUMBER = re.compile(r"""
     (?P<float>-?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?
              |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?)
@@ -81,14 +100,13 @@ _NUMBER = re.compile(r"""
 _BASES = {"0b": 2, "0x": 16}
 
 
-class _Decline(Exception):
-    """The document is outside the grammar."""
+class _Refused(Exception):
+    """What a line outside the grammar holds, and its number if known."""
 
 
 def _scalar(token: str):
-    """``token``'s value as PyYAML's resolver and safe constructor give
-    it; _Decline for a date, and for an int of no digits (``0x_``), which
-    its constructor cannot read."""
+    """``token``'s value as PyYAML's resolver and safe constructor give it;
+    _Refused for a date, and an int of no digits (``0x_``) they refuse."""
     if token in _SCALAR_WORDS:
         return _SCALAR_WORDS[token]
     number = _NUMBER.fullmatch(token)
@@ -98,72 +116,86 @@ def _scalar(token: str):
     if kind == "float":
         return float(digits)
     if kind == "date":
-        raise _Decline
+        raise _Refused("a timestamp")
     sign, digits = (-1, digits[1:]) if digits[0] == "-" else (1, digits)
-    base = _BASES.get(digits[:2])
+    base = _BASES.get(digits[:2], 8 if digits[0] == "0" else 10)
     try:
-        if base is None:
-            return sign * int(digits, 8 if digits[0] == "0" else 10)
-        return sign * int(digits[2:], base)
-    except ValueError as exc:
-        raise _Decline from exc
-
-
-def _is_str(token: str) -> bool:
-    """Whether ``token`` is a str under ``_scalar``'s table."""
-    return token not in _SCALAR_WORDS and _NUMBER.fullmatch(token) is None
+        return sign * int(digits[2:] if base in (2, 16) else digits, base)
+    except ValueError:
+        raise _Refused("an int of no digits") from None
 
 
 class _Values(dict):
-    """Each token's value, built on first use by ``_scalar``; an empty
-    collection is a new one each time."""
+    """Each token's value by ``_scalar`` and quoted scalar's str, built on
+    first use; an empty collection is a new one each time."""
 
     def __missing__(self, token: str):
-        if token == "{}":
-            return {}
-        if token == "[]":
-            return []
-        if len(token) > _MAX_TOKEN_CHARS:
-            raise _Decline
-        value = self[token] = _scalar(token)
+        if token in ("{}", "[]"):
+            return {} if token == "{}" else []
+        if token[0] == '"':
+            value = _UNESCAPE.sub(lambda m: m[1] if len(m[1]) == 1 else
+                                  chr(int(m[1][1:], 16)), token[1:-1])
+        elif len(token) > _MAX_TOKEN_CHARS:
+            raise _Refused(f"a token of more than {_MAX_TOKEN_CHARS} characters")
+        else:
+            value = _scalar(token)
+        self[token] = value
         return value
 
 
-def read(text: str) -> dict | None:
-    """``text`` as ``yaml.safe_load`` reads it, or None if it is not a
-    block document.
-
-    A line must match ``_LINE`` at exactly the indentation ``write`` gives
-    it, so the text is ASCII, ends in a newline and has no tab, CR, blank
-    line or comment.  A token that resolves to a tag other than the five
-    plain scalar tags (``2024-01-01``), or that its constructor cannot read
-    (``0x_``), is declined.
-    """
+def read(text: str) -> dict:
+    """``text`` as ``yaml.safe_load`` reads it, if it is a document of the
+    grammar above, else a ValueError ``line N: <construct> is not read:
+    '<the line>'``.  A document of token rows of at most one dash, the shape
+    of every file the program writes from its own names, is matched by one
+    ``_LINE`` scan, any other line by line.  A missing last newline is
+    taken."""
+    text = text if text.endswith("\n") else text + "\n"
     rows = _LINE.findall(text)
-    if len(rows) != text.count("\n") or text[-1:] != "\n":
-        return None
     values = _Values()
     root: dict = {}
     # (column, collection, is a list) of each open collection, innermost
-    # last: a mapping's column is its keys', a list's its dashes'.
-    stack: list[tuple[int, Any, bool]] = [(-1, None, False), (0, root, False)]
-    bare = None  # (mapping, key, column) after a ``key:`` line
-    # The innermost collection and its column when it is a mapping and no
-    # ``key:`` line is open, else column -1: a ``key: value`` line at that
-    # column is one more of its items.
+    # last: a mapping's column is its keys', a list's its first dash's.
+    stack = [(-1, None, False), (0, root, False)]
+    bare = None  # (mapping, key, column) after a ``key:`` row
+    # The innermost collection and its column if it is a mapping and no
+    # ``key:`` row is open, else -1: a ``key: value`` row there is its item.
     filling, at = root, 0
     try:
-        for indent, dash, key, key_value, value in rows:
+        if len(rows) != text.count("\n"):
+            # Row i is line i + 1, a line of no row one of empty groups.
+            rows = []
+            for number, line in enumerate(text.split("\n")[:-1], 1):
+                row = _ANY_LINE.fullmatch(line)
+                if row is None:
+                    rest = line[_ROW_START.match(line).end():]
+                    raise _Refused(next(construct for pattern, construct
+                                        in _CONSTRUCTS if pattern.match(rest)),
+                                   number)
+                if len(row[3] or "") > _MAX_KEY_CHARS:
+                    raise _Refused(f"a key of more than {_MAX_KEY_CHARS} "
+                                   f"characters", number)
+                rows.append(row.groups(""))
+        if rows == [("", "", "", "", "{}")]:
+            return {}
+        remaining = iter(rows)
+        for indent, dashes, key, key_value, value in remaining:
             column = len(indent)
-            if column == at and key_value and not dash:
-                filling[values[key]] = values[key_value]
+            if column == at and key_value and not dashes:
+                key = values[key]
+                if key in filling:
+                    raise _Refused("a repeated key")
+                filling[key] = values[key_value]
                 continue
-            is_list = bool(dash)
+            is_list = bool(dashes)
+            if not (key or is_list):
+                if value:
+                    raise _Refused("a value with no key or dash")
+                continue
             if bare is not None:
-                parent, parent_key, parent_column = bare
-                bare = None
+                (parent, parent_key, parent_column), bare = bare, None
                 if column != parent_column + (0 if is_list else 2):
-                    return None
+                    raise _Refused("indentation other than the writer's")
                 parent[parent_key] = [] if is_list else {}
                 stack.append((column, parent[parent_key], is_list))
             else:
@@ -171,9 +203,15 @@ def read(text: str) -> dict | None:
                                                 stack[-1][2] is not is_list):
                     stack.pop()
                 if stack[-1][0] != column:
-                    return None
+                    raise _Refused("a list at the top level" if column == 0
+                                   else "indentation other than the writer's")
             into = stack[-1][1]
             if is_list:
+                if len(dashes) > 2:  # each later dash opens a list in the last
+                    for _ in range(len(dashes) // 2 - 1):
+                        into.append([])
+                        into, column = into[-1], column + 2
+                        stack.append((column, into, True))
                 if not key:
                     into.append(values[value])
                     at = -1
@@ -181,25 +219,33 @@ def read(text: str) -> dict | None:
                 into.append({})
                 into, column = into[-1], column + 2
                 stack.append((column, into, False))
-            elif not key:
-                return None
+            key = values[key]
+            if key in into:
+                raise _Refused("a repeated key")
             if key_value:
-                into[values[key]] = values[key_value]
+                into[key] = values[key_value]
                 filling, at = into, column
             else:
-                bare = (into, values[key], column)
+                bare = (into, key, column)
                 at = -1
-    except _Decline:
-        return None
-    return None if bare is not None else root
+        if bare is not None:
+            raise _Refused("a key with no value")
+        if not root:
+            raise _Refused("an empty document", 1)
+    except _Refused as exc:
+        # A row refused with no line number is the last one read.
+        construct, *number = exc.args
+        number = number[0] if number else len(rows) - length_hint(remaining)
+        line = text.split("\n", number)[number - 1]
+        raise ValueError(f"line {number}: {construct} is not read"
+                         + (f": {line!r}" if line else "")) from None
+    return root
 
 
 def _escape(match) -> str:
-    char = match.group()
-    if char in '"\\':
-        return "\\" + char
-    code = ord(char)
-    return f"\\x{code:02X}" if code < 0x100 else f"\\u{code:04X}"
+    char, code = match[0], ord(match[0])
+    return ("\\" + char if char in '"\\' else f"\\x{code:02X}"
+            if code < 0x100 else f"\\u{code:04X}")
 
 
 def write(data: dict) -> str:
@@ -211,8 +257,7 @@ def write(data: dict) -> str:
     are a TypeError.
     """
     if type(data) is not dict:
-        raise TypeError(f"cannot write a {type(data).__name__} as a YAML "
-                        f"file")
+        raise TypeError(f"cannot write a {type(data).__name__} as a YAML file")
     if not data:
         return "{}\n"
     lines: list[str] = []
@@ -226,7 +271,8 @@ def write(data: dict) -> str:
             if text is None:
                 plain = (len(obj) <= _MAX_TOKEN_CHARS
                          and _WORD.fullmatch(obj) is not None
-                         and _is_str(obj))
+                         and obj not in _SCALAR_WORDS
+                         and _NUMBER.fullmatch(obj) is None)
                 text = words[obj] = (obj if plain else
                                      f'"{_ESCAPED.sub(_escape, obj)}"')
             return text
@@ -249,8 +295,7 @@ def write(data: dict) -> str:
         if kind is not dict and kind is not list:
             return False
         if id(obj) in seen:
-            raise ValueError(f"cannot write a {kind.__name__} met twice "
-                             f"as YAML")
+            raise ValueError(f"cannot write a {kind.__name__} met twice as YAML")
         seen.add(id(obj))
         return True
 

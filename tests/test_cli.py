@@ -813,7 +813,7 @@ def assert_edited_input_exits_1(tmp_path, capsys, kind, path, value):
         target = target[key]
     target[path[-1]] = value
     file = tmp_path / "input.yaml"
-    file.write_text(yaml.safe_dump(data))
+    file.write_text(config_io.dump_yaml(data), encoding="utf-8")
     assert run(*argv, str(file)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -1165,14 +1165,26 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 def _write_cafe_domain(path):
-    """Two Nanos with non-ASCII ids in a domain named café."""
-    device = ("{cpu_throughput_flops: 15.0e+9, gpu_throughput_flops: "
-              "240.0e+9, mem_capacity_bytes: 4.0e+9, power_idle_w: 2.0, "
-              "power_cpu_busy_w: 7.0, power_gpu_busy_w: 10.0, "
-              "power_net_w: 1.5, id: nano-é%d}")
-    path.write_text("schema_version: 1\nname: café\ndevices:\n"
-                    + "".join(f"- {device % i}\n" for i in range(2)),
-                    encoding="utf-8")
+    """Two Nanos with non-ASCII ids in a domain named café, written by hand
+    in block YAML with the non-ASCII strings double-quoted."""
+    device = ('- id: "nano-é%d"\n  cpu_throughput_flops: 15.0e+9\n'
+              '  gpu_throughput_flops: 240.0e+9\n  mem_capacity_bytes: 4.0e+9\n'
+              '  power_idle_w: 2.0\n  power_cpu_busy_w: 7.0\n'
+              '  power_gpu_busy_w: 10.0\n  power_net_w: 1.5\n')
+    path.write_text('schema_version: 1\nname: "café"\ndevices:\n'
+                    + "".join(device % i for i in range(2)), encoding="utf-8")
+
+
+def _write_lab_domain(path):
+    """Two Nanos with the ids ``007`` and ``café`` in a domain named
+    ``my lab``, as ``dump_yaml`` writes it: each name double-quoted."""
+    nano = jetson_nano("nano-0")
+    domain = TrustedDomain(tuple(replace(nano, id=i) for i in ("007", "café")),
+                           name="my lab")
+    text = config_io.dump_yaml(config_io.domain_to_dict(domain))
+    assert {'name: "my lab"', 'id: "007"', 'id: "café"'} <= {
+        line.strip("- ") for line in text.splitlines()}
+    path.write_text(text, encoding="utf-8")
 
 
 class TestEntryPoint:
@@ -1214,8 +1226,8 @@ class TestEntryPoint:
         assert "\tcafé\t" in proc.stdout
 
     def test_every_command_runs_without_numpy(self, tmp_path):
-        """The runtime needs only PyYAML: with numpy blocked, so that
-        importing it raises ImportError, every command exits 0."""
+        """The runtime needs only the standard library: with numpy blocked,
+        so that importing it raises ImportError, every command exits 0."""
         script = """
 import sys
 sys.modules["numpy"] = None
@@ -1254,8 +1266,8 @@ assert "pathlib" not in sys.modules, "pathlib"
 
     def test_program_files_load_without_pyyaml_or_argparse(self, tmp_path):
         """The README flow on files the program wrote, a domain among them,
-        imports neither PyYAML nor argparse; a flow-style domain written by
-        hand still plans, read by PyYAML."""
+        imports neither PyYAML nor argparse, and nor does a hand-written
+        block domain of double-quoted non-ASCII names."""
         (tmp_path / "d.yaml").write_text(config_io.dump_yaml(
             config_io.domain_to_dict(load_testbed("homogeneous-nano4"))))
         _write_cafe_domain(tmp_path / "cafe.yaml")
@@ -1270,10 +1282,33 @@ assert main(["simulate", "--plan", "p.yaml", "--trace", "t.tsv",
 assert main(["sweep", *domain, "--out", "s.tsv"]) == 0
 assert main(["faults", "--plan", "p.yaml", "--mtbf", "600", "--out",
              "f.yaml"]) == 0
-assert not {"yaml", "argparse"} & set(sys.modules), sorted(sys.modules)
 assert main(["plan", "--domain", "cafe.yaml", "--model", "distilbert",
              "--out", "cafe.plan.yaml"]) == 0
-assert "yaml" in sys.modules
+assert main(["simulate", "--plan", "cafe.plan.yaml", "--out",
+             "cafe.r.yaml"]) == 0
+assert not {"yaml", "argparse"} & set(sys.modules), sorted(sys.modules)
 """
         proc = _python("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_quoted_names_need_no_pyyaml(self, tmp_path):
+        """With PyYAML blocked, a domain that ``dump_yaml`` wrote with the
+        quoted name ``my lab`` and ids ``007`` and ``café`` plans,
+        simulates, sweeps and replays."""
+        _write_lab_domain(tmp_path / "lab.yaml")
+        script = """
+import sys
+sys.modules["yaml"] = None
+from edgetrainsim.cli import main
+lab = ["--domain", "lab.yaml"]
+assert main(["plan", *lab, "--model", "distilbert", "--out", "p.yaml"]) == 0
+assert main(["simulate", "--plan", "p.yaml", "--trace", "t.tsv",
+             "--out", "r.yaml"]) == 0
+assert main(["sweep", *lab, "--models", "distilbert", "--out", "s.tsv"]) == 0
+assert main(["faults", "--plan", "p.yaml", "--mtbf", "600", "--out",
+             "f.yaml"]) == 0
+"""
+        proc = _python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "\tmy lab\t" in (tmp_path / "s.tsv").read_text("utf-8")
+        assert "\tcafé\t" in (tmp_path / "t.tsv").read_text("utf-8")

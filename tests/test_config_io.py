@@ -45,19 +45,25 @@ EDGE_SCALARS = {
     "nested": {"b": [1, 2.5, -0.0, 3e-12], "a": {"z": 1, "y": "2"}},
 }
 
-# Hand-written scalars whose YAML 1.1 types differ from what they look like.
+# Hand-written scalars whose YAML 1.1 types differ from what they look like,
+# with a comment and a blank line.
 HAND_TEXT = """\
+# hand-written
 a: 1e8
 b: 1.0e+8
 c: 0.1
 d: 1_000
 e: 0x1F
-f: 12:30
+
 g: yes
-h: ~
+h: null
 i: nano-0
-j: '007'
-k: [1, -2.5e-3, .inf, .nan]
+j: "007"
+k:
+- 1
+- -2.5e-3
+- .inf
+- .nan
 """
 
 
@@ -157,9 +163,17 @@ class TestAgreesWithPureYaml:
             assert ('"' in text) == (name == "scalars"), name
 
     def test_parse_matches_reference(self, documents):
+        """PyYAML's own bytes of every program file read as PyYAML reads
+        them; the edge scalars, some of which PyYAML writes single-quoted
+        or as plain text with spaces, are refused naming a line."""
         for name, data in documents.items():
             text = _reference_dump(data)
-            assert config_io.parse_yaml(text, name) == yaml.safe_load(text), name
+            if name == "scalars":
+                with pytest.raises(ConfigError, match=r"^scalars: line \d+: "):
+                    config_io.parse_yaml(text, name)
+            else:
+                assert config_io.parse_yaml(text, name) == \
+                    yaml.safe_load(text), name
 
     def test_hand_written_scalars(self):
         got = config_io.parse_yaml(HAND_TEXT, "scalars")
@@ -172,8 +186,8 @@ class TestAgreesWithPureYaml:
 
 class TestParseErrors:
     def test_top_level_list_is_rejected(self):
-        with pytest.raises(ConfigError,
-                           match="^plan: expected a mapping at the top level$"):
+        with pytest.raises(ConfigError, match="^plan: line 1: a list at the "
+                                              "top level is not read: '- a'$"):
             config_io.parse_yaml("- a\n- b\n", "plan")
 
     @pytest.mark.parametrize("argv", [
@@ -182,10 +196,8 @@ class TestParseErrors:
     def test_malformed_yaml_exits_1_with_line(self, tmp_path, capsys, argv):
         path = tmp_path / "bad.yaml"
         path.write_text("schema_version: 1\nname: [a, b\nmode: gpu\n")
-        assert main([*argv, str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "YAML parse error" in err
-        assert "line 3" in err
+        assert _one_error_line(capsys, argv, path).endswith(
+            ": line 2: a flow collection is not read: 'name: [a, b'")
 
 
 # (command-line words before the input file, the input's error context)
@@ -216,9 +228,8 @@ def test_unreadable_tagged_scalar_exits_1_with_line(tmp_path, capsys, source,
     argv, context = INPUT_ARGS[source]
     path = tmp_path / "input.yaml"
     path.write_text(f"schema_version: 1\nname: {scalar}\nmode: gpu\n")
-    err = _one_error_line(capsys, argv, path)
-    assert err.startswith(f"error: {context}: YAML parse error: line 2, "), err
-    assert scalar.split()[0] in err
+    assert _one_error_line(capsys, argv, path) == (
+        f"error: {context}: line 2: a tag is not read: {'name: ' + scalar!r}")
 
 
 @pytest.mark.parametrize("source", sorted(INPUT_ARGS))
@@ -618,16 +629,19 @@ def test_pp_block_counts_round_trip(domain, data):
 
 # ---------------------------------------------------------------- equivalence
 
-# The classes config_io reads with: the installed one (libyaml's when
-# present) and PyYAML's pure-Python one.  With each, parse_yaml must agree
-# with PyYAML's own load through the same class.
-YAML_LOADERS = {"installed": config_io._Loader, "pure": yaml.SafeLoader}
+# PyYAML's safe loader classes, the oracle the one reader is checked
+# against: the installed one (libyaml's when present) and the pure-Python
+# one.
+ORACLES = {"installed": getattr(yaml, "CSafeLoader", yaml.SafeLoader),
+           "pure": yaml.SafeLoader}
 
 
-@pytest.fixture(params=sorted(YAML_LOADERS))
-def yaml_classes(request, monkeypatch):
-    monkeypatch.setattr(config_io, "_Loader", YAML_LOADERS[request.param])
-    return request.param
+@pytest.fixture(params=sorted(ORACLES))
+def oracle(request, monkeypatch):
+    """A loader class of ``ORACLES``; PyYAML is blocked for the code under
+    test, so that importing it raises ImportError."""
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    return ORACLES[request.param]
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-05, sys.float_info.max, math.nan,
@@ -639,7 +653,8 @@ EDGE_STRINGS = ["", " lead", "trail ", "yes", "No", "null", "~", "1e9", "0x1F",
                 " ".join(f"w{i}" for i in range(30)),
                 "x" * 90 + " " + "y" * 10, "back\\slash", "\t", "\r\n",
                 "\x85", "\u2028", "\u2029", "\ufeff", "\ufffe", "\x7f",
-                "\xa0", "\U0001f600", "-a", "...a", "v" * 128, "w" * 129]
+                "\xa0", "\U0001f600", "-a", "...a", "v" * 128, "w" * 129,
+                "my lab", "café", "007", "\\x41", "\\u0041", '\\"']
 
 # Every code point but the surrogates: UTF-8 cannot carry a lone surrogate,
 # and libyaml refuses the escape "\uD800" that would stand for one.
@@ -673,36 +688,109 @@ def _edge_document():
     return {"floats": EDGE_FLOATS, "ints": EDGE_INTS,
             "strings": EDGE_STRINGS, "keys": dict.fromkeys(EDGE_STRINGS, 1),
             "zero": 0.0, "negative_zero": -0.0, "flags": [True, False, None],
-            "empty": [{}, []], "nested": [[], [[1, "a"], {"b": [2]}], {}]}
+            "empty": [{}, []], "nested": [[], [[1, "a"], {"b": [2]}], {}],
+            "deep": [[[[1]], [[]]], [[{"a": [["b"]]}]]]}
 
 
-_WITH_CLASSES = settings(
+_WITH_ORACLE = settings(
     max_examples=150, deadline=None,
-    # The fixture's patch holds for every example of the test.
+    # The fixture's block holds for every example of the test.
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _load_through(text):
-    """What PyYAML's constructor reads through ``_Loader``: ``yaml.safe_load``
-    when it is the pure-Python loader."""
-    return yaml.load(text, Loader=config_io._Loader)
+# Documents outside the one reader's grammar, each with the line it refuses
+# and what that line holds.  PyYAML reads each of these as a mapping:
+READ_BY_PYYAML = {
+    "a: &x [1, {b: 2}]\nb: *x\n": (1, "an anchor"),
+    "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  y: 3\n": (1, "an anchor"),
+    "a: !!str 5\nb: !!int \"7\"\nc: !!float 1\nd: !!null ''\n": (1, "a tag"),
+    "t: 2001-12-14t21:59:43.10-05:00\nd: 2024-01-01\n"
+    "bin: !!binary aGVsbG8=\n": (1, "a timestamp"),
+    "s: !!set {a, b}\no: !!omap [x: 1, y: 2]\np: !!pairs [x: 1, x: 2]\n":
+        (1, "a tag"),
+    "a: 1\nb: 2\na: 3\n": (3, "a repeated key"),
+    "f: {x: [1, 2], y: {z: null}}\ng: [a, {b: c}, [d]]\n":
+        (1, "a flow collection"),
+    "'=': 1\nk: '<<'\n": (1, "a single-quoted scalar"),
+    "a: &s text\nb: *s\nc: &n [*s]\n": (1, "an anchor"),
+    "d: 2024-01-01\n": (1, "a timestamp"),
+    "d:\n  <<: {x: 1}\n  y: 3\n": (2, "a merge key"),
+    "a: |\n  two\n  lines\n": (1, "a block scalar"),
+    "a: >\n  folded\n": (1, "a block scalar"),
+    "a: \"two\n  lines\"\n": (1, "a multi-line scalar"),
+    "a: two\n  lines\n": (2, "a value with no key or dash"),
+    "a:\n  - 1\n": (2, "indentation other than the writer's"),
+    "a:\n    b: 1\n": (2, "indentation other than the writer's"),
+    "a:  1\n": (1, "spaces other than the writer's"),
+    "a: 1 # note\n": (1, "a comment after a value"),
+    "a: 1 \n": (1, "spaces other than the writer's"),
+    "---\na: 1\n": (1, "a document marker"),
+    "%YAML 1.1\n---\na: 1\n": (1, "a directive"),
+    "? a\n: 1\n": (1, "an explicit key"),
+    "a: ~\n": (1, "a scalar that is neither a token nor quoted"),
+    "f: 12:30\n": (1, "a scalar that is neither a token nor quoted"),
+    "name: café\n": (1, "a scalar that is neither a token nor quoted"),
+    "a: \"\\U0001F600\"\n": (1, "an escape other than"),
+    "a: \"x\ty\"\n": (1, "a scalar that is neither a token nor quoted"),
+    "a:\nb: 1\n": (2, "indentation other than the writer's"),
+    "a: 1\nb:\n": (2, "a key with no value"),
+    "a: 1\nb: 1.0\nTrue: 2\n1: 3\n": (4, "a repeated key"),
+    f"a: {'x' * 129}\n": (1, "a token of more than 128 characters"),
+}
+# PyYAML refuses each of these, or reads no mapping:
+REFUSED_BY_BOTH = {
+    "? [a, b]\n: 1\n": (1, "an explicit key"),
+    "a: 1\n---\nb: 2\n": (2, "a document marker"),
+    "": (1, "an empty document"),
+    "a: =\n": (1, "a scalar that is neither a token nor quoted"),
+    "a: !!binary a\n": (1, "a tag"),
+    "a: !!omap 5\n": (1, "a tag"),
+    "a: !unknown x\n": (1, "a tag"),
+    "v: 0x_\n": (1, "an int of no digits"),
+    "- a\n- b\n": (1, "a list at the top level"),
+    "a: *x\n": (1, "an alias"),
+    "a:\n\tb: 1\n": (2, "a tab"),
+    "a: \"x\"y\n": (1, "a scalar that is neither a token nor quoted"),
+    "a: \"\\x41\\z\"\n": (1, "an escape other than"),
+    f'"{"k" * 1023}": 1\n': (1, "a key of more than 1024 characters"),
+}
+
+
+def _assert_refused(tmp_path, capsys, text, oracle):
+    """``plan --domain`` on ``text`` exits 1 with one ``error:`` line that
+    names the line and construct ``READ_BY_PYYAML`` or ``REFUSED_BY_BOTH``
+    gives it, and PyYAML through ``oracle`` reads it as that table says."""
+    try:
+        read = type(yaml.load(text, Loader=oracle)) is dict
+    except (yaml.YAMLError, ValueError, TypeError):
+        read = False
+    assert read == (text in READ_BY_PYYAML)
+    number, construct = {**READ_BY_PYYAML, **REFUSED_BY_BOTH}[text]
+    path = tmp_path / "input.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert _one_error_line(capsys, ("plan", "--domain"), path).startswith(
+        f"error: domain: line {number}: {construct}")
 
 
 class TestEquivalence:
     """Both of PyYAML's loader classes read back what ``dump_yaml`` writes,
-    and ``parse_yaml`` reads what PyYAML's safe constructor reads through
-    the same composer."""
+    and the one reader reads it, with PyYAML blocked, as they do."""
 
-    @_WITH_CLASSES
+    @_WITH_ORACLE
     @given(_TREES)
     @example({"v" * 128: None})
-    def test_dump_and_load_match_pyyaml(self, yaml_classes, data):
+    @example(_edge_document())
+    def test_dump_and_load_match_pyyaml(self, oracle, data):
+        """For every tree ``dump_yaml`` writes, non-token strings and lists
+        in lists among them, ``read(write(t)) == t``."""
         text = _checked_dump(data)
-        assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
+        got = config_io.parse_yaml(text, "tree")
+        assert _same(got, _key_sorted(data))
+        assert _same(got, yaml.load(text, Loader=oracle))
 
-    def test_edge_document(self, yaml_classes):
+    def test_edge_document(self, oracle):
         """Every edge value is written and read back; a list met twice is a
-        ValueError, and read as one object when PyYAML wrote it."""
+        ValueError, and refused as an anchor when PyYAML wrote it."""
         data = _edge_document()
         text = _checked_dump(data)
         assert _same(config_io.parse_yaml(text, "edge"), _key_sorted(data))
@@ -711,22 +799,20 @@ class TestEquivalence:
             config_io.dump_yaml({"shared": shared, "again": shared})
         text = yaml.safe_dump({"shared": shared, "again": shared})
         assert "&id001" in text and "*id001" in text
-        got = config_io.parse_yaml(text, "edge")
-        assert _same(got, _load_through(text))
-        assert got["shared"] is got["again"]
+        with pytest.raises(ConfigError, match="^edge: line 1: an anchor "):
+            config_io.parse_yaml(text, "edge")
 
-    def test_recursive_list(self, yaml_classes):
+    def test_recursive_list(self, oracle):
         loop: list = []
         loop.append(loop)
         with pytest.raises(ValueError):
             config_io.dump_yaml({"loop": loop})
-        text = yaml.safe_dump({"loop": loop})
-        got = config_io.parse_yaml(text, "loop")["loop"]
-        assert got[0] is got
+        with pytest.raises(ConfigError, match="^loop: line 1: an anchor "):
+            config_io.parse_yaml(yaml.safe_dump({"loop": loop}), "loop")
 
-    def test_longest_key(self, yaml_classes):
-        """A key is written up to 1,024 characters, quotes included, the
-        longest simple key PyYAML reads."""
+    def test_longest_key(self, oracle):
+        """A key is written and read up to 1,024 characters, quotes
+        included, the longest simple key PyYAML reads."""
         longest = {"k" * 1022: ["é" * 1022]}
         text = _checked_dump(longest)
         assert _same(config_io.parse_yaml(text, "key"), longest)
@@ -735,7 +821,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x",
                                        datetime.date(2024, 1, 1), object()])
-    def test_other_types_are_refused(self, yaml_classes, value):
+    def test_other_types_are_refused(self, oracle, value):
         with pytest.raises(TypeError):
             config_io.dump_yaml({"a": [value]})
         with pytest.raises(TypeError):
@@ -743,36 +829,20 @@ class TestEquivalence:
         with pytest.raises(TypeError):
             config_io.dump_yaml([value])
 
-    @pytest.mark.parametrize("text", [
-        "a: &x [1, {b: 2}]\nb: *x\n",
-        "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  y: 3\n",
-        "a: !!str 5\nb: !!int \"7\"\nc: !!float 1\nd: !!null ''\n",
-        "t: 2001-12-14t21:59:43.10-05:00\nd: 2024-01-01\n"
-        "bin: !!binary aGVsbG8=\n",
-        "s: !!set {a, b}\no: !!omap [x: 1, y: 2]\np: !!pairs [x: 1, x: 2]\n",
-        "a: 1\nb: 2\na: 3\n",
-        "f: {x: [1, 2], y: {z: null}}\ng: [a, {b: c}, [d]]\n",
-        "'=': 1\nk: '<<'\n",
-        "a: &s text\nb: *s\nc: &n [*s]\n",
-    ])
-    def test_hand_written_documents(self, yaml_classes, text):
-        got = config_io.parse_yaml(text, "hand")
-        assert _same(got, _load_through(text))
-        if "*x" in text:
-            assert got["a"] is got["b"]
+    @pytest.mark.parametrize("text", list(READ_BY_PYYAML))
+    def test_hand_written_documents(self, tmp_path, capsys, oracle, text):
+        """Valid YAML outside the grammar exits 1 naming its line."""
+        _assert_refused(tmp_path, capsys, text, oracle)
 
-    @pytest.mark.parametrize("text", [
-        "? [a, b]\n: 1\n", "a: 1\n---\nb: 2\n", "", "a: =\n",
-        "a: !!binary a\n", "a: !!omap 5\n", "a: !unknown x\n"])
-    def test_unloadable_documents(self, yaml_classes, text):
-        with pytest.raises(ConfigError, match="^doc: "):
-            config_io.parse_yaml(text, "doc")
+    @pytest.mark.parametrize("text", list(REFUSED_BY_BOTH))
+    def test_unloadable_documents(self, tmp_path, capsys, oracle, text):
+        _assert_refused(tmp_path, capsys, text, oracle)
 
 
 # ---------------------------------------------------------------- block path
 
 # Strings the block writer writes plain, and strings PyYAML quotes because
-# they resolve to another tag, which the block writer leaves to PyYAML.
+# they resolve to another tag, which the block writer double-quotes.
 _WORDS = (st.tuples(st.sampled_from(string.ascii_letters + "_"),
                     st.text(string.ascii_letters + string.digits + "_.+-",
                             max_size=11)).map("".join)
@@ -811,7 +881,7 @@ _TOKEN_TREES = st.dictionaries(_WORDS, st.recursive(
 # strings, or one of _SIGNS, at any point; insert a line, a copy of one or
 # one of _NEW_LINES; delete a line or a space.
 _INSERTS = [" ", "\t", "- ", "---"]
-_SIGNS = "#:'\"&*!|>%@,?{}[]"
+_SIGNS = "#:'\"&*!|>%@,?{}[]\\"
 _NEW_LINES = ["\n", "# note\n", "---\n", "k" * 1025 + ": 1\n"]
 
 
@@ -859,75 +929,105 @@ def _corner_examples(test):
     return test
 
 
+def _constructed(token):
+    """The tag PyYAML's resolver gives ``token`` as a plain scalar, and what
+    its safe constructor builds from it, or the ValueError it raises."""
+    tag = yaml.resolver.Resolver().resolve(yaml.ScalarNode, token,
+                                           (True, False))
+    try:
+        return tag, yaml.constructor.SafeConstructor().construct_object(
+            yaml.ScalarNode(tag, token))
+    except ValueError as exc:
+        return tag, exc
+
+
+# Tokens of YAML 1.1's plain scalar table: words, and numbers with signs,
+# separators, prefixes, points and exponents.
+_WORD_TOKENS = st.sampled_from(sorted(yaml_block._SCALAR_WORDS)).map(
+    lambda word: st.sampled_from([word, word.lower(), word.upper(),
+                                  word.swapcase(), word[:-1]])).flatmap(
+    lambda words: words)
+_NUMERIC_TOKENS = st.from_regex(
+    r"-?(0[bxo])?[0-9a-fA-F_.]{0,6}([eE][-+]?[0-9]{0,3})?", fullmatch=True)
+_DATE_TOKENS = st.from_regex(r"[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}",
+                             fullmatch=True)
+
+
 class TestBlockPath:
     """``yaml_block`` writes what PyYAML writes for strings it writes plain,
-    reads what PyYAML reads, through either class, and declines everything
-    else."""
+    and reads what PyYAML reads, through either class, or refuses it
+    naming its line."""
 
-    @_WITH_CLASSES
+    @_WITH_ORACLE
     @given(_TOKEN_TREES)
     @_corner_examples
-    def test_token_trees_match_pyyaml(self, yaml_classes, data):
+    def test_token_trees_match_pyyaml(self, oracle, data):
         """``dump_yaml`` quotes the strings PyYAML quotes, and is PyYAML's
-        bytes when it quotes none.  The block reader takes a tree with no
-        quoted string and no list in a list; PyYAML reads the rest.  Each
-        string of the tree, written plain, is read as PyYAML reads it, and
-        declined only when it is no token, is longer than 128 characters, or
+        bytes when it quotes none; the one reader reads it as PyYAML does.
+        Each string of the tree, written plain, is read as PyYAML reads it,
+        or refused when it is no token, is longer than 128 characters, or
         is a scalar PyYAML builds no str, int, float, bool or None from."""
         text = _checked_dump(data)
         quoted = "'" in _dump_through(data, yaml.SafeDumper)
         assert ('"' in text) == quoted
-        assert _same(config_io.parse_yaml(text, "tree"), _load_through(text))
-        assert (yaml_block.read(text) is not None) == (
-            not quoted and "- - " not in text)
+        assert _same(config_io.parse_yaml(text, "tree"),
+                     yaml.load(text, Loader=oracle))
         for word in _strings(data):
             plain = f"v: {word}\n"
-            got = yaml_block.read(plain)
-            if got is not None:
-                assert _same(got, _load_through(plain)), word
-            elif re.fullmatch(yaml_block._TOKEN, word) and len(word) <= 128:
-                try:
-                    want = _load_through(plain)["v"]
-                except ValueError:  # an int of no digits, such as 0x_
-                    continue
-                assert type(want) not in (str, int, float, bool,
-                                          type(None)), word
+            try:
+                got = yaml_block.read(plain)
+            except ValueError:
+                if re.fullmatch(yaml_block._TOKEN, word) and len(word) <= 128:
+                    want = _constructed(word)[1]
+                    assert type(want) not in (str, int, float, bool,
+                                              type(None)), word
+            else:
+                assert _same(got, yaml.load(plain, Loader=oracle)), word
 
-    @_WITH_CLASSES
-    @given(_TOKEN_TREES, st.data())
-    def test_edited_documents_read_as_pyyaml_reads_them(self, yaml_classes,
-                                                        data, draws):
-        """After one edit a document is read as PyYAML reads it, or both
-        refuse it (PyYAML by raising or by reading no mapping)."""
+    @_WITH_ORACLE
+    @given(_TOKEN_TREES | _TREES, st.data())
+    def test_edited_documents_read_as_pyyaml_reads_them(self, oracle, data,
+                                                        draws):
+        """After one edit a written document is read as PyYAML reads it, or
+        refused naming a line; never read as another tree."""
         edited = draws.draw(_edits(config_io.dump_yaml(data)))
         try:
-            want = _load_through(edited)
-        except (yaml.YAMLError, ValueError, LookupError, AttributeError):
-            want = None
-        if isinstance(want, dict):
-            assert _same(config_io.parse_yaml(edited, "edit"), want)
+            got = config_io.parse_yaml(edited, "edit")
+        except ConfigError as exc:
+            assert re.match(r"edit: line \d+: ", str(exc)), exc
         else:
-            with pytest.raises(ConfigError, match="^edit: "):
-                config_io.parse_yaml(edited, "edit")
+            assert _same(got, yaml.load(edited, Loader=oracle))
 
+    @settings(max_examples=3000, deadline=None)
+    @given(st.from_regex(yaml_block._TOKEN, fullmatch=True) | _WORD_TOKENS
+           | _NUMERIC_TOKENS.filter(re.compile(yaml_block._TOKEN).fullmatch)
+           | _DATE_TOKENS | st.sampled_from(CORNER_TOKENS))
+    @example("0x_")
+    def test_scalar_matches_pyyaml_resolver(self, token):
+        """Every token resolves and builds as in PyYAML's resolver and
+        safe constructor, in value and type; a token PyYAML resolves as a
+        timestamp is refused as one, and an int its constructor cannot
+        build as an int of no digits."""
+        tag, want = _constructed(token)
+        try:
+            got = yaml_block._scalar(token)
+        except yaml_block._Refused as exc:
+            assert (tag, exc.args[0]) in {
+                ("tag:yaml.org,2002:timestamp", "a timestamp"),
+                ("tag:yaml.org,2002:int", "an int of no digits")}, token
+            assert isinstance(want, (ValueError, datetime.date)), token
+        else:
+            assert _same(got, want), token
 
-    def test_declines_a_token_of_another_tag(self):
+    def test_declines_a_token_of_another_tag(self, tmp_path, capsys):
         """A date is a plain token outside the five scalar tags: PyYAML
-        reads it."""
-        text = "d: 2024-01-01\n"
-        assert yaml_block.read(text) is None
-        assert config_io.parse_yaml(text, "ctx") == {
-            "d": datetime.date(2024, 1, 1)} == yaml.load(text,
-                                                         config_io._Loader)
+        reads it, and the one reader refuses it."""
+        _assert_refused(tmp_path, capsys, "d: 2024-01-01\n", yaml.SafeLoader)
 
-    def test_declines_a_token_its_constructor_cannot_read(self):
-        """``0x_`` resolves to an int that no constructor reads: PyYAML
-        refuses it, naming its line."""
-        assert yaml_block.read("v: 0x_\n") is None
-        with pytest.raises(ConfigError) as exc:
-            config_io.parse_yaml("v: 0x_\n", "ctx")
-        assert str(exc.value) == ("ctx: YAML parse error: line 1, column 4: "
-                                  "cannot read '0x_' as !!int")
+    def test_declines_a_token_its_constructor_cannot_read(self, tmp_path,
+                                                          capsys):
+        """``0x_`` resolves to an int that no constructor reads."""
+        _assert_refused(tmp_path, capsys, "v: 0x_\n", yaml.SafeLoader)
 
 
 # Device ids the block grammar has no plain token for: escaped non-ASCII

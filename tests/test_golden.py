@@ -14,11 +14,12 @@ stage splits where memory caps bind.
 import dataclasses
 import hashlib
 import itertools
+import sys
 
 import pytest
 import yaml
 
-from edgetrainsim import config_io, yaml_block
+from edgetrainsim import config_io
 from edgetrainsim.cli import main
 from edgetrainsim.devices import (Link, NetworkModel, TrustedDomain,
                                   jetson_nano, jetson_nx, jetson_tx2)
@@ -285,33 +286,20 @@ def test_hand_built_plans_on_per_link_domain(tmp_path):
     assert _per_link_digests(tmp_path) == GOLDEN_PER_LINK
 
 
-def test_pure_python_yaml_writes_the_same_bytes(tmp_path, monkeypatch):
-    """Every command above again, reading through PyYAML's pure-Python
-    loader, the class installs without libyaml take: first with the block
-    reader on, then with it declining every document, so that every file
-    goes through that class."""
-    loads = []
-
-    class Loader(yaml.SafeLoader):
-        def __init__(self, stream):
-            loads.append(stream)
-            super().__init__(stream)
-
-    monkeypatch.setattr(config_io, "_Loader", Loader)
-    for path in ("block", "stock"):
-        if path == "stock":
-            monkeypatch.setattr(yaml_block, "read", lambda text: None)
-        out = tmp_path / path
-        out.mkdir()
-        assert _testbed_digests(out) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
-                                         GOLDEN_FAULTS)
-        assert _sweep_digests(out) == GOLDEN_SWEEP
-        assert _per_link_digests(out) == GOLDEN_PER_LINK
-    assert loads
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("a program file went through PyYAML")
+def test_pure_python_yaml_writes_the_same_bytes(tmp_path):
+    """Every YAML file the golden commands write reads, through the one
+    pure-Python reader, to what PyYAML's pure-Python ``SafeLoader`` reads,
+    and writing that mapping back gives the same bytes."""
+    assert _testbed_digests(tmp_path) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
+                                          GOLDEN_FAULTS)
+    assert _per_link_digests(tmp_path) == GOLDEN_PER_LINK
+    paths = sorted(tmp_path.glob("*.yaml"))
+    assert len(paths) == 3 * len(TESTBEDS) * len(MODELS) + 12
+    for path in paths:
+        text = path.read_text()
+        data = config_io.parse_yaml(text, path.name)
+        assert data == yaml.load(text, Loader=yaml.SafeLoader), path.name
+        assert config_io.dump_yaml(data) == text, path.name
 
 
 def _more_inputs(tmp):
@@ -350,20 +338,19 @@ def _more_outputs(tmp):
 
 
 def test_program_files_never_reach_pyyaml(tmp_path, monkeypatch):
-    """With PyYAML's loader refusing, every command still exits 0 and
-    writes the golden bytes, and the bytes it writes when the block reader
-    declines: every file the program writes, and a domain file from
-    ``yaml.safe_dump``, is a block document."""
-    stock = tmp_path / "stock"
-    stock.mkdir()
-    with monkeypatch.context() as patch:
-        patch.setattr(yaml_block, "read", lambda text: None)
-        want = _more_outputs(stock)
-    monkeypatch.setattr(config_io, "_Loader", _refuse)
-    block = tmp_path / "block"
-    block.mkdir()
-    assert _more_outputs(block) == want
-    assert _testbed_digests(block) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
-                                       GOLDEN_FAULTS)
-    assert _sweep_digests(block) == GOLDEN_SWEEP
-    assert _per_link_digests(block) == GOLDEN_PER_LINK
+    """With PyYAML blocked, so that importing it raises ImportError, every
+    golden command writes its pinned bytes, and plan, simulate --trace,
+    faults and sweep run on ``_more_inputs``' domains, one of them written
+    by ``yaml.safe_dump``; each file they write reads back through the one
+    reader as PyYAML reads it."""
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    assert _testbed_digests(tmp_path) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
+                                          GOLDEN_FAULTS)
+    assert _sweep_digests(tmp_path) == GOLDEN_SWEEP
+    assert _per_link_digests(tmp_path) == GOLDEN_PER_LINK
+    more = tmp_path / "more"
+    more.mkdir()
+    for name, data in _more_outputs(more).items():
+        if name.endswith(".yaml"):
+            text = data.decode()
+            assert config_io.parse_yaml(text, name) == yaml.safe_load(text)
