@@ -194,7 +194,7 @@ def _sweep_plan(kind: str, domain: TrustedDomain, spec, job):
     ids, blocks = domain.device_ids, None
     if kind == KIND_SINGLE:
         # Paper-style baseline: the least capable device (a Nano on the presets).
-        ids = (min(ids, key=lambda p: (domain.throughput(p), p)),)
+        ids = (min(ids, key=lambda p: (domain._throughput[p], p)),)
     elif kind == KIND_PP:
         blocks = partition_stages(domain, ids, spec, job)
     return make_plan(kind, domain, spec, job, ids, blocks)

@@ -9,6 +9,7 @@ ratios and orderings that are robust to these defaults.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 MODE_CPU = "cpu"
@@ -18,6 +19,9 @@ MODES = (MODE_CPU, MODE_GPU)
 # only within 1,024 characters of their ":"; escaped at most 6 characters
 # each (\uHHHH) and quoted, a 122-character id fits.
 MAX_DEVICE_ID_CHARS = 122
+# Refused in a device id or domain name, as it would split a cell or a row
+# of the TSV outputs: a C0 or C1 control character, U+2028 or U+2029.
+_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x80-\x9f\u2028\u2029]")
 
 
 class ValidationError(ValueError):
@@ -31,6 +35,13 @@ def _check_finite_nonnegative(value: float, *what: str):
     if not (math.isfinite(value) and value >= 0):
         raise ValidationError(f"{''.join(what)} must be finite and >= 0, "
                               f"got {value}")
+
+
+def _check_no_control(text: str, what: str):
+    if found := _CONTROL_CHARS.search(text):
+        raise ValidationError(f"{what} must not contain a control character "
+                              f"or line separator, got U+{ord(found[0]):04X} "
+                              f"in {text!r}")
 
 
 def _check_link(prefix: str, bandwidth: float, latency: float):
@@ -59,6 +70,7 @@ class DeviceProfile:
             raise ValidationError(f"device id must be at most "
                                   f"{MAX_DEVICE_ID_CHARS} characters, got "
                                   f"{len(self.id)}: {self.id[:20]}...")
+        _check_no_control(self.id, "device id")
         for name in ("cpu_throughput", "gpu_throughput", "power_idle",
                      "power_cpu_busy", "power_gpu_busy", "power_net"):
             _check_finite_nonnegative(getattr(self, name), self.id, ": ",
@@ -138,10 +150,6 @@ class NetworkModel:
         return self._by_pair.get((a, b), self._default)
 
 
-def _unknown_device(device_id: str) -> KeyError:
-    return KeyError(f"unknown device id {device_id!r}")
-
-
 @dataclass(frozen=True)
 class TrustedDomain:
     """Devices, their network and an execution mode.
@@ -170,6 +178,7 @@ class TrustedDomain:
     def __post_init__(self):
         if not self.devices:
             raise ValidationError("a trusted domain needs at least one device")
+        _check_no_control(self.name, "domain name")
         by_id = {d.id: d for d in self.devices}
         if len(by_id) != len(self.devices):
             raise ValidationError("device ids must be unique")
@@ -198,13 +207,7 @@ class TrustedDomain:
         try:
             return self._by_id[device_id]
         except KeyError:
-            raise _unknown_device(device_id) from None
-
-    def throughput(self, device_id: str) -> float:
-        try:
-            return self._throughput[device_id]
-        except KeyError:
-            raise _unknown_device(device_id) from None
+            raise KeyError(f"unknown device id {device_id!r}") from None
 
     @property
     def device_ids(self) -> tuple[str, ...]:

@@ -5,14 +5,14 @@ rejected with one reason; `choose_parallelism` keeps the first best kind and
 `select_devices` the first best subset, under one tie rule.  A plan is priced
 over one gradient-sync period, which its run repeats, so the period's
 per-sample figures are its long-run rates (renewal-reward).  Subsets are
-searched exhaustively up to 12 devices, pipeline orders up to 8, with a
-fastest-first fallback beyond.  The stage split is exact at any size: it
-compares stages by blocks per FLOP/s, ``b / throughput``, so stages tied in
-real arithmetic tie exactly, and reads each least bottleneck as an order
-statistic of those keys, in O(n·L) for n devices and L blocks.  Its
-bottleneck does not depend on device order, so a pipeline's order minimises
-its busiest device's boundary time, the largest sum of a device's left and
-right hops.  All ties break deterministically.
+searched exhaustively up to 12 devices, and a larger pool is refused;
+pipeline orders up to 8, with a fastest-first fallback beyond.  The stage
+split is exact at any size: it compares stages by blocks per FLOP/s,
+``b / throughput``, so stages tied in real arithmetic tie exactly, and reads
+each least bottleneck as an order statistic of those keys, in O(n·L) for n
+devices and L blocks.  Its bottleneck does not depend on device order, so a
+pipeline's order minimises its busiest device's boundary time, the largest
+sum of a device's left and right hops.  All ties break deterministically.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ class OrchestrationStrategy:
     def __post_init__(self):
         if not self.checkpoint_interval > 0:  # also refuses NaN
             raise ValueError("checkpoint_interval must be > 0")
-
-
-def _fastest_first(domain: TrustedDomain, ids) -> list[str]:
-    """Device ids by descending effective throughput, ties by id."""
-    return sorted(ids, key=lambda p: (-domain.throughput(p), p))
 
 
 def _first_best(candidates, objective: Objective):
@@ -159,11 +154,12 @@ def arrange_topology(domain: TrustedDomain, participants, spec: TransformerSpec,
     neighbour's two, so an order scores the largest such sum over its
     interior devices.  Up to the exhaustive bound every order is scored,
     ties going to the lexicographically smallest; larger sets go fastest
-    device first.
+    device first, ties by id.
     """
     participants = tuple(participants)
     if len(participants) > EXHAUSTIVE_PERMUTATION_LIMIT:
-        return tuple(_fastest_first(domain, participants))
+        throughput = domain._throughput
+        return tuple(sorted(participants, key=lambda p: (-throughput[p], p)))
     hop = {(a, b): phase_seconds(stage_transfer(spec, job, a, b),
                                  domain.network)
            for a, b in itertools.permutations(participants, 2)}
@@ -226,15 +222,15 @@ def choose_parallelism(domain: TrustedDomain, participants, spec: TransformerSpe
 def select_devices(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
                    objective: Objective) -> tuple[ParallelPlan, SimulationResult]:
     """Objective-optimal participant subset, as its best plan and result:
-    the first best of `choose_parallelism` over subsets by size, then pool
-    order; every subset up to 12 devices, else the fastest-first prefixes.
-    When none fits, re-raises the full pool's (last subset's) error."""
-    ids, sizes = domain.device_ids, range(1, len(domain.device_ids) + 1)
-    if len(ids) <= EXHAUSTIVE_SUBSET_LIMIT:
-        subsets = (s for size in sizes for s in itertools.combinations(ids, size))
-    else:
-        rank = {p: i for i, p in enumerate(_fastest_first(domain, ids))}
-        subsets = (tuple(p for p in ids if rank[p] < size) for size in sizes)
+    the first best of `choose_parallelism` over every subset, by size, then
+    pool order; PlanError on more than 12 devices, before any search.  When
+    none fits, re-raises the full pool's (last subset's) error."""
+    ids = domain.device_ids
+    if len(ids) > EXHAUSTIVE_SUBSET_LIMIT:
+        raise PlanError(f"device selection searches pools of at most "
+                        f"{EXHAUSTIVE_SUBSET_LIMIT} devices, not {len(ids)}")
+    subsets = (s for size in range(1, len(ids) + 1)
+               for s in itertools.combinations(ids, size))
     error = None
 
     def winners():
@@ -297,8 +293,8 @@ def orchestrate(domain: TrustedDomain, spec: TransformerSpec, job: TrainingJob,
     """Full orchestration: participants, plan, checkpoint interval, prediction.
 
     By default every device in the trusted domain participates (the pool is
-    assumed dedicated to the job); ``select=True`` additionally searches
-    participant subsets.
+    assumed dedicated to the job); ``select=True`` instead searches every
+    participant subset (:func:`select_devices`, at most 12 devices).
     """
     if select:
         plan, result = select_devices(domain, spec, job, objective)

@@ -201,31 +201,29 @@ class TestPlan:
         assert a.read_bytes() == b.read_bytes()
 
 
-    def test_select_devices_above_12_keeps_pool_order(self, tmp_path,
-                                                      monkeypatch):
-        """Above 12 devices the subsets are the fastest-first prefixes, each
-        in pool order, so picking the full pool writes the same plan as not
-        selecting at all."""
-        seen = []
+    def test_select_devices_above_12_is_refused(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """Subsets are searched only up to 12 devices: on 13,
+        `--select-devices` exits 1 with one line naming both counts before
+        any plan is built, and writes no plan.  Plain `plan` still runs."""
+        calls = []
         choose = scheduler.choose_parallelism
 
-        def recording(domain, subset, *args):
-            seen.append(subset)
-            return choose(domain, subset, *args)
+        def recording(*args):
+            calls.append(args[1])
+            return choose(*args)
 
         monkeypatch.setattr(scheduler, "choose_parallelism", recording)
-        plans = [tmp_path / "select.yaml", tmp_path / "pool.yaml"]
-        for flags, out in zip((["--select-devices"], []), plans):
-            assert run("plan", "--devices", ",".join(["nano"] * 11
-                                                     + ["tx2", "nx"]),
-                       "--model", "distilbert", "--objective", "latency",
-                       "--out", str(out), *flags) == 0
-        pool = [f"nano-{i}" for i in range(11)] + ["tx2-0", "nx-0"]
-        # Fastest first, the tied Nanos by id: nano-10 before nano-2.
-        ranked = ["nx-0", "tx2-0", *sorted(pool[:11])]
-        assert seen[:13] == [tuple(p for p in pool if p in ranked[:size])
-                             for size in range(1, 14)]
-        assert plans[0].read_bytes() == plans[1].read_bytes()
+        out = tmp_path / "plan.yaml"
+        argv = ("plan", "--devices", ",".join(["nano"] * 11 + ["tx2", "nx"]),
+                "--model", "distilbert", "--objective", "latency",
+                "--out", str(out))
+        assert run(*argv, "--select-devices") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: device selection searches pools of at most 12 "
+                       "devices, not 13"]
+        assert not out.exists() and calls == []
+        assert run(*argv) == 0 and out.exists() and len(calls) == 1
 
     def test_free_checkpoints_plan_and_simulate(self, tmp_path):
         """With no failures and free writes the interval is the cap, not
@@ -906,6 +904,24 @@ BAD_DOMAINS = {
                          "error: domain.devices[0]: device id must be at "
                          "most 122 characters, got 123: nnnnnnnnnnnnnnnnnnnn"
                          "..."),
+    # a C0 or C1 control character, a line or a paragraph separator would
+    # split a cell or a row of a TSV output
+    **{f"{what}-in-id": (("devices", 0, "id"), "nano" + char,
+                         "error: domain.devices[0]: device id must not "
+                         "contain a control character or line separator, "
+                         f"got U+{ord(char):04X} in {'nano' + char!r}")
+       for what, char in (("nul", "\0"), ("tab", "\t"), ("newline", "\n"),
+                          ("return", "\r"), ("unit-separator", "\x1f"),
+                          ("c1-next-line", "\x85"), ("c1-last", "\x9f"),
+                          ("line-separator", "\u2028"),
+                          ("paragraph-separator", "\u2029"))},
+    "tab-in-name": (("name",), "my\tlab",
+                    "error: domain: domain name must not contain a control "
+                    "character or line separator, got U+0009 in 'my\\tlab'"),
+    "newline-in-name": (("name",), "my\nlab",
+                        "error: domain: domain name must not contain a "
+                        "control character or line separator, got U+000A in "
+                        "'my\\nlab'"),
     "zero-throughput": (("devices", 0),
                         {"id": "nano-0", "cpu_throughput_flops": 0.0,
                          "mem_capacity_bytes": 4e9, "power_idle_w": 2.0,
@@ -920,6 +936,25 @@ def test_bad_domain_exits_1_with_one_error_line(tmp_path, capsys, case):
     path, value, line = BAD_DOMAINS[case]
     assert assert_edited_input_exits_1(tmp_path, capsys, "domain", path,
                                        value) == line
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+def test_control_characters_in_names_exit_1(tmp_path, capsys, command):
+    """Ids and a name that YAML round-trips but that would split the TSV
+    outputs' cells and rows are refused, by `plan` and `sweep` alike."""
+    domain = config_io.domain_to_dict(load_testbed("heterogeneous-mix4"))
+    domain["devices"][0]["id"], domain["devices"][1]["id"] = "a\tb", "c\nd"
+    domain["name"] = "my\tlab"
+    path = tmp_path / "domain.yaml"
+    path.write_text(config_io.dump_yaml(domain), encoding="utf-8")
+    assert config_io.parse_yaml(path.read_text(encoding="utf-8"),
+                                "domain") == domain
+    assert run(command, "--domain", str(path), "--out",
+               str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: domain.devices[0]: device id must not contain a control "
+        "character or line separator, got U+0009 in 'a\\tb'"]
+    assert not (tmp_path / "out").exists()
 
 
 # A flag given as an empty string is given: (argv, part of its error line)

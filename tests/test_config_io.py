@@ -571,7 +571,8 @@ def test_link_rows_and_device_tables(domain, data):
             assert list(moded._throughput) == list(moded._usable_memory) \
                 == list(moded._power) == list(moded.device_ids)
             for d in moded.devices:
-                assert moded._throughput[d.id] == moded.throughput(d.id) \
+                assert moded._throughput[d.id] \
+                    == effective_throughput(moded.device(d.id), moded.mode) \
                     == effective_throughput(d, mode)
                 assert moded._usable_memory[d.id] \
                     == moded.device(d.id).usable_memory

@@ -152,27 +152,22 @@ class TestDomain:
         with pytest.raises(KeyError):
             domain.device("nano-9")
 
-    def test_unknown_device_throughput_names_the_id(self):
+    def test_unknown_device_names_the_id(self):
         domain = load_testbed("homogeneous-nano4")
         with pytest.raises(KeyError) as by_device:
             domain.device("nope")
-        with pytest.raises(KeyError) as by_throughput:
-            domain.throughput("nope")
-        assert by_throughput.value.args == by_device.value.args == (
-            "unknown device id 'nope'",)
+        assert by_device.value.args == ("unknown device id 'nope'",)
 
     def test_throughput_table_follows_mode_and_devices(self):
         domain = load_testbed("heterogeneous-mix4")
         cpu = domain.with_mode("cpu")
         for d in domain.devices:
-            assert domain.throughput(d.id) == effective_throughput(d, "gpu")
-            assert cpu.throughput(d.id) == effective_throughput(d, "cpu")
+            assert domain._throughput[d.id] == effective_throughput(d, "gpu")
+            assert cpu._throughput[d.id] == effective_throughput(d, "cpu")
         pair = dataclasses.replace(domain, devices=(jetson_tx2("a"),
                                                     jetson_nx("b")))
-        assert pair.device_ids == ("a", "b")
-        assert pair.throughput("b") == jetson_nx("b").gpu_throughput
-        with pytest.raises(KeyError, match="nano-0"):
-            pair.throughput("nano-0")
+        assert pair.device_ids == tuple(pair._throughput) == ("a", "b")
+        assert pair._throughput["b"] == jetson_nx("b").gpu_throughput
 
     def test_equal_domains_compare_and_hash_equal(self):
         a = load_testbed("heterogeneous-mix4")

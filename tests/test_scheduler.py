@@ -16,9 +16,9 @@ from scipy.optimize import minimize_scalar
 
 from edgetrainsim import scheduler
 from edgetrainsim.devices import (DeviceProfile, FaultModel, Link, NetworkModel,
-                                  TrustedDomain, ValidationError, jetson_nano,
-                                  jetson_nx, jetson_tx2,
-                                  testbed_preset as load_testbed)
+                                  TrustedDomain, ValidationError,
+                                  effective_throughput, jetson_nano, jetson_nx,
+                                  jetson_tx2, testbed_preset as load_testbed)
 from edgetrainsim.parallelism import (KIND_DP, KIND_PP, KIND_SINGLE, KIND_SP,
                                       KIND_TP, PlanError, make_dp_plan,
                                       make_pp_plan, make_sp_plan, make_tp_plan,
@@ -93,7 +93,8 @@ def dp_stage_split(domain, ordered_devices, spec, job, number=float):
     n, l = len(devices), spec.num_blocks
     if l < n:
         raise PlanError(f"{l} blocks cannot fill {n} pipeline stages")
-    thrs = [number(domain.throughput(d)) for d in devices]
+    thrs = [number(effective_throughput(domain.device(d), domain.mode))
+            for d in devices]
     required = [state + act for state, act in pp_stage_memory(
         spec, job, range(1, l + 1), n)]
     caps = [sum(r <= domain.device(d).usable_memory for r in required)
@@ -611,10 +612,11 @@ class TestSelectDevices:
     def test_adding_a_device_never_hurts(self, inputs, objective):
         """Adding a device to a per-link pool never raises the chosen
         objective value by more than the tie margin of 1e-15.  This holds by
-        construction while subsets are searched exhaustively (up to 12
-        devices): the larger pool's subsets include every subset of the
-        smaller one, each with the same links, so the same plans and results;
-        and the first best of a list is within the margin of each entry."""
+        construction for every pool `select_devices` answers, since it
+        searches every subset: the larger pool's subsets include every
+        subset of the smaller one, each with the same links, so the same
+        plans and results; and the first best of a list is within the margin
+        of each entry."""
         domain, spec, job = inputs
         *kept, added = domain.devices
         smaller = TrustedDomain(
@@ -629,6 +631,32 @@ class TestSelectDevices:
             return
         _, grown = select_devices(domain, spec, job, objective)
         assert objective.value(grown) <= objective.value(result) + 1e-15
+
+    def test_twelve_devices_are_searched_exhaustively(self, monkeypatch):
+        """Every subset of 12 devices is tried, by size, then pool order; a
+        13th device is refused before the first subset is tried."""
+        seen = []
+
+        def fake(domain, subset, spec, job, objective):
+            seen.append(subset)
+            return None, types.SimpleNamespace(energy_per_sample=1.0,
+                                               latency_per_sample=1.0)
+
+        monkeypatch.setattr(scheduler, "choose_parallelism", fake)
+        pool = [device(f"d{i:02}", 1e9 * (i + 1)) for i in range(13)]
+        ids = [d.id for d in pool[:12]]
+        select_devices(domain_of(*pool[:12]), SMALL_SPEC, SMALL_JOB, ENERGY)
+        assert len(seen) == 4095
+        assert seen == [subset for size in range(1, 13)
+                        for subset in itertools.combinations(ids, size)]
+        seen.clear()
+        for search in (lambda d: select_devices(d, SMALL_SPEC, SMALL_JOB,
+                                                ENERGY),
+                       lambda d: orchestrate(d, SMALL_SPEC, SMALL_JOB, ENERGY,
+                                             select=True)):
+            with pytest.raises(PlanError, match="at most 12 devices, not 13"):
+                search(domain_of(*pool))
+        assert seen == []
 
     def test_empty_pool_is_unconstructible(self):
         with pytest.raises(ValidationError):
