@@ -53,6 +53,8 @@ EDITED_PLANS = {
         devices=("nano-3", "nano-2", "nano-1", "nano-0"))),
     "pp-dropped-blocks": ("pp", "stages", _stages((0, 3), (3, 6), (6, 9),
                                                   (9, 11))),
+    "pp-second-stage-late": ("pp", "stages", _stages((0, 3), (4, 6), (6, 9),
+                                                     (9, 12))),
     "pp-empty-stage": ("pp", "stages", _stages((0, 0), (0, 4), (4, 8),
                                                (8, 12))),
     "single-two-participants": ("single", "participants",
@@ -180,16 +182,27 @@ class TestPlan:
         assert run("plan", "--domain", "/nonexistent/file.yaml") == 1
 
     def test_usage_error_exits_1(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run("plan", "--objective", "speed")
-        assert excinfo.value.code == 1
+        """A bad choice, an unknown flag or command and a value of the wrong
+        type exit 1; help exits 0."""
+        for argv, code in ((("plan", "--objective", "speed"), 1),
+                           (("plan", "--bogus"), 1), (("bogus",), 1),
+                           (("plan", "--mtbf", "x"), 1),
+                           (("plan", "--help"), 0)):
+            with pytest.raises(SystemExit) as excinfo:
+                run(*argv)
+            assert excinfo.value.code == code, argv
 
     def test_plan_output_is_byte_stable(self, tmp_path):
-        a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        """The same argv twice, and the forms that only argparse reads (an
+        abbreviated flag, ``--flag=value``), write the same plan."""
+        a, b, c = tmp_path / "a.yaml", tmp_path / "b.yaml", tmp_path / "c.yaml"
         for out in (a, b):
             assert run("plan", "--testbed", "heterogeneous-mix4",
                        "--model", "distilbert", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert run("plan", "--test", "heterogeneous-mix4", "--model=distilbert",
+                   f"--out={c}") == 0
+        assert c.read_bytes() == a.read_bytes()
 
     @pytest.mark.parametrize("objective", ["energy", "latency"])
     def test_fixed_objectives_ignore_weight_flags(self, tmp_path, objective):
@@ -224,6 +237,32 @@ class TestPlan:
                        "devices, not 13"]
         assert not out.exists() and calls == []
         assert run(*argv) == 0 and out.exists() and len(calls) == 1
+
+    # The next two run in a child process with the time limit that a
+    # regression breaks: it then fails the test instead of stalling the suite.
+    def test_a_deep_model_plans_in_time(self, tmp_path):
+        """A 20,000-block model plans, as PP, in well under a second; a stage
+        split that grows with devices x blocks^2 does not finish in 30 s."""
+        (tmp_path / "deep.yaml").write_text(
+            "name: deep\nnum_blocks: 20000\nhidden_size: 16\nnum_heads: 1\n"
+            "vocab_size: 1000\n")
+        proc = _python("-m", "edgetrainsim.cli", "plan", "--testbed",
+                       "heterogeneous-mix4", "--model-config", "deep.yaml",
+                       "--out", "plan.yaml", cwd=tmp_path, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert yaml.safe_load((tmp_path / "plan.yaml").read_text())["kind"] \
+            == "pp"
+
+    @pytest.mark.parametrize("argv", [("plan", "--model", "distilbert"),
+                                      ("sweep",)], ids=["plan", "sweep"])
+    def test_the_largest_sync_period_runs_in_time(self, tmp_path, argv):
+        """`plan` and `sweep` price one sync period in closed form; a loop
+        over its 2**53 iterations does not finish in 30 s."""
+        proc = _python("-m", "edgetrainsim.cli", *argv, "--testbed",
+                       "homogeneous-nano4", "--sync-period", str(2**53),
+                       "--out", "out", cwd=tmp_path, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out").stat().st_size > 0
 
     def test_free_checkpoints_plan_and_simulate(self, tmp_path):
         """With no failures and free writes the interval is the cap, not
@@ -373,6 +412,25 @@ class TestSimulate:
             assert results[1][key] == pytest.approx(results[0][key],
                                                     rel=1e-12)
 
+    def test_a_pipeline_on_slow_links_never_idles_below_zero(self, tmp_path):
+        """On four Nanos with 10 Mbps links the latency objective picks a
+        pipeline whose transfers outweigh its compute; every device's idle
+        time is still >= 0, with no tolerance."""
+        domain = TrustedDomain(
+            devices=tuple(jetson_nano(f"nano-{i}") for i in range(4)),
+            network=NetworkModel(default_bandwidth=10e6), name="nano4-10mbps")
+        path, plan, out = (tmp_path / name for name in (
+            "domain.yaml", "plan.yaml", "result.yaml"))
+        path.write_text(config_io.dump_yaml(config_io.domain_to_dict(domain)))
+        assert run("plan", "--domain", str(path), "--model", "gpt2-s",
+                   "--objective", "latency", "--out", str(plan)) == 0
+        assert run("simulate", "--plan", str(plan), "--out", str(out)) == 0
+        result = yaml.safe_load(out.read_text())
+        assert result["plan_kind"] == "pp"
+        idle = [u["idle_time_s"] for u in result["per_device"].values()]
+        assert min(idle) >= 0, idle
+        assert [round(t, 1) for t in idle] == [288.8, 87.4, 87.4, 288.8]
+
     def test_unknown_participant_exits_1(self, tmp_path):
         plan = self.plan_file(tmp_path)
         data = yaml.safe_load(plan.read_text())
@@ -415,6 +473,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("case", sorted(EDITED_PLANS))
     def test_edited_partition_exits_1(self, tmp_path, capsys, case):
+        """`simulate` and `faults` both refuse the edited plan file."""
         kind, key, value, *line = EDITED_PLANS[case]
         domain = load_testbed("homogeneous-nano4")
         ids = domain.device_ids[:1] if kind == "single" else domain.device_ids
@@ -427,10 +486,11 @@ class TestSimulate:
             data["partition"][key] = value
         path = tmp_path / "plan.yaml"
         path.write_text(config_io.dump_yaml(data))
-        assert run("simulate", "--plan", str(path)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: plan: ")
-        assert line in ([], err.splitlines())
+        for argv in (("simulate",), ("faults", "--mtbf", "600")):
+            assert run(*argv, "--plan", str(path)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: plan: ")
+            assert line in ([], err.splitlines())
 
     def test_missing_plan_file_exits_1(self):
         assert run("simulate", "--plan", "/nonexistent/plan.yaml") == 1
@@ -604,15 +664,23 @@ class TestFaults:
         assert run("faults", "--plan", str(plan), "--mtbf", "-5") == 1
 
     def test_infinite_mtbf_returns_with_no_failures(self, tmp_path):
+        """With no failure the report's wall time is `simulate`'s makespan
+        to the last digit: on gpt2-s's plan for homogeneous-nano4, adding
+        iterations one by one gives 80.39959500799998 s, not 80.399595008."""
         # In a child process with a time limit: a replay that never returns
         # then fails the test instead of blocking the suite.
-        self.plan_file(tmp_path)
+        assert run("plan", "--testbed", "homogeneous-nano4", "--model",
+                   "gpt2-s", "--out", str(tmp_path / "plan.yaml")) == 0
         proc = _python("-m", "edgetrainsim.cli", "faults", "--plan",
                        "plan.yaml", "--mtbf", "inf", "--out", "inf.yaml",
                        cwd=tmp_path, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert yaml.safe_load((tmp_path / "inf.yaml").read_text())[
-            "failures"] == 0
+        report = yaml.safe_load((tmp_path / "inf.yaml").read_text())
+        assert report["failures"] == 0
+        assert run("simulate", "--plan", str(tmp_path / "plan.yaml"), "--out",
+                   str(tmp_path / "sim.yaml")) == 0
+        assert report["wall_time_s"] == yaml.safe_load(
+            (tmp_path / "sim.yaml").read_text())["makespan_s"]
 
     def test_a_run_that_never_ends_exits_1(self, tmp_path, capsys):
         # First through the entry point, in a child process with a time
@@ -1239,6 +1307,7 @@ class TestEntryPoint:
 
     def test_non_ascii_names_are_written_as_utf8_in_an_ascii_locale(
             self, tmp_path):
+        """The trace is the same bytes as under the default locale."""
         _write_cafe_domain(tmp_path / "d.yaml")
         for argv in (("plan", "--domain", "d.yaml", "--model", "distilbert",
                       "--out", "plan.yaml"),
@@ -1251,6 +1320,12 @@ class TestEntryPoint:
             assert proc.returncode == 0, proc.stderr
         assert "\tnano-é1\t" in (tmp_path / "trace.tsv").read_text("utf-8")
         assert "\tcafé\t" in (tmp_path / "sweep.tsv").read_text("utf-8")
+        proc = _python("-m", "edgetrainsim.cli", "simulate", "--plan",
+                       "plan.yaml", "--trace", "default.tsv", "--out",
+                       os.devnull, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "default.tsv").read_bytes() \
+            == (tmp_path / "trace.tsv").read_bytes()
 
     def test_stdout_is_utf8_in_an_ascii_locale(self, tmp_path):
         _write_cafe_domain(tmp_path / "d.yaml")
@@ -1279,9 +1354,9 @@ assert main(["faults", "--plan", "p.yaml", "--mtbf", "600"]) == 0
         assert proc.returncode == 0, proc.stderr
 
     def test_readme_flow_imports_no_pathlib(self, tmp_path):
-        """The README flow reads and writes its files without pathlib.  The
-        interpreter runs with -S, as a site hook may import pathlib at
-        start-up."""
+        """The README flow reads and writes its files without pathlib,
+        argparse, numpy or PyYAML.  The interpreter runs with -S, as a site
+        hook may import pathlib at start-up."""
         script = """
 import sys
 assert "pathlib" not in sys.modules
@@ -1294,15 +1369,15 @@ assert main(["simulate", "--plan", "p.yaml", "--trace", "t.tsv",
 assert main(["sweep", "--testbed", "heterogeneous-mix4", "--out", "s.tsv"]) == 0
 assert main(["faults", "--plan", "p.yaml", "--mtbf", "600", "--seed", "0",
              "--out", "f.yaml"]) == 0
-assert "pathlib" not in sys.modules, "pathlib"
+assert not {"pathlib", "argparse", "numpy", "yaml"} & set(sys.modules)
 """
         proc = _python("-S", "-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
 
     def test_program_files_load_without_pyyaml_or_argparse(self, tmp_path):
         """The README flow on files the program wrote, a domain among them,
-        imports neither PyYAML nor argparse, and nor does a hand-written
-        block domain of double-quoted non-ASCII names."""
+        imports none of numpy, PyYAML and argparse, and nor does a
+        hand-written block domain of double-quoted non-ASCII names."""
         (tmp_path / "d.yaml").write_text(config_io.dump_yaml(
             config_io.domain_to_dict(load_testbed("homogeneous-nano4"))))
         _write_cafe_domain(tmp_path / "cafe.yaml")
@@ -1321,7 +1396,8 @@ assert main(["plan", "--domain", "cafe.yaml", "--model", "distilbert",
              "--out", "cafe.plan.yaml"]) == 0
 assert main(["simulate", "--plan", "cafe.plan.yaml", "--out",
              "cafe.r.yaml"]) == 0
-assert not {"yaml", "argparse"} & set(sys.modules), sorted(sys.modules)
+assert not {"numpy", "yaml", "argparse"} & set(sys.modules), \
+    sorted(sys.modules)
 """
         proc = _python("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr

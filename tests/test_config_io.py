@@ -1040,7 +1040,8 @@ ODD_IDS = ("é" * 20, "é" * 30, "007", "x" * MAX_DEVICE_ID_CHARS)
 def test_odd_device_ids_read_back_through_both_loaders(tmp_path, kind):
     """Domain, plan and result files of devices with ``ODD_IDS``, in a
     domain named café, read back as their dicts through both of PyYAML's
-    loader classes, and the domain file plans and simulates."""
+    loader classes, and the domain file plans and simulates.  The plan
+    file's domain, written back by the program, plans to the same bytes."""
     nano = load_testbed("homogeneous-nano4").devices[0]
     domain = TrustedDomain(tuple(replace(nano, id=i) for i in ODD_IDS),
                            name="café")
@@ -1057,3 +1058,11 @@ def test_odd_device_ids_read_back_through_both_loaders(tmp_path, kind):
                  "distilbert", "--out", str(plan_file)]) == 0
     assert main(["simulate", "--plan", str(plan_file), "--out",
                  str(tmp_path / "result.yaml")]) == 0
+    text = plan_file.read_text(encoding="utf-8")
+    read = [yaml.load(text, Loader=loader) for loader in LOADERS]
+    assert all(_same(data, read[0]) for data in read)
+    again, again_plan = tmp_path / "again.yaml", tmp_path / "again.plan.yaml"
+    again.write_text(config_io.dump_yaml(read[0]["domain"]), encoding="utf-8")
+    assert main(["plan", "--domain", str(again), "--model", "distilbert",
+                 "--out", str(again_plan)]) == 0
+    assert again_plan.read_bytes() == plan_file.read_bytes()

@@ -342,7 +342,10 @@ def test_program_files_never_reach_pyyaml(tmp_path, monkeypatch):
     golden command writes its pinned bytes, and plan, simulate --trace,
     faults and sweep run on ``_more_inputs``' domains, one of them written
     by ``yaml.safe_dump``; each file they write reads back through the one
-    reader as PyYAML reads it."""
+    reader as PyYAML reads it, and is the bytes PyYAML writes for it.  A
+    hand-edited block twin of that domain (a comment, a blank line, device
+    keys out of order) reads as PyYAML reads the original and plans to the
+    same bytes."""
     monkeypatch.setitem(sys.modules, "yaml", None)
     assert _testbed_digests(tmp_path) == (GOLDEN_PLAN, GOLDEN_SIMULATE,
                                           GOLDEN_FAULTS)
@@ -354,3 +357,19 @@ def test_program_files_never_reach_pyyaml(tmp_path, monkeypatch):
         if name.endswith(".yaml"):
             text = data.decode()
             assert config_io.parse_yaml(text, name) == yaml.safe_load(text)
+            assert yaml.safe_dump(yaml.safe_load(text), sort_keys=True,
+                                  default_flow_style=False) == text, name
+    want = yaml.safe_load((more / "links12.domain.yaml").read_text())
+    lines = ["# links12.domain.yaml by hand", "", "devices:"]
+    for device in want["devices"]:
+        lines += [("  " if i else "- ") + f"{key}: {device[key]}"
+                  for i, key in enumerate(sorted(device, reverse=True))]
+    twin = more / "twin.domain.yaml"
+    twin.write_text("\n".join(lines) + "\n" + yaml.safe_dump(
+        {"name": want["name"], "network": want["network"],
+         "schema_version": 1}))
+    assert config_io.parse_yaml(twin.read_text(), "twin") == want
+    assert _run("plan", "--domain", twin, "--model", "gpt2-s", "--out",
+                more / "twin.plan.yaml") == 0
+    assert (more / "twin.plan.yaml").read_bytes() \
+        == (more / "links12.plan.yaml").read_bytes()
