@@ -1,7 +1,9 @@
 """Operator entry point: plan, simulate, sweep, faults, presets.
 
 Exit codes: 0 success, 1 usage/config error or unwritable output file,
-2 valid-but-infeasible (OOM).
+2 valid-but-infeasible: `plan` rejected every kind (out of memory, no
+memory-feasible stage split, no build, or a non-finite latency, energy or
+objective value per sample), or `simulate` or `faults` ran out of memory.
 
 The default job matches the reference experiment grid (global batch 128,
 sequence length 32, micro-batch 8, gradient sync every 5 iterations) and a

@@ -12,16 +12,17 @@ Both of PyYAML's safe loaders read every tree back; with no quoted string
 the bytes are libyaml's ``yaml.safe_dump(data, sort_keys=True)`` (PyYAML's
 own emitter writes a key of 123 to 128 characters as ``? key``).
 
-``read`` takes blank lines, full-line comments and, at ``write``'s
-indentation, rows ``INDENT ("- ")* (KEY ":" [" " VALUE] | VALUE)``.  A KEY
-is a TOKEN (``_TOKEN``, at most ``_MAX_TOKEN_CHARS`` long, which PyYAML's
+``read`` takes, after a leading byte order mark, blank lines, full-line
+comments and, at ``write``'s indentation, rows ``INDENT ("- ")* (KEY ":"
+[" " VALUE] | VALUE)``.  A KEY, at most ``_MAX_KEY_CHARS`` long, is a
+TOKEN (``_TOKEN``, at most ``_MAX_TOKEN_CHARS`` long, which PyYAML's
 scanner reads as a plain scalar of exactly its characters) or a one-line
 double-quoted str whose only escapes are ``write``'s: ``\\"``, ``\\\\``,
 ``\\xHH`` and ``\\uHHHH``.  A VALUE is one of those, ``{}`` or ``[]``.
 Tokens resolve by YAML 1.1's plain scalar table (``_scalar``), the one
 PyYAML's resolver and safe constructor apply, so values are what
 ``yaml.safe_load`` gives.  Any other document is a ValueError naming its
-first line outside the grammar and what that line holds (``_CONSTRUCTS``).
+first refused line and what that line holds (``_CONSTRUCTS``).
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from operator import length_hint
 
 _TOKEN = r"-?[A-Za-z0-9_.][A-Za-z0-9_.+-]*"
 _MAX_TOKEN_CHARS = 128
-_VALUE = rf"{_TOKEN}|\{{\}}|\[\]"
-_LINE = re.compile(
-    rf"^( *)(- )?(?:({_TOKEN}):(?: ({_VALUE}))?|({_VALUE}))\n", re.M)
 # The strings ``write`` writes as tokens, when at most ``_MAX_TOKEN_CHARS``
 # long and resolving to str; PyYAML quotes one that starts with "...".
 _WORD = re.compile(rf"(?!\.\.\.){_TOKEN}")
@@ -47,11 +45,13 @@ _GOOD_ESCAPE = r'["\\]|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}'
 _OPEN_QUOTE = rf'"(?:[^{_ESCAPED_CHARS}]|\\(?:{_GOOD_ESCAPE}))*'
 _UNESCAPE = re.compile(r'\\(["\\]|x..|u....)')
 _KEY = rf'{_TOKEN}|{_OPEN_QUOTE}"'
-# A row, or a blank or comment line (of characters PyYAML's reader takes).
+_VALUE = rf"{_KEY}|\{{\}}|\[\]"
+# A row, or a blank or comment line (of characters PyYAML's reader takes),
+# with its newline.
 _ANY_LINE = re.compile(
-    rf"( *)((?:- )*)(?:({_KEY}):(?: ({_KEY}|{_VALUE}))?|({_KEY}|{_VALUE}))"
+    rf"^(?:( *)((?:- )*)(?:({_KEY}):(?: ({_VALUE}))?|({_VALUE}))"
     r"| *(?:#[^\x00-\x08\x0a-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff"
-    r"\ufffe\uffff]*)?")
+    r"\ufffe\uffff]*)?)\n", re.M)
 # What a line that is neither holds: the first of these matching it after
 # the indentation, dashes and key the grammar takes.
 _ROW_START = re.compile(rf" *(?:- )*(?:(?:{_KEY}):(?: |$))?")
@@ -64,9 +64,9 @@ _CONSTRUCTS = [(re.compile(pattern), construct) for pattern, construct in (
     (rf"{_OPEN_QUOTE}\\(?!{_GOOD_ESCAPE})",
      "an escape other than \\\", \\\\, \\xHH and \\uHHHH"),
     (r"[0-9]{4}-[0-9][0-9]?-[0-9][0-9]?(?:[Tt \t]|$)", "a timestamp"),
-    (rf"(?:{_KEY}|{_VALUE})? *#", "a comment after a value"),
+    (rf"(?:{_VALUE})? *#", "a comment after a value"),
     (r"\?", "an explicit key"), (r"%", "a directive"), (r"\t", "a tab"),
-    (rf"(?:{_KEY}|{_VALUE})? *$| ", "spaces other than the writer's"),
+    (rf"(?:{_VALUE})? *$| ", "spaces other than the writer's"),
     (r"", "a scalar that is neither a token nor quoted"))]
 # PyYAML reads a simple key only if its ":" is within 1,024 characters.
 _MAX_KEY_CHARS = 1024
@@ -146,12 +146,25 @@ class _Values(dict):
 def read(text: str) -> dict:
     """``text`` as ``yaml.safe_load`` reads it, if it is a document of the
     grammar above, else a ValueError ``line N: <construct> is not read:
-    '<the line>'``.  A document of token rows of at most one dash, the shape
-    of every file the program writes from its own names, is matched by one
-    ``_LINE`` scan, any other line by line.  A missing last newline is
-    taken."""
+    '<the line>'`` for its first refused line.  One ``_ANY_LINE`` scan
+    reads every line; the lines are walked only to name the first it
+    misses.  A leading byte order mark is dropped, as PyYAML drops it, and
+    a missing last newline is taken."""
+    text = text.removeprefix("\ufeff")
     text = text if text.endswith("\n") else text + "\n"
-    rows = _LINE.findall(text)
+    if text == "{}\n":
+        return {}
+    rows = _ANY_LINE.findall(text)
+    missed = None  # (construct, number) of the first line outside the grammar
+    if len(rows) != text.count("\n"):
+        # Row i is line i + 1 before it; blank and comment rows are empty.
+        number, line = next((number, line) for number, line
+                            in enumerate(text.split("\n"), 1)
+                            if _ANY_LINE.match(line + "\n") is None)
+        rest = line[_ROW_START.match(line).end():]
+        missed = (next(construct for pattern, construct in _CONSTRUCTS
+                       if pattern.match(rest)), number)
+        del rows[number - 1:]
     values = _Values()
     root: dict = {}
     # (column, collection, is a list) of each open collection, innermost
@@ -161,43 +174,25 @@ def read(text: str) -> dict:
     # The innermost collection and its column if it is a mapping and no
     # ``key:`` row is open, else -1: a ``key: value`` row there is its item.
     filling, at = root, 0
+    remaining = iter(rows)
     try:
-        if len(rows) != text.count("\n"):
-            # Row i is line i + 1, a line of no row one of empty groups.
-            rows = []
-            for number, line in enumerate(text.split("\n")[:-1], 1):
-                row = _ANY_LINE.fullmatch(line)
-                if row is None:
-                    rest = line[_ROW_START.match(line).end():]
-                    raise _Refused(next(construct for pattern, construct
-                                        in _CONSTRUCTS if pattern.match(rest)),
-                                   number)
-                if len(row[3] or "") > _MAX_KEY_CHARS:
-                    raise _Refused(f"a key of more than {_MAX_KEY_CHARS} "
-                                   f"characters", number)
-                rows.append(row.groups(""))
-        if rows == [("", "", "", "", "{}")]:
-            return {}
-        remaining = iter(rows)
         for indent, dashes, key, key_value, value in remaining:
-            column = len(indent)
-            if column == at and key_value and not dashes:
-                key = values[key]
-                if key in filling:
-                    raise _Refused("a repeated key")
-                filling[key] = values[key_value]
-                continue
-            is_list = bool(dashes)
-            if not (key or is_list):
+            if len(key) > _MAX_KEY_CHARS:
+                raise _Refused(f"a key of more than {_MAX_KEY_CHARS} "
+                               f"characters")
+            column, is_list = len(indent), bool(dashes)
+            if column == at and key_value and not is_list:
+                into = filling
+            elif not (key or is_list):
                 if value:
                     raise _Refused("a value with no key or dash")
                 continue
-            if bare is not None:
+            elif bare is not None:
                 (parent, parent_key, parent_column), bare = bare, None
                 if column != parent_column + (0 if is_list else 2):
                     raise _Refused("indentation other than the writer's")
-                parent[parent_key] = [] if is_list else {}
-                stack.append((column, parent[parent_key], is_list))
+                into = parent[parent_key] = [] if is_list else {}
+                stack.append((column, into, is_list))
             else:
                 while stack[-1][0] > column or (stack[-1][0] == column and
                                                 stack[-1][2] is not is_list):
@@ -205,7 +200,7 @@ def read(text: str) -> dict:
                 if stack[-1][0] != column:
                     raise _Refused("a list at the top level" if column == 0
                                    else "indentation other than the writer's")
-            into = stack[-1][1]
+                into = stack[-1][1]
             if is_list:
                 if len(dashes) > 2:  # each later dash opens a list in the last
                     for _ in range(len(dashes) // 2 - 1):
@@ -228,6 +223,8 @@ def read(text: str) -> dict:
             else:
                 bare = (into, key, column)
                 at = -1
+        if missed is not None:
+            raise _Refused(*missed)
         if bare is not None:
             raise _Refused("a key with no value")
         if not root:

@@ -269,6 +269,36 @@ def test_crlf_input_reads_as_lf(tmp_path):
         (tmp_path / "crlf.plan.yaml").read_bytes()
 
 
+def test_byte_order_mark_is_dropped(tmp_path, oracle):
+    """A domain saved with a UTF-8 byte order mark, as some editors save
+    it, plans to the same bytes as without it, and a program file with the
+    mark reads as PyYAML reads it."""
+    text = config_io.dump_yaml(config_io.domain_to_dict(
+        load_testbed("homogeneous-nano4")))
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / f"{name}.yaml").write_text(prefix + text, encoding="utf-8")
+        assert main(["plan", "--domain", str(tmp_path / f"{name}.yaml"),
+                     "--model", "distilbert", "--out",
+                     str(tmp_path / f"{name}.plan.yaml")]) == 0
+    plan_text = (tmp_path / "plain.plan.yaml").read_text(encoding="utf-8")
+    assert (tmp_path / "bom.plan.yaml").read_bytes() == plan_text.encode()
+    for document in (text, plan_text):
+        assert _same(yaml_block.read("\ufeff" + document),
+                     yaml.load("\ufeff" + document, Loader=oracle))
+
+
+@pytest.mark.parametrize("source", sorted(INPUT_ARGS))
+def test_non_utf8_input_after_a_byte_order_mark_names_its_line(
+        tmp_path, capsys, source):
+    """The mark's three bytes hold no newline, so a bad byte on line 2
+    is reported on line 2."""
+    argv, context = INPUT_ARGS[source]
+    path = tmp_path / "input.yaml"
+    path.write_bytes(b"\xef\xbb\xbfschema_version: 1\nname: caf\xe9\xff\n")
+    assert _one_error_line(capsys, argv, path) == (
+        f"error: {context}: {path} is not UTF-8 text: byte 0xe9 on line 2")
+
+
 class TestPlanErrors:
     def dp_plan_dict(self):
         domain = load_testbed("homogeneous-nano4")
@@ -699,6 +729,8 @@ _WITH_ORACLE = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+# A row whose token key is longer than PyYAML reads as a key.
+LONG_KEY_ROW = "k" * 1100 + ": 1"
 # Documents outside the one reader's grammar, each with the line it refuses
 # and what that line holds.  PyYAML reads each of these as a mapping:
 READ_BY_PYYAML = {
@@ -737,6 +769,10 @@ READ_BY_PYYAML = {
     "a: 1\nb:\n": (2, "a key with no value"),
     "a: 1\nb: 1.0\nTrue: 2\n1: 3\n": (4, "a repeated key"),
     f"a: {'x' * 129}\n": (1, "a token of more than 128 characters"),
+    # A line that breaks a rule is named before a later line outside the
+    # grammar.
+    "a: 1\na: 2\nb: 1 # note\n": (2, "a repeated key"),
+    "a:\n    b: 1\nc: 1 # note\n": (2, "indentation other than the writer's"),
 }
 # PyYAML refuses each of these, or reads no mapping:
 REFUSED_BY_BOTH = {
@@ -754,6 +790,18 @@ REFUSED_BY_BOTH = {
     "a: \"x\"y\n": (1, "a scalar that is neither a token nor quoted"),
     "a: \"\\x41\\z\"\n": (1, "an escape other than"),
     f'"{"k" * 1023}": 1\n': (1, "a key of more than 1024 characters"),
+    # ``LONG_KEY_ROW`` is named on its own line, whether the other lines
+    # are token rows, a comment, a quoted value or a later line outside the
+    # grammar.
+    **dict.fromkeys([f"x: 1\n{LONG_KEY_ROW}\ny: 2\n",
+                     f"x: 1\n{LONG_KEY_ROW}\ny: \"a b\"\n",
+                     f"x: 1\n{LONG_KEY_ROW}\ny: 2 # note\n"],
+                    (2, "a key of more than 1024 characters")),
+    f"# note\nx: 1\n{LONG_KEY_ROW}\n":
+        (3, "a key of more than 1024 characters"),
+    # A line that breaks a rule is named before a later line outside the
+    # grammar.
+    "a: 1\nb: 2\n- c\n---\n": (3, "a list at the top level"),
 }
 
 
